@@ -61,7 +61,7 @@ def solve(
                 DefinitenessVerdict("inconsistent", None, saddle.reason, verdict.phi0, verdict.psi0)
             )
         if delta is None:
-            delta = min(1e-4 * T.t_max, 0.5 * step)
+            delta = potential.seed_offset(T.t_max, step)
         seed = potential.seed_separatrix(S, saddle, delta)
         curve = potential.integrate_separatrix(
             S,

@@ -60,20 +60,34 @@ class SurfaceF:
     t_max: float
 
 
-def surface_eval(S: SurfaceF, t: float, w: float, p: float):
-    """Return (F, F_t, F_w, F_p) at the phase point (t, w, p)."""
-    n = S.n
-    phi = eval_jet2(S.phi, t)
-    psi = eval_jet2(S.psi, t)
+def target_jets(S: SurfaceF, t: float):
+    """The (phi, psi) 2-jets at t; everything else on the surface is arithmetic."""
+    return eval_jet2(S.phi, t), eval_jet2(S.psi, t)
+
+
+def surface_terms(n: int, t, w, p, phi, dphi, psi, dpsi):
+    """(F, F_t, F_w, F_p) from the target values phi, psi and their t-derivatives.
+
+    Every argument may be a float or an ndarray; arrays broadcast together.
+    """
     ww = w * w - 2.0 * w
-    tt = t * t * phi.v * psi.v
-    F = ((n - 2) * phi.v * ww + tt) / (n - 1) - p * p
+    tt = t * t * phi * psi
+    F = ((n - 2) * phi * ww + tt) / (n - 1) - p * p
     # d/dt of t^2 phi psi = 2 t phi psi + t^2 (phi' psi + phi psi')
-    dtt = 2.0 * t * phi.v * psi.v + t * t * (phi.d1 * psi.v + phi.v * psi.d1)
-    F_t = ((n - 2) * phi.d1 * ww + dtt) / (n - 1)
-    F_w = (n - 2) * phi.v * (2.0 * w - 2.0) / (n - 1)
+    dtt = 2.0 * t * phi * psi + t * t * (dphi * psi + phi * dpsi)
+    F_t = ((n - 2) * dphi * ww + dtt) / (n - 1)
+    F_w = (n - 2) * phi * (2.0 * w - 2.0) / (n - 1)
     F_p = -2.0 * p
     return F, F_t, F_w, F_p
+
+
+def surface_eval(S: SurfaceF, t: float, w: float, p: float, jets=None):
+    """Return (F, F_t, F_w, F_p) at the phase point (t, w, p).
+
+    jets are the (phi, psi) 2-jets at t when the caller already has them.
+    """
+    phi, psi = target_jets(S, t) if jets is None else jets
+    return surface_terms(S.n, t, w, p, phi.v, phi.d1, psi.v, psi.d1)
 
 
 def lie_cartan_field(S: SurfaceF, state) -> np.ndarray:
@@ -167,20 +181,25 @@ def saddle_report(S: SurfaceF) -> SaddleReport:
     )
 
 
-def fold_curve(S: SurfaceF, t: float) -> np.ndarray:
-    """w values of the fold {F = F_p = 0} over t: w = 1 +- sqrt(1 - t^2 psi / (n-2)).
+def fold_branches(n: int, t, psi):
+    """Fold {F = F_p = 0} over t, from psi(t): w = 1 -+ sqrt(1 - t^2 psi / (n-2)).
 
-    Empty when the discriminant is negative.  The lower branch expands as
-    w = psi(0) t^2 / (2(n-2)) + O(t^4).
+    t and psi may be floats or ndarrays.  Returns (real, lower, upper); real
+    is False where the discriminant is negative, and both branches are NaN
+    there.  The lower branch expands as w = psi(0) t^2 / (2(n-2)) + O(t^4).
     """
+    disc = 1.0 - t * t * psi / (n - 2)
+    real = np.logical_not(disc < 0)
+    s = np.sqrt(np.where(real, disc, np.nan))
+    return real, 1.0 - s, 1.0 + s
+
+
+def fold_curve(S: SurfaceF, t: float) -> np.ndarray:
+    """w values (lower, upper) of the fold over t; empty when there is none."""
     if S.n == 2:
         raise ValueError("fold curve is defined for n > 2")
-    psi = eval_jet2(S.psi, t).v
-    disc = 1.0 - t * t * psi / (S.n - 2)
-    if disc < 0:
-        return np.array([])
-    s = math.sqrt(disc)
-    return np.array([1.0 - s, 1.0 + s])
+    real, lower, upper = fold_branches(S.n, t, eval_jet2(S.psi, t).v)
+    return np.array([lower, upper]) if real else np.array([])
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +224,10 @@ class PotentialCurve:
     halt_reason: str  # "t_end" | "fold_contact" | "surface_exit"
     halt_detail: str = ""
     constraint_max: float = 0.0
-    series_order: int = 2
 
 
-def _project_p(S: SurfaceF, t: float, w: float, p: float, tol: float):
-    """Newton iteration on p alone (F is quadratic in p: Babylonian sqrt)."""
-    n = S.n
-    phi = eval_jet2(S.phi, t).v
-    psi = eval_jet2(S.psi, t).v
-    Q = ((n - 2) * phi * (w * w - 2.0 * w) + t * t * phi * psi) / (n - 1)
+def _project_p(t: float, Q: float, p: float, tol: float):
+    """Newton iteration on p alone for Q - p^2 = 0, Q = F(t, w, 0) (Babylonian sqrt)."""
     scale = abs(Q) + p * p + 1e-300
     target = max(tol, 8.0 * np.finfo(float).eps * scale)
     for _ in range(20):
@@ -228,6 +242,11 @@ def _project_p(S: SurfaceF, t: float, w: float, p: float, tol: float):
     )
 
 
+def seed_offset(t_max: float, step: float) -> float:
+    """Default seed abscissa: deep in the series range, below half a step."""
+    return min(1e-4 * t_max, 0.5 * step)
+
+
 def seed_separatrix(S: SurfaceF, rep: SaddleReport, delta: float):
     """Second-order series seed (delta, w2 d^2/2, w2 d), p projected onto F = 0."""
     if rep.classification != "folded_saddle":
@@ -236,7 +255,8 @@ def seed_separatrix(S: SurfaceF, rep: SaddleReport, delta: float):
         raise ValueError(f"delta must lie in (0, {1e-2 * S.t_max:g}]")
     w0 = rep.w2 * delta * delta / 2.0
     p0 = rep.w2 * delta
-    p_proj, _ = _project_p(S, delta, w0, p0, PROJECTION_TOL)
+    Q = surface_eval(S, delta, w0, 0.0)[0]
+    p_proj, _ = _project_p(delta, Q, p0, PROJECTION_TOL)
     return delta, w0, p_proj
 
 
@@ -268,8 +288,23 @@ def integrate_separatrix(
     if t_end <= t0:
         raise ValueError("t_end must exceed the seed abscissa")
 
+    # The RK4 stages, the region test and the projection of one step share
+    # abscissae (k2/k3 at t + h/2; k4, Q, the projection and the next k1 at
+    # t + h; a halved step reuses t + h/2), so each (phi, psi) jet is
+    # evaluated once.  Four entries cover the current step and its halvings.
+    cache = {}
+
+    def jets(t):
+        j = cache.pop(t, None)
+        if j is None:
+            j = target_jets(S, t)
+            if len(cache) >= 4:
+                del cache[next(iter(cache))]
+        cache[t] = j
+        return j
+
     def rhs(t, w, p):
-        F, F_t, F_w, F_p = surface_eval(S, t, w, p)
+        F, F_t, F_w, F_p = surface_eval(S, t, w, p, jets(t))
         if abs(F_p) < fold_tol:
             raise _FoldContact(f"|F_p| = {abs(F_p):.3e} < {fold_tol:g} at t = {t:.6g}")
         return p, -(F_t + p * F_w) / F_p
@@ -309,7 +344,7 @@ def integrate_separatrix(
                     raise StepUnderflowError(f"step underflow at t = {t:.6g}")
                 while True:
                     w_try, p_try = rk4_step(t, w, p, h)
-                    Q = surface_eval(S, t + h, w_try, 0.0)[0]
+                    Q = surface_eval(S, t + h, w_try, 0.0, jets(t + h))[0]
                     if Q > 0.0:
                         break
                     if -exit_tol <= Q <= 0.0:
@@ -321,14 +356,12 @@ def integrate_separatrix(
                         break
                     if h <= min_h:
                         halted = True
-                        Q_here = surface_eval(S, t, w, 0.0)[0]
+                        Q_here = surface_eval(S, t, w, 0.0, jets(t))[0]
                         scale = 1.0 + abs(Q_here) + p * p
                         if Q_here <= fold_tol * scale:
                             halt_reason = "fold_contact"
-                            push = -(
-                                surface_eval(S, t, w, p)[1]
-                                + p * surface_eval(S, t, w, p)[2]
-                            )
+                            _, F_t, F_w, _ = surface_eval(S, t, w, p, jets(t))
+                            push = -(F_t + p * F_w)
                             halt_detail = (
                                 f"fold reached near t = {t:.6g} "
                                 f"(p = {p:.3e}, push = {push:.3e})"
@@ -343,7 +376,7 @@ def integrate_separatrix(
                     h /= 2.0
                 if halted:
                     break
-                p_try, resid = _project_p(S, t + h, w_try, p_try, projection_tol)
+                p_try, resid = _project_p(t + h, Q, p_try, projection_tol)
                 if p_try * p <= 0.0:
                     # w' changes sign only on the fold; never record past it
                     halted = True
@@ -383,7 +416,7 @@ def solve_branch(S: SurfaceF, step: float, t_end: float | None = None, delta: fl
     if t_end is None:
         t_end = S.t_max
     if delta is None:
-        delta = min(1e-4 * S.t_max, 0.5 * step)
+        delta = seed_offset(S.t_max, step)
     seed = seed_separatrix(S, rep, delta)
     return integrate_separatrix(S, seed, step, t_end, w2=rep.w2, w3=rep.w3)
 
@@ -441,47 +474,71 @@ class GlobalReport:
     notes: tuple = ()
 
 
+def _jet_columns(S: SurfaceF, ts: np.ndarray) -> np.ndarray:
+    """Rows phi, phi', psi, psi' over ts, from one pair of jets per abscissa."""
+    jets = (target_jets(S, t) for t in ts)
+    return np.array([(phi.v, phi.d1, psi.v, psi.d1) for phi, psi in jets], dtype=float).T
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the scans meet inf and NaN like Python floats
 def check_global(S: SurfaceF, curve: PotentialCurve, grid: int = 129) -> GlobalReport:
+    """Margins of the global continuation criterion for a computed branch.
+
+    (a) grad_margin: the least |grad F| on the surface over a grid x grid
+        scan of (t, w), t in [0, t_max] and w spanning the curve and the
+        fold with a 25% pad; each point with F(t, w, 0) = Q >= 0 is lifted
+        to p = sqrt(Q), and points where |grad F| is NaN are skipped.
+    (b) fold_margin: the least |phi d/dt(t^2 psi)| over grid samples of
+        (0, t_max]; sign changes are bisected into fold_roots and make the
+        margin 0.
+    (c) curve_fold_distance: the least |w - fold| along the curve, NaN
+        when the fold never exists over it.
+
+    phi and psi are evaluated once per abscissa; the scans are broadcasts.
+    """
     notes = []
+    n = S.n
     # (a) regularity of F^{-1}(0): min |grad F| over an on-surface scan
-    folds_all = []
     ts_scan = np.linspace(0.0, S.t_max, grid)
-    if S.n > 2:
-        for t in ts_scan:
-            folds_all.extend(fold_curve(S, t))
+    jets = _jet_columns(S, ts_scan)
+    folds_all = []
+    if n > 2:
+        real, lower, upper = fold_branches(n, ts_scan, jets[2])
+        folds_all = np.column_stack((lower, upper))[real].ravel().tolist()
     w_lo = min(float(np.min(curve.w)), min(folds_all, default=0.0), 0.0)
     w_hi = max(float(np.max(curve.w)), max(folds_all, default=2.0), 2.0)
     pad = 0.25 * (w_hi - w_lo + 1.0)
-    grad_margin = math.inf
-    for t in ts_scan:
-        for w in np.linspace(w_lo - pad, w_hi + pad, grid):
-            F, F_t, F_w, _ = surface_eval(S, t, w, 0.0)
-            if F < 0:
-                continue  # no real p over this (t, w)
-            p = math.sqrt(F)  # F(t,w,0) = Q, on-surface p = sqrt(Q)
-            norm = math.sqrt(F_t * F_t + F_w * F_w + 4.0 * p * p)
-            grad_margin = min(grad_margin, norm)
+    ws = np.linspace(w_lo - pad, w_hi + pad, grid)
+    # rows: t, columns: w
+    F, F_t, F_w, _ = surface_terms(n, ts_scan[:, None], ws, 0.0, *jets[:, :, None])
+    # F(t, w, 0) = Q, on-surface p = sqrt(Q); NaN (and so skipped) where Q < 0
+    p = np.sqrt(F)
+    norm = np.sqrt(F_t * F_t + F_w * F_w + 4.0 * p * p)
+    grad_margin = float(np.fmin.reduce(norm, axis=None, initial=math.inf))
     if not math.isfinite(grad_margin):
         grad_margin = 0.0
         notes.append("surface scan found no points with F >= 0")
 
     # (b) fold regularity margin m(t) = phi(t) d/dt(t^2 psi(t)) on (0, t_max]
+    def fold_margin_at(t, phi, psi, dpsi):
+        return phi * (2.0 * t * psi + t * t * dpsi)
+
     def fold_fn(t):
-        phi = eval_jet2(S.phi, t)
-        psi = eval_jet2(S.psi, t)
-        return phi.v * (2.0 * t * psi.v + t * t * psi.d1)
+        phi, psi = target_jets(S, t)
+        return fold_margin_at(t, phi.v, psi.v, psi.d1)
 
     ts_pos = np.linspace(S.t_max / grid, S.t_max, grid)
-    mvals = np.array([fold_fn(t) for t in ts_pos])
+    phi, _, psi, dpsi = _jet_columns(S, ts_pos)
+    mvals = fold_margin_at(ts_pos, phi, psi, dpsi)
     roots = []
     scale = float(np.max(np.abs(mvals))) or 1.0
     if np.all(np.abs(mvals) < 1e-12 * scale) or scale < 1e-300:
         fold_margin = 0.0
         notes.append("fold regularity margin vanishes identically")
     else:
-        for i in range(1, len(ts_pos)):
-            if (mvals[i - 1] < 0) != (mvals[i] < 0) or mvals[i] == 0.0:
-                roots.append(float(_bisect(fold_fn, ts_pos[i - 1], ts_pos[i])))
+        neg = mvals < 0
+        for i in np.flatnonzero((neg[:-1] != neg[1:]) | (mvals[1:] == 0.0)) + 1:
+            roots.append(float(bisect_root(fold_fn, ts_pos[i - 1], ts_pos[i])))
         fold_margin = 0.0 if roots else float(np.min(np.abs(mvals)))
         if roots:
             notes.append(
@@ -491,11 +548,11 @@ def check_global(S: SurfaceF, curve: PotentialCurve, grid: int = 129) -> GlobalR
 
     # (c) distance from the computed branch to the fold branches
     dist = math.inf
-    if S.n > 2:
-        for t, w in zip(curve.t, curve.w):
-            branches = fold_curve(S, t)
-            if branches.size:
-                dist = min(dist, float(np.min(np.abs(branches - w))))
+    if n > 2:
+        psi = np.array([eval_jet2(S.psi, t).v for t in curve.t])
+        _, lower, upper = fold_branches(n, curve.t, psi)
+        gap = np.minimum(np.abs(lower - curve.w), np.abs(upper - curve.w))
+        dist = float(np.fmin.reduce(gap, initial=math.inf))
     if not math.isfinite(dist):
         dist = math.nan
 
@@ -512,7 +569,8 @@ def check_global(S: SurfaceF, curve: PotentialCurve, grid: int = 129) -> GlobalR
     )
 
 
-def _bisect(fn, lo, hi, width=1e-10):
+def bisect_root(fn, lo, hi, width=1e-10):
+    """A sign change of fn on [lo, hi], bisected to the given width."""
     flo = fn(lo)
     for _ in range(200):
         if hi - lo <= width:

@@ -239,7 +239,6 @@ def trim_fold_tail(curve: PotentialCurve, samples: int = FOLD_TRIM_SAMPLES) -> P
         halt_reason=curve.halt_reason,
         halt_detail=curve.halt_detail,
         constraint_max=curve.constraint_max,
-        series_order=curve.series_order,
     )
 
 

@@ -21,6 +21,7 @@ from scipy.interpolate import CubicSpline
 
 from . import tensorlab
 from .exprfn import Expr, eval_jet2
+from .potential import bisect_root
 
 
 # ---------------------------------------------------------------------------
@@ -82,22 +83,6 @@ class DefinitenessVerdict:
         return self.kind in ("positive_definite", "negative_definite")
 
 
-def _bisect_root(fn, lo, hi, width=1e-10):
-    flo = fn(lo)
-    for _ in range(200):
-        if hi - lo <= width:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) != (fmid < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
 def definiteness_check(T: RotSymTensor, grid_size: int = 256) -> DefinitenessVerdict:
     """Scan phi and psi on [0, t_max]: a nonsingular rotationally symmetric
     tensor keeps a single sign throughout and has phi(0) = psi(0).
@@ -121,7 +106,7 @@ def definiteness_check(T: RotSymTensor, grid_size: int = 256) -> DefinitenessVer
                 t_star = cand if t_star is None else min(t_star, cand)
                 break
             if i > 0 and (vals[i - 1] < 0) != (v < 0):
-                cand = float(_bisect_root(fn, ts[i - 1], ts[i]))
+                cand = float(bisect_root(fn, ts[i - 1], ts[i]))
                 t_star = cand if t_star is None else min(t_star, cand)
                 break
     if phi0 * psi0 < 0:

@@ -221,13 +221,10 @@ def test_criterion_8_global_continuation():
     assert ok_verdict
     assert ok_ode
     assert res_rr <= 1e-5
-    # Known red (documented in README): near t = 10 the potential has grown
-    # to ~4e2 and r' has decayed to ~5e-3, so the tangential identity
-    # subtracts ~2e5-sized terms to produce ~1e2; meeting an absolute 1e-5
-    # would need ~5e-11 relative accuracy from twice-differentiated samples
-    # whose varying part is ~2e-3 of their magnitude.  The double-precision
-    # floor is ~1e-3 for every differentiation scheme tried (plain and
-    # strided stencils, least-squares local polynomials).
+    # Known red (documented in README): a program defect, not a precision
+    # floor.  r' is differentiated from the sampled r by a stencil where
+    # r' ~ 5e-3; taking r' from the defining ODE (n-1) w' r' = phi r gives
+    # res_tt ~ 6.5e-7 here (ROADMAP item 2b).
     assert res_tt <= 1e-5, (
         f"tangential ricci residual {res_tt:.3e} > 1e-5: exceeds the "
         "double-precision information floor of the sampled profile at large t"

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from riccisym.exprfn import parse
+from riccisym import potential
+from riccisym.exprfn import eval_jet2, parse
 from riccisym.potential import (
+    GlobalReport,
     PotentialCurve,
     SurfaceF,
     check_global,
@@ -12,6 +14,7 @@ from riccisym.potential import (
     integrate_separatrix,
     lie_cartan_field,
     saddle_report,
+    seed_offset,
     seed_separatrix,
     solve_branch,
     solve_n2,
@@ -347,3 +350,131 @@ def test_check_global_zero_psi():
     rep = check_global(S, curve)
     assert rep.fold_margin == 0.0
     assert rep.verdict == "hypothesis_failed"
+
+
+def _scalar_check_global(S, curve, grid=129):
+    """Reference: the point-by-point scan that check_global broadcasts."""
+    notes = []
+    folds_all = []
+    ts_scan = np.linspace(0.0, S.t_max, grid)
+    if S.n > 2:
+        for t in ts_scan:
+            folds_all.extend(fold_curve(S, t))
+    w_lo = min(float(np.min(curve.w)), min(folds_all, default=0.0), 0.0)
+    w_hi = max(float(np.max(curve.w)), max(folds_all, default=2.0), 2.0)
+    pad = 0.25 * (w_hi - w_lo + 1.0)
+    grad_margin = math.inf
+    for t in ts_scan:
+        for w in np.linspace(w_lo - pad, w_hi + pad, grid):
+            F, F_t, F_w, _ = surface_eval(S, t, w, 0.0)
+            if F < 0:
+                continue
+            p = math.sqrt(F)
+            norm = math.sqrt(F_t * F_t + F_w * F_w + 4.0 * p * p)
+            grad_margin = min(grad_margin, norm)
+    if not math.isfinite(grad_margin):
+        grad_margin = 0.0
+        notes.append("surface scan found no points with F >= 0")
+
+    def fold_fn(t):
+        phi = eval_jet2(S.phi, t)
+        psi = eval_jet2(S.psi, t)
+        return phi.v * (2.0 * t * psi.v + t * t * psi.d1)
+
+    ts_pos = np.linspace(S.t_max / grid, S.t_max, grid)
+    mvals = np.array([fold_fn(t) for t in ts_pos])
+    roots = []
+    scale = float(np.max(np.abs(mvals))) or 1.0
+    if np.all(np.abs(mvals) < 1e-12 * scale) or scale < 1e-300:
+        fold_margin = 0.0
+        notes.append("fold regularity margin vanishes identically")
+    else:
+        for i in range(1, len(ts_pos)):
+            if (mvals[i - 1] < 0) != (mvals[i] < 0) or mvals[i] == 0.0:
+                roots.append(float(potential.bisect_root(fold_fn, ts_pos[i - 1], ts_pos[i])))
+        fold_margin = 0.0 if roots else float(np.min(np.abs(mvals)))
+        if roots:
+            notes.append("fold regularity fails at t = " + ", ".join(f"{r:.6g}" for r in roots))
+
+    dist = math.inf
+    if S.n > 2:
+        for t, w in zip(curve.t, curve.w):
+            branches = fold_curve(S, t)
+            if branches.size:
+                dist = min(dist, float(np.min(np.abs(branches - w))))
+    if not math.isfinite(dist):
+        dist = math.nan
+
+    ok = grad_margin > 1e-10 and fold_margin > 0 and curve.halt_reason == "t_end"
+    if curve.halt_reason != "t_end":
+        notes.append(f"integration halted early: {curve.halt_reason}")
+    return GlobalReport(
+        grad_margin=grad_margin,
+        fold_margin=fold_margin,
+        fold_roots=tuple(roots),
+        curve_fold_distance=dist,
+        verdict="global_continuation_expected" if ok else "hypothesis_failed",
+        notes=tuple(notes),
+    )
+
+
+_NAN_ROW = float(np.linspace(0.0, 1.28e156, 129)[2])
+
+
+def _hand_curve(t, w):
+    t, w = np.asarray(t, dtype=float), np.asarray(w, dtype=float)
+    return PotentialCurve(
+        n=3, t=t, w=w, p=np.zeros_like(t), delta=float(t[0]), w2=0.0, w3=0.0,
+        halt_reason="t_end",
+    )
+
+
+@pytest.mark.parametrize(
+    "n, phi, psi, t_max, curve",
+    [
+        (3, "8", "8 - 4*t^2", 0.5, None),
+        (4, "12", "12 - 8*t^2", 0.5, None),
+        (5, "16", "16 - 12*t^2", 0.5, None),
+        (3, "1", "1 - 4*t^2", 0.46, None),  # fold contact
+        (3, "-1", "-1", 2.0, None),
+        (4, "3*exp(-t^2)", "3*cos(t)^2 + t^4/(1+t^2)", 2.0, None),
+        (3, "1", "0", 1.0, ([0.1, 0.2], [0.0, 0.0])),
+        # psi vanishes on the third scan row, where t^2 overflows: F = inf * 0 is
+        # NaN on that row (and so is a fold discriminant), finite on the first two
+        (3, "1e-160", f"1e-160*(t - {_NAN_ROW!r})", 1.28e156, ([0.1, 0.2], [0.0, 0.0])),
+    ],
+)
+def test_check_global_matches_scalar_scan(n, phi, psi, t_max, curve):
+    S = _surface(n, phi, psi, t_max)
+    curve = solve_branch(S, step=1e-3) if curve is None else _hand_curve(*curve)
+    got = check_global(S, curve)
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy scalars warn, Python floats do not
+        ref = _scalar_check_global(S, curve)
+    assert got.grad_margin == ref.grad_margin
+    assert got.fold_margin == ref.fold_margin
+    assert got.fold_roots == ref.fold_roots
+    d, d_ref = got.curve_fold_distance, ref.curve_fold_distance
+    assert d == d_ref or (math.isnan(d) and math.isnan(d_ref))
+    assert got.verdict == ref.verdict
+    assert got.notes == ref.notes
+
+
+@pytest.mark.parametrize(
+    "n, phi, psi, t_max",
+    [(4, "12", "12 - 8*t^2", 0.5), (3, "-1", "-1", 2.0)],
+)
+def test_integrate_evaluates_each_jet_once(monkeypatch, n, phi, psi, t_max):
+    S = _surface(n, phi, psi, t_max)
+    step = 1e-3
+    rep = saddle_report(S)
+    seed = seed_separatrix(S, rep, seed_offset(t_max, step))
+    calls = []
+
+    def counting(e, t):
+        calls.append((id(e), t))
+        return eval_jet2(e, t)
+
+    monkeypatch.setattr(potential, "eval_jet2", counting)
+    curve = integrate_separatrix(S, seed, step, t_max, w2=rep.w2, w3=rep.w3)
+    assert curve.halt_reason == "t_end"
+    assert calls and len(calls) == len(set(calls))
