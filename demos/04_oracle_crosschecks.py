@@ -8,8 +8,7 @@ script uses it to adjudicate:
   * the graph-hypersurface curvature formulas,
   * the forward map (alpha, beta) of a metric profile, including which
     reading of the profile-metric bracket the forward map actually matches,
-  * rotation equivariance,
-  * the relation between the two printed curvature expressions.
+  * rotation equivariance.
 
 Run:  python3 demos/04_oracle_crosschecks.py
 """
@@ -22,7 +21,6 @@ from riccisym.rotsym import forward_oracle_report
 from riccisym.tensorlab import (
     frame_ratios,
     metric_at,
-    ricci_form_comparison,
     ricci_numeric,
     scalar_curvature,
 )
@@ -65,11 +63,3 @@ x = np.array([0.28, 0.21, 0.14])
 ric_x = ricci_numeric(mf, x, h=H)
 ric_qx = ricci_numeric(mf, q @ x, h=H)
 print(f"max |Ric(Qx) - Q Ric(x) Q^T| = {np.max(np.abs(ric_qx - q @ ric_x @ q.T)):.2e}")
-print()
-
-print("== the two printed curvature expressions ==")
-diag = ricci_form_comparison(mf, [0.3, 0.2, 0.1], h=5e-4)
-print(f"|Christoffel form| / |second-derivative form| = {diag.norm_ratio:.6f}")
-print("the Christoffel form reproduces Ric = 2 g on the unit sphere; the")
-print("second-derivative variant (with its 1/(2(n-1)) prefactors) does not,")
-print("and is kept only as a diagnostic.")

@@ -19,6 +19,7 @@ line endings.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -28,15 +29,11 @@ import numpy as np
 
 from . import hypersurface as hs
 from . import potential, reconstruct
-from .exprfn import EvalError, Expr, ParseError, eval_jet2, parse
+from .exprfn import EvalError, Expr, ParseError, parse
+from .exprfn import eval_jet2  # noqa: F401  unused; bench/tracer.py patches cli.eval_jet2
 from .pipeline import DefinitenessError, solution_summary, solve
 from .potential import SurfaceF
-from .rotsym import (
-    MetricProfile,
-    RotSymTensor,
-    definiteness_check,
-    ricci_forward_samples,
-)
+from .rotsym import MetricProfile, RotSymTensor, definiteness_check
 
 COMMANDS = ("solve", "analyze", "verify", "hypersurface", "portrait")
 
@@ -107,9 +104,12 @@ def parse_config(path: Path) -> ProblemConfig:
                 raise ConfigError(f"{path}:{lineno}: {key}: {err}") from None
         elif key in _FLOAT_KEYS:
             try:
-                setattr(cfg, key, float(value))
+                number = float(value)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: {key} must be a number") from None
+            if not math.isfinite(number):
+                raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {value}")
+            setattr(cfg, key, number)
         elif key in _INT_KEYS:
             try:
                 setattr(cfg, key, int(value))
@@ -156,25 +156,12 @@ def write_csv(path: Path, header, rows):
 
 
 def _solution_rows(sol):
-    profile = sol.recon.profile
-    T = sol.tensor
-    alpha, beta = ricci_forward_samples(profile)
-    phis = np.array([eval_jet2(T.phi, t).v for t in profile.grid])
-    psis = np.array([eval_jet2(T.psi, t).v for t in profile.grid])
-    res_rr = np.abs(alpha * profile.rp**2 - phis)
-    res_tt = np.abs(profile.r**2 * beta - profile.grid**2 * psis)
-    for i, t in enumerate(profile.grid):
-        yield (
-            t,
-            sol.recon.w[i],
-            sol.recon.p[i],
-            profile.r[i],
-            profile.rp[i],
-            profile.f[i],
-            profile.fp[i],
-            res_rr[i],
-            res_tt[i],
-        )
+    recon = sol.recon
+    profile = recon.profile
+    return zip(
+        profile.grid, recon.w, recon.p, profile.r, profile.rp, profile.f, profile.fp,
+        recon.res_rr, recon.res_tt,
+    )
 
 
 SOLUTION_HEADER = ("t", "w", "p", "r", "rp", "f", "fp", "res_rr", "res_tt")
@@ -217,7 +204,9 @@ def _cmd_analyze(cfg: ProblemConfig) -> int:
         raise DefinitenessError(verdict)
     S = SurfaceF(cfg.n, cfg.phi, cfg.psi, cfg.t_max)
     rep = potential.saddle_report(S)
-    curve = potential.solve_branch(S, step=cfg.step, delta=cfg.delta)
+    curve = potential.solve_branch(
+        S, step=cfg.step, delta=cfg.delta, projection_tol=cfg.constraint_tol
+    )
     glob = potential.check_global(S, curve)
     out = Path(cfg.out)
     lines = [
@@ -256,19 +245,17 @@ def _cmd_portrait(cfg: ProblemConfig) -> int:
     if cfg.n == 2:
         raise ConfigError("portrait needs n > 2 (n = 2 has no fold structure)")
     S = SurfaceF(cfg.n, cfg.phi, cfg.psi, cfg.t_max)
-    curve = potential.solve_branch(S, step=cfg.step, delta=cfg.delta)
+    curve = potential.solve_branch(
+        S, step=cfg.step, delta=cfg.delta, projection_tol=cfg.constraint_tol
+    )
 
     def rows():
         for t, w, p in zip(curve.t, curve.w, curve.p):
             F = potential.surface_eval(S, t, w, p)[0]
             yield ("separatrix", t, w, p, F)
-        for t in np.linspace(0.0, cfg.t_max, cfg.samples):
-            branches = potential.fold_curve(S, t)
-            if branches.size == 2:
-                lo = potential.surface_eval(S, t, branches[0], 0.0)[0]
-                hi = potential.surface_eval(S, t, branches[1], 0.0)[0]
-                yield ("fold_lower", t, branches[0], 0.0, lo)
-                yield ("fold_upper", t, branches[1], 0.0, hi)
+        for t, lower, upper in _fold_rows(S, cfg):
+            yield ("fold_lower", t, lower, 0.0, potential.surface_eval(S, t, lower, 0.0)[0])
+            yield ("fold_upper", t, upper, 0.0, potential.surface_eval(S, t, upper, 0.0)[0])
 
     out = Path(cfg.out)
     write_csv(out.with_name(out.name + "_portrait.csv"), ("branch", "t", "w", "p", "F"), rows())

@@ -412,9 +412,13 @@ def eval_jet2(e: Expr, t: float) -> Jet2:
             return _jet_pow(eval_jet2(e.base, t), e.exponent)
         except ZeroDivisionError:
             raise EvalError(f"zero base with negative exponent in '{unparse(e)}' at t={t}") from None
+        except OverflowError:
+            raise EvalError(f"overflow in '{unparse(e)}' at t={t}") from None
     if isinstance(e, Call):
         try:
             return _jet_call(e.name, eval_jet2(e.arg, t))
         except ValueError as err:
             raise EvalError(f"{err} in '{unparse(e)}' at t={t}") from None
+        except OverflowError:
+            raise EvalError(f"overflow in '{unparse(e)}' at t={t}") from None
     raise TypeError(f"not an Expr node: {e!r}")

@@ -35,7 +35,6 @@ def solve(
     step: float = 1e-3,
     delta: float | None = None,
     t_lo: float | None = None,
-    grid_size: int = 256,
     constraint_tol: float = potential.PROJECTION_TOL,
 ) -> Solution:
     """Full pipeline for a validated tensor.
@@ -44,7 +43,7 @@ def solve(
     and integrates the folded-saddle branch, then both recover (r, f) by
     quadrature and report every residual.
     """
-    verdict = definiteness_check(T, grid_size)
+    verdict = definiteness_check(T)
     if not verdict.is_definite:
         raise DefinitenessError(verdict)
 
@@ -60,18 +59,7 @@ def solve(
             raise DefinitenessError(
                 DefinitenessVerdict("inconsistent", None, saddle.reason, verdict.phi0, verdict.psi0)
             )
-        if delta is None:
-            delta = potential.seed_offset(T.t_max, step)
-        seed = potential.seed_separatrix(S, saddle, delta)
-        curve = potential.integrate_separatrix(
-            S,
-            seed,
-            step,
-            T.t_max,
-            projection_tol=constraint_tol,
-            w2=saddle.w2,
-            w3=saddle.w3,
-        )
+        curve = potential.solve_branch(S, step, delta=delta, projection_tol=constraint_tol)
         global_report = potential.check_global(S, curve)
 
     recon = reconstruct.reconstruct_profile(curve, T, t_lo=t_lo)

@@ -36,6 +36,7 @@ from .exprfn import Expr, eval_jet2
 FOLD_TOL = 1e-8
 EXIT_TOL = 1e-12
 PROJECTION_TOL = 1e-13
+GLOBAL_GRID = 129  # check_global's scan resolution
 
 
 class ProjectionError(RuntimeError):
@@ -269,8 +270,6 @@ def integrate_separatrix(
     seed,
     step: float,
     t_end: float,
-    fold_tol: float = FOLD_TOL,
-    exit_tol: float = EXIT_TOL,
     projection_tol: float = PROJECTION_TOL,
     w2: float = math.nan,
     w3: float = math.nan,
@@ -279,7 +278,7 @@ def integrate_separatrix(
 
     Classical 4th-order one-step method on (w, p) with t as the independent
     variable, each step followed by a Newton projection of p onto F = 0.
-    Halts at t_end, at fold contact (|F_p| below fold_tol), or when the
+    Halts at t_end, at fold contact (|F_p| below FOLD_TOL), or when the
     projected region F >= 0 is exited; the reason is recorded on the curve.
     """
     if step <= 0:
@@ -305,8 +304,8 @@ def integrate_separatrix(
 
     def rhs(t, w, p):
         F, F_t, F_w, F_p = surface_eval(S, t, w, p, jets(t))
-        if abs(F_p) < fold_tol:
-            raise _FoldContact(f"|F_p| = {abs(F_p):.3e} < {fold_tol:g} at t = {t:.6g}")
+        if abs(F_p) < FOLD_TOL:
+            raise _FoldContact(f"|F_p| = {abs(F_p):.3e} < {FOLD_TOL:g} at t = {t:.6g}")
         return p, -(F_t + p * F_w) / F_p
 
     # aligned targets: multiples of step, then exactly t_end
@@ -347,7 +346,7 @@ def integrate_separatrix(
                     Q = surface_eval(S, t + h, w_try, 0.0, jets(t + h))[0]
                     if Q > 0.0:
                         break
-                    if -exit_tol <= Q <= 0.0:
+                    if -EXIT_TOL <= Q <= 0.0:
                         halted = True
                         halt_reason = "fold_contact"
                         halt_detail = (
@@ -358,7 +357,7 @@ def integrate_separatrix(
                         halted = True
                         Q_here = surface_eval(S, t, w, 0.0, jets(t))[0]
                         scale = 1.0 + abs(Q_here) + p * p
-                        if Q_here <= fold_tol * scale:
+                        if Q_here <= FOLD_TOL * scale:
                             halt_reason = "fold_contact"
                             _, F_t, F_w, _ = surface_eval(S, t, w, p, jets(t))
                             push = -(F_t + p * F_w)
@@ -369,7 +368,7 @@ def integrate_separatrix(
                         else:
                             halt_reason = "surface_exit"
                             halt_detail = (
-                                f"F(t, w, 0) = {Q:.3e} < -{exit_tol:g} "
+                                f"F(t, w, 0) = {Q:.3e} < -{EXIT_TOL:g} "
                                 f"past t = {t:.6g}"
                             )
                         break
@@ -410,7 +409,13 @@ def integrate_separatrix(
     )
 
 
-def solve_branch(S: SurfaceF, step: float, t_end: float | None = None, delta: float | None = None) -> PotentialCurve:
+def solve_branch(
+    S: SurfaceF,
+    step: float,
+    t_end: float | None = None,
+    delta: float | None = None,
+    projection_tol: float = PROJECTION_TOL,
+) -> PotentialCurve:
     """Classify the saddle, seed the branch and integrate it in one call."""
     rep = saddle_report(S)
     if t_end is None:
@@ -418,7 +423,9 @@ def solve_branch(S: SurfaceF, step: float, t_end: float | None = None, delta: fl
     if delta is None:
         delta = seed_offset(S.t_max, step)
     seed = seed_separatrix(S, rep, delta)
-    return integrate_separatrix(S, seed, step, t_end, w2=rep.w2, w3=rep.w3)
+    return integrate_separatrix(
+        S, seed, step, t_end, projection_tol=projection_tol, w2=rep.w2, w3=rep.w3
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +488,14 @@ def _jet_columns(S: SurfaceF, ts: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the scans meet inf and NaN like Python floats
-def check_global(S: SurfaceF, curve: PotentialCurve, grid: int = 129) -> GlobalReport:
+def check_global(S: SurfaceF, curve: PotentialCurve) -> GlobalReport:
     """Margins of the global continuation criterion for a computed branch.
 
-    (a) grad_margin: the least |grad F| on the surface over a grid x grid
+    (a) grad_margin: the least |grad F| on the surface over a 129 x 129
         scan of (t, w), t in [0, t_max] and w spanning the curve and the
         fold with a 25% pad; each point with F(t, w, 0) = Q >= 0 is lifted
         to p = sqrt(Q), and points where |grad F| is NaN are skipped.
-    (b) fold_margin: the least |phi d/dt(t^2 psi)| over grid samples of
+    (b) fold_margin: the least |phi d/dt(t^2 psi)| over 129 samples of
         (0, t_max]; sign changes are bisected into fold_roots and make the
         margin 0.
     (c) curve_fold_distance: the least |w - fold| along the curve, NaN
@@ -499,7 +506,7 @@ def check_global(S: SurfaceF, curve: PotentialCurve, grid: int = 129) -> GlobalR
     notes = []
     n = S.n
     # (a) regularity of F^{-1}(0): min |grad F| over an on-surface scan
-    ts_scan = np.linspace(0.0, S.t_max, grid)
+    ts_scan = np.linspace(0.0, S.t_max, GLOBAL_GRID)
     jets = _jet_columns(S, ts_scan)
     folds_all = []
     if n > 2:
@@ -508,7 +515,7 @@ def check_global(S: SurfaceF, curve: PotentialCurve, grid: int = 129) -> GlobalR
     w_lo = min(float(np.min(curve.w)), min(folds_all, default=0.0), 0.0)
     w_hi = max(float(np.max(curve.w)), max(folds_all, default=2.0), 2.0)
     pad = 0.25 * (w_hi - w_lo + 1.0)
-    ws = np.linspace(w_lo - pad, w_hi + pad, grid)
+    ws = np.linspace(w_lo - pad, w_hi + pad, GLOBAL_GRID)
     # rows: t, columns: w
     F, F_t, F_w, _ = surface_terms(n, ts_scan[:, None], ws, 0.0, *jets[:, :, None])
     # F(t, w, 0) = Q, on-surface p = sqrt(Q); NaN (and so skipped) where Q < 0
@@ -527,7 +534,7 @@ def check_global(S: SurfaceF, curve: PotentialCurve, grid: int = 129) -> GlobalR
         phi, psi = target_jets(S, t)
         return fold_margin_at(t, phi.v, psi.v, psi.d1)
 
-    ts_pos = np.linspace(S.t_max / grid, S.t_max, grid)
+    ts_pos = np.linspace(S.t_max / GLOBAL_GRID, S.t_max, GLOBAL_GRID)
     phi, _, psi, dpsi = _jet_columns(S, ts_pos)
     mvals = fold_margin_at(ts_pos, phi, psi, dpsi)
     roots = []

@@ -22,7 +22,7 @@ quadrature for r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -41,8 +41,8 @@ class ReconstructionError(RuntimeError):
     pass
 
 
-def _phi_at(phi: Expr, ts) -> np.ndarray:
-    return np.array([eval_jet2(phi, t).v for t in ts])
+def _sample(e: Expr, ts) -> np.ndarray:
+    return np.array([eval_jet2(e, t).v for t in ts])
 
 
 def _check_sign(curve: PotentialCurve, phi0: float):
@@ -122,7 +122,7 @@ def solve_r(curve: PotentialCurve, phi: Expr, n: int):
     t = curve.t
     # limit at s = 0 from w ~ (w2/2) s^2 + (w3/6) s^3
     limit0 = phi0j.d1 / phi0j.v - curve.w3 / (2.0 * curve.w2) if curve.w2 else 0.0
-    phis = _phi_at(phi, t)
+    phis = _sample(phi, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = phis / ((n - 1) * curve.p) - 1.0 / t
     if t[0] == 0.0:
@@ -153,7 +153,7 @@ def solve_f(curve: PotentialCurve, phi: Expr, n: int):
     _check_sign(curve, phi0j.v)
     t = curve.t
     with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = (_phi_at(phi, t) / (n - 1)) * (curve.w / curve.p)
+        integrand = (_sample(phi, t) / (n - 1)) * (curve.w / curve.p)
     if t[0] == 0.0:
         integrand[0] = 0.0  # w/w' -> 0 at s = 0
     F = _cumulative_potential_integral(curve, integrand, 0.0)
@@ -190,6 +190,25 @@ def assemble_metric(n: int, grid, f, fp, r, rp) -> MetricProfile:
     return MetricProfile(n=n, grid=grid, f=f, r=r, rp=rp, fp=fp)
 
 
+def _residual_window(grid: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
+    if not 0 < t_lo < t_hi <= grid[-1] + 1e-12:
+        raise ValueError(f"need 0 < t_lo < t_hi <= {grid[-1]}")
+    return (grid >= t_lo) & (grid <= t_hi)
+
+
+def ricci_defects(profile: MetricProfile, mask, phis, psis):
+    """Per-point (|alpha (r')^2 - phi|, |r^2 beta - t^2 psi|) on profile.grid[mask].
+
+    phis and psis are the target values at those points; mask is a boolean
+    array or a slice.
+    """
+    alpha, beta = ricci_forward_samples(profile)
+    ts = profile.grid[mask]
+    res_rr = np.abs(alpha[mask] * profile.rp[mask] ** 2 - phis)
+    res_tt = np.abs(profile.r[mask] ** 2 * beta[mask] - ts**2 * psis)
+    return res_rr, res_tt
+
+
 def verify_ricci(profile: MetricProfile, T: RotSymTensor, t_lo: float, t_hi: float):
     """Componentwise defect of the forward map against the target tensor.
 
@@ -197,16 +216,10 @@ def verify_ricci(profile: MetricProfile, T: RotSymTensor, t_lo: float, t_hi: flo
     over grid points in [t_lo, t_hi]; t_lo > 0 keeps the removable coordinate
     singularity at the origin out of the scan.
     """
-    if not 0 < t_lo < t_hi <= profile.grid[-1] + 1e-12:
-        raise ValueError(f"need 0 < t_lo < t_hi <= {profile.grid[-1]}")
-    alpha, beta = ricci_forward_samples(profile)
-    mask = (profile.grid >= t_lo) & (profile.grid <= t_hi)
+    mask = _residual_window(profile.grid, t_lo, t_hi)
     ts = profile.grid[mask]
-    phis = _phi_at(T.phi, ts)
-    psis = np.array([eval_jet2(T.psi, t).v for t in ts])
-    res_rr = float(np.max(np.abs(alpha[mask] * profile.rp[mask] ** 2 - phis)))
-    res_tt = float(np.max(np.abs(profile.r[mask] ** 2 * beta[mask] - ts**2 * psis)))
-    return res_rr, res_tt
+    res_rr, res_tt = ricci_defects(profile, mask, _sample(T.phi, ts), _sample(T.psi, ts))
+    return float(np.max(res_rr)), float(np.max(res_tt))
 
 
 def ricci_potential_from_profile(profile: MetricProfile) -> np.ndarray:
@@ -219,44 +232,38 @@ class ReconstructionResult:
     profile: MetricProfile
     residual_r: float
     residual_f: float
-    ricci_residuals: tuple[float, float]
+    ricci_residuals: tuple[float, float]  # maxima of res_rr, res_tt over [t_lo, grid[-1]]
     w: np.ndarray  # potential samples aligned with profile.grid
     p: np.ndarray
+    res_rr: np.ndarray  # per-point Ricci defects on profile.grid (see ricci_defects)
+    res_tt: np.ndarray
 
 
 FOLD_TRIM_SAMPLES = 4
 
 
-def trim_fold_tail(curve: PotentialCurve, samples: int = FOLD_TRIM_SAMPLES) -> PotentialCurve:
-    """Drop the last samples of a fold-halted curve.
+def trim_fold_tail(curve: PotentialCurve) -> PotentialCurve:
+    """Drop the last FOLD_TRIM_SAMPLES samples of a fold-halted curve.
 
     Approaching the fold, w' ~ sqrt(t* - t), so the quadrature integrands
     blow up like an inverse square root; the last few steps cannot be
     resolved on the uniform grid and are excluded from reconstruction.
     """
-    if curve.halt_reason != "fold_contact" or curve.t.size <= samples:
+    k = FOLD_TRIM_SAMPLES
+    if curve.halt_reason != "fold_contact" or curve.t.size <= k:
         return curve
-    return PotentialCurve(
-        n=curve.n,
-        t=curve.t[:-samples],
-        w=curve.w[:-samples],
-        p=curve.p[:-samples],
-        delta=curve.delta,
-        w2=curve.w2,
-        w3=curve.w3,
-        halt_reason=curve.halt_reason,
-        halt_detail=curve.halt_detail,
-        constraint_max=curve.constraint_max,
-    )
+    return replace(curve, t=curve.t[:-k], w=curve.w[:-k], p=curve.p[:-k])
 
 
 def reconstruct_profile(
-    curve: PotentialCurve,
-    T: RotSymTensor,
-    t_lo: float | None = None,
-    t_hi: float | None = None,
+    curve: PotentialCurve, T: RotSymTensor, t_lo: float | None = None
 ) -> ReconstructionResult:
-    """Run both quadratures, assemble the profile and evaluate all residuals."""
+    """Run both quadratures, assemble the profile and evaluate all residuals.
+
+    phi and psi are sampled once on the profile grid; the Ricci residuals
+    are the maxima of the per-point defects over [t_lo, grid[-1]], t_lo
+    defaulting to 0.05 t_max.
+    """
     n = T.n
     curve = trim_fold_tail(curve)
     grid, r_vals, rp = solve_r(curve, T.phi, n)
@@ -266,7 +273,7 @@ def reconstruct_profile(
     _, start = _profile_layout(curve)
     w = _to_grid(curve.w, start, 0.0, grid.size)
     p = _to_grid(curve.p, start, 0.0, grid.size)
-    phis = _phi_at(T.phi, grid)
+    phis = _sample(T.phi, grid)
     # stencil r', not profile.rp: the ODE r' would make this 0 by construction
     rp_fd = fourth_order_derivative(r_vals, float(grid[2] - grid[1]))
     residual_r = float(np.max(np.abs((n - 1) * p * rp_fd - phis * r_vals)))
@@ -274,15 +281,15 @@ def reconstruct_profile(
 
     if t_lo is None:
         t_lo = 0.05 * T.t_max
-    if t_hi is None:
-        t_hi = float(grid[-1])
-    t_hi = min(t_hi, float(grid[-1]))
-    ricci_res = verify_ricci(profile, T, t_lo, t_hi)
+    window = _residual_window(grid, t_lo, float(grid[-1]))
+    res_rr, res_tt = ricci_defects(profile, slice(None), phis, _sample(T.psi, grid))
     return ReconstructionResult(
         profile=profile,
         residual_r=residual_r,
         residual_f=residual_f,
-        ricci_residuals=ricci_res,
+        ricci_residuals=(float(np.max(res_rr[window])), float(np.max(res_tt[window]))),
         w=w,
         p=p,
+        res_rr=res_rr,
+        res_tt=res_tt,
     )

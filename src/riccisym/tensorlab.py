@@ -6,15 +6,13 @@ deliberately independent of every specialized curvature formula in the
 package so it can adjudicate them.
 
 Conventions: metrics are callables x -> symmetric (n, n) array on a single
-Cartesian-style chart; the canonical Ricci formula is the Christoffel form
+Cartesian-style chart; the Ricci tensor is taken in the Christoffel form
 
     R_ij = d_s Gamma^s_ij - d_j Gamma^s_is
-           + Gamma^s_ij Gamma^t_st - Gamma^s_it Gamma^t_sj.
+           + Gamma^s_ij Gamma^t_st - Gamma^s_it Gamma^t_sj,
 
-An alternative second-derivative expression carrying 1/(2(n-1)) prefactors
-is kept behind :func:`ricci_second_derivative_form` purely as a diagnostic;
-the two are compared by :func:`ricci_form_comparison`.  The Christoffel form
-is canonical because it reproduces Ric = (n-1)/R^2 * g on round spheres.
+which vanishes on flat space and reproduces Ric = (n-1)/R^2 * g on round
+spheres of radius R.
 """
 
 from __future__ import annotations
@@ -128,63 +126,6 @@ def scalar_curvature(mf: MetricField, x, h: float = DEFAULT_STEP) -> float:
     ric = ricci_numeric(mf, x, h)
     ginv = invert_spd(metric_at(mf, x))
     return float(np.einsum("ij,ij->", ginv, ric))
-
-
-def ricci_second_derivative_form(mf: MetricField, x, h: float = DEFAULT_STEP) -> np.ndarray:
-    """Diagnostic-only Ricci variant with 1/(2(n-1)) prefactors.
-
-    Vanishes on flat space like the canonical form but disagrees on curved
-    metrics; kept so the empirical ratio can be recorded.
-    """
-    x = np.asarray(x, dtype=float)
-    n = mf.n
-    g0 = metric_at(mf, x)
-    ginv = invert_spd(g0)
-    gamma = christoffel(mf, x, h)
-    # H[a, b] = d_a d_b g (matrix valued)
-    H = np.empty((n, n, n, n))
-    for a in range(n):
-        ea = np.zeros(n)
-        ea[a] = h
-        H[a, a] = (metric_at(mf, x + ea) - 2.0 * g0 + metric_at(mf, x - ea)) / h**2
-        for b in range(a + 1, n):
-            eb = np.zeros(n)
-            eb[b] = h
-            mixed = (
-                metric_at(mf, x + ea + eb)
-                - metric_at(mf, x + ea - eb)
-                - metric_at(mf, x - ea + eb)
-                + metric_at(mf, x - ea - eb)
-            ) / (4.0 * h**2)
-            H[a, b] = mixed
-            H[b, a] = mixed
-    second = (
-        np.einsum("kl,ikjl->ij", ginv, H)
-        + np.einsum("kl,jlik->ij", ginv, H)
-        - np.einsum("kl,ijkl->ij", ginv, H)
-        - np.einsum("kl,klij->ij", ginv, H)
-    )
-    quad = np.einsum("kl,pq,pik,qjl->ij", ginv, g0, gamma, gamma) - np.einsum(
-        "kl,pq,pij,qkl->ij", ginv, g0, gamma, gamma
-    )
-    raw = second / (2.0 * (n - 1)) + quad / (n - 1)
-    return 0.5 * (raw + raw.T)
-
-
-@dataclass(frozen=True)
-class RicciFormDiagnostic:
-    christoffel_form: np.ndarray
-    second_derivative_form: np.ndarray
-    norm_ratio: float
-
-
-def ricci_form_comparison(mf: MetricField, x, h: float = DEFAULT_STEP) -> RicciFormDiagnostic:
-    """Record how the two printed Ricci expressions relate on this metric."""
-    a = ricci_numeric(mf, x, h)
-    b = ricci_second_derivative_form(mf, x, h)
-    nb = np.linalg.norm(b)
-    ratio = float(np.linalg.norm(a) / nb) if nb > 1e-14 else float("inf")
-    return RicciFormDiagnostic(a, b, ratio)
 
 
 def riemann_from_ricci_3d(ric: np.ndarray, g: np.ndarray) -> np.ndarray:

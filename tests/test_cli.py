@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
+from riccisym import cli, pipeline, potential, reconstruct, rotsym
 from riccisym.cli import main, parse_config, run_single
+from riccisym.exprfn import parse
 
 GOLD_CFG = """\
 # gold family instance
@@ -42,6 +45,30 @@ def test_parse_config_rejects_unknown_key(tmp_path):
 def test_parse_config_rejects_bad_expression(tmp_path):
     path = _write(tmp_path, "a.cfg", 'n = 3\nphi = "1 +"\npsi = "1"\nt_max = 1\n')
     assert run_single("solve", str(path)) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", sorted(cli._FLOAT_KEYS))
+def test_parse_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
+    path = _write(tmp_path, "a.cfg", GOLD_CFG + f"{key} = {value}\nout = \"{tmp_path}/x\"\n")
+    assert main(["solve", "--config", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("riccisym: code=1 ")
+    assert f"{key} must be finite" in lines[0]
+    assert not list(tmp_path.glob("x_*"))
+
+
+def test_overflow_is_one_diagnostic_line(tmp_path, capsys):
+    cfg = 'n = 3\nphi = "exp(t^3)"\npsi = "exp(t^3)"\nt_max = 20\n' + f'out = "{tmp_path}/o"\n'
+    path = _write(tmp_path, "o.cfg", cfg)
+    assert main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("riccisym: code=1 ")
+    assert "overflow in 'exp(t^3)'" in lines[0]
 
 
 def test_solve_gold_writes_outputs(tmp_path, capsys):
@@ -120,6 +147,59 @@ def test_portrait_output(tmp_path):
     # every emitted row sits on the surface
     for row in rows:
         assert abs(float(row[4])) < 1e-9
+
+
+GOLD4_CFG = 'n = 4\nphi = "12"\npsi = "12 - 8*t^2"\nt_max = 0.5\n'
+
+
+def test_analyze_and_portrait_honour_constraint_tol(tmp_path, monkeypatch):
+    # step 1e-2 leaves RK4 defects between 1e-13 and 1e-6, so the tolerance
+    # decides whether the projection iterates
+    cfg = GOLD4_CFG + f'step = 1e-2\nconstraint_tol = 1e-6\nout = "{tmp_path}/c"\n'
+    path = _write(tmp_path, "c.cfg", cfg)
+    seen = []
+    integrate = potential.integrate_separatrix
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("projection_tol"))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(potential, "integrate_separatrix", spy)
+    assert main(["analyze", "--config", str(path)]) == 0
+    assert main(["portrait", "--config", str(path)]) == 0
+    assert seen == [1e-6, 1e-6]
+
+    _, rows = _read_csv(tmp_path / "c_portrait.csv")
+    sep = np.array([[float(x) for x in row[1:4]] for row in rows if row[0] == "separatrix"])
+    T = rotsym.RotSymTensor(4, parse("12"), parse("12 - 8*t^2"), 0.5)
+    curve = pipeline.solve(T, step=1e-2, constraint_tol=1e-6).curve
+    assert np.array_equal(sep, np.column_stack((curve.t, curve.w, curve.p)))
+
+
+def test_solve_computes_ricci_residuals_once(tmp_path, monkeypatch):
+    path = _write(tmp_path, "g4.cfg", GOLD4_CFG + f'out = "{tmp_path}/g4"\n')
+    cli_jets = []
+    monkeypatch.setattr(cli, "eval_jet2", lambda e, t: cli_jets.append(t))
+    forward_calls = []
+    forward = rotsym.ricci_forward_samples
+
+    def counting(profile):
+        forward_calls.append(profile)
+        return forward(profile)
+
+    for module in (cli, reconstruct, rotsym):
+        if getattr(module, "ricci_forward_samples", None) is forward:
+            monkeypatch.setattr(module, "ricci_forward_samples", counting)
+    assert main(["solve", "--config", str(path)]) == 0
+    assert cli_jets == []
+    assert len(forward_calls) == 1
+
+    header, rows = _read_csv(tmp_path / "g4_solution.csv")
+    cols = {name: np.array([float(row[i]) for row in rows]) for i, name in enumerate(header)}
+    T = rotsym.RotSymTensor(4, parse("12"), parse("12 - 8*t^2"), 0.5)
+    sol = pipeline.solve(T)
+    window = (cols["t"] >= 0.05 * 0.5) & (cols["t"] <= 0.5)
+    assert (cols["res_rr"][window].max(), cols["res_tt"][window].max()) == sol.recon.ricci_residuals
 
 
 def test_hypersurface_output(tmp_path):

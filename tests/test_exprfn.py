@@ -81,6 +81,10 @@ def test_domain_errors_report_subexpression():
         eval_jet2(parse("1/(t - 1)"), 1.0)
     with pytest.raises(EvalError, match="sqrt"):
         eval_jet2(parse("sqrt(t)"), -1.0)
+    with pytest.raises(EvalError, match=r"overflow in 'exp\(t\^3\)' at t=20"):
+        eval_jet2(parse("1 + exp(t^3)"), 20.0)
+    with pytest.raises(EvalError, match=r"overflow in '\(t\*10\^100\)\^4' at t=1"):
+        eval_jet2(parse("(t*10^100)^4"), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from riccisym.tensorlab import (
     frame_ratios,
     invert_spd,
     metric_at,
-    ricci_form_comparison,
     ricci_numeric,
     riemann_from_ricci_3d,
     riemann_symmetry_violations,
@@ -171,12 +170,3 @@ def test_rotsym_to_cartesian_eigenvalues():
 def test_rotsym_to_cartesian_origin_error():
     with pytest.raises(ValueError):
         SPHERE3.g(np.zeros(3))
-
-
-def test_ricci_form_comparison_runs():
-    diag = ricci_form_comparison(SPHERE3, [0.3, 0.2, 0.1], h=5e-4)
-    assert np.isfinite(diag.norm_ratio)
-    # flat space: both variants vanish
-    flat = ricci_form_comparison(EUCLID3, [0.3, 0.2, 0.1])
-    assert np.max(np.abs(flat.christoffel_form)) < 1e-8
-    assert np.max(np.abs(flat.second_derivative_form)) < 1e-8
