@@ -16,7 +16,10 @@ reserved constant.
 
 Evaluation returns a :class:`Jet2` carrying (value, first, second derivative),
 propagated by truncated Taylor arithmetic, so derivatives are exact up to
-rounding (no finite differences).
+rounding (no finite differences).  Each expression is compiled once, on its
+first evaluation, into one closure per node over float triples, and the
+kernel is kept on the instance; values and error messages are those of the
+node-by-node Jet2 arithmetic, bit for bit.
 """
 
 from __future__ import annotations
@@ -49,6 +52,12 @@ class Expr:
 
     def __str__(self) -> str:
         return unparse(self)
+
+    def __getstate__(self):
+        # the compiled kernel (closures, see eval_jet2) is rebuilt on first use
+        state = dict(self.__dict__)
+        state.pop("_kernel", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -335,90 +344,173 @@ class Jet2:
         return Jet2(q, q1, q2)
 
 
-def jet_constant(c: float) -> Jet2:
-    return Jet2(float(c), 0.0, 0.0)
+# Tuple-native Taylor arithmetic: each helper maps the (v, d1, d2) triple(s)
+# of its operands to the triple of the result, with the arithmetic of the
+# Jet2 operators in the same order, so results are bit-identical to them.
 
 
-def jet_variable(t: float) -> Jet2:
-    return Jet2(float(t), 1.0, 0.0)
-
-
-def _jet_pow(a: Jet2, k: int) -> Jet2:
+def _pow(v: float, d1: float, d2: float, k: int):
     if k == 0:
-        return jet_constant(1.0)
+        return 1.0, 0.0, 0.0
     if k < 0:
-        if a.v == 0.0:
+        if v == 0.0:
             raise ZeroDivisionError("zero base with negative exponent")
-        return jet_constant(1.0) / _jet_pow(a, -k)
-    v = a.v ** k
-    d1 = k * a.v ** (k - 1) * a.d1
-    d2 = k * (k - 1) * a.v ** (k - 2) * a.d1 ** 2 + k * a.v ** (k - 1) * a.d2
-    return Jet2(v, d1, d2)
+        p0, p1, p2 = _pow(v, d1, d2, -k)
+        if p0 == 0.0:
+            raise ZeroDivisionError("jet division by zero")
+        # Jet2(1, 0, 0) / p; 0.0 - x keeps the sign of a zero the way Jet2 does
+        q = 1.0 / p0
+        q1 = (0.0 - q * p1) / p0
+        return q, q1, (0.0 - 2.0 * q1 * p1 - q * p2) / p0
+    return (
+        v ** k,
+        k * v ** (k - 1) * d1,
+        k * (k - 1) * v ** (k - 2) * d1 ** 2 + k * v ** (k - 1) * d2,
+    )
 
 
-def _jet_call(name: str, a: Jet2) -> Jet2:
-    if name == "sin":
-        s, c = math.sin(a.v), math.cos(a.v)
-        return Jet2(s, c * a.d1, -s * a.d1 ** 2 + c * a.d2)
-    if name == "cos":
-        s, c = math.sin(a.v), math.cos(a.v)
-        return Jet2(c, -s * a.d1, -c * a.d1 ** 2 - s * a.d2)
-    if name == "exp":
-        e = math.exp(a.v)
-        return Jet2(e, e * a.d1, e * (a.d1 ** 2 + a.d2))
-    if name == "log":
-        if a.v <= 0.0:
-            raise ValueError(f"log of non-positive value {a.v}")
-        return Jet2(
-            math.log(a.v),
-            a.d1 / a.v,
-            a.d2 / a.v - (a.d1 / a.v) ** 2,
-        )
-    if name == "sqrt":
-        if a.v < 0.0:
-            raise ValueError(f"sqrt of negative value {a.v}")
-        if a.v == 0.0:
-            raise ValueError("sqrt derivative singular at 0")
-        s = math.sqrt(a.v)
-        d1 = a.d1 / (2.0 * s)
-        d2 = (a.d2 - 2.0 * d1 ** 2) / (2.0 * s)
-        return Jet2(s, d1, d2)
-    raise ValueError(f"unknown function {name!r}")
+def _sin(v: float, d1: float, d2: float):
+    s, c = math.sin(v), math.cos(v)
+    return s, c * d1, -s * d1 ** 2 + c * d2
+
+
+def _cos(v: float, d1: float, d2: float):
+    s, c = math.sin(v), math.cos(v)
+    return c, -s * d1, -c * d1 ** 2 - s * d2
+
+
+def _exp(v: float, d1: float, d2: float):
+    e = math.exp(v)
+    return e, e * d1, e * (d1 ** 2 + d2)
+
+
+def _log(v: float, d1: float, d2: float):
+    if v <= 0.0:
+        raise ValueError(f"log of non-positive value {v}")
+    return math.log(v), d1 / v, d2 / v - (d1 / v) ** 2
+
+
+def _sqrt(v: float, d1: float, d2: float):
+    if v < 0.0:
+        raise ValueError(f"sqrt of negative value {v}")
+    if v == 0.0:
+        raise ValueError("sqrt derivative singular at 0")
+    s = math.sqrt(v)
+    q1 = d1 / (2.0 * s)
+    return s, q1, (d2 - 2.0 * q1 ** 2) / (2.0 * s)
+
+
+_CALLS = {"sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt}
+
+
+def _compile(e: Expr):
+    """One closure per node, mapping t to the (v, d1, d2) jet of e at t.
+
+    Children are evaluated left to right and every node keeps its own
+    error handling, so a failure raises the same EvalError text, nested
+    messages included, as evaluating the tree node by node.
+    """
+    if isinstance(e, Num):
+        const = (float(e.value), 0.0, 0.0)
+        return lambda t: const
+    if isinstance(e, Pi):
+        return lambda t: (math.pi, 0.0, 0.0)
+    if isinstance(e, Var):
+        return lambda t: (float(t), 1.0, 0.0)
+    if isinstance(e, Neg):
+        arg = _compile(e.arg)
+
+        def neg(t):
+            v, d1, d2 = arg(t)
+            return -v, -d1, -d2
+
+        return neg
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        lhs, rhs = _compile(e.lhs), _compile(e.rhs)
+    if isinstance(e, Add):
+
+        def add(t):
+            av, a1, a2 = lhs(t)
+            bv, b1, b2 = rhs(t)
+            return av + bv, a1 + b1, a2 + b2
+
+        return add
+    if isinstance(e, Sub):
+
+        def sub(t):
+            av, a1, a2 = lhs(t)
+            bv, b1, b2 = rhs(t)
+            return av - bv, a1 - b1, a2 - b2
+
+        return sub
+    if isinstance(e, Mul):
+
+        def mul(t):
+            av, a1, a2 = lhs(t)
+            bv, b1, b2 = rhs(t)
+            return av * bv, a1 * bv + av * b1, a2 * bv + 2.0 * a1 * b1 + av * b2
+
+        return mul
+    if isinstance(e, Div):
+
+        def div(t):
+            try:
+                av, a1, a2 = lhs(t)
+                bv, b1, b2 = rhs(t)
+                if bv == 0.0:
+                    raise ZeroDivisionError("jet division by zero")
+                q = av / bv
+                q1 = (a1 - q * b1) / bv
+                return q, q1, (a2 - 2.0 * q1 * b1 - q * b2) / bv
+            except ZeroDivisionError:
+                raise EvalError(f"division by zero in '{unparse(e)}' at t={t}") from None
+
+        return div
+    if isinstance(e, Pow):
+        base, k = _compile(e.base), e.exponent
+
+        def power(t):
+            try:
+                return _pow(*base(t), k)
+            except ZeroDivisionError:
+                raise EvalError(
+                    f"zero base with negative exponent in '{unparse(e)}' at t={t}"
+                ) from None
+            except OverflowError:
+                raise EvalError(f"overflow in '{unparse(e)}' at t={t}") from None
+
+        return power
+    if isinstance(e, Call):
+        arg, fn = _compile(e.arg), _CALLS.get(e.name) or _unknown_function(e.name)
+
+        def call(t):
+            try:
+                return fn(*arg(t))
+            except ValueError as err:
+                raise EvalError(f"{err} in '{unparse(e)}' at t={t}") from None
+            except OverflowError:
+                raise EvalError(f"overflow in '{unparse(e)}' at t={t}") from None
+
+        return call
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
+def _unknown_function(name: str):
+    def fn(v, d1, d2):
+        raise ValueError(f"unknown function {name!r}")
+
+    return fn
 
 
 def eval_jet2(e: Expr, t: float) -> Jet2:
-    """Evaluate e and its first two derivatives at t (exact jet arithmetic)."""
-    if isinstance(e, Num):
-        return jet_constant(e.value)
-    if isinstance(e, Pi):
-        return jet_constant(math.pi)
-    if isinstance(e, Var):
-        return jet_variable(t)
-    if isinstance(e, Neg):
-        return -eval_jet2(e.arg, t)
-    if isinstance(e, Add):
-        return eval_jet2(e.lhs, t) + eval_jet2(e.rhs, t)
-    if isinstance(e, Sub):
-        return eval_jet2(e.lhs, t) - eval_jet2(e.rhs, t)
-    if isinstance(e, Mul):
-        return eval_jet2(e.lhs, t) * eval_jet2(e.rhs, t)
-    if isinstance(e, Div):
-        try:
-            return eval_jet2(e.lhs, t) / eval_jet2(e.rhs, t)
-        except ZeroDivisionError:
-            raise EvalError(f"division by zero in '{unparse(e)}' at t={t}") from None
-    if isinstance(e, Pow):
-        try:
-            return _jet_pow(eval_jet2(e.base, t), e.exponent)
-        except ZeroDivisionError:
-            raise EvalError(f"zero base with negative exponent in '{unparse(e)}' at t={t}") from None
-        except OverflowError:
-            raise EvalError(f"overflow in '{unparse(e)}' at t={t}") from None
-    if isinstance(e, Call):
-        try:
-            return _jet_call(e.name, eval_jet2(e.arg, t))
-        except ValueError as err:
-            raise EvalError(f"{err} in '{unparse(e)}' at t={t}") from None
-        except OverflowError:
-            raise EvalError(f"overflow in '{unparse(e)}' at t={t}") from None
-    raise TypeError(f"not an Expr node: {e!r}")
+    """Evaluate e and its first two derivatives at t (exact jet arithmetic).
+
+    The first call compiles e into a kernel that is kept on the instance;
+    later calls only run it.
+    """
+    try:
+        kernel = e._kernel
+    except AttributeError:
+        kernel = _compile(e)
+        object.__setattr__(e, "_kernel", kernel)
+    return Jet2(*kernel(t))

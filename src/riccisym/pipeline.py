@@ -62,7 +62,12 @@ def solve(
         curve = potential.solve_branch(S, step, delta=delta, projection_tol=constraint_tol)
         global_report = potential.check_global(S, curve)
 
-    recon = reconstruct.reconstruct_profile(curve, T, t_lo=t_lo)
+    try:
+        recon = reconstruct.reconstruct_profile(curve, T, t_lo=t_lo)
+    except reconstruct.CurveTooShortError as err:
+        raise reconstruct.CurveTooShortError(
+            f"{err}; step {step:g}, t_max {T.t_max:g}"
+        ) from None
     return Solution(
         tensor=T,
         verdict=verdict,

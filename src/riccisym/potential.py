@@ -37,6 +37,7 @@ FOLD_TOL = 1e-8
 EXIT_TOL = 1e-12
 PROJECTION_TOL = 1e-13
 GLOBAL_GRID = 129  # check_global's scan resolution
+_EPS = float(np.finfo(float).eps)
 
 
 class ProjectionError(RuntimeError):
@@ -230,7 +231,7 @@ class PotentialCurve:
 def _project_p(t: float, Q: float, p: float, tol: float):
     """Newton iteration on p alone for Q - p^2 = 0, Q = F(t, w, 0) (Babylonian sqrt)."""
     scale = abs(Q) + p * p + 1e-300
-    target = max(tol, 8.0 * np.finfo(float).eps * scale)
+    target = max(tol, 8.0 * _EPS * scale)
     for _ in range(20):
         F = Q - p * p
         if abs(F) <= target:
@@ -336,7 +337,8 @@ def integrate_separatrix(
         for target in targets:
             # Sub-steps: capped by t/4 near the origin (the lifted field has
             # 1/t-scale derivatives there) and halved near the projected
-            # region boundary; only uniform targets are recorded.
+            # region boundary or where p would flip sign; only uniform
+            # targets are recorded.
             while True:
                 h = min(target - t, max(0.25 * t, 1e-3 * step))
                 if h <= 1e-15 * max(1.0, abs(t)):
@@ -345,15 +347,27 @@ def integrate_separatrix(
                     w_try, p_try = rk4_step(t, w, p, h)
                     Q = surface_eval(S, t + h, w_try, 0.0, jets(t + h))[0]
                     if Q > 0.0:
-                        break
-                    if -EXIT_TOL <= Q <= 0.0:
+                        p_try, resid = _project_p(t + h, Q, p_try, projection_tol)
+                        if p_try * p > 0.0:
+                            break
+                        # Near the saddle the p equation is stiff: an RK4
+                        # predictor can overshoot p through 0 and the
+                        # projection then lands on the wrong root.  w'
+                        # changes sign only on the fold, so a flip that
+                        # survives down to min_h halts; never record past it.
+                        if h <= min_h:
+                            halted = True
+                            halt_reason = "fold_contact"
+                            halt_detail = f"w' sign change across t = {t + h:.6g}"
+                            break
+                    elif -EXIT_TOL <= Q <= 0.0:
                         halted = True
                         halt_reason = "fold_contact"
                         halt_detail = (
                             f"projected region boundary reached at t = {t + h:.6g}"
                         )
                         break
-                    if h <= min_h:
+                    elif h <= min_h:
                         halted = True
                         Q_here = surface_eval(S, t, w, 0.0, jets(t))[0]
                         scale = 1.0 + abs(Q_here) + p * p
@@ -374,13 +388,6 @@ def integrate_separatrix(
                         break
                     h /= 2.0
                 if halted:
-                    break
-                p_try, resid = _project_p(t + h, Q, p_try, projection_tol)
-                if p_try * p <= 0.0:
-                    # w' changes sign only on the fold; never record past it
-                    halted = True
-                    halt_reason = "fold_contact"
-                    halt_detail = f"w' sign change across t = {t + h:.6g}"
                     break
                 drift = max(drift, resid)
                 t, w, p = t + h, w_try, p_try

@@ -41,6 +41,13 @@ class ReconstructionError(RuntimeError):
     pass
 
 
+class CurveTooShortError(ReconstructionError):
+    """The curve has fewer samples than the profile stencils need."""
+
+
+MIN_PROFILE_SAMPLES = 6
+
+
 def _sample(e: Expr, ts) -> np.ndarray:
     return np.array([eval_jet2(e, t).v for t in ts])
 
@@ -64,8 +71,12 @@ def _profile_layout(curve: PotentialCurve):
     step grid (start = 0), so stencil code always sees equal spacing.
     """
     t = curve.t
-    if t.size < 6:
-        raise ReconstructionError("curve too short to reconstruct a profile")
+    if t.size < MIN_PROFILE_SAMPLES:
+        halt = curve.halt_reason + (f", {curve.halt_detail}" if curve.halt_detail else "")
+        raise CurveTooShortError(
+            f"curve too short to reconstruct a profile: {t.size} samples, "
+            f"{MIN_PROFILE_SAMPLES} needed (halt: {halt})"
+        )
     if t[0] == 0.0:
         grid = t.copy()
         start = 1

@@ -71,6 +71,18 @@ def test_overflow_is_one_diagnostic_line(tmp_path, capsys):
     assert "overflow in 'exp(t^3)'" in lines[0]
 
 
+def test_curve_too_short_says_why(tmp_path, capsys):
+    cfg = 'n = 3\nphi = "1"\npsi = "1"\nt_max = 0.3\nstep = 0.5\n' + f'out = "{tmp_path}/s"\n'
+    path = _write(tmp_path, "s.cfg", cfg)
+    assert main(["solve", "--config", str(path)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("riccisym: code=3 ")
+    assert "curve too short to reconstruct a profile: 2 samples, 6 needed" in lines[0]
+    assert "(halt: t_end)" in lines[0]
+    assert "step 0.5, t_max 0.3" in lines[0]
+
+
 def test_solve_gold_writes_outputs(tmp_path, capsys):
     path = _write(tmp_path, "gold.cfg", GOLD_CFG + f'out = "{tmp_path}/gold"\n')
     code = main(["solve", "--config", str(path)])

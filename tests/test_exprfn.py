@@ -1,18 +1,27 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccisym import exprfn
 from riccisym.exprfn import (
+    FUNCTIONS,
     Add,
     Call,
+    Div,
     EvalError,
     Jet2,
     Mul,
+    Neg,
     Num,
     ParseError,
+    Pi,
     Pow,
+    Sub,
     Var,
     eval_jet2,
     parse,
@@ -175,3 +184,143 @@ def test_unparse_reparse_roundtrip():
 def test_deterministic_evaluation():
     e = parse("sin(t)*exp(t) - t^3/7")
     assert eval_jet2(e, 0.8314) == eval_jet2(e, 0.8314)
+
+
+# ---------------------------------------------------------------------------
+# compiled kernels against the recursive walk they replaced
+
+
+def _walk_pow(a, k):
+    if k == 0:
+        return Jet2(1.0, 0.0, 0.0)
+    if k < 0:
+        if a.v == 0.0:
+            raise ZeroDivisionError("zero base with negative exponent")
+        return Jet2(1.0, 0.0, 0.0) / _walk_pow(a, -k)
+    v = a.v ** k
+    d1 = k * a.v ** (k - 1) * a.d1
+    d2 = k * (k - 1) * a.v ** (k - 2) * a.d1 ** 2 + k * a.v ** (k - 1) * a.d2
+    return Jet2(v, d1, d2)
+
+
+def _walk_call(name, a):
+    if name == "sin":
+        s, c = math.sin(a.v), math.cos(a.v)
+        return Jet2(s, c * a.d1, -s * a.d1 ** 2 + c * a.d2)
+    if name == "cos":
+        s, c = math.sin(a.v), math.cos(a.v)
+        return Jet2(c, -s * a.d1, -c * a.d1 ** 2 - s * a.d2)
+    if name == "exp":
+        e = math.exp(a.v)
+        return Jet2(e, e * a.d1, e * (a.d1 ** 2 + a.d2))
+    if name == "log":
+        if a.v <= 0.0:
+            raise ValueError(f"log of non-positive value {a.v}")
+        return Jet2(math.log(a.v), a.d1 / a.v, a.d2 / a.v - (a.d1 / a.v) ** 2)
+    if name == "sqrt":
+        if a.v < 0.0:
+            raise ValueError(f"sqrt of negative value {a.v}")
+        if a.v == 0.0:
+            raise ValueError("sqrt derivative singular at 0")
+        s = math.sqrt(a.v)
+        d1 = a.d1 / (2.0 * s)
+        d2 = (a.d2 - 2.0 * d1 ** 2) / (2.0 * s)
+        return Jet2(s, d1, d2)
+    raise ValueError(f"unknown function {name!r}")
+
+
+def _walk(e, t):
+    """The node-by-node evaluator that compiled kernels replaced (reference)."""
+    if isinstance(e, Num):
+        return Jet2(float(e.value), 0.0, 0.0)
+    if isinstance(e, Pi):
+        return Jet2(math.pi, 0.0, 0.0)
+    if isinstance(e, Var):
+        return Jet2(float(t), 1.0, 0.0)
+    if isinstance(e, Neg):
+        return -_walk(e.arg, t)
+    if isinstance(e, Add):
+        return _walk(e.lhs, t) + _walk(e.rhs, t)
+    if isinstance(e, Sub):
+        return _walk(e.lhs, t) - _walk(e.rhs, t)
+    if isinstance(e, Mul):
+        return _walk(e.lhs, t) * _walk(e.rhs, t)
+    if isinstance(e, Div):
+        try:
+            return _walk(e.lhs, t) / _walk(e.rhs, t)
+        except ZeroDivisionError:
+            raise EvalError(f"division by zero in '{unparse(e)}' at t={t}") from None
+    if isinstance(e, Pow):
+        try:
+            return _walk_pow(_walk(e.base, t), e.exponent)
+        except ZeroDivisionError:
+            raise EvalError(f"zero base with negative exponent in '{unparse(e)}' at t={t}") from None
+        except OverflowError:
+            raise EvalError(f"overflow in '{unparse(e)}' at t={t}") from None
+    if isinstance(e, Call):
+        try:
+            return _walk_call(e.name, _walk(e.arg, t))
+        except ValueError as err:
+            raise EvalError(f"{err} in '{unparse(e)}' at t={t}") from None
+        except OverflowError:
+            raise EvalError(f"overflow in '{unparse(e)}' at t={t}") from None
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
+def _outcome(evaluate, e, t):
+    """Bit pattern of the jet (NaNs compare equal), or the error raised."""
+    try:
+        j = evaluate(e, t)
+    except Exception as err:  # the walk's exception type and text are the contract
+        return type(err), str(err)
+    return tuple("nan" if math.isnan(x) else float.hex(x) for x in (j.v, j.d1, j.d2))
+
+
+# parser literals are nonnegative; 1e999 parses to inf.  A steep t (slope
+# 1e160) makes squared derivatives overflow, which float ** raises on.
+_leaves = st.one_of(
+    st.builds(Num, st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.0, 1e-200, 1e200, math.inf])),
+    st.builds(Num, st.floats(min_value=0.0, max_value=1e3)),
+    st.just(Var()),
+    st.just(Mul(Num(1e160), Var())),
+    st.just(Pi()),
+)
+
+
+def _nodes(children):
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Div, children, children),
+        st.builds(Pow, children, st.integers(min_value=-4, max_value=5)),
+        st.builds(Call, st.sampled_from(FUNCTIONS), children),
+    )
+
+
+_exprs = st.recursive(_leaves, _nodes, max_leaves=12)
+_ts = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5]),
+    st.integers(min_value=-3, max_value=3),
+    st.floats(min_value=-20.0, max_value=20.0),
+)
+
+
+@settings(max_examples=500)
+@given(_exprs, st.lists(_ts, min_size=1, max_size=4))
+def test_compiled_kernel_matches_recursive_walk(e, ts):
+    # the first t compiles the kernel, the others reuse it
+    for t in ts:
+        assert _outcome(eval_jet2, e, t) == _outcome(_walk, e, t)
+
+
+def test_evaluated_expr_pickles_copies_and_hashes_like_a_fresh_parse():
+    for src in ("3*cos(t)^2 + t^4/(1+t^2)", "t", "1e999"):
+        used, fresh = parse(src), parse(src)
+        eval_jet2(used, 0.3)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        for other in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used), copy.copy(used)):
+            assert other == fresh and hash(other) == hash(fresh)
+            assert eval_jet2(other, 0.3) == eval_jet2(used, 0.3)

@@ -478,3 +478,18 @@ def test_integrate_evaluates_each_jet_once(monkeypatch, n, phi, psi, t_max):
     curve = integrate_separatrix(S, seed, step, t_max, w2=rep.w2, w3=rep.w3)
     assert curve.halt_reason == "t_end"
     assert calls and len(calls) == len(set(calls))
+
+
+def test_constant_targets_never_halt_spuriously():
+    # Near the saddle the p equation is stiff for large n; an overshooting
+    # RK4 predictor used to end these solves with a false "w' sign change".
+    failures = []
+    for n in range(3, 41):
+        for a in ("1", "8", "-1"):
+            for step in (1e-3, 1e-2):
+                S = _surface(n, a, a, 1.0)
+                curve = solve_branch(S, step)
+                verdict = check_global(S, curve).verdict
+                if curve.halt_reason != "t_end" or verdict != "global_continuation_expected":
+                    failures.append((n, a, step, curve.halt_reason, curve.halt_detail))
+    assert not failures, failures
