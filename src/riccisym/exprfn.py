@@ -20,6 +20,12 @@ rounding (no finite differences).  Each expression is compiled once, on its
 first evaluation, into one closure per node over float triples, and the
 kernel is kept on the instance; values and error messages are those of the
 node-by-node Jet2 arithmetic, bit for bit.
+
+jet_grid evaluates the jet over a whole array of abscissae with the same
+closures run over ndarrays, compiled lazily and kept like the scalar kernel.
+Its arrays are bit-identical to eval_jet2 at each t; where eval_jet2 would
+raise, or the arrays meet a floating-point exception, it returns None and
+the caller falls back to eval_jet2 point by point.
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -54,9 +63,10 @@ class Expr:
         return unparse(self)
 
     def __getstate__(self):
-        # the compiled kernel (closures, see eval_jet2) is rebuilt on first use
+        # the compiled kernels (closures, see eval_jet2 and jet_grid) are rebuilt on first use
         state = dict(self.__dict__)
         state.pop("_kernel", None)
+        state.pop("_grid_kernel", None)
         return state
 
 
@@ -403,22 +413,62 @@ def _sqrt(v: float, d1: float, d2: float):
 _CALLS = {"sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt}
 
 
-def _compile(e: Expr):
+def _elementwise(fn):
+    """fn applied to each element of the (v, d1, d2) arrays, through Python floats.
+
+    A constant operand (float v) goes straight to fn.
+    """
+
+    def mapped(v, d1, d2, *args):
+        if not isinstance(v, np.ndarray):
+            return fn(v, d1, d2, *args)
+        cols = [x.tolist() for x in np.broadcast_arrays(v, d1, d2)]
+        out = np.array(list(map(fn, *cols, *map(repeat, args))), dtype=float)
+        return tuple(out.reshape(-1, 3).T)
+
+    return mapped
+
+
+def _nonzero_divisor(rhs):
+    """rhs, raising ZeroDivisionError when any divisor value is 0.
+
+    Python floats raise at a zero divisor by themselves; arrays need the
+    check because inf / 0 and NaN / 0 raise no floating-point exception.
+    """
+
+    def checked(t):
+        b = rhs(t)
+        if not np.all(b[0]):
+            raise ZeroDivisionError("jet division by zero")
+        return b
+
+    return checked
+
+
+def _compile(e: Expr, grid: bool = False):
     """One closure per node, mapping t to the (v, d1, d2) jet of e at t.
 
     Children are evaluated left to right and every node keeps its own
     error handling, so a failure raises the same EvalError text, nested
     messages included, as evaluating the tree node by node.
+
+    With grid=True, t is an ndarray and the same closures run over arrays:
+    + - * / and negation are numpy operations in the scalar order (IEEE
+    makes them bit-equal), while ** and the functions go element by element
+    through the scalar helpers, since numpy's exp, log and pow may differ
+    from math's in the last bit.
     """
+    lift = _elementwise if grid else (lambda fn: fn)
     if isinstance(e, Num):
         const = (float(e.value), 0.0, 0.0)
         return lambda t: const
     if isinstance(e, Pi):
         return lambda t: (math.pi, 0.0, 0.0)
     if isinstance(e, Var):
-        return lambda t: (float(t), 1.0, 0.0)
+        leaf = np.asarray if grid else float
+        return lambda t: (leaf(t), 1.0, 0.0)
     if isinstance(e, Neg):
-        arg = _compile(e.arg)
+        arg = _compile(e.arg, grid)
 
         def neg(t):
             v, d1, d2 = arg(t)
@@ -426,7 +476,7 @@ def _compile(e: Expr):
 
         return neg
     if isinstance(e, (Add, Sub, Mul, Div)):
-        lhs, rhs = _compile(e.lhs), _compile(e.rhs)
+        lhs, rhs = _compile(e.lhs, grid), _compile(e.rhs, grid)
     if isinstance(e, Add):
 
         def add(t):
@@ -452,14 +502,14 @@ def _compile(e: Expr):
 
         return mul
     if isinstance(e, Div):
+        if grid:
+            rhs = _nonzero_divisor(rhs)
 
         def div(t):
             try:
                 av, a1, a2 = lhs(t)
                 bv, b1, b2 = rhs(t)
-                if bv == 0.0:
-                    raise ZeroDivisionError("jet division by zero")
-                q = av / bv
+                q = av / bv  # a zero float divisor raises ZeroDivisionError here
                 q1 = (a1 - q * b1) / bv
                 return q, q1, (a2 - 2.0 * q1 * b1 - q * b2) / bv
             except ZeroDivisionError:
@@ -467,11 +517,11 @@ def _compile(e: Expr):
 
         return div
     if isinstance(e, Pow):
-        base, k = _compile(e.base), e.exponent
+        base, k, pow_ = _compile(e.base, grid), e.exponent, lift(_pow)
 
         def power(t):
             try:
-                return _pow(*base(t), k)
+                return pow_(*base(t), k)
             except ZeroDivisionError:
                 raise EvalError(
                     f"zero base with negative exponent in '{unparse(e)}' at t={t}"
@@ -481,7 +531,8 @@ def _compile(e: Expr):
 
         return power
     if isinstance(e, Call):
-        arg, fn = _compile(e.arg), _CALLS.get(e.name) or _unknown_function(e.name)
+        arg = _compile(e.arg, grid)
+        fn = lift(_CALLS.get(e.name) or _unknown_function(e.name))
 
         def call(t):
             try:
@@ -514,3 +565,28 @@ def eval_jet2(e: Expr, t: float) -> Jet2:
         kernel = _compile(e)
         object.__setattr__(e, "_kernel", kernel)
     return Jet2(*kernel(t))
+
+
+def jet_grid(e: Expr, ts):
+    """Read-only (v, d1, d2) arrays of e over the 1-d abscissae ts, or None.
+
+    It raises no evaluation error.  The values are bit-identical to
+    eval_jet2 at each t.  None means that some t raises in eval_jet2, or
+    that the array kernel met a zero divisor or a floating-point exception
+    (overflow, underflow, invalid) it does not try to reproduce; the caller
+    then evaluates point by point with eval_jet2, which gives the scalar
+    result or error.  Like eval_jet2's, the array kernel is compiled on
+    first use and kept on the instance.
+    """
+    try:
+        kernel = e._grid_kernel
+    except AttributeError:
+        kernel = _compile(e, grid=True)
+        object.__setattr__(e, "_grid_kernel", kernel)
+    ts = np.asarray(ts, dtype=float)
+    try:
+        with np.errstate(all="raise"):
+            jet = kernel(ts)
+    except (ArithmeticError, ValueError):
+        return None
+    return tuple(np.broadcast_to(x, ts.shape) for x in jet)

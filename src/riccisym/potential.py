@@ -31,12 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .exprfn import Expr, eval_jet2
+from .exprfn import Expr, eval_jet2, jet_grid
 
 FOLD_TOL = 1e-8
 EXIT_TOL = 1e-12
 PROJECTION_TOL = 1e-13
 GLOBAL_GRID = 129  # check_global's scan resolution
+_GRID_BLOCK = 256  # integration targets per array evaluation of the target
 _EPS = float(np.finfo(float).eps)
 
 
@@ -62,9 +63,10 @@ class SurfaceF:
     t_max: float
 
 
-def target_jets(S: SurfaceF, t: float):
-    """The (phi, psi) 2-jets at t; everything else on the surface is arithmetic."""
-    return eval_jet2(S.phi, t), eval_jet2(S.psi, t)
+def _target_row(S: SurfaceF, t: float):
+    """(phi, phi', psi, psi') at t; everything else on the surface is arithmetic."""
+    phi, psi = eval_jet2(S.phi, t), eval_jet2(S.psi, t)
+    return phi.v, phi.d1, psi.v, psi.d1
 
 
 def surface_terms(n: int, t, w, p, phi, dphi, psi, dpsi):
@@ -83,13 +85,9 @@ def surface_terms(n: int, t, w, p, phi, dphi, psi, dpsi):
     return F, F_t, F_w, F_p
 
 
-def surface_eval(S: SurfaceF, t: float, w: float, p: float, jets=None):
-    """Return (F, F_t, F_w, F_p) at the phase point (t, w, p).
-
-    jets are the (phi, psi) 2-jets at t when the caller already has them.
-    """
-    phi, psi = target_jets(S, t) if jets is None else jets
-    return surface_terms(S.n, t, w, p, phi.v, phi.d1, psi.v, psi.d1)
+def surface_eval(S: SurfaceF, t: float, w: float, p: float):
+    """Return (F, F_t, F_w, F_p) at the phase point (t, w, p)."""
+    return surface_terms(S.n, t, w, p, *_target_row(S, t))
 
 
 def lie_cartan_field(S: SurfaceF, state) -> np.ndarray:
@@ -266,6 +264,35 @@ class _FoldContact(Exception):
     pass
 
 
+def _grid_rows(S: SurfaceF, ts):
+    """(phi, phi', psi, psi') arrays over ts from the array kernels, or None.
+
+    None when either jet_grid declines; the caller then evaluates point by
+    point, so an EvalError comes with the scalar text and abscissa.
+    """
+    phi = jet_grid(S.phi, ts)
+    psi = None if phi is None else jet_grid(S.psi, ts)
+    if psi is None:
+        return None
+    return phi[0], phi[1], psi[0], psi[1]
+
+
+def _grid_block(S: SurfaceF, prev: float, targets) -> dict:
+    """Target rows keyed by the abscissae a uniform step visits on its way
+    through targets: prev, then each midpoint prev + (target - prev)/2 and
+    target in turn.  Empty when the array evaluation declines.
+    """
+    pts = [prev]
+    for target in targets:
+        pts.append(prev + (target - prev) / 2)
+        pts.append(target)
+        prev = target
+    rows = _grid_rows(S, pts)
+    if rows is None:
+        return {}
+    return dict(zip(pts, zip(*(col.tolist() for col in rows))))
+
+
 def integrate_separatrix(
     S: SurfaceF,
     seed,
@@ -288,23 +315,31 @@ def integrate_separatrix(
     if t_end <= t0:
         raise ValueError("t_end must exceed the seed abscissa")
 
+    n = S.n
     # The RK4 stages, the region test and the projection of one step share
     # abscissae (k2/k3 at t + h/2; k4, Q, the projection and the next k1 at
     # t + h; a halved step reuses t + h/2), so each (phi, psi) jet is
-    # evaluated once.  Four entries cover the current step and its halvings.
+    # evaluated once.  Once the step is uniform, h = target - t is exact
+    # (Sterbenz), so every stage lands on a target or on the midpoint
+    # prev + (target - prev)/2; those are sampled as arrays, a block of
+    # targets at a time (see _grid_block).  The near-origin capped steps
+    # and the halvings miss the block and go to a four-entry scalar cache.
+    block = {}
     cache = {}
 
     def jets(t):
-        j = cache.pop(t, None)
+        j = block.get(t)
         if j is None:
-            j = target_jets(S, t)
-            if len(cache) >= 4:
-                del cache[next(iter(cache))]
-        cache[t] = j
+            j = cache.pop(t, None)
+            if j is None:
+                j = _target_row(S, t)
+                if len(cache) >= 4:
+                    del cache[next(iter(cache))]
+            cache[t] = j
         return j
 
     def rhs(t, w, p):
-        F, F_t, F_w, F_p = surface_eval(S, t, w, p, jets(t))
+        F, F_t, F_w, F_p = surface_terms(n, t, w, p, *jets(t))
         if abs(F_p) < FOLD_TOL:
             raise _FoldContact(f"|F_p| = {abs(F_p):.3e} < {FOLD_TOL:g} at t = {t:.6g}")
         return p, -(F_t + p * F_w) / F_p
@@ -333,8 +368,15 @@ def integrate_separatrix(
     t, w, p = t0, w0, p0
     min_h = 1e-6 * step
     halted = False
+    use_grid = True
     try:
-        for target in targets:
+        for i, target in enumerate(targets):
+            if use_grid and i % _GRID_BLOCK == 0:
+                block = _grid_block(S, targets[i - 1] if i else t0, targets[i : i + _GRID_BLOCK])
+                # a target the array kernel declines is not evaluated twice
+                # from then on; misses go to the scalar path in any case,
+                # which raises an EvalError with its own text and t
+                use_grid = bool(block)
             # Sub-steps: capped by t/4 near the origin (the lifted field has
             # 1/t-scale derivatives there) and halved near the projected
             # region boundary or where p would flip sign; only uniform
@@ -345,7 +387,7 @@ def integrate_separatrix(
                     raise StepUnderflowError(f"step underflow at t = {t:.6g}")
                 while True:
                     w_try, p_try = rk4_step(t, w, p, h)
-                    Q = surface_eval(S, t + h, w_try, 0.0, jets(t + h))[0]
+                    Q = surface_terms(n, t + h, w_try, 0.0, *jets(t + h))[0]
                     if Q > 0.0:
                         p_try, resid = _project_p(t + h, Q, p_try, projection_tol)
                         if p_try * p > 0.0:
@@ -369,11 +411,11 @@ def integrate_separatrix(
                         break
                     elif h <= min_h:
                         halted = True
-                        Q_here = surface_eval(S, t, w, 0.0, jets(t))[0]
+                        Q_here = surface_terms(n, t, w, 0.0, *jets(t))[0]
                         scale = 1.0 + abs(Q_here) + p * p
                         if Q_here <= FOLD_TOL * scale:
                             halt_reason = "fold_contact"
-                            _, F_t, F_w, _ = surface_eval(S, t, w, p, jets(t))
+                            _, F_t, F_w, _ = surface_terms(n, t, w, p, *jets(t))
                             push = -(F_t + p * F_w)
                             halt_detail = (
                                 f"fold reached near t = {t:.6g} "
@@ -447,7 +489,12 @@ def solve_n2(phi: Expr, psi: Expr, sign: int, t_end: float, step: float) -> Pote
     if m % 2:
         m += 1
     ts = np.linspace(0.0, t_end, m + 1)
-    prod = np.array([eval_jet2(phi, t).v * eval_jet2(psi, t).v for t in ts])
+    phis, psis = jet_grid(phi, ts), jet_grid(psi, ts)
+    if phis is None or psis is None:
+        prod = np.array([eval_jet2(phi, t).v * eval_jet2(psi, t).v for t in ts])
+    else:
+        with np.errstate(all="ignore"):  # like the Python float products, without warnings
+            prod = phis[0] * psis[0]
     if np.any(prod < 0):
         bad = ts[np.argmax(prod < 0)]
         raise ValueError(f"phi * psi < 0 at t = {bad:.6g}")
@@ -490,8 +537,10 @@ class GlobalReport:
 
 def _jet_columns(S: SurfaceF, ts: np.ndarray) -> np.ndarray:
     """Rows phi, phi', psi, psi' over ts, from one pair of jets per abscissa."""
-    jets = (target_jets(S, t) for t in ts)
-    return np.array([(phi.v, phi.d1, psi.v, psi.d1) for phi, psi in jets], dtype=float).T
+    rows = _grid_rows(S, ts)
+    if rows is None:
+        return np.array([_target_row(S, t) for t in ts], dtype=float).T
+    return np.array(rows)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the scans meet inf and NaN like Python floats
@@ -538,8 +587,8 @@ def check_global(S: SurfaceF, curve: PotentialCurve) -> GlobalReport:
         return phi * (2.0 * t * psi + t * t * dpsi)
 
     def fold_fn(t):
-        phi, psi = target_jets(S, t)
-        return fold_margin_at(t, phi.v, psi.v, psi.d1)
+        phi, _, psi, dpsi = _target_row(S, t)
+        return fold_margin_at(t, phi, psi, dpsi)
 
     ts_pos = np.linspace(S.t_max / GLOBAL_GRID, S.t_max, GLOBAL_GRID)
     phi, _, psi, dpsi = _jet_columns(S, ts_pos)
@@ -563,7 +612,8 @@ def check_global(S: SurfaceF, curve: PotentialCurve) -> GlobalReport:
     # (c) distance from the computed branch to the fold branches
     dist = math.inf
     if n > 2:
-        psi = np.array([eval_jet2(S.psi, t).v for t in curve.t])
+        psi = jet_grid(S.psi, curve.t)
+        psi = np.array([eval_jet2(S.psi, t).v for t in curve.t]) if psi is None else psi[0]
         _, lower, upper = fold_branches(n, curve.t, psi)
         gap = np.minimum(np.abs(lower - curve.w), np.abs(upper - curve.w))
         dist = float(np.fmin.reduce(gap, initial=math.inf))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .exprfn import Expr, eval_jet2
+from .exprfn import Expr, eval_jet2, jet_grid
 from .potential import PotentialCurve
 from .rotsym import (
     MetricProfile,
@@ -49,7 +49,9 @@ MIN_PROFILE_SAMPLES = 6
 
 
 def _sample(e: Expr, ts) -> np.ndarray:
-    return np.array([eval_jet2(e, t).v for t in ts])
+    """Values of e over ts: one array evaluation, point by point if it declines."""
+    jet = jet_grid(e, ts)
+    return np.array([eval_jet2(e, t).v for t in ts]) if jet is None else jet[0]
 
 
 def _check_sign(curve: PotentialCurve, phi0: float):

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import tensorlab
-from .exprfn import Expr, eval_jet2
+from .exprfn import Expr, eval_jet2, jet_grid
 from .potential import bisect_root
 
 
@@ -83,19 +83,26 @@ class DefinitenessVerdict:
         return self.kind in ("positive_definite", "negative_definite")
 
 
-def definiteness_check(T: RotSymTensor, grid_size: int = 256) -> DefinitenessVerdict:
+DEFINITENESS_GRID = 256  # definiteness_check's scan resolution
+
+
+def definiteness_check(T: RotSymTensor) -> DefinitenessVerdict:
     """Scan phi and psi on [0, t_max]: a nonsingular rotationally symmetric
     tensor keeps a single sign throughout and has phi(0) = psi(0).
 
     Sign changes are refined by bisection to width 1e-10.
     """
-    if grid_size < 16:
-        raise ValueError("grid_size must be >= 16")
-    ts = np.linspace(0.0, T.t_max, grid_size)
+    ts = np.linspace(0.0, T.t_max, DEFINITENESS_GRID)
     phi_fn = lambda t: eval_jet2(T.phi, t).v
     psi_fn = lambda t: eval_jet2(T.psi, t).v
-    phis = np.array([phi_fn(t) for t in ts])
-    psis = np.array([psi_fn(t) for t in ts])
+
+    def scan(e, fn):
+        # one array evaluation; point by point (raising the scalar error) if it declines
+        jet = jet_grid(e, ts)
+        return np.array([fn(t) for t in ts]) if jet is None else jet[0]
+
+    phis = scan(T.phi, phi_fn)
+    psis = scan(T.psi, psi_fn)
     phi0, psi0 = float(phis[0]), float(psis[0])
 
     t_star = None

@@ -24,6 +24,7 @@ from riccisym.exprfn import (
     Sub,
     Var,
     eval_jet2,
+    jet_grid,
     parse,
     unparse,
 )
@@ -319,8 +320,71 @@ def test_evaluated_expr_pickles_copies_and_hashes_like_a_fresh_parse():
     for src in ("3*cos(t)^2 + t^4/(1+t^2)", "t", "1e999"):
         used, fresh = parse(src), parse(src)
         eval_jet2(used, 0.3)
+        jet_grid(used, [0.3, 0.4])
         assert used == fresh and hash(used) == hash(fresh)
         assert pickle.dumps(used) == pickle.dumps(fresh)
         for other in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used), copy.copy(used)):
             assert other == fresh and hash(other) == hash(fresh)
             assert eval_jet2(other, 0.3) == eval_jet2(used, 0.3)
+
+
+# the array kernel against the scalar one
+
+
+def _bits(x):
+    return "nan" if math.isnan(x) else float.hex(x)
+
+
+@settings(max_examples=500)
+@given(_exprs, st.lists(_ts, min_size=1, max_size=16))
+def test_grid_kernel_is_bit_equal_or_declines(e, ts):
+    jet = jet_grid(e, ts)
+    if jet is None:
+        return  # callers evaluate point by point with eval_jet2
+    for x in jet:
+        assert x.shape == (len(ts),) and not x.flags.writeable
+    for i, t in enumerate(ts):
+        j = eval_jet2(e, t)  # an array result promises the scalar kernel does not raise
+        assert tuple(_bits(float(x[i])) for x in jet) == tuple(map(_bits, (j.v, j.d1, j.d2)))
+
+
+@pytest.mark.parametrize(
+    "src, t_max",
+    [
+        ("12", 0.5),
+        ("12 - 8*t^2", 0.5),
+        ("1", 10.0),
+        ("-1", 10.0),
+        ("3*exp(-t^2)", 2.0),
+        ("3*cos(t)^2 + t^4/(1+t^2)", 2.0),
+        ("2 + sin(t)^2", 2.0),
+        ("2 + t*log(1+t^2)", 2.0),
+        # every node kind with nonzero second derivatives on both operands,
+        # where a reordered sum would show in the last bit
+        ("sin(t)*cos(3*t) - exp(t/2)*log(2 + t^2)/(1.5 + sin(t)) + sqrt(1 + t^4)", 3.0),
+        ("-(t^3 - t)*(t^2 + 0.3)^-2 + (t - 0.7)^5/(1 + exp(-t))", 3.0),
+    ],
+)
+def test_grid_kernel_serves_the_reference_targets(src, t_max):
+    # the fast path must not switch itself off on the benchmark targets
+    ts = np.linspace(-t_max, t_max, 2001)
+    jet = jet_grid(parse(src), ts)
+    assert jet is not None
+    ref = np.array([tuple(vars(eval_jet2(parse(src), t)).values()) for t in ts])
+    assert np.array_equal(np.column_stack(jet), ref)
+
+
+def test_grid_kernel_declines_where_the_scalar_kernel_raises():
+    cases = (
+        ("1/(t - 1)", 1.0),
+        # inf / 0 raises no floating-point exception, and with divisor jet
+        # (0, 1, -1) neither does the rest of the quotient rule
+        ("1e999/(t - t^2/2)", 0.0),
+        ("sqrt((t - 1)^2)", 1.0),
+        ("t^-2", 0.0),
+        ("log(t)", -1.0),
+    )
+    for src, t in cases:
+        assert jet_grid(parse(src), [0.5, t, 2.0]) is None
+        with pytest.raises(EvalError):
+            eval_jet2(parse(src), t)

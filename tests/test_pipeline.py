@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from riccisym import DefinitenessError, RotSymTensor, parse, solution_summary, solve
+from riccisym import (
+    DefinitenessError,
+    EvalError,
+    RotSymTensor,
+    definiteness_check,
+    parse,
+    potential,
+    solution_summary,
+    solve,
+)
 
 
 def test_solve_gold_end_to_end():
@@ -54,3 +63,31 @@ def test_solve_n2_path():
     sol = solve(T, step=1e-3)
     assert sol.saddle is None and sol.global_report is None
     assert abs(sol.recon.w[-1] - 0.5) < 1e-12
+
+
+def test_solve_samples_the_target_in_bulk(monkeypatch):
+    # the integrator takes its jets from array evaluations; only the capped
+    # steps near the origin and the halvings evaluate point by point
+    calls = []
+    scalar = potential.eval_jet2
+
+    def counting(e, t):
+        calls.append(t)
+        return scalar(e, t)
+
+    monkeypatch.setattr(potential, "eval_jet2", counting)
+    sol = solve(RotSymTensor(3, parse("1"), parse("1"), 10.0))
+    assert sol.curve.halt_reason == "t_end" and sol.curve.t.size == 10_001
+    assert len(calls) < 1000
+
+
+def test_error_inside_a_grid_block_keeps_its_text_and_abscissa():
+    # the definiteness scan misses t = 1, so integration meets the singular
+    # sqrt derivative there; the array block declines and the scalar path
+    # raises the error at the same t
+    T = RotSymTensor(3, parse("2"), parse("1 + sqrt((t - 1)^2)"), 2.0)
+    assert definiteness_check(T).is_definite
+    with pytest.raises(EvalError) as err:
+        solve(T)
+    assert str(err.value) == "sqrt derivative singular at 0 in 'sqrt((t - 1)^2)' at t=1.0"
+    assert any(entry.name == "integrate_separatrix" for entry in err.traceback)

@@ -480,6 +480,26 @@ def test_integrate_evaluates_each_jet_once(monkeypatch, n, phi, psi, t_max):
     assert calls and len(calls) == len(set(calls))
 
 
+@pytest.mark.parametrize(
+    "n, phi, psi, t_max",
+    [
+        (4, "12", "12 - 8*t^2", 0.5),
+        (3, "-1", "-1", 2.0),
+        (4, "3*exp(-t^2)", "3*cos(t)^2 + t^4/(1+t^2)", 2.0),
+        (3, "1", "1 - 4*t^2", 0.46),
+    ],
+)
+def test_integrate_grid_path_matches_scalar_path(monkeypatch, n, phi, psi, t_max):
+    S = _surface(n, phi, psi, t_max)
+    fast = solve_branch(S, step=1e-3)
+    monkeypatch.setattr(potential, "jet_grid", lambda e, ts: None)
+    slow = solve_branch(S, step=1e-3)
+    for name in ("t", "w", "p"):
+        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
+    assert (fast.halt_reason, fast.halt_detail) == (slow.halt_reason, slow.halt_detail)
+    assert fast.constraint_max == slow.constraint_max
+
+
 def test_constant_targets_never_halt_spuriously():
     # Near the saddle the p equation is stiff for large n; an overshooting
     # RK4 predictor used to end these solves with a false "w' sign change".

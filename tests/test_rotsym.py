@@ -55,11 +55,6 @@ def test_definiteness_interior_crossing_refined():
     assert abs(v.t_star - 1.0) < 1e-9
 
 
-def test_definiteness_grid_size_precondition():
-    with pytest.raises(ValueError):
-        definiteness_check(_tensor(3, "1", "1"), grid_size=8)
-
-
 # ---------------------------------------------------------------------------
 # forward Ricci map
 
