@@ -36,8 +36,7 @@ from .reconstruct import (
     assemble_metric,
     reconstruct_profile,
     ricci_potential_from_profile,
-    solve_f,
-    solve_r,
+    solve_rf,
     verify_ricci,
 )
 from .rotsym import (

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import hypersurface as hs
 from . import potential, reconstruct
-from .exprfn import EvalError, Expr, ParseError, parse
+from .exprfn import EvalError, Expr, ParseError, parse, sample
 from .exprfn import eval_jet2  # noqa: F401  unused; bench/tracer.py patches cli.eval_jet2
 from .pipeline import DefinitenessError, solution_summary, solve
 from .potential import SurfaceF
@@ -233,10 +233,9 @@ def _cmd_analyze(cfg: ProblemConfig) -> int:
 
 
 def _fold_rows(S: SurfaceF, cfg: ProblemConfig):
-    for t in np.linspace(0.0, cfg.t_max, cfg.samples):
-        branches = potential.fold_curve(S, t)
-        if branches.size == 2:
-            yield (t, branches[0], branches[1])
+    ts = np.linspace(0.0, cfg.t_max, cfg.samples)
+    real, lower, upper = potential.fold_branches(S.n, ts, sample(ts, S.psi)[0, 0])
+    yield from zip(ts[real], lower[real], upper[real])
 
 
 def _cmd_portrait(cfg: ProblemConfig) -> int:

@@ -21,11 +21,14 @@ first evaluation, into one closure per node over float triples, and the
 kernel is kept on the instance; values and error messages are those of the
 node-by-node Jet2 arithmetic, bit for bit.
 
-jet_grid evaluates the jet over a whole array of abscissae with the same
-closures run over ndarrays, compiled lazily and kept like the scalar kernel.
-Its arrays are bit-identical to eval_jet2 at each t; where eval_jet2 would
-raise, or the arrays meet a floating-point exception, it returns None and
-the caller falls back to eval_jet2 point by point.
+sample(ts, *exprs) is the one way to evaluate expressions over a grid: it
+returns the (v, d1, d2) arrays of each expression over ts, bit-identical
+to eval_jet2 at each t, and raises the EvalError eval_jet2 would raise at
+the first failing abscissa.  Underneath, jet_grid runs the same closures
+over ndarrays (compiled lazily and kept like the scalar kernel) and
+returns None where it cannot promise that; only a caller that must not
+raise at a t it may never reach (the integrator's look-ahead) uses it
+directly.
 """
 
 from __future__ import annotations
@@ -573,7 +576,7 @@ def jet_grid(e: Expr, ts):
     It raises no evaluation error.  The values are bit-identical to
     eval_jet2 at each t.  None means that some t raises in eval_jet2, or
     that the array kernel met a zero divisor or a floating-point exception
-    (overflow, underflow, invalid) it does not try to reproduce; the caller
+    (overflow, underflow, invalid) it does not try to reproduce; sample
     then evaluates point by point with eval_jet2, which gives the scalar
     result or error.  Like eval_jet2's, the array kernel is compiled on
     first use and kept on the instance.
@@ -590,3 +593,20 @@ def jet_grid(e: Expr, ts):
     except (ArithmeticError, ValueError):
         return None
     return tuple(np.broadcast_to(x, ts.shape) for x in jet)
+
+
+def sample(ts, *exprs) -> np.ndarray:
+    """Jets of exprs over the 1-d abscissae ts, shape (len(exprs), 3, len(ts)).
+
+    Entry [i] holds the (v, d1, d2) arrays of exprs[i], bit-identical to
+    eval_jet2 at each t.  Each expression takes one jet_grid; if any
+    declines, all are evaluated with eval_jet2, abscissa by abscissa and in
+    argument order, so the first failing (t, expression) raises its
+    EvalError with the scalar text.
+    """
+    ts = np.asarray(ts, dtype=float)
+    jets = [jet_grid(e, ts) for e in exprs]
+    if all(jet is not None for jet in jets):
+        return np.array(jets, dtype=float)
+    rows = [[(j.v, j.d1, j.d2) for j in (eval_jet2(e, t) for e in exprs)] for t in ts]
+    return np.array(rows, dtype=float).reshape(ts.size, len(exprs), 3).transpose(1, 2, 0)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .exprfn import Expr, eval_jet2, jet_grid
+from .exprfn import Expr, eval_jet2, jet_grid, sample
 
 FOLD_TOL = 1e-8
 EXIT_TOL = 1e-12
@@ -264,33 +264,25 @@ class _FoldContact(Exception):
     pass
 
 
-def _grid_rows(S: SurfaceF, ts):
-    """(phi, phi', psi, psi') arrays over ts from the array kernels, or None.
-
-    None when either jet_grid declines; the caller then evaluates point by
-    point, so an EvalError comes with the scalar text and abscissa.
-    """
-    phi = jet_grid(S.phi, ts)
-    psi = None if phi is None else jet_grid(S.psi, ts)
-    if psi is None:
-        return None
-    return phi[0], phi[1], psi[0], psi[1]
-
-
 def _grid_block(S: SurfaceF, prev: float, targets) -> dict:
     """Target rows keyed by the abscissae a uniform step visits on its way
     through targets: prev, then each midpoint prev + (target - prev)/2 and
-    target in turn.  Empty when the array evaluation declines.
+    target in turn.
+
+    Empty when either jet_grid declines: the block looks ahead, so it must
+    not raise at a t the solve may never reach; the scalar path raises the
+    EvalError, with its own text and t, if the solve does get there.
     """
     pts = [prev]
     for target in targets:
         pts.append(prev + (target - prev) / 2)
         pts.append(target)
         prev = target
-    rows = _grid_rows(S, pts)
-    if rows is None:
+    phi = jet_grid(S.phi, pts)
+    psi = None if phi is None else jet_grid(S.psi, pts)
+    if psi is None:
         return {}
-    return dict(zip(pts, zip(*(col.tolist() for col in rows))))
+    return dict(zip(pts, zip(phi[0].tolist(), phi[1].tolist(), psi[0].tolist(), psi[1].tolist())))
 
 
 def integrate_separatrix(
@@ -322,20 +314,16 @@ def integrate_separatrix(
     # evaluated once.  Once the step is uniform, h = target - t is exact
     # (Sterbenz), so every stage lands on a target or on the midpoint
     # prev + (target - prev)/2; those are sampled as arrays, a block of
-    # targets at a time (see _grid_block).  The near-origin capped steps
-    # and the halvings miss the block and go to a four-entry scalar cache.
-    block = {}
-    cache = {}
+    # targets at a time (see _grid_block), into one table of jets.  The
+    # near-origin capped steps and the halvings miss the block and are
+    # evaluated point by point into the same table, which starts afresh
+    # with every block so it stays bounded.
+    table = {}
 
     def jets(t):
-        j = block.get(t)
+        j = table.get(t)
         if j is None:
-            j = cache.pop(t, None)
-            if j is None:
-                j = _target_row(S, t)
-                if len(cache) >= 4:
-                    del cache[next(iter(cache))]
-            cache[t] = j
+            j = table[t] = _target_row(S, t)
         return j
 
     def rhs(t, w, p):
@@ -371,12 +359,12 @@ def integrate_separatrix(
     use_grid = True
     try:
         for i, target in enumerate(targets):
-            if use_grid and i % _GRID_BLOCK == 0:
-                block = _grid_block(S, targets[i - 1] if i else t0, targets[i : i + _GRID_BLOCK])
-                # a target the array kernel declines is not evaluated twice
-                # from then on; misses go to the scalar path in any case,
-                # which raises an EvalError with its own text and t
-                use_grid = bool(block)
+            if i % _GRID_BLOCK == 0:
+                # once a block declines, the rest of the solve goes point by
+                # point, so no target is sampled twice
+                prev = targets[i - 1] if i else t0
+                table = _grid_block(S, prev, targets[i : i + _GRID_BLOCK]) if use_grid else {}
+                use_grid = bool(table)
             # Sub-steps: capped by t/4 near the origin (the lifted field has
             # 1/t-scale derivatives there) and halved near the projected
             # region boundary or where p would flip sign; only uniform
@@ -489,12 +477,9 @@ def solve_n2(phi: Expr, psi: Expr, sign: int, t_end: float, step: float) -> Pote
     if m % 2:
         m += 1
     ts = np.linspace(0.0, t_end, m + 1)
-    phis, psis = jet_grid(phi, ts), jet_grid(psi, ts)
-    if phis is None or psis is None:
-        prod = np.array([eval_jet2(phi, t).v * eval_jet2(psi, t).v for t in ts])
-    else:
-        with np.errstate(all="ignore"):  # like the Python float products, without warnings
-            prod = phis[0] * psis[0]
+    phis, psis = sample(ts, phi, psi)[:, 0]
+    with np.errstate(all="ignore"):  # like Python float products, without warnings
+        prod = phis * psis
     if np.any(prod < 0):
         bad = ts[np.argmax(prod < 0)]
         raise ValueError(f"phi * psi < 0 at t = {bad:.6g}")
@@ -537,10 +522,7 @@ class GlobalReport:
 
 def _jet_columns(S: SurfaceF, ts: np.ndarray) -> np.ndarray:
     """Rows phi, phi', psi, psi' over ts, from one pair of jets per abscissa."""
-    rows = _grid_rows(S, ts)
-    if rows is None:
-        return np.array([_target_row(S, t) for t in ts], dtype=float).T
-    return np.array(rows)
+    return sample(ts, S.phi, S.psi)[:, :2].reshape(4, -1)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the scans meet inf and NaN like Python floats
@@ -612,9 +594,7 @@ def check_global(S: SurfaceF, curve: PotentialCurve) -> GlobalReport:
     # (c) distance from the computed branch to the fold branches
     dist = math.inf
     if n > 2:
-        psi = jet_grid(S.psi, curve.t)
-        psi = np.array([eval_jet2(S.psi, t).v for t in curve.t]) if psi is None else psi[0]
-        _, lower, upper = fold_branches(n, curve.t, psi)
+        _, lower, upper = fold_branches(n, curve.t, sample(curve.t, S.psi)[0, 0])
         gap = np.minimum(np.abs(lower - curve.w), np.abs(upper - curve.w))
         dist = float(np.fmin.reduce(gap, initial=math.inf))
     if not math.isfinite(dist):

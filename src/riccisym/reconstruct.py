@@ -7,8 +7,10 @@ profile follows from explicit quadratures:
     f(t) = - int_0^t (phi / (n-1)) (w / w') ds            (f(0) = 0)
 
 Both integrands have removable singularities at s = 0; their limit values
-come from the series coefficients w2, w3 carried by the curve.  The singular
-ODE forms
+come from the series coefficients w2, w3 carried by the curve.  solve_rf
+runs both quadratures in one pass over one sample of phi on the curve, and
+lays them out on the profile grid together with phi, w and w' there, so a
+reconstruction samples phi once.  The singular ODE forms
 
     (n-1) w' r' - phi r = 0        (n-1) w' f' + w phi = 0
 
@@ -23,11 +25,12 @@ quadrature for r.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .exprfn import Expr, eval_jet2, jet_grid
+from .exprfn import Expr, eval_jet2, sample
 from .potential import PotentialCurve
 from .rotsym import (
     MetricProfile,
@@ -46,12 +49,6 @@ class CurveTooShortError(ReconstructionError):
 
 
 MIN_PROFILE_SAMPLES = 6
-
-
-def _sample(e: Expr, ts) -> np.ndarray:
-    """Values of e over ts: one array evaluation, point by point if it declines."""
-    jet = jet_grid(e, ts)
-    return np.array([eval_jet2(e, t).v for t in ts]) if jet is None else jet[0]
 
 
 def _check_sign(curve: PotentialCurve, phi0: float):
@@ -121,62 +118,65 @@ def _cumulative_potential_integral(curve: PotentialCurve, integrand: np.ndarray,
     return vals + 0.5 * (limit0 + integrand[0]) * curve.delta
 
 
-def solve_r(curve: PotentialCurve, phi: Expr, n: int):
-    """Radius profile r(t) = t exp(J(t)); returns (grid, r, rp).
+class Quadrature(NamedTuple):
+    """Samples on the profile grid from one quadrature pass (see solve_rf)."""
+
+    grid: np.ndarray
+    r: np.ndarray
+    rp: np.ndarray
+    f: np.ndarray
+    fp: np.ndarray
+    phi: np.ndarray  # phi(0) at grid[0]
+    w: np.ndarray
+    p: np.ndarray
+
+
+def solve_rf(curve: PotentialCurve, phi: Expr, n: int) -> Quadrature:
+    """Radius r(t) = t exp(J(t)) and conformal exponent f with f(0) = 0.
 
     J is the cumulative integral of phi/((n-1) w') - 1/s, whose singularity
     at 0 is removable because w' ~ w2 s there.  r' is taken from the
     defining ODE (n-1) w' r' = phi r that the quadrature integrates; the
     stencil derivative of r is used only for residual_r in
-    reconstruct_profile.
+    reconstruct_profile.  f' = -(phi/(n-1)) (w/w') is exact on the samples,
+    so the second defining ODE holds to rounding by construction.  Every
+    profile-grid point is 0 or a curve sample, so phi is sampled once, on
+    curve.t, and its jet at 0.
     """
     phi0j = eval_jet2(phi, 0.0)
     _check_sign(curve, phi0j.v)
     t = curve.t
     # limit at s = 0 from w ~ (w2/2) s^2 + (w3/6) s^3
     limit0 = phi0j.d1 / phi0j.v - curve.w3 / (2.0 * curve.w2) if curve.w2 else 0.0
-    phis = _sample(phi, t)
+    phis = sample(t, phi)[0, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = phis / ((n - 1) * curve.p) - 1.0 / t
+        integrand_r = phis / ((n - 1) * curve.p) - 1.0 / t
+        integrand_f = (phis / (n - 1)) * (curve.w / curve.p)
     if t[0] == 0.0:
-        integrand[0] = limit0
-    J = _cumulative_potential_integral(curve, integrand, limit0)
+        integrand_r[0] = limit0
+        integrand_f[0] = 0.0  # w/w' -> 0 at s = 0
+    J = _cumulative_potential_integral(curve, integrand_r, limit0)
+    F = _cumulative_potential_integral(curve, integrand_f, 0.0)
 
     grid, start = _profile_layout(curve)
-    r = grid * np.exp(_to_grid(J, start, 0.0, grid.size))
+
+    def on_grid(values, zero_value=0.0):
+        return _to_grid(values, start, zero_value, grid.size)
+
+    r = grid * np.exp(on_grid(J))
     r[0] = 0.0
-    phi_g = _to_grid(phis, start, phi0j.v, grid.size)
-    p_g = _to_grid(curve.p, start, 0.0, grid.size)
+    phi_g, p_g = on_grid(phis, phi0j.v), on_grid(curve.p)
     with np.errstate(divide="ignore", invalid="ignore"):
         rp = phi_g * r / ((n - 1) * p_g)
     rp[0] = 1.0  # exact by construction: r = t exp(J), J(0) = 0
     if np.any(rp <= 0):
         bad = grid[np.argmax(rp <= 0)]
         raise ReconstructionError(f"monotonicity lost: r'({bad:.6g}) <= 0")
-    return grid, r, rp
-
-
-def solve_f(curve: PotentialCurve, phi: Expr, n: int):
-    """Conformal exponent f with f(0) = 0; returns (grid, f, fp).
-
-    f' = -(phi/(n-1)) (w/w') is exact on the samples, so the second defining
-    ODE holds to rounding by construction.
-    """
-    phi0j = eval_jet2(phi, 0.0)
-    _check_sign(curve, phi0j.v)
-    t = curve.t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = (_sample(phi, t) / (n - 1)) * (curve.w / curve.p)
-    if t[0] == 0.0:
-        integrand[0] = 0.0  # w/w' -> 0 at s = 0
-    F = _cumulative_potential_integral(curve, integrand, 0.0)
-
-    grid, start = _profile_layout(curve)
-    f = -_to_grid(F, start, 0.0, grid.size)
+    f = -on_grid(F)
     f[0] = 0.0
-    fp = -_to_grid(integrand, start, 0.0, grid.size)
+    fp = -on_grid(integrand_f)
     fp[0] = 0.0
-    return grid, f, fp
+    return Quadrature(grid, r, rp, f, fp, phi_g, on_grid(curve.w), p_g)
 
 
 def assemble_metric(n: int, grid, f, fp, r, rp) -> MetricProfile:
@@ -231,7 +231,7 @@ def verify_ricci(profile: MetricProfile, T: RotSymTensor, t_lo: float, t_hi: flo
     """
     mask = _residual_window(profile.grid, t_lo, t_hi)
     ts = profile.grid[mask]
-    res_rr, res_tt = ricci_defects(profile, mask, _sample(T.phi, ts), _sample(T.psi, ts))
+    res_rr, res_tt = ricci_defects(profile, mask, sample(ts, T.phi)[0, 0], sample(ts, T.psi)[0, 0])
     return float(np.max(res_rr)), float(np.max(res_tt))
 
 
@@ -273,35 +273,30 @@ def reconstruct_profile(
 ) -> ReconstructionResult:
     """Run both quadratures, assemble the profile and evaluate all residuals.
 
-    phi and psi are sampled once on the profile grid; the Ricci residuals
-    are the maxima of the per-point defects over [t_lo, grid[-1]], t_lo
-    defaulting to 0.05 t_max.
+    phi is sampled once, by solve_rf, and psi once on the profile grid; the
+    Ricci residuals are the maxima of the per-point defects over
+    [t_lo, grid[-1]], t_lo defaulting to 0.05 t_max.
     """
     n = T.n
-    curve = trim_fold_tail(curve)
-    grid, r_vals, rp = solve_r(curve, T.phi, n)
-    _, f_vals, fp = solve_f(curve, T.phi, n)
-    profile = assemble_metric(n, grid, f_vals, fp, r_vals, rp)
+    q = solve_rf(trim_fold_tail(curve), T.phi, n)
+    grid, p = q.grid, q.p
+    profile = assemble_metric(n, grid, q.f, q.fp, q.r, q.rp)
 
-    _, start = _profile_layout(curve)
-    w = _to_grid(curve.w, start, 0.0, grid.size)
-    p = _to_grid(curve.p, start, 0.0, grid.size)
-    phis = _sample(T.phi, grid)
     # stencil r', not profile.rp: the ODE r' would make this 0 by construction
-    rp_fd = fourth_order_derivative(r_vals, float(grid[2] - grid[1]))
-    residual_r = float(np.max(np.abs((n - 1) * p * rp_fd - phis * r_vals)))
-    residual_f = float(np.max(np.abs((n - 1) * p * fp + w * phis)))
+    rp_fd = fourth_order_derivative(q.r, float(grid[2] - grid[1]))
+    residual_r = float(np.max(np.abs((n - 1) * p * rp_fd - q.phi * q.r)))
+    residual_f = float(np.max(np.abs((n - 1) * p * q.fp + q.w * q.phi)))
 
     if t_lo is None:
         t_lo = 0.05 * T.t_max
     window = _residual_window(grid, t_lo, float(grid[-1]))
-    res_rr, res_tt = ricci_defects(profile, slice(None), phis, _sample(T.psi, grid))
+    res_rr, res_tt = ricci_defects(profile, slice(None), q.phi, sample(grid, T.psi)[0, 0])
     return ReconstructionResult(
         profile=profile,
         residual_r=residual_r,
         residual_f=residual_f,
         ricci_residuals=(float(np.max(res_rr[window])), float(np.max(res_tt[window]))),
-        w=w,
+        w=q.w,
         p=p,
         res_rr=res_rr,
         res_tt=res_tt,

@@ -9,7 +9,7 @@ For a profile (f, r) in the radial coordinate r the forward map is
 with f_r = f'(t)/r'(t) and f_rr = f_r'(t)/r'(t), and the pullback
 identities phi = alpha (r')^2, t^2 psi = r^2 beta recover tensor components
 on the t grid.  Closed-form profiles are evaluated through exact jets;
-sampled profiles fall back to fourth-order stencils.
+sampled profiles use fourth-order stencils, on their grid only.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import tensorlab
-from .exprfn import Expr, eval_jet2, jet_grid
+from .exprfn import Expr, eval_jet2, sample
 from .potential import bisect_root
 
 
@@ -95,14 +94,9 @@ def definiteness_check(T: RotSymTensor) -> DefinitenessVerdict:
     ts = np.linspace(0.0, T.t_max, DEFINITENESS_GRID)
     phi_fn = lambda t: eval_jet2(T.phi, t).v
     psi_fn = lambda t: eval_jet2(T.psi, t).v
-
-    def scan(e, fn):
-        # one array evaluation; point by point (raising the scalar error) if it declines
-        jet = jet_grid(e, ts)
-        return np.array([fn(t) for t in ts]) if jet is None else jet[0]
-
-    phis = scan(T.phi, phi_fn)
-    psis = scan(T.psi, psi_fn)
+    # all of phi before psi, so where both fail the error raised is phi's
+    phis = sample(ts, T.phi)[0, 0]
+    psis = sample(ts, T.psi)[0, 0]
     phi0, psi0 = float(phis[0]), float(psis[0])
 
     t_star = None
@@ -158,18 +152,8 @@ class MetricProfile:
     @classmethod
     def from_exprs(cls, n: int, f_expr: Expr, r_expr: Expr, t_max: float, num: int = 513):
         grid = np.linspace(0.0, t_max, num)
-        fj = [eval_jet2(f_expr, t) for t in grid]
-        rj = [eval_jet2(r_expr, t) for t in grid]
-        return cls(
-            n=n,
-            grid=grid,
-            f=np.array([j.v for j in fj]),
-            r=np.array([j.v for j in rj]),
-            rp=np.array([j.d1 for j in rj]),
-            fp=np.array([j.d1 for j in fj]),
-            f_expr=f_expr,
-            r_expr=r_expr,
-        )
+        (f, fp, _), (r, rp, _) = sample(grid, f_expr, r_expr)
+        return cls(n=n, grid=grid, f=f, r=r, rp=rp, fp=fp, f_expr=f_expr, r_expr=r_expr)
 
     @property
     def closed_form(self) -> bool:
@@ -220,19 +204,17 @@ def _forward_sampled_grid(profile: MetricProfile):
 
 
 def ricci_forward(profile: MetricProfile, t: float) -> tuple[float, float]:
-    """Ricci components (alpha, beta) of the profile metric at t > 0.
+    """Ricci components (alpha, beta) of a closed-form profile metric at t > 0.
 
     alpha multiplies dr^2 and beta the r^2 dTheta^2 part; expressed as
-    functions of t through r = r(t).
+    functions of t through r = r(t).  A sampled profile has values on its
+    grid only: use ricci_forward_samples.
     """
+    if not profile.closed_form:
+        raise ValueError("ricci_forward needs a closed-form profile; use ricci_forward_samples")
     if t <= 0 or t > profile.grid[-1]:
         raise ValueError(f"t = {t} outside (0, t_max]")
-    if profile.closed_form:
-        return _forward_closed_form(profile, t)
-    alpha, beta = _forward_sampled_grid(profile)
-    sa = CubicSpline(profile.grid, alpha)
-    sb = CubicSpline(profile.grid, beta)
-    return float(sa(t)), float(sb(t))
+    return _forward_closed_form(profile, t)
 
 
 def ricci_forward_samples(profile: MetricProfile):

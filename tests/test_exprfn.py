@@ -26,6 +26,7 @@ from riccisym.exprfn import (
     eval_jet2,
     jet_grid,
     parse,
+    sample,
     unparse,
 )
 
@@ -388,3 +389,40 @@ def test_grid_kernel_declines_where_the_scalar_kernel_raises():
         assert jet_grid(parse(src), [0.5, t, 2.0]) is None
         with pytest.raises(EvalError):
             eval_jet2(parse(src), t)
+
+
+# the one grid sampler
+
+
+@settings(max_examples=500)
+@given(st.lists(_exprs, min_size=1, max_size=2), st.lists(_ts, min_size=1, max_size=8))
+def test_sample_is_bit_equal_or_raises_the_first_scalar_error(exprs, ts):
+    ts = [float(t) for t in ts]
+    # scalar order: abscissa by abscissa, the expressions in argument order
+    scalar = [[_outcome(eval_jet2, e, t) for e in exprs] for t in ts]
+    error = next((o for row in scalar for o in row if isinstance(o[0], type)), None)
+    if error is None:
+        got = sample(ts, *exprs)
+        assert got.shape == (len(exprs), 3, len(ts))
+        assert [[tuple(map(_bits, got[i, :, k].tolist())) for i in range(len(exprs))]
+                for k in range(len(ts))] == scalar
+    else:
+        with pytest.raises(error[0]) as err:
+            sample(ts, *exprs)
+        assert str(err.value) == error[1]
+
+
+def test_sample_raises_at_the_first_failing_abscissa():
+    # phi fails at t = 3 and psi at t = 2: the earlier abscissa wins, whatever
+    # the argument order; alone, each raises its own error
+    phi, psi = parse("1/(t - 3)"), parse("log(2 - t)")
+    ts = np.linspace(0.0, 4.0, 5)
+    psi_error = "log of non-positive value 0.0 in 'log(2 - t)' at t=2.0"
+    for exprs in ((phi, psi), (psi, phi)):
+        with pytest.raises(EvalError) as err:
+            sample(ts, *exprs)
+        assert str(err.value) == psi_error
+    with pytest.raises(EvalError) as err:
+        sample(ts, phi)
+    assert str(err.value) == "division by zero in '1/(t - 3)' at t=3.0"
+

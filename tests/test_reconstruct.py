@@ -8,8 +8,7 @@ from riccisym.reconstruct import (
     assemble_metric,
     reconstruct_profile,
     ricci_potential_from_profile,
-    solve_f,
-    solve_r,
+    solve_rf,
     verify_ricci,
 )
 from riccisym import reconstruct
@@ -50,24 +49,24 @@ def _synthetic_quadratic_curve(n, phi0, t_end=0.5, m=500):
 
 def test_solve_r_gold_is_identity():
     curve = _gold_curve()
-    grid, r, rp = solve_r(curve, parse("8"), 3)
-    assert np.max(np.abs(r - grid)) < 1e-8
-    assert np.max(np.abs(rp - 1.0)) < 1e-7
+    q = solve_rf(curve, parse("8"), 3)
+    assert np.max(np.abs(q.r - q.grid)) < 1e-8
+    assert np.max(np.abs(q.rp - 1.0)) < 1e-7
 
 
 def test_solve_r_quadratic_potential_any_n():
     # w' = phi s/(n-1) makes the integrand vanish identically: r = t
     for n, phi0 in ((4, 2.0), (5, -3.0)):
         curve = _synthetic_quadratic_curve(n, phi0)
-        grid, r, rp = solve_r(curve, parse(f"{phi0}"), n)
-        assert np.max(np.abs(r - grid)) < 1e-10
-        assert np.max(np.abs(rp - 1.0)) < 1e-9
+        q = solve_rf(curve, parse(f"{phi0}"), n)
+        assert np.max(np.abs(q.r - q.grid)) < 1e-10
+        assert np.max(np.abs(q.rp - 1.0)) < 1e-9
 
 
 def test_solve_r_defining_ode_residual():
     S = SurfaceF(3, parse("1"), parse("1"), 1.0)
     curve = solve_branch(S, step=1e-3)
-    grid, r, rp = solve_r(curve, parse("1"), 3)
+    grid, r, rp = solve_rf(curve, parse("1"), 3)[:3]
     mask = grid > 0
     keep = curve.t >= grid[mask][0] - 1e-12
     res = np.abs(2 * curve.p[keep] * rp[mask] - r[mask])
@@ -75,7 +74,7 @@ def test_solve_r_defining_ode_residual():
 
 
 def test_residual_r_uses_stencil_derivative_of_r(monkeypatch):
-    # solve_r takes r' from the defining ODE, so residual_r must measure the
+    # solve_rf takes r' from the defining ODE, so residual_r must measure the
     # stencil derivative of profile.r, not profile.rp, to stay a check
     T = RotSymTensor(3, parse("1"), parse("1"), 1.0)
     curve = solve_branch(SurfaceF(3, T.phi, T.psi, T.t_max), step=1e-3)
@@ -86,27 +85,42 @@ def test_residual_r_uses_stencil_derivative_of_r(monkeypatch):
     assert result.residual_r == pytest.approx(expected, rel=1e-12, abs=1e-15)
     assert result.residual_r <= 1e-6
 
-    real_solve_r = reconstruct.solve_r
+    real_solve_rf = reconstruct.solve_rf
 
-    def skewed_solve_r(curve, phi, n):
+    def skewed_solve_rf(curve, phi, n):
         # r off its quadrature by a factor 1 + 1e-3 t^2; rp scaled alike
         # still satisfies (n-1) w' r' = phi r exactly on every sample
-        grid, r, rp = real_solve_r(curve, phi, n)
-        k = 1.0 + 1e-3 * grid**2
-        return grid, r * k, rp * k
+        q = real_solve_rf(curve, phi, n)
+        k = 1.0 + 1e-3 * q.grid**2
+        return q._replace(r=q.r * k, rp=q.rp * k)
 
-    monkeypatch.setattr(reconstruct, "solve_r", skewed_solve_r)
+    monkeypatch.setattr(reconstruct, "solve_rf", skewed_solve_rf)
     skewed = reconstruct_profile(curve, T)
     ode_rp = np.max(np.abs(2 * skewed.p * skewed.profile.rp - skewed.profile.r))
     assert ode_rp <= 1e-12
     assert skewed.residual_r > 1e-4
 
 
+def test_reconstruction_samples_phi_and_psi_once(monkeypatch):
+    # phi on the profile grid comes from the quadrature's sample on curve.t
+    calls = []
+    real_sample = reconstruct.sample
+
+    def counting(ts, *exprs):
+        calls.append(exprs)
+        return real_sample(ts, *exprs)
+
+    monkeypatch.setattr(reconstruct, "sample", counting)
+    T = _gold_tensor()
+    reconstruct_profile(_gold_curve(), T)
+    assert calls == [(T.phi,), (T.psi,)]
+
+
 def test_solve_f_gold():
     curve = _gold_curve()
-    grid, f, fp = solve_f(curve, parse("8"), 3)
-    assert np.max(np.abs(f + grid**2)) < 1e-8
-    assert np.max(np.abs(fp + 2 * grid)) < 1e-7
+    q = solve_rf(curve, parse("8"), 3)
+    assert np.max(np.abs(q.f + q.grid**2)) < 1e-8
+    assert np.max(np.abs(q.fp + 2 * q.grid)) < 1e-7
 
 
 def test_solve_f_quadratic_potential():
@@ -114,21 +128,20 @@ def test_solve_f_quadratic_potential():
     # w/w' = s/2, so f = -(phi0/(n-1)) t^2/4
     n, phi0 = 3, 2.0
     curve = _synthetic_quadratic_curve(n, phi0)
-    grid, f, fp = solve_f(curve, parse(f"{phi0}"), n)
-    expected = -phi0 * grid**2 / (4 * (n - 1))
-    assert np.max(np.abs(f - expected)) < 1e-10
+    q = solve_rf(curve, parse(f"{phi0}"), n)
+    expected = -phi0 * q.grid**2 / (4 * (n - 1))
+    assert np.max(np.abs(q.f - expected)) < 1e-10
 
 
 def test_sign_violation_detected():
     curve = _gold_curve()
     with pytest.raises(ReconstructionError):
-        solve_r(curve, parse("-8"), 3)  # phi(0) < 0 against p > 0
+        solve_rf(curve, parse("-8"), 3)  # phi(0) < 0 against p > 0
 
 
 def test_assemble_metric_invariants():
     curve = _gold_curve()
-    grid, r, rp = solve_r(curve, parse("8"), 3)
-    _, f, fp = solve_f(curve, parse("8"), 3)
+    grid, r, rp, f, fp = solve_rf(curve, parse("8"), 3)[:5]
     profile = assemble_metric(3, grid, f, fp, r, rp)
     assert profile.r[0] == 0.0 and profile.f[0] == 0.0
     bad_rp = rp.copy()

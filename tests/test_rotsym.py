@@ -123,10 +123,9 @@ def test_forward_sampled_matches_closed_form():
     a_s, b_s = ricci_forward_samples(sampled)
     assert np.max(np.abs(a_c - a_s)) < 1e-8
     assert np.max(np.abs(b_c - b_s)) < 1e-8
-    # off-grid interpolation path
-    ac, bc = ricci_forward(closed, 0.437)
-    as_, bs = ricci_forward(sampled, 0.437)
-    assert abs(ac - as_) < 1e-8 and abs(bc - bs) < 1e-8
+    # a sampled profile has no off-grid values
+    with pytest.raises(ValueError, match="ricci_forward_samples"):
+        ricci_forward(sampled, 0.437)
 
 
 def test_forward_precondition_violation():
