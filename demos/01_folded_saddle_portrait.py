@@ -14,12 +14,13 @@ import csv
 
 import numpy as np
 
-from riccisym import SurfaceF, fold_curve, parse, saddle_report, solve_branch, surface_eval
+from riccisym import RotSymTensor, fold_curve, parse, solve_branch, surface_eval
 
 # the closed-form family: exact potential w = 2 t^2
-S = SurfaceF(n=3, phi=parse("8"), psi=parse("8 - 4*t^2"), t_max=0.5)
+T = RotSymTensor(n=3, phi=parse("8"), psi=parse("8 - 4*t^2"), t_max=0.5)
 
-rep = saddle_report(S)
+# classify the saddle, seed the branch and integrate it
+rep, curve = solve_branch(T, step=1e-3)
 print("linearization at the origin")
 print("  DX(0) =")
 for row in rep.DX0:
@@ -30,7 +31,6 @@ print(f"  branch curvature w2 = {rep.w2:.6g}  (exact potential here is w = 2 t^2
 print(f"  branch eigenvalue -2 w2 = {rep.lam_seed:.6g}")
 print()
 
-curve = solve_branch(S, step=1e-3)
 print(f"integrated branch: {curve.t.size} samples, halt = {curve.halt_reason}")
 print(f"max |F| along the curve: {curve.constraint_max:.3e}")
 print(f"w(0.5) = {curve.w[-1]:.12f}   (exact 0.5)")
@@ -38,12 +38,12 @@ print()
 
 rows = []
 for t, w, p in zip(curve.t, curve.w, curve.p):
-    rows.append(("separatrix", t, w, p, surface_eval(S, t, w, p)[0]))
-for t in np.linspace(0.0, S.t_max, 201):
-    branches = fold_curve(S, t)
+    rows.append(("separatrix", t, w, p, surface_eval(T, t, w, p)[0]))
+for t in np.linspace(0.0, T.t_max, 201):
+    branches = fold_curve(T, t)
     if branches.size == 2:
-        rows.append(("fold_lower", t, branches[0], 0.0, surface_eval(S, t, branches[0], 0.0)[0]))
-        rows.append(("fold_upper", t, branches[1], 0.0, surface_eval(S, t, branches[1], 0.0)[0]))
+        rows.append(("fold_lower", t, branches[0], 0.0, surface_eval(T, t, branches[0], 0.0)[0]))
+        rows.append(("fold_upper", t, branches[1], 0.0, surface_eval(T, t, branches[1], 0.0)[0]))
 
 with open("portrait_gold.csv", "w", newline="\n") as fh:
     writer = csv.writer(fh)

@@ -19,7 +19,6 @@ from .pipeline import DefinitenessError, Solution, solution_summary, solve
 from .potential import (
     PotentialCurve,
     SaddleReport,
-    SurfaceF,
     check_global,
     fold_curve,
     integrate_separatrix,

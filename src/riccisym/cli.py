@@ -9,17 +9,18 @@ line-oriented ``key = value`` text with '#' comments; expression values are
 quoted and follow the grammar documented in :mod:`riccisym.exprfn`.
 
 Exit codes: 0 success, 1 config or parse error, 2 tensor validation failure
-(sign change or origin mismatch), 3 numerical failure (projection,
-monotonicity, sign).  Every failure prints one machine-readable line
-``riccisym: code=<N> reason="..."`` on stderr.  Outputs are deterministic:
-CSV with a header row, 17 significant digits, '.' decimal separator and LF
-line endings.
+(sign change, non-finite target, origin mismatch or degenerate saddle), 3
+numerical failure (projection, monotonicity, sign).  Every failure prints
+one machine-readable line ``riccisym: code=<N> reason="..."`` on stderr.
+Outputs are deterministic: CSV with a header row, 17 significant digits,
+'.' decimal separator and LF line endings.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,9 +32,8 @@ from . import hypersurface as hs
 from . import potential, reconstruct
 from .exprfn import EvalError, Expr, ParseError, parse, sample
 from .exprfn import eval_jet2  # noqa: F401  unused; bench/tracer.py patches cli.eval_jet2
-from .pipeline import DefinitenessError, solution_summary, solve
-from .potential import SurfaceF
-from .rotsym import MetricProfile, RotSymTensor, definiteness_check
+from .pipeline import solution_summary, solve
+from .rotsym import DefinitenessError, MetricProfile, RotSymTensor, definiteness_check
 
 COMMANDS = ("solve", "analyze", "verify", "hypersurface", "portrait")
 
@@ -148,11 +148,19 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(path: Path, header, rows):
+    """Write the CSV under a temporary name and rename it into place, so a
+    failure while rows are produced leaves no partial file at path."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _solution_rows(sol):
@@ -202,12 +210,10 @@ def _cmd_analyze(cfg: ProblemConfig) -> int:
     verdict = definiteness_check(T)
     if not verdict.is_definite:
         raise DefinitenessError(verdict)
-    S = SurfaceF(cfg.n, cfg.phi, cfg.psi, cfg.t_max)
-    rep = potential.saddle_report(S)
-    curve = potential.solve_branch(
-        S, step=cfg.step, delta=cfg.delta, projection_tol=cfg.constraint_tol
+    rep, curve = potential.solve_branch(
+        T, step=cfg.step, delta=cfg.delta, projection_tol=cfg.constraint_tol
     )
-    glob = potential.check_global(S, curve)
+    glob = potential.check_global(T, curve)
     out = Path(cfg.out)
     lines = [
         f"definiteness: {verdict.kind}",
@@ -227,14 +233,14 @@ def _cmd_analyze(cfg: ProblemConfig) -> int:
     write_csv(
         out.with_name(out.name + "_fold.csv"),
         ("t", "w_lower", "w_upper"),
-        _fold_rows(S, cfg),
+        _fold_rows(T, cfg),
     )
     return 0
 
 
-def _fold_rows(S: SurfaceF, cfg: ProblemConfig):
+def _fold_rows(T: RotSymTensor, cfg: ProblemConfig):
     ts = np.linspace(0.0, cfg.t_max, cfg.samples)
-    real, lower, upper = potential.fold_branches(S.n, ts, sample(ts, S.psi)[0, 0])
+    real, lower, upper = potential.fold_branches(T.n, ts, sample(ts, T.psi)[0, 0])
     yield from zip(ts[real], lower[real], upper[real])
 
 
@@ -243,18 +249,18 @@ def _cmd_portrait(cfg: ProblemConfig) -> int:
     _validate_common(cfg)
     if cfg.n == 2:
         raise ConfigError("portrait needs n > 2 (n = 2 has no fold structure)")
-    S = SurfaceF(cfg.n, cfg.phi, cfg.psi, cfg.t_max)
-    curve = potential.solve_branch(
-        S, step=cfg.step, delta=cfg.delta, projection_tol=cfg.constraint_tol
+    T = _tensor_from(cfg)
+    _, curve = potential.solve_branch(
+        T, step=cfg.step, delta=cfg.delta, projection_tol=cfg.constraint_tol
     )
 
     def rows():
         for t, w, p in zip(curve.t, curve.w, curve.p):
-            F = potential.surface_eval(S, t, w, p)[0]
+            F = potential.surface_eval(T, t, w, p)[0]
             yield ("separatrix", t, w, p, F)
-        for t, lower, upper in _fold_rows(S, cfg):
-            yield ("fold_lower", t, lower, 0.0, potential.surface_eval(S, t, lower, 0.0)[0])
-            yield ("fold_upper", t, upper, 0.0, potential.surface_eval(S, t, upper, 0.0)[0])
+        for t, lower, upper in _fold_rows(T, cfg):
+            yield ("fold_lower", t, lower, 0.0, potential.surface_eval(T, t, lower, 0.0)[0])
+            yield ("fold_upper", t, upper, 0.0, potential.surface_eval(T, t, upper, 0.0)[0])
 
     out = Path(cfg.out)
     write_csv(out.with_name(out.name + "_portrait.csv"), ("branch", "t", "w", "p", "F"), rows())

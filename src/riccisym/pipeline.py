@@ -7,17 +7,9 @@ import math
 from dataclasses import dataclass
 
 from . import potential, reconstruct
-from .potential import GlobalReport, PotentialCurve, SaddleReport, SurfaceF
+from .potential import GlobalReport, PotentialCurve, SaddleReport
 from .reconstruct import ReconstructionResult
-from .rotsym import DefinitenessVerdict, RotSymTensor, definiteness_check
-
-
-class DefinitenessError(ValueError):
-    """Target tensor failed the sign / origin-matching validation."""
-
-    def __init__(self, verdict: DefinitenessVerdict):
-        super().__init__(verdict.reason or verdict.kind)
-        self.verdict = verdict
+from .rotsym import DefinitenessError, DefinitenessVerdict, RotSymTensor, definiteness_check
 
 
 @dataclass
@@ -53,14 +45,10 @@ def solve(
         saddle = None
         global_report = None
     else:
-        S = SurfaceF(T.n, T.phi, T.psi, T.t_max)
-        saddle = potential.saddle_report(S)
-        if saddle.classification != "folded_saddle":
-            raise DefinitenessError(
-                DefinitenessVerdict("inconsistent", None, saddle.reason, verdict.phi0, verdict.psi0)
-            )
-        curve = potential.solve_branch(S, step, delta=delta, projection_tol=constraint_tol)
-        global_report = potential.check_global(S, curve)
+        saddle, curve = potential.solve_branch(
+            T, step, delta=delta, projection_tol=constraint_tol
+        )
+        global_report = potential.check_global(T, curve)
 
     try:
         recon = reconstruct.reconstruct_profile(curve, T, t_lo=t_lo)

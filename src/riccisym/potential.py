@@ -18,6 +18,10 @@ origin quadratically, w ~ w2 t^2 / 2, with w2 the sign-matched root of
 
     (n-1) w2^2 + (n-2) phi(0) w2 - phi(0) psi(0) = 0.
 
+Every function takes the target as a rotsym.RotSymTensor.  phi and psi
+extend smoothly to t < 0 through their closed forms, so the surface is
+defined in a full neighborhood of the origin.
+
 Integration runs in t (unit speed where F_p != 0) with a one-dimensional
 Newton projection of p back onto the surface after every step; F is
 quadratic in p, so the projection is a Babylonian iteration.
@@ -32,6 +36,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .exprfn import Expr, eval_jet2, jet_grid, sample
+from .rotsym import DefinitenessError, DefinitenessVerdict, RotSymTensor, bisect_root
 
 FOLD_TOL = 1e-8
 EXIT_TOL = 1e-12
@@ -49,23 +54,9 @@ class StepUnderflowError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class SurfaceF:
-    """The implicit surface F(t, w, p) = 0 for a target tensor on R^n.
-
-    phi and psi extend smoothly to t < 0 through their closed forms, so the
-    surface is defined in a full neighborhood of the origin.
-    """
-
-    n: int
-    phi: Expr
-    psi: Expr
-    t_max: float
-
-
-def _target_row(S: SurfaceF, t: float):
+def _target_row(T: RotSymTensor, t: float):
     """(phi, phi', psi, psi') at t; everything else on the surface is arithmetic."""
-    phi, psi = eval_jet2(S.phi, t), eval_jet2(S.psi, t)
+    phi, psi = eval_jet2(T.phi, t), eval_jet2(T.psi, t)
     return phi.v, phi.d1, psi.v, psi.d1
 
 
@@ -85,15 +76,15 @@ def surface_terms(n: int, t, w, p, phi, dphi, psi, dpsi):
     return F, F_t, F_w, F_p
 
 
-def surface_eval(S: SurfaceF, t: float, w: float, p: float):
+def surface_eval(T: RotSymTensor, t: float, w: float, p: float):
     """Return (F, F_t, F_w, F_p) at the phase point (t, w, p)."""
-    return surface_terms(S.n, t, w, p, *_target_row(S, t))
+    return surface_terms(T.n, t, w, p, *_target_row(T, t))
 
 
-def lie_cartan_field(S: SurfaceF, state) -> np.ndarray:
+def lie_cartan_field(T: RotSymTensor, state) -> np.ndarray:
     """X = (F_p, p F_p, -(F_t + p F_w)); tangent to F = 0 by construction."""
     t, w, p = state
-    _, F_t, F_w, F_p = surface_eval(S, t, w, p)
+    _, F_t, F_w, F_p = surface_eval(T, t, w, p)
     return np.array([F_p, p * F_p, -(F_t + p * F_w)])
 
 
@@ -129,11 +120,12 @@ def _eigvec(lam: float) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def saddle_report(S: SurfaceF) -> SaddleReport:
-    n = S.n
-    phi = eval_jet2(S.phi, 0.0)
-    psi = eval_jet2(S.psi, 0.0)
+def saddle_report(T: RotSymTensor) -> SaddleReport:
+    n = T.n
+    phi = eval_jet2(T.phi, 0.0)
+    psi = eval_jet2(T.psi, 0.0)
     phi0, psi0 = phi.v, psi.v
+    prod = phi0 * psi0
     DX0 = np.array(
         [
             [0.0, 0.0, -2.0],
@@ -145,16 +137,18 @@ def saddle_report(S: SurfaceF) -> SaddleReport:
             ],
         ]
     )
-    if n == 2:
+
+    def degenerate(reason):
+        nan = math.nan
         return SaddleReport(
-            DX0, math.nan, math.nan, np.zeros(3), np.zeros(3), "degenerate",
-            math.nan, math.nan, math.nan, reason="n = 2 reduces to direct quadrature",
+            DX0, nan, nan, np.zeros(3), np.zeros(3), "degenerate", nan, nan, nan, reason=reason
         )
-    if phi0 * psi0 <= 0:
-        return SaddleReport(
-            DX0, math.nan, math.nan, np.zeros(3), np.zeros(3), "degenerate",
-            math.nan, math.nan, math.nan,
-            reason=f"phi(0) psi(0) = {phi0 * psi0:.6g} <= 0",
+
+    if n == 2:
+        return degenerate("n = 2 reduces to direct quadrature")
+    if not 0 < prod < math.inf:
+        return degenerate(
+            f"phi(0) psi(0) = {prod:.6g} " + ("<= 0" if prod <= 0 else "is not finite")
         )
     # nonzero eigenvalues solve  -lam^2 + B lam + C = 0
     B = 2.0 * (n - 2) * phi0 / (n - 1)
@@ -165,9 +159,15 @@ def saddle_report(S: SurfaceF) -> SaddleReport:
     # branch curvature: (n-1) x^2 + (n-2) phi0 x - phi0 psi0 = 0, sign(x) = sign(phi0)
     qa, qb, qc = float(n - 1), (n - 2) * phi0, -phi0 * psi0
     qd = math.sqrt(qb * qb - 4.0 * qa * qc)
-    roots = ((-qb + qd) / (2 * qa), (-qb - qd) / (2 * qa))
-    w2 = next(x for x in roots if x * phi0 > 0)
+    w2 = (-qb + math.copysign(qd, phi0)) / (2 * qa)
+    if w2 == 0.0:  # cancelled: phi0 psi0 is below rounding against qb^2
+        w2 = 2.0 * phi0 * psi0 / (qb + math.copysign(qd, qb))
     w3 = 3.0 * (psi.d1 + phi.d1 / (n - 1)) / (n + 1)
+    if not (np.all(np.isfinite(DX0)) and all(map(math.isfinite, (lam1, lam2, w2, w3)))):
+        return degenerate(
+            f"linearization at the origin is not finite: "
+            f"lam1 = {lam1:.6g}, w2 = {w2:.6g}, w3 = {w3:.6g}"
+        )
     return SaddleReport(
         DX0=DX0,
         lam1=lam1,
@@ -194,11 +194,11 @@ def fold_branches(n: int, t, psi):
     return real, 1.0 - s, 1.0 + s
 
 
-def fold_curve(S: SurfaceF, t: float) -> np.ndarray:
+def fold_curve(T: RotSymTensor, t: float) -> np.ndarray:
     """w values (lower, upper) of the fold over t; empty when there is none."""
-    if S.n == 2:
+    if T.n == 2:
         raise ValueError("fold curve is defined for n > 2")
-    real, lower, upper = fold_branches(S.n, t, eval_jet2(S.psi, t).v)
+    real, lower, upper = fold_branches(T.n, t, eval_jet2(T.psi, t).v)
     return np.array([lower, upper]) if real else np.array([])
 
 
@@ -214,7 +214,6 @@ class PotentialCurve:
     the branch at the origin (used to bridge [0, delta] in reconstruction).
     """
 
-    n: int
     t: np.ndarray
     w: np.ndarray
     p: np.ndarray
@@ -247,15 +246,15 @@ def seed_offset(t_max: float, step: float) -> float:
     return min(1e-4 * t_max, 0.5 * step)
 
 
-def seed_separatrix(S: SurfaceF, rep: SaddleReport, delta: float):
+def seed_separatrix(T: RotSymTensor, rep: SaddleReport, delta: float):
     """Second-order series seed (delta, w2 d^2/2, w2 d), p projected onto F = 0."""
     if rep.classification != "folded_saddle":
         raise ValueError(f"cannot seed a degenerate configuration: {rep.reason}")
-    if not 0 < delta <= 1e-2 * S.t_max:
-        raise ValueError(f"delta must lie in (0, {1e-2 * S.t_max:g}]")
+    if not 0 < delta <= 1e-2 * T.t_max:
+        raise ValueError(f"delta must lie in (0, {1e-2 * T.t_max:g}]")
     w0 = rep.w2 * delta * delta / 2.0
     p0 = rep.w2 * delta
-    Q = surface_eval(S, delta, w0, 0.0)[0]
+    Q = surface_eval(T, delta, w0, 0.0)[0]
     p_proj, _ = _project_p(delta, Q, p0, PROJECTION_TOL)
     return delta, w0, p_proj
 
@@ -264,7 +263,7 @@ class _FoldContact(Exception):
     pass
 
 
-def _grid_block(S: SurfaceF, prev: float, targets) -> dict:
+def _grid_block(T: RotSymTensor, prev: float, targets) -> dict:
     """Target rows keyed by the abscissae a uniform step visits on its way
     through targets: prev, then each midpoint prev + (target - prev)/2 and
     target in turn.
@@ -278,15 +277,15 @@ def _grid_block(S: SurfaceF, prev: float, targets) -> dict:
         pts.append(prev + (target - prev) / 2)
         pts.append(target)
         prev = target
-    phi = jet_grid(S.phi, pts)
-    psi = None if phi is None else jet_grid(S.psi, pts)
+    phi = jet_grid(T.phi, pts)
+    psi = None if phi is None else jet_grid(T.psi, pts)
     if psi is None:
         return {}
     return dict(zip(pts, zip(phi[0].tolist(), phi[1].tolist(), psi[0].tolist(), psi[1].tolist())))
 
 
 def integrate_separatrix(
-    S: SurfaceF,
+    T: RotSymTensor,
     seed,
     step: float,
     t_end: float,
@@ -307,7 +306,7 @@ def integrate_separatrix(
     if t_end <= t0:
         raise ValueError("t_end must exceed the seed abscissa")
 
-    n = S.n
+    n = T.n
     # The RK4 stages, the region test and the projection of one step share
     # abscissae (k2/k3 at t + h/2; k4, Q, the projection and the next k1 at
     # t + h; a halved step reuses t + h/2), so each (phi, psi) jet is
@@ -323,7 +322,7 @@ def integrate_separatrix(
     def jets(t):
         j = table.get(t)
         if j is None:
-            j = table[t] = _target_row(S, t)
+            j = table[t] = _target_row(T, t)
         return j
 
     def rhs(t, w, p):
@@ -363,7 +362,7 @@ def integrate_separatrix(
                 # once a block declines, the rest of the solve goes point by
                 # point, so no target is sampled twice
                 prev = targets[i - 1] if i else t0
-                table = _grid_block(S, prev, targets[i : i + _GRID_BLOCK]) if use_grid else {}
+                table = _grid_block(T, prev, targets[i : i + _GRID_BLOCK]) if use_grid else {}
                 use_grid = bool(table)
             # Sub-steps: capped by t/4 near the origin (the lifted field has
             # 1/t-scale derivatives there) and halved near the projected
@@ -433,7 +432,6 @@ def integrate_separatrix(
         halt_detail = str(fc)
 
     return PotentialCurve(
-        n=S.n,
         t=np.array(ts),
         w=np.array(ws),
         p=np.array(ps),
@@ -447,21 +445,29 @@ def integrate_separatrix(
 
 
 def solve_branch(
-    S: SurfaceF,
+    T: RotSymTensor,
     step: float,
     t_end: float | None = None,
     delta: float | None = None,
     projection_tol: float = PROJECTION_TOL,
-) -> PotentialCurve:
-    """Classify the saddle, seed the branch and integrate it in one call."""
-    rep = saddle_report(S)
+) -> tuple[SaddleReport, PotentialCurve]:
+    """Classify the saddle, seed the branch and integrate it in one call.
+
+    A degenerate saddle raises DefinitenessError; otherwise the saddle
+    report and the integrated curve are returned.
+    """
+    rep = saddle_report(T)
+    if rep.classification != "folded_saddle":
+        raise DefinitenessError(
+            DefinitenessVerdict("inconsistent", None, rep.reason, T.phi(0.0), T.psi(0.0))
+        )
     if t_end is None:
-        t_end = S.t_max
+        t_end = T.t_max
     if delta is None:
-        delta = seed_offset(S.t_max, step)
-    seed = seed_separatrix(S, rep, delta)
-    return integrate_separatrix(
-        S, seed, step, t_end, projection_tol=projection_tol, w2=rep.w2, w3=rep.w3
+        delta = seed_offset(T.t_max, step)
+    seed = seed_separatrix(T, rep, delta)
+    return rep, integrate_separatrix(
+        T, seed, step, t_end, projection_tol=projection_tol, w2=rep.w2, w3=rep.w3
     )
 
 
@@ -483,6 +489,9 @@ def solve_n2(phi: Expr, psi: Expr, sign: int, t_end: float, step: float) -> Pote
     if np.any(prod < 0):
         bad = ts[np.argmax(prod < 0)]
         raise ValueError(f"phi * psi < 0 at t = {bad:.6g}")
+    if not np.all(np.isfinite(prod)):
+        bad = ts[np.argmin(np.isfinite(prod))]
+        raise ValueError(f"phi * psi is not finite at t = {bad:.6g}")
     integrand = ts * np.sqrt(prod)
     w = sign * cumulative_simpson(integrand, x=ts, initial=0.0)
     p = sign * integrand
@@ -495,7 +504,7 @@ def solve_n2(phi: Expr, psi: Expr, sign: int, t_end: float, step: float) -> Pote
         else 0.0
     )
     return PotentialCurve(
-        n=2, t=ts, w=w, p=p, delta=0.0, w2=w2, w3=w3, halt_reason="t_end"
+        t=ts, w=w, p=p, delta=0.0, w2=w2, w3=w3, halt_reason="t_end"
     )
 
 
@@ -520,13 +529,13 @@ class GlobalReport:
     notes: tuple = ()
 
 
-def _jet_columns(S: SurfaceF, ts: np.ndarray) -> np.ndarray:
+def _jet_columns(T: RotSymTensor, ts: np.ndarray) -> np.ndarray:
     """Rows phi, phi', psi, psi' over ts, from one pair of jets per abscissa."""
-    return sample(ts, S.phi, S.psi)[:, :2].reshape(4, -1)
+    return sample(ts, T.phi, T.psi)[:, :2].reshape(4, -1)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the scans meet inf and NaN like Python floats
-def check_global(S: SurfaceF, curve: PotentialCurve) -> GlobalReport:
+def check_global(T: RotSymTensor, curve: PotentialCurve) -> GlobalReport:
     """Margins of the global continuation criterion for a computed branch.
 
     (a) grad_margin: the least |grad F| on the surface over a 129 x 129
@@ -542,10 +551,10 @@ def check_global(S: SurfaceF, curve: PotentialCurve) -> GlobalReport:
     phi and psi are evaluated once per abscissa; the scans are broadcasts.
     """
     notes = []
-    n = S.n
+    n = T.n
     # (a) regularity of F^{-1}(0): min |grad F| over an on-surface scan
-    ts_scan = np.linspace(0.0, S.t_max, GLOBAL_GRID)
-    jets = _jet_columns(S, ts_scan)
+    ts_scan = np.linspace(0.0, T.t_max, GLOBAL_GRID)
+    jets = _jet_columns(T, ts_scan)
     folds_all = []
     if n > 2:
         real, lower, upper = fold_branches(n, ts_scan, jets[2])
@@ -569,11 +578,11 @@ def check_global(S: SurfaceF, curve: PotentialCurve) -> GlobalReport:
         return phi * (2.0 * t * psi + t * t * dpsi)
 
     def fold_fn(t):
-        phi, _, psi, dpsi = _target_row(S, t)
+        phi, _, psi, dpsi = _target_row(T, t)
         return fold_margin_at(t, phi, psi, dpsi)
 
-    ts_pos = np.linspace(S.t_max / GLOBAL_GRID, S.t_max, GLOBAL_GRID)
-    phi, _, psi, dpsi = _jet_columns(S, ts_pos)
+    ts_pos = np.linspace(T.t_max / GLOBAL_GRID, T.t_max, GLOBAL_GRID)
+    phi, _, psi, dpsi = _jet_columns(T, ts_pos)
     mvals = fold_margin_at(ts_pos, phi, psi, dpsi)
     roots = []
     scale = float(np.max(np.abs(mvals))) or 1.0
@@ -594,7 +603,7 @@ def check_global(S: SurfaceF, curve: PotentialCurve) -> GlobalReport:
     # (c) distance from the computed branch to the fold branches
     dist = math.inf
     if n > 2:
-        _, lower, upper = fold_branches(n, curve.t, sample(curve.t, S.psi)[0, 0])
+        _, lower, upper = fold_branches(n, curve.t, sample(curve.t, T.psi)[0, 0])
         gap = np.minimum(np.abs(lower - curve.w), np.abs(upper - curve.w))
         dist = float(np.fmin.reduce(gap, initial=math.inf))
     if not math.isfinite(dist):
@@ -612,19 +621,3 @@ def check_global(S: SurfaceF, curve: PotentialCurve) -> GlobalReport:
         notes=tuple(notes),
     )
 
-
-def bisect_root(fn, lo, hi, width=1e-10):
-    """A sign change of fn on [lo, hi], bisected to the given width."""
-    flo = fn(lo)
-    for _ in range(200):
-        if hi - lo <= width:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) != (fmid < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)

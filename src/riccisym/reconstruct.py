@@ -163,7 +163,8 @@ def solve_rf(curve: PotentialCurve, phi: Expr, n: int) -> Quadrature:
     def on_grid(values, zero_value=0.0):
         return _to_grid(values, start, zero_value, grid.size)
 
-    r = grid * np.exp(on_grid(J))
+    with np.errstate(over="ignore"):  # an overflow is reported by assemble_metric
+        r = grid * np.exp(on_grid(J))
     r[0] = 0.0
     phi_g, p_g = on_grid(phis, phi0j.v), on_grid(curve.p)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -197,9 +198,10 @@ def assemble_metric(n: int, grid, f, fp, r, rp) -> MetricProfile:
     if np.any(rp <= 0):
         bad = grid[np.argmax(rp <= 0)]
         raise ReconstructionError(f"r' <= 0 at grid point t = {bad:.6g}")
-    if not np.all(np.isfinite(f)):
-        bad = grid[np.argmax(~np.isfinite(f))]
-        raise ReconstructionError(f"f not finite at grid point t = {bad:.6g}")
+    for name, x in (("r", r), ("f", f)):
+        if not np.all(np.isfinite(x)):
+            bad = grid[np.argmax(~np.isfinite(x))]
+            raise ReconstructionError(f"{name} not finite at grid point t = {bad:.6g}")
     return MetricProfile(n=n, grid=grid, f=f, r=r, rp=rp, fp=fp)
 
 

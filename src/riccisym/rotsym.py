@@ -14,13 +14,13 @@ sampled profiles use fourth-order stencils, on their grid only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensorlab
-from .exprfn import Expr, eval_jet2, sample
-from .potential import bisect_root
+from .exprfn import EvalError, Expr, eval_jet2, sample
 
 
 # ---------------------------------------------------------------------------
@@ -82,40 +82,90 @@ class DefinitenessVerdict:
         return self.kind in ("positive_definite", "negative_definite")
 
 
+class DefinitenessError(ValueError):
+    """Target tensor failed the sign / origin-matching validation."""
+
+    def __init__(self, verdict: DefinitenessVerdict):
+        super().__init__(verdict.reason or verdict.kind)
+        self.verdict = verdict
+
+
+def bisect_root(fn, lo, hi, width=1e-10):
+    """A sign change of fn on [lo, hi], bisected to the given width."""
+    flo = fn(lo)
+    for _ in range(200):
+        if hi - lo <= width:
+            break
+        mid = 0.5 * (lo + hi)
+        fmid = fn(mid)
+        if fmid == 0.0:
+            return mid
+        if (flo < 0) != (fmid < 0):
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
 DEFINITENESS_GRID = 256  # definiteness_check's scan resolution
+
+
+def _scan(name: str, e: Expr, ts: np.ndarray):
+    """The value of e at ts[0] (NaN if e fails there) and e's first defect on ts.
+
+    The defect is (t, what), what being the EvalError raised at t or the
+    reason the tensor is singular at t: a non-finite value or first
+    derivative, a zero, or a sign change (bisected to width 1e-10); it is
+    None when e has none.  Only a failing sample evaluates e a second time,
+    to find where it fails.
+    """
+    defect = None
+    try:
+        vals, d1 = sample(ts, e)[0, :2]
+    except EvalError as err:
+        jets = []
+        for t in ts:
+            try:
+                jets.append(eval_jet2(e, t))
+            except EvalError:
+                break
+        defect = (float(ts[len(jets)]), err)
+        vals = np.array([j.v for j in jets])
+        d1 = np.array([j.d1 for j in jets])
+    neg = vals < 0
+    hits = ~np.isfinite(vals) | ~np.isfinite(d1) | (vals == 0.0)
+    hits[1:] |= neg[1:] != neg[:-1]
+    v0 = float(vals[0]) if vals.size else math.nan
+    if not hits.any():
+        return v0, defect
+    i = int(np.argmax(hits))
+    t = float(ts[i])
+    for label, x in ((name, vals[i]), (name + "'", d1[i])):
+        if not math.isfinite(x):
+            return v0, (t, f"{label} = {x} is not finite at t = {t:.10g}")
+    if vals[i] != 0.0:
+        t = float(bisect_root(lambda t: eval_jet2(e, t).v, ts[i - 1], ts[i]))
+    return v0, (t, f"singular tensor at t = {t:.10g}")
 
 
 def definiteness_check(T: RotSymTensor) -> DefinitenessVerdict:
     """Scan phi and psi on [0, t_max]: a nonsingular rotationally symmetric
-    tensor keeps a single sign throughout and has phi(0) = psi(0).
+    tensor is finite, keeps a single sign throughout and has phi(0) = psi(0).
 
-    Sign changes are refined by bisection to width 1e-10.
+    The defect with the least t wins, and at equal t an evaluation error
+    wins; that error is raised unchanged.
     """
     ts = np.linspace(0.0, T.t_max, DEFINITENESS_GRID)
-    phi_fn = lambda t: eval_jet2(T.phi, t).v
-    psi_fn = lambda t: eval_jet2(T.psi, t).v
-    # all of phi before psi, so where both fail the error raised is phi's
-    phis = sample(ts, T.phi)[0, 0]
-    psis = sample(ts, T.psi)[0, 0]
-    phi0, psi0 = float(phis[0]), float(psis[0])
-
-    t_star = None
-    for name, vals, fn in (("phi", phis, phi_fn), ("psi", psis, psi_fn)):
-        for i, v in enumerate(vals):
-            if v == 0.0:
-                cand = float(ts[i])
-                t_star = cand if t_star is None else min(t_star, cand)
-                break
-            if i > 0 and (vals[i - 1] < 0) != (v < 0):
-                cand = float(bisect_root(fn, ts[i - 1], ts[i]))
-                t_star = cand if t_star is None else min(t_star, cand)
-                break
+    phi0, phi_defect = _scan("phi", T.phi, ts)
+    psi0, psi_defect = _scan("psi", T.psi, ts)
+    defects = [d for d in (phi_defect, psi_defect) if d is not None]
     if phi0 * psi0 < 0:
-        t_star = 0.0
-    if t_star is not None:
-        return DefinitenessVerdict(
-            "singular", t_star, f"singular tensor at t = {t_star:.10g}", phi0, psi0
-        )
+        defects.append((0.0, "singular tensor at t = 0"))
+    if defects:
+        t_star, what = min(defects, key=lambda d: (d[0], not isinstance(d[1], EvalError)))
+        if isinstance(what, EvalError):
+            raise what
+        return DefinitenessVerdict("singular", t_star, what, phi0, psi0)
     if abs(phi0 - psi0) > 1e-8:
         return DefinitenessVerdict(
             "inconsistent",

@@ -20,7 +20,6 @@ from riccisym.hypersurface import (
 )
 from riccisym.pipeline import solve
 from riccisym.potential import (
-    SurfaceF,
     integrate_separatrix,
     saddle_report,
     seed_separatrix,
@@ -72,7 +71,7 @@ def test_criterion_2_saddle_spectrum():
     worst = 0.0
     for n in (3, 4, 5, 8):
         for a in (1.0, 8.0, -1.0, -8.0):
-            S = SurfaceF(n, parse(f"{a}"), parse(f"{a}"), 1.0)
+            S = RotSymTensor(n, parse(f"{a}"), parse(f"{a}"), 1.0)
             rep = saddle_report(S)
             B = 2 * (n - 2) * a / (n - 1)
             C = 4 * a * a / (n - 1)
@@ -83,8 +82,8 @@ def test_criterion_2_saddle_spectrum():
                 abs(rep.lam1 - roots[1]),
                 abs(rep.lam1 * rep.lam2 + C),
             )
-    spot1 = saddle_report(SurfaceF(3, parse("8"), parse("8"), 1.0))
-    spot2 = saddle_report(SurfaceF(3, parse("1"), parse("1"), 1.0))
+    spot1 = saddle_report(RotSymTensor(3, parse("8"), parse("8"), 1.0))
+    spot2 = saddle_report(RotSymTensor(3, parse("1"), parse("1"), 1.0))
     spots = max(
         abs(spot1.lam1 - 16), abs(spot1.lam2 + 8), abs(spot2.lam1 - 2), abs(spot2.lam2 + 1)
     )
@@ -97,8 +96,8 @@ def test_criterion_2_saddle_spectrum():
 def test_criterion_3_branch_curvature_at_origin():
     worst = 0.0
     for n in (3, 4, 5):
-        S = SurfaceF(n, parse("1"), parse("1"), 1.0)
-        curve = solve_branch(S, step=1e-3, t_end=0.2)
+        S = RotSymTensor(n, parse("1"), parse("1"), 1.0)
+        _, curve = solve_branch(S, step=1e-3, t_end=0.2)
         basis = np.vstack([curve.t**2, curve.t**3, curve.t**4]).T
         coef, *_ = np.linalg.lstsq(basis, curve.w, rcond=None)
         worst = max(worst, abs(2 * coef[0] - 1.0 / (n - 1)))
@@ -235,12 +234,11 @@ def test_criterion_9_constraint_drift_and_order():
         RotSymTensor(3, parse("-1"), parse("-1"), 0.5),
     ]
     for T in instances:
-        S = SurfaceF(T.n, T.phi, T.psi, T.t_max)
-        curve = solve_branch(S, step=1e-3)
+        _, curve = solve_branch(T, step=1e-3)
         drifts.append(curve.constraint_max)
     ok_drift = max(drifts) <= 1e-9
 
-    S = SurfaceF(3, parse("8"), parse("8 - 4*t^2"), 0.5)
+    S = RotSymTensor(3, parse("8"), parse("8 - 4*t^2"), 0.5)
     rep = saddle_report(S)
     seed = seed_separatrix(S, rep, 5e-3)
     errs = []

@@ -280,3 +280,77 @@ def test_sweep_runs_directory(tmp_path, capsys):
 def test_missing_config_argument(capsys):
     assert main(["solve"]) == 1
     assert "code=1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "analyze", "portrait"])
+def test_degenerate_saddle_is_one_code_2_line_under_every_command(tmp_path, capsys, command):
+    # phi(0) psi(0) = 1e-400 underflows to 0
+    cfg = 'n = 3\nphi = "1e-200"\npsi = "1e-200"\nt_max = 1\n' + f'out = "{tmp_path}/d"\n'
+    path = _write(tmp_path, "d.cfg", cfg)
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ['riccisym: code=2 reason="phi(0) psi(0) = 0 <= 0"']
+
+
+@pytest.mark.parametrize("command", ["solve", "analyze", "portrait"])
+@pytest.mark.parametrize("target", ["1e999 - 1e999", "1 + t*1e308*1e308"])
+def test_non_finite_target_is_one_code_2_line_under_every_command(
+    tmp_path, capsys, command, target
+):
+    cfg = f'n = 3\nphi = "{target}"\npsi = "{target}"\nt_max = 1\nout = "{tmp_path}/x"\n'
+    path = _write(tmp_path, "x.cfg", cfg)
+    assert main([command, "--config", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("riccisym: code=2 ")
+    assert "not finite" in lines[0]
+
+
+LOG_CFG = 'n = 3\nphi = "1"\npsi = "1 + log(1 - t)"\nt_max = 2\n'
+
+
+@pytest.mark.parametrize("command", ["solve", "analyze"])
+def test_sign_change_before_a_domain_error_wins(tmp_path, capsys, command):
+    # psi changes sign at t = 1 - 1/e, before log(1 - t) leaves its domain at t = 1
+    path = _write(tmp_path, "l.cfg", LOG_CFG + f'out = "{tmp_path}/l"\n')
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ['riccisym: code=2 reason="singular tensor at t = 0.6321205588"']
+
+
+def test_failed_portrait_leaves_no_csv(tmp_path, capsys):
+    # portrait skips the definiteness scan and fails on the fold rows at t = 1
+    path = _write(tmp_path, "l.cfg", LOG_CFG + f'out = "{tmp_path}/l"\n')
+    assert main(["portrait", "--config", str(path)]) == 1
+    assert "log of non-positive value" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["l.cfg"]
+
+
+def test_write_csv_replaces_the_file_only_on_success(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("old\n")
+
+    def rows():
+        yield (1.0, 2.0)
+        raise RuntimeError("rows failed")
+
+    with pytest.raises(RuntimeError, match="rows failed"):
+        cli.write_csv(path, ("a", "b"), rows())
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+    cli.write_csv(path, ("a", "b"), [(1.0, 2.0)])
+    assert path.read_text() == "a,b\n1,2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+
+def test_analyze_classifies_the_saddle_once(tmp_path, monkeypatch):
+    path = _write(tmp_path, "g4.cfg", GOLD4_CFG + f'out = "{tmp_path}/g4"\n')
+    calls = []
+    saddle_report = potential.saddle_report
+
+    def counting(T):
+        calls.append(T)
+        return saddle_report(T)
+
+    monkeypatch.setattr(potential, "saddle_report", counting)
+    assert main(["analyze", "--config", str(path)]) == 0
+    assert len(calls) == 1

@@ -91,3 +91,25 @@ def test_error_inside_a_grid_block_keeps_its_text_and_abscissa():
         solve(T)
     assert str(err.value) == "sqrt derivative singular at 0 in 'sqrt((t - 1)^2)' at t=1.0"
     assert any(entry.name == "integrate_separatrix" for entry in err.traceback)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_solve_classifies_the_saddle_once(monkeypatch, n):
+    calls = []
+    saddle_report = potential.saddle_report
+
+    def counting(T):
+        calls.append(T)
+        return saddle_report(T)
+
+    monkeypatch.setattr(potential, "saddle_report", counting)
+    a = 4 * (n - 1)
+    sol = solve(RotSymTensor(n, parse(f"{a}"), parse(f"{a} - {4 * (n - 2)}*t^2"), 0.5))
+    assert len(calls) == 1
+    assert sol.saddle.w2 == 4.0
+
+
+def test_definiteness_error_is_one_class():
+    from riccisym import pipeline, rotsym
+
+    assert DefinitenessError is pipeline.DefinitenessError is rotsym.DefinitenessError

@@ -1,14 +1,15 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from riccisym import potential
+from riccisym import potential, rotsym
 from riccisym.exprfn import eval_jet2, parse
 from riccisym.potential import (
     GlobalReport,
     PotentialCurve,
-    SurfaceF,
     check_global,
     fold_curve,
     integrate_separatrix,
@@ -20,13 +21,14 @@ from riccisym.potential import (
     solve_n2,
     surface_eval,
 )
+from riccisym.rotsym import DefinitenessError, RotSymTensor
 
-GOLD = SurfaceF(3, parse("8"), parse("8 - 4*t^2"), 0.5)
-UNIT = SurfaceF(3, parse("1"), parse("1"), 1.0)
+GOLD = RotSymTensor(3, parse("8"), parse("8 - 4*t^2"), 0.5)
+UNIT = RotSymTensor(3, parse("1"), parse("1"), 1.0)
 
 
 def _surface(n, phi, psi, t_max=1.0):
-    return SurfaceF(n, parse(phi), parse(psi), t_max)
+    return RotSymTensor(n, parse(phi), parse(psi), t_max)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +120,48 @@ def test_saddle_eigen_identities_grid():
 def test_saddle_degenerate_cases():
     assert saddle_report(_surface(2, "1", "1")).classification == "degenerate"
     assert saddle_report(_surface(3, "1", "-1")).classification == "degenerate"
+
+
+@pytest.mark.parametrize(
+    "phi, reason",
+    [
+        ("1e999 - 1e999", "phi(0) psi(0) = nan is not finite"),
+        ("1e999", "phi(0) psi(0) = inf is not finite"),
+        ("1 + t*1e308*1e308", "linearization at the origin is not finite"),
+    ],
+)
+def test_saddle_non_finite_target_is_degenerate(phi, reason):
+    rep = saddle_report(_surface(3, phi, phi))
+    assert rep.classification == "degenerate"
+    assert rep.reason.startswith(reason)
+
+
+def test_saddle_branch_curvature_of_a_tiny_product():
+    # phi0 psi0 = 1e-320 is below rounding against phi0^2, so the textbook
+    # root cancels to 0; the branch curvature is still ~ psi0 / (n - 2)
+    rep = saddle_report(_surface(3, "1e-150", "1e-170"))
+    assert rep.classification == "folded_saddle"
+    assert rep.w2 == pytest.approx(1e-170, rel=1e-12)
+
+
+def test_solve_branch_raises_on_a_degenerate_saddle():
+    with pytest.raises(DefinitenessError, match=r"phi\(0\) psi\(0\) = 0 <= 0") as err:
+        solve_branch(_surface(3, "1e-200", "1e-200"), step=1e-3)
+    assert err.value.verdict.kind == "inconsistent"
+    rep, curve = solve_branch(UNIT, step=1e-3, t_end=0.2)
+    assert (rep.lam1, rep.lam2, rep.w2) == (2.0, -1.0, 0.5)
+    assert (curve.w2, curve.w3) == (rep.w2, rep.w3) and curve.halt_reason == "t_end"
+
+
+def test_solve_n2_rejects_an_overflowing_product():
+    with pytest.raises(ValueError, match="phi \\* psi is not finite at t = 0"):
+        solve_n2(parse("1e200"), parse("1e200"), +1, 1.0, 1e-2)
+
+
+def test_rotsym_does_not_import_potential():
+    tree = ast.parse(Path(rotsym.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "potential" not in imported and "riccisym.potential" not in imported
 
 
 def test_saddle_dx0_as_printed():
@@ -215,7 +259,7 @@ def test_seed_delta_bounds():
 
 
 def test_integrate_gold_family():
-    curve = solve_branch(GOLD, step=1e-3)
+    _, curve = solve_branch(GOLD, step=1e-3)
     assert curve.halt_reason == "t_end"
     assert abs(curve.t[-1] - 0.5) < 1e-12
     assert abs(curve.w[-1] - 0.5) < 1e-6
@@ -224,7 +268,7 @@ def test_integrate_gold_family():
 
 
 def test_integrate_quadratic_coefficient_fit():
-    curve = solve_branch(UNIT, step=1e-3, t_end=0.2)
+    _, curve = solve_branch(UNIT, step=1e-3, t_end=0.2)
     mask = curve.t <= 0.2
     t, w = curve.t[mask], curve.w[mask]
     basis = np.vstack([t**2, t**3, t**4]).T
@@ -234,7 +278,7 @@ def test_integrate_quadratic_coefficient_fit():
 
 def test_integrate_mirror_negative():
     S = _surface(3, "-1", "-1")
-    curve = solve_branch(S, step=1e-3, t_end=0.3)
+    _, curve = solve_branch(S, step=1e-3, t_end=0.3)
     assert np.all(curve.p < 0)
     assert np.all(curve.w[1:] < 0)
 
@@ -262,7 +306,7 @@ def test_integrate_step_halving_fourth_order():
 
 def test_integrate_fold_contact():
     S = _surface(3, "1", "1 - 4*t^2", t_max=1.0)
-    curve = solve_branch(S, step=1e-3)
+    _, curve = solve_branch(S, step=1e-3)
     assert curve.halt_reason == "fold_contact"
     assert 0.2 < curve.t[-1] < 0.8
     assert curve.halt_detail
@@ -318,7 +362,7 @@ def test_n2_matches_generic_implicit_integration():
 
 def test_check_global_positive():
     S = _surface(3, "1", "1", t_max=3.0)
-    curve = solve_branch(S, step=1e-3)
+    _, curve = solve_branch(S, step=1e-3)
     rep = check_global(S, curve)
     assert rep.verdict == "global_continuation_expected"
     assert rep.grad_margin > 0
@@ -329,7 +373,7 @@ def test_check_global_positive():
 def test_check_global_detects_fold_degeneracy():
     # d/dt(t^2 psi) phi = 8 (16 t - 16 t^3) vanishes at t = 1
     S = _surface(3, "8", "8 - 4*t^2", t_max=2.0)
-    curve = solve_branch(S, step=1e-3)
+    _, curve = solve_branch(S, step=1e-3)
     rep = check_global(S, curve)
     assert rep.verdict == "hypothesis_failed"
     assert any(abs(r - 1.0) < 1e-6 for r in rep.fold_roots)
@@ -338,7 +382,6 @@ def test_check_global_detects_fold_degeneracy():
 def test_check_global_zero_psi():
     S = _surface(3, "1", "0", t_max=1.0)
     curve = PotentialCurve(
-        n=3,
         t=np.array([0.1, 0.2]),
         w=np.zeros(2),
         p=np.zeros(2),
@@ -424,7 +467,7 @@ _NAN_ROW = float(np.linspace(0.0, 1.28e156, 129)[2])
 def _hand_curve(t, w):
     t, w = np.asarray(t, dtype=float), np.asarray(w, dtype=float)
     return PotentialCurve(
-        n=3, t=t, w=w, p=np.zeros_like(t), delta=float(t[0]), w2=0.0, w3=0.0,
+        t=t, w=w, p=np.zeros_like(t), delta=float(t[0]), w2=0.0, w3=0.0,
         halt_reason="t_end",
     )
 
@@ -446,7 +489,7 @@ def _hand_curve(t, w):
 )
 def test_check_global_matches_scalar_scan(n, phi, psi, t_max, curve):
     S = _surface(n, phi, psi, t_max)
-    curve = solve_branch(S, step=1e-3) if curve is None else _hand_curve(*curve)
+    curve = solve_branch(S, step=1e-3)[1] if curve is None else _hand_curve(*curve)
     got = check_global(S, curve)
     with np.errstate(over="ignore", invalid="ignore"):  # numpy scalars warn, Python floats do not
         ref = _scalar_check_global(S, curve)
@@ -491,9 +534,9 @@ def test_integrate_evaluates_each_jet_once(monkeypatch, n, phi, psi, t_max):
 )
 def test_integrate_grid_path_matches_scalar_path(monkeypatch, n, phi, psi, t_max):
     S = _surface(n, phi, psi, t_max)
-    fast = solve_branch(S, step=1e-3)
+    _, fast = solve_branch(S, step=1e-3)
     monkeypatch.setattr(potential, "jet_grid", lambda e, ts: None)
-    slow = solve_branch(S, step=1e-3)
+    _, slow = solve_branch(S, step=1e-3)
     for name in ("t", "w", "p"):
         assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
     assert (fast.halt_reason, fast.halt_detail) == (slow.halt_reason, slow.halt_detail)
@@ -508,7 +551,7 @@ def test_constant_targets_never_halt_spuriously():
         for a in ("1", "8", "-1"):
             for step in (1e-3, 1e-2):
                 S = _surface(n, a, a, 1.0)
-                curve = solve_branch(S, step)
+                _, curve = solve_branch(S, step)
                 verdict = check_global(S, curve).verdict
                 if curve.halt_reason != "t_end" or verdict != "global_continuation_expected":
                     failures.append((n, a, step, curve.halt_reason, curve.halt_detail))

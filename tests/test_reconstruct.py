@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from riccisym.exprfn import parse
-from riccisym.potential import PotentialCurve, SurfaceF, solve_branch
+from riccisym.potential import PotentialCurve, solve_branch
 from riccisym.reconstruct import (
     ReconstructionError,
     assemble_metric,
@@ -21,8 +21,8 @@ from riccisym.rotsym import (
 
 
 def _gold_curve(step=1e-3, t_end=0.5):
-    S = SurfaceF(3, parse("8"), parse("8 - 4*t^2"), t_end)
-    return solve_branch(S, step=step, t_end=t_end)
+    S = RotSymTensor(3, parse("8"), parse("8 - 4*t^2"), t_end)
+    return solve_branch(S, step=step, t_end=t_end)[1]
 
 
 def _gold_tensor(t_max=0.5):
@@ -36,7 +36,6 @@ def _synthetic_quadratic_curve(n, phi0, t_end=0.5, m=500):
     step = t_end / m
     t = np.concatenate([[delta], np.arange(1, m + 1) * step])
     return PotentialCurve(
-        n=n,
         t=t,
         w=w2 * t**2 / 2,
         p=w2 * t,
@@ -64,8 +63,8 @@ def test_solve_r_quadratic_potential_any_n():
 
 
 def test_solve_r_defining_ode_residual():
-    S = SurfaceF(3, parse("1"), parse("1"), 1.0)
-    curve = solve_branch(S, step=1e-3)
+    S = RotSymTensor(3, parse("1"), parse("1"), 1.0)
+    _, curve = solve_branch(S, step=1e-3)
     grid, r, rp = solve_rf(curve, parse("1"), 3)[:3]
     mask = grid > 0
     keep = curve.t >= grid[mask][0] - 1e-12
@@ -77,7 +76,7 @@ def test_residual_r_uses_stencil_derivative_of_r(monkeypatch):
     # solve_rf takes r' from the defining ODE, so residual_r must measure the
     # stencil derivative of profile.r, not profile.rp, to stay a check
     T = RotSymTensor(3, parse("1"), parse("1"), 1.0)
-    curve = solve_branch(SurfaceF(3, T.phi, T.psi, T.t_max), step=1e-3)
+    _, curve = solve_branch(T, step=1e-3)
     result = reconstruct_profile(curve, T)
     prof = result.profile
     h = float(prof.grid[2] - prof.grid[1])
@@ -198,8 +197,7 @@ def test_roundtrip_generator_profiles():
             assert np.max(np.abs(phi_hat - np.array([T.phi(t) for t in gen.grid]))) < 1e-9
             assert np.max(np.abs(psi_hat - np.array([T.psi(t) for t in gen.grid]))) < 1e-9
 
-            S = SurfaceF(n, T.phi, T.psi, 0.4)
-            curve = solve_branch(S, step=1e-3)
+            _, curve = solve_branch(T, step=1e-3)
             result = reconstruct_profile(curve, T)
             grid = result.profile.grid
             assert np.max(np.abs(result.profile.f - (-c * grid**2))) < 1e-4
@@ -225,11 +223,10 @@ def test_homothety_normalization():
 
 def test_quadrature_fourth_order_convergence():
     # non-gold instance, reference from a much finer step
-    S = SurfaceF(3, parse("1"), parse("1"), 0.5)
     T = RotSymTensor(3, parse("1"), parse("1"), 0.5)
 
     def f_end(step):
-        curve = solve_branch(S, step=step, t_end=0.5)
+        _, curve = solve_branch(T, step=step, t_end=0.5)
         result = reconstruct_profile(curve, T)
         assert result.profile.grid[-1] == 0.5  # steps chosen to divide t_end
         return result.profile.f[-1]

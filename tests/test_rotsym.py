@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from riccisym.exprfn import parse
+from riccisym import rotsym
+from riccisym.exprfn import EvalError, parse
 from riccisym.rotsym import (
     MetricProfile,
     RotSymTensor,
@@ -53,6 +54,39 @@ def test_definiteness_interior_crossing_refined():
     v = definiteness_check(_tensor(3, "1 - t", "1 - t", t_max=2.0))
     assert v.kind == "singular"
     assert abs(v.t_star - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "phi, psi, reason",
+    [
+        ("1e999 - 1e999", "1", "phi = nan is not finite at t = 0"),
+        ("1", "1 + t*1e308*1e308", "psi' = inf is not finite at t = 0"),
+        ("1", "1e308*(1 + t)", "psi = inf is not finite at t = 0.8"),
+    ],
+)
+def test_definiteness_rejects_non_finite_samples(phi, psi, reason):
+    v = definiteness_check(_tensor(3, phi, psi, t_max=2.0))
+    assert v.kind == "singular" and not v.is_definite
+    assert v.reason == reason
+
+
+def test_definiteness_raises_the_earliest_error():
+    # psi fails at t > 2, phi only at t > 3: psi's error is raised
+    with pytest.raises(EvalError, match=r"'sqrt\(2 - t\)' at t=2.0"):
+        definiteness_check(_tensor(3, "sqrt(3 - t)", "sqrt(2 - t)", t_max=4.0))
+    # an error before a zero is raised unchanged
+    with pytest.raises(EvalError, match=r"log of non-positive value .* at t=0.50"):
+        definiteness_check(_tensor(3, "1 - t", "1 + 0*log(0.5 - t)", t_max=2.0))
+
+
+def test_definiteness_samples_each_component_once(monkeypatch):
+    calls, scalar = [], []
+    sample = rotsym.sample
+    monkeypatch.setattr(rotsym, "sample", lambda ts, e: calls.append(e) or sample(ts, e))
+    monkeypatch.setattr(rotsym, "eval_jet2", lambda e, t: scalar.append(t))
+    T = _tensor(4, "3*exp(-t^2)", "3*cos(t)^2 + t^4/(1+t^2)", t_max=2.0)
+    assert definiteness_check(T).kind == "positive_definite"
+    assert calls == [T.phi, T.psi] and scalar == []
 
 
 # ---------------------------------------------------------------------------
