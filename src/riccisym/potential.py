@@ -115,6 +115,14 @@ class SaddleReport:
     reason: str = ""
 
 
+def _origin_product_defect(phi0: float, psi0: float) -> str:
+    """Why phi(0) psi(0) is not in (0, inf), or "" when it is."""
+    prod = phi0 * psi0
+    if 0 < prod < math.inf:
+        return ""
+    return f"phi(0) psi(0) = {prod:.6g} " + ("<= 0" if prod <= 0 else "is not finite")
+
+
 def _eigvec(lam: float) -> np.ndarray:
     v = np.array([1.0, 0.0, -lam / 2.0])
     return v / np.linalg.norm(v)
@@ -125,7 +133,6 @@ def saddle_report(T: RotSymTensor) -> SaddleReport:
     phi = eval_jet2(T.phi, 0.0)
     psi = eval_jet2(T.psi, 0.0)
     phi0, psi0 = phi.v, psi.v
-    prod = phi0 * psi0
     DX0 = np.array(
         [
             [0.0, 0.0, -2.0],
@@ -146,10 +153,9 @@ def saddle_report(T: RotSymTensor) -> SaddleReport:
 
     if n == 2:
         return degenerate("n = 2 reduces to direct quadrature")
-    if not 0 < prod < math.inf:
-        return degenerate(
-            f"phi(0) psi(0) = {prod:.6g} " + ("<= 0" if prod <= 0 else "is not finite")
-        )
+    reason = _origin_product_defect(phi0, psi0)
+    if reason:
+        return degenerate(reason)
     # nonzero eigenvalues solve  -lam^2 + B lam + C = 0
     B = 2.0 * (n - 2) * phi0 / (n - 1)
     C = 4.0 * phi0 * psi0 / (n - 1)
@@ -210,14 +216,14 @@ def fold_curve(T: RotSymTensor, t: float) -> np.ndarray:
 class PotentialCurve:
     """Samples (t_i, w_i, p_i) of the Ricci potential on F = 0.
 
-    t starts at the seed offset delta; w2/w3 are the series coefficients of
-    the branch at the origin (used to bridge [0, delta] in reconstruction).
+    t starts at the seed offset (0 for direct quadrature); w2/w3 are the
+    series coefficients of the branch at the origin (used to bridge [0, t[0]]
+    in reconstruction).
     """
 
     t: np.ndarray
     w: np.ndarray
     p: np.ndarray
-    delta: float
     w2: float
     w3: float
     halt_reason: str  # "t_end" | "fold_contact" | "surface_exit"
@@ -259,8 +265,8 @@ def seed_separatrix(T: RotSymTensor, rep: SaddleReport, delta: float):
     return delta, w0, p_proj
 
 
-class _FoldContact(Exception):
-    pass
+class _Halt(Exception):
+    """A geometric end of the branch: args are (halt_reason, halt_detail)."""
 
 
 def _grid_block(T: RotSymTensor, prev: float, targets) -> dict:
@@ -297,8 +303,9 @@ def integrate_separatrix(
 
     Classical 4th-order one-step method on (w, p) with t as the independent
     variable, each step followed by a Newton projection of p onto F = 0.
-    Halts at t_end, at fold contact (|F_p| below FOLD_TOL), or when the
-    projected region F >= 0 is exited; the reason is recorded on the curve.
+    Halts at t_end, at fold contact (|F_p| below FOLD_TOL min(1, |phi(0)|)),
+    or when the projected region F >= 0 is exited; the reason is recorded on
+    the curve.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -307,6 +314,8 @@ def integrate_separatrix(
         raise ValueError("t_end must exceed the seed abscissa")
 
     n = T.n
+    # p, and so F_p = -2p, scales with phi(0): a small target is not the fold
+    fold_tol = FOLD_TOL * min(1.0, abs(eval_jet2(T.phi, 0.0).v))
     # The RK4 stages, the region test and the projection of one step share
     # abscissae (k2/k3 at t + h/2; k4, Q, the projection and the next k1 at
     # t + h; a halved step reuses t + h/2), so each (phi, psi) jet is
@@ -327,8 +336,8 @@ def integrate_separatrix(
 
     def rhs(t, w, p):
         F, F_t, F_w, F_p = surface_terms(n, t, w, p, *jets(t))
-        if abs(F_p) < FOLD_TOL:
-            raise _FoldContact(f"|F_p| = {abs(F_p):.3e} < {FOLD_TOL:g} at t = {t:.6g}")
+        if abs(F_p) < fold_tol:
+            raise _Halt("fold_contact", f"|F_p| = {abs(F_p):.3e} < {fold_tol:g} at t = {t:.6g}")
         return p, -(F_t + p * F_w) / F_p
 
     # aligned targets: multiples of step, then exactly t_end
@@ -339,22 +348,51 @@ def integrate_separatrix(
     if abs(targets[-1] - t_end) <= 1e-9 * step:
         targets[-1] = t_end
 
-    def rk4_step(t, w, p, h):
-        k1w, k1p = rhs(t, w, p)
-        k2w, k2p = rhs(t + h / 2, w + h / 2 * k1w, p + h / 2 * k1p)
-        k3w, k3p = rhs(t + h / 2, w + h / 2 * k2w, p + h / 2 * k2p)
-        k4w, k4p = rhs(t + h, w + h * k3w, p + h * k3p)
-        return (
-            w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w),
-            p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p),
-        )
+    min_h = 1e-6 * step
+
+    def advance(t, w, p, h):
+        """One projected RK4 sub-step of at most h, halved near the region
+        boundary or where p would flip sign: the accepted (h, w, p, |F|)."""
+        while True:
+            k1w, k1p = rhs(t, w, p)
+            k2w, k2p = rhs(t + h / 2, w + h / 2 * k1w, p + h / 2 * k1p)
+            k3w, k3p = rhs(t + h / 2, w + h / 2 * k2w, p + h / 2 * k2p)
+            k4w, k4p = rhs(t + h, w + h * k3w, p + h * k3p)
+            w_try = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+            p_try = p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+            Q = surface_terms(n, t + h, w_try, 0.0, *jets(t + h))[0]
+            if Q > 0.0:
+                p_try, resid = _project_p(t + h, Q, p_try, projection_tol)
+                if p_try * p > 0.0:
+                    return h, w_try, p_try, resid
+                # Near the saddle the p equation is stiff: an RK4 predictor
+                # can overshoot p through 0 and the projection then lands on
+                # the wrong root.  w' changes sign only on the fold, so a
+                # flip that survives down to min_h halts; never record past it.
+                if h <= min_h:
+                    raise _Halt("fold_contact", f"w' sign change across t = {t + h:.6g}")
+            elif -EXIT_TOL <= Q:
+                raise _Halt(
+                    "fold_contact", f"projected region boundary reached at t = {t + h:.6g}"
+                )
+            elif h <= min_h:
+                # F_t and F_w do not depend on p
+                Q_here, F_t, F_w, _ = surface_terms(n, t, w, 0.0, *jets(t))
+                if Q_here <= FOLD_TOL * (1.0 + abs(Q_here) + p * p):
+                    raise _Halt(
+                        "fold_contact",
+                        f"fold reached near t = {t:.6g} "
+                        f"(p = {p:.3e}, push = {-(F_t + p * F_w):.3e})",
+                    )
+                raise _Halt(
+                    "surface_exit", f"F(t, w, 0) = {Q:.3e} < -{EXIT_TOL:g} past t = {t:.6g}"
+                )
+            h /= 2.0
 
     ts, ws, ps = [t0], [w0], [p0]
     drift = 0.0
     halt_reason, halt_detail = "t_end", ""
     t, w, p = t0, w0, p0
-    min_h = 1e-6 * step
-    halted = False
     use_grid = True
     try:
         for i, target in enumerate(targets):
@@ -364,78 +402,25 @@ def integrate_separatrix(
                 prev = targets[i - 1] if i else t0
                 table = _grid_block(T, prev, targets[i : i + _GRID_BLOCK]) if use_grid else {}
                 use_grid = bool(table)
-            # Sub-steps: capped by t/4 near the origin (the lifted field has
-            # 1/t-scale derivatives there) and halved near the projected
-            # region boundary or where p would flip sign; only uniform
-            # targets are recorded.
-            while True:
+            # Sub-steps are capped by t/4 near the origin, where the lifted
+            # field has 1/t-scale derivatives; only the targets are recorded.
+            while t < target - 1e-12 * step:
                 h = min(target - t, max(0.25 * t, 1e-3 * step))
                 if h <= 1e-15 * max(1.0, abs(t)):
                     raise StepUnderflowError(f"step underflow at t = {t:.6g}")
-                while True:
-                    w_try, p_try = rk4_step(t, w, p, h)
-                    Q = surface_terms(n, t + h, w_try, 0.0, *jets(t + h))[0]
-                    if Q > 0.0:
-                        p_try, resid = _project_p(t + h, Q, p_try, projection_tol)
-                        if p_try * p > 0.0:
-                            break
-                        # Near the saddle the p equation is stiff: an RK4
-                        # predictor can overshoot p through 0 and the
-                        # projection then lands on the wrong root.  w'
-                        # changes sign only on the fold, so a flip that
-                        # survives down to min_h halts; never record past it.
-                        if h <= min_h:
-                            halted = True
-                            halt_reason = "fold_contact"
-                            halt_detail = f"w' sign change across t = {t + h:.6g}"
-                            break
-                    elif -EXIT_TOL <= Q <= 0.0:
-                        halted = True
-                        halt_reason = "fold_contact"
-                        halt_detail = (
-                            f"projected region boundary reached at t = {t + h:.6g}"
-                        )
-                        break
-                    elif h <= min_h:
-                        halted = True
-                        Q_here = surface_terms(n, t, w, 0.0, *jets(t))[0]
-                        scale = 1.0 + abs(Q_here) + p * p
-                        if Q_here <= FOLD_TOL * scale:
-                            halt_reason = "fold_contact"
-                            _, F_t, F_w, _ = surface_terms(n, t, w, p, *jets(t))
-                            push = -(F_t + p * F_w)
-                            halt_detail = (
-                                f"fold reached near t = {t:.6g} "
-                                f"(p = {p:.3e}, push = {push:.3e})"
-                            )
-                        else:
-                            halt_reason = "surface_exit"
-                            halt_detail = (
-                                f"F(t, w, 0) = {Q:.3e} < -{EXIT_TOL:g} "
-                                f"past t = {t:.6g}"
-                            )
-                        break
-                    h /= 2.0
-                if halted:
-                    break
+                h, w, p, resid = advance(t, w, p, h)
+                t += h
                 drift = max(drift, resid)
-                t, w, p = t + h, w_try, p_try
-                if t >= target - 1e-12 * step:
-                    ts.append(t)
-                    ws.append(w)
-                    ps.append(p)
-                    break
-            if halted:
-                break
-    except _FoldContact as fc:
-        halt_reason = "fold_contact"
-        halt_detail = str(fc)
+            ts.append(t)
+            ws.append(w)
+            ps.append(p)
+    except _Halt as halt:
+        halt_reason, halt_detail = halt.args
 
     return PotentialCurve(
         t=np.array(ts),
         w=np.array(ws),
         p=np.array(ps),
-        delta=t0,
         w2=w2,
         w3=w3,
         halt_reason=halt_reason,
@@ -476,7 +461,11 @@ def solve_branch(
 
 
 def solve_n2(phi: Expr, psi: Expr, sign: int, t_end: float, step: float) -> PotentialCurve:
-    """w(t) = sign * integral of s sqrt(phi psi) ds, by composite Simpson."""
+    """w(t) = sign * integral of s sqrt(phi psi) ds, by composite Simpson.
+
+    phi(0) psi(0) outside (0, inf) raises DefinitenessError, as it makes the
+    saddle of n > 2 degenerate.
+    """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     m = max(2, int(round(t_end / step)))
@@ -492,20 +481,17 @@ def solve_n2(phi: Expr, psi: Expr, sign: int, t_end: float, step: float) -> Pote
     if not np.all(np.isfinite(prod)):
         bad = ts[np.argmin(np.isfinite(prod))]
         raise ValueError(f"phi * psi is not finite at t = {bad:.6g}")
+    phi0 = eval_jet2(phi, 0.0)
+    psi0 = eval_jet2(psi, 0.0)
+    reason = _origin_product_defect(phi0.v, psi0.v)
+    if reason:
+        raise DefinitenessError(DefinitenessVerdict("inconsistent", None, reason, phi0.v, psi0.v))
     integrand = ts * np.sqrt(prod)
     w = sign * cumulative_simpson(integrand, x=ts, initial=0.0)
     p = sign * integrand
-    phi0 = eval_jet2(phi, 0.0)
-    psi0 = eval_jet2(psi, 0.0)
-    w2 = sign * math.sqrt(max(phi0.v * psi0.v, 0.0))
-    w3 = (
-        sign * (phi0.d1 * psi0.v + phi0.v * psi0.d1) / math.sqrt(phi0.v * psi0.v)
-        if phi0.v * psi0.v > 0
-        else 0.0
-    )
-    return PotentialCurve(
-        t=ts, w=w, p=p, delta=0.0, w2=w2, w3=w3, halt_reason="t_end"
-    )
+    w2 = sign * math.sqrt(phi0.v * psi0.v)
+    w3 = sign * (phi0.d1 * psi0.v + phi0.v * psi0.d1) / math.sqrt(phi0.v * psi0.v)
+    return PotentialCurve(t=ts, w=w, p=p, w2=w2, w3=w3, halt_reason="t_end")
 
 
 # ---------------------------------------------------------------------------

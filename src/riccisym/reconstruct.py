@@ -64,10 +64,10 @@ def _profile_layout(curve: PotentialCurve):
     """Profile grid starting at 0 with a uniform tail.
 
     Returns (grid, start): grid[0] = 0 and grid[1:] = curve.t[start:].
-    Direct-quadrature curves already start at t = 0 and map one to one
-    (start = 1).  Lifted-field curves start at the seed offset delta; that
-    sample is dropped (start = 1) unless it already lies on the uniform
-    step grid (start = 0), so stencil code always sees equal spacing.
+    The first sample (t = 0 for direct quadrature, the seed offset for
+    lifted-field curves) is dropped (start = 1) unless it is positive and
+    already lies on the uniform step grid (start = 0), so stencil code
+    always sees equal spacing.
     """
     t = curve.t
     if t.size < MIN_PROFILE_SAMPLES:
@@ -76,15 +76,9 @@ def _profile_layout(curve: PotentialCurve):
             f"curve too short to reconstruct a profile: {t.size} samples, "
             f"{MIN_PROFILE_SAMPLES} needed (halt: {halt})"
         )
-    if t[0] == 0.0:
-        grid = t.copy()
-        start = 1
-    elif abs((t[1] - t[0]) - (t[2] - t[1])) <= 1e-9 * (t[2] - t[1]):
-        grid = np.concatenate([[0.0], t])
-        start = 0
-    else:
-        grid = np.concatenate([[0.0], t[1:]])
-        start = 1
+    on_step_grid = abs((t[1] - t[0]) - (t[2] - t[1])) <= 1e-9 * (t[2] - t[1])
+    start = 0 if t[0] > 0.0 and on_step_grid else 1
+    grid = np.concatenate([[0.0], t[start:]])
     steps = np.diff(grid)
     if steps.size > 1 and abs(steps[-1] - steps[0]) > 1e-9 * abs(steps[0]):
         # t_end was not a multiple of the step; keep the profile uniform
@@ -107,15 +101,13 @@ def _cumulative_potential_integral(curve: PotentialCurve, integrand: np.ndarray,
     """Cumulative integral from 0, curve-aligned.
 
     integrand is aligned with curve.t; when the curve starts at t = 0 its
-    first entry must already hold the removable-singularity limit.  When it
-    starts at delta > 0, the short [0, delta] piece is bridged with a
-    trapezoid against the series limit, orders of magnitude below the
-    target tolerances since delta is tiny.
+    first entry must already hold the removable-singularity limit.  The
+    short [0, t[0]] piece is bridged with a trapezoid against the series
+    limit, orders of magnitude below the target tolerances since the seed
+    offset is tiny (and zero when the curve starts at t = 0).
     """
     vals = cumulative_simpson(integrand, x=curve.t, initial=0.0)
-    if curve.t[0] == 0.0:
-        return vals
-    return vals + 0.5 * (limit0 + integrand[0]) * curve.delta
+    return vals + 0.5 * (limit0 + integrand[0]) * curve.t[0]
 
 
 class Quadrature(NamedTuple):
@@ -258,7 +250,7 @@ FOLD_TRIM_SAMPLES = 4
 
 
 def trim_fold_tail(curve: PotentialCurve) -> PotentialCurve:
-    """Drop the last FOLD_TRIM_SAMPLES samples of a fold-halted curve.
+    """Drop the last FOLD_TRIM_SAMPLES samples of a curve that ends at a fold contact.
 
     Approaching the fold, w' ~ sqrt(t* - t), so the quadrature integrands
     blow up like an inverse square root; the last few steps cannot be

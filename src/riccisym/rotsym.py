@@ -166,7 +166,7 @@ def definiteness_check(T: RotSymTensor) -> DefinitenessVerdict:
         if isinstance(what, EvalError):
             raise what
         return DefinitenessVerdict("singular", t_star, what, phi0, psi0)
-    if abs(phi0 - psi0) > 1e-8:
+    if abs(phi0 - psi0) > 1e-8 * max(abs(phi0), abs(psi0)):
         return DefinitenessVerdict(
             "inconsistent",
             None,

@@ -282,10 +282,16 @@ def test_missing_config_argument(capsys):
     assert "code=1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["solve", "analyze", "portrait"])
-def test_degenerate_saddle_is_one_code_2_line_under_every_command(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, n",
+    [("solve", 3), ("analyze", 3), ("portrait", 3), ("solve", 2)],
+    ids=["solve", "analyze", "portrait", "solve-n2"],
+)
+def test_degenerate_saddle_is_one_code_2_line_under_every_command(
+    tmp_path, capsys, command, n
+):
     # phi(0) psi(0) = 1e-400 underflows to 0
-    cfg = 'n = 3\nphi = "1e-200"\npsi = "1e-200"\nt_max = 1\n' + f'out = "{tmp_path}/d"\n'
+    cfg = f'n = {n}\nphi = "1e-200"\npsi = "1e-200"\nt_max = 1\nout = "{tmp_path}/d"\n'
     path = _write(tmp_path, "d.cfg", cfg)
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err

@@ -50,6 +50,17 @@ def test_solve_fold_contact_produces_partial_profile():
     assert np.all(prof.rp > 0)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("a", [1e-6, -1e-6, 1e-10])
+def test_solve_a_small_target_reaches_t_end(n, a):
+    # the fold threshold on |F_p| = 2|p| scales with phi(0) below 1
+    T = RotSymTensor(n, parse(f"{a}"), parse(f"{a}"), 1.0)
+    sol = solve(T, step=1e-3)
+    assert sol.curve.halt_reason == "t_end"
+    assert sol.global_report.verdict == "global_continuation_expected"
+    assert max(sol.recon.ricci_residuals) < 1e-12 * abs(a)
+
+
 def test_solve_negative_definite_mirror():
     T = RotSymTensor(3, parse("-1"), parse("-1"), 0.5)
     sol = solve(T, step=1e-3)

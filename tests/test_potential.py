@@ -304,12 +304,28 @@ def test_integrate_step_halving_fourth_order():
     assert errs[1] <= errs[0] / 8
 
 
-def test_integrate_fold_contact():
-    S = _surface(3, "1", "1 - 4*t^2", t_max=1.0)
-    _, curve = solve_branch(S, step=1e-3)
-    assert curve.halt_reason == "fold_contact"
-    assert 0.2 < curve.t[-1] < 0.8
-    assert curve.halt_detail
+# One target per halt branch of integrate_separatrix; some are not definite,
+# which the integrator does not check.
+@pytest.mark.parametrize(
+    "phi, psi, t_max, step, size, reason, detail",
+    [
+        ("100", "1-4*t^2", 1.0, 0.05, 8, "fold_contact",
+         "w' sign change across t = 0.353553"),
+        ("1-t", "1", 2.0, 1e-3, 1000, "fold_contact",
+         "projected region boundary reached at t = 1"),
+        ("1", "1-4*t^2", 1.0, 1e-3, 412, "fold_contact",
+         "fold reached near t = 0.41197 (p = 3.822e-06, push = 1.474e-01)"),
+        ("1", "8-4*t^2", 2.0, 1e-2, 137, "surface_exit",
+         "F(t, w, 0) = -3.050e-08 < -1e-12 past t = 1.36681"),
+        ("100", "1-40*t^2", 0.46, 1e-3, 112, "fold_contact",
+         "|F_p| = 4.096e-09 < 1e-08 at t = 0.111798"),
+    ],
+    ids=["sign_flip", "region_boundary", "fold_reached", "surface_exit", "small_F_p"],
+)
+def test_integrate_halt_branches(phi, psi, t_max, step, size, reason, detail):
+    _, curve = solve_branch(_surface(3, phi, psi, t_max=t_max), step=step)
+    assert (curve.halt_reason, curve.halt_detail) == (reason, detail)
+    assert curve.t.size == size
 
 
 def test_integrate_invalid_args():
@@ -385,7 +401,6 @@ def test_check_global_zero_psi():
         t=np.array([0.1, 0.2]),
         w=np.zeros(2),
         p=np.zeros(2),
-        delta=0.1,
         w2=0.0,
         w3=0.0,
         halt_reason="t_end",
@@ -467,7 +482,7 @@ _NAN_ROW = float(np.linspace(0.0, 1.28e156, 129)[2])
 def _hand_curve(t, w):
     t, w = np.asarray(t, dtype=float), np.asarray(w, dtype=float)
     return PotentialCurve(
-        t=t, w=w, p=np.zeros_like(t), delta=float(t[0]), w2=0.0, w3=0.0,
+        t=t, w=w, p=np.zeros_like(t), w2=0.0, w3=0.0,
         halt_reason="t_end",
     )
 

@@ -39,7 +39,6 @@ def _synthetic_quadratic_curve(n, phi0, t_end=0.5, m=500):
         t=t,
         w=w2 * t**2 / 2,
         p=w2 * t,
-        delta=delta,
         w2=w2,
         w3=0.0,
         halt_reason="t_end",

@@ -48,6 +48,9 @@ def test_definiteness_inconsistent():
     v = definiteness_check(_tensor(3, "1", "2"))
     assert v.kind == "inconsistent"
     assert "phi(0) != psi(0)" in v.reason
+    # phi(0) = psi(0) is tested relative to their scale
+    assert definiteness_check(_tensor(3, "1e-150", "1e-170")).kind == "inconsistent"
+    assert definiteness_check(_tensor(3, "1e9", "1e9 + 1e-3")).kind == "positive_definite"
 
 
 def test_definiteness_interior_crossing_refined():
