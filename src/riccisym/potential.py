@@ -60,18 +60,24 @@ def _target_row(T: RotSymTensor, t: float):
     return phi.v, phi.d1, psi.v, psi.d1
 
 
+def _coeffs(n: int, t, phi, dphi, psi, dpsi):
+    """The t-only part (A, B, C, D) of F = (A ww + B)/(n-1) - p^2 and
+    F_t = (C ww + D)/(n-1), ww = w^2 - 2w; floats or ndarrays."""
+    # D = d/dt of t^2 phi psi = 2 t phi psi + t^2 (phi' psi + phi psi')
+    D = 2.0 * t * phi * psi + t * t * (dphi * psi + phi * dpsi)
+    return (n - 2) * phi, t * t * phi * psi, (n - 2) * dphi, D
+
+
 def surface_terms(n: int, t, w, p, phi, dphi, psi, dpsi):
     """(F, F_t, F_w, F_p) from the target values phi, psi and their t-derivatives.
 
     Every argument may be a float or an ndarray; arrays broadcast together.
     """
+    A, B, C, D = _coeffs(n, t, phi, dphi, psi, dpsi)
     ww = w * w - 2.0 * w
-    tt = t * t * phi * psi
-    F = ((n - 2) * phi * ww + tt) / (n - 1) - p * p
-    # d/dt of t^2 phi psi = 2 t phi psi + t^2 (phi' psi + phi psi')
-    dtt = 2.0 * t * phi * psi + t * t * (dphi * psi + phi * dpsi)
-    F_t = ((n - 2) * dphi * ww + dtt) / (n - 1)
-    F_w = (n - 2) * phi * (2.0 * w - 2.0) / (n - 1)
+    F = (A * ww + B) / (n - 1) - p * p
+    F_t = (C * ww + D) / (n - 1)
+    F_w = A * (2.0 * w - 2.0) / (n - 1)
     F_p = -2.0 * p
     return F, F_t, F_w, F_p
 
@@ -226,7 +232,7 @@ class PotentialCurve:
     p: np.ndarray
     w2: float
     w3: float
-    halt_reason: str  # "t_end" | "fold_contact" | "surface_exit"
+    halt_reason: str  # "t_end" | "fold_contact" | "surface_exit" | "overflow"
     halt_detail: str = ""
     constraint_max: float = 0.0
 
@@ -270,7 +276,7 @@ class _Halt(Exception):
 
 
 def _grid_block(T: RotSymTensor, prev: float, targets) -> dict:
-    """Target rows keyed by the abscissae a uniform step visits on its way
+    """_coeffs rows keyed by the abscissae a uniform step visits on its way
     through targets: prev, then each midpoint prev + (target - prev)/2 and
     target in turn.
 
@@ -287,7 +293,9 @@ def _grid_block(T: RotSymTensor, prev: float, targets) -> dict:
     psi = None if phi is None else jet_grid(T.psi, pts)
     if psi is None:
         return {}
-    return dict(zip(pts, zip(phi[0].tolist(), phi[1].tolist(), psi[0].tolist(), psi[1].tolist())))
+    with np.errstate(over="ignore", invalid="ignore"):  # like Python floats
+        rows = _coeffs(T.n, np.array(pts), phi[0], phi[1], psi[0], psi[1])
+    return dict(zip(pts, zip(*(c.tolist() for c in rows))))
 
 
 def integrate_separatrix(
@@ -304,8 +312,8 @@ def integrate_separatrix(
     Classical 4th-order one-step method on (w, p) with t as the independent
     variable, each step followed by a Newton projection of p onto F = 0.
     Halts at t_end, at fold contact (|F_p| below FOLD_TOL min(1, |phi(0)|)),
-    or when the projected region F >= 0 is exited; the reason is recorded on
-    the curve.
+    when the projected region F >= 0 is exited, or when w or p overflows;
+    the reason is recorded on the curve.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -318,24 +326,28 @@ def integrate_separatrix(
     fold_tol = FOLD_TOL * min(1.0, abs(eval_jet2(T.phi, 0.0).v))
     # The RK4 stages, the region test and the projection of one step share
     # abscissae (k2/k3 at t + h/2; k4, Q, the projection and the next k1 at
-    # t + h; a halved step reuses t + h/2), so each (phi, psi) jet is
-    # evaluated once.  Once the step is uniform, h = target - t is exact
+    # t + h; a halved step reuses t + h/2), so each row of _coeffs is
+    # computed once.  Once the step is uniform, h = target - t is exact
     # (Sterbenz), so every stage lands on a target or on the midpoint
     # prev + (target - prev)/2; those are sampled as arrays, a block of
-    # targets at a time (see _grid_block), into one table of jets.  The
+    # targets at a time (see _grid_block), into one table of rows.  The
     # near-origin capped steps and the halvings miss the block and are
     # evaluated point by point into the same table, which starts afresh
     # with every block so it stays bounded.
     table = {}
 
-    def jets(t):
-        j = table.get(t)
-        if j is None:
-            j = table[t] = _target_row(T, t)
-        return j
+    def coeffs(t):
+        c = table.get(t)
+        if c is None:
+            c = table[t] = _coeffs(n, t, *_target_row(T, t))
+        return c
 
-    def rhs(t, w, p):
-        F, F_t, F_w, F_p = surface_terms(n, t, w, p, *jets(t))
+    def rhs(t, c, w, p):  # (w', p') from t's row c of _coeffs; F is not needed
+        A, _, C, D = c
+        ww = w * w - 2.0 * w
+        F_t = (C * ww + D) / (n - 1)
+        F_w = A * (2.0 * w - 2.0) / (n - 1)
+        F_p = -2.0 * p
         if abs(F_p) < fold_tol:
             raise _Halt("fold_contact", f"|F_p| = {abs(F_p):.3e} < {fold_tol:g} at t = {t:.6g}")
         return p, -(F_t + p * F_w) / F_p
@@ -349,18 +361,28 @@ def integrate_separatrix(
         targets[-1] = t_end
 
     min_h = 1e-6 * step
+    ts, ws, ps = [t0], [w0], [p0]
+
+    def overflow(t):
+        return _Halt(
+            "overflow",
+            f"w or p left the float range past t = {t:.6g}; "
+            f"last sample t = {ts[-1]:.6g}, w = {ws[-1]:.6g}, p = {ps[-1]:.6g}",
+        )
 
     def advance(t, w, p, h):
         """One projected RK4 sub-step of at most h, halved near the region
         boundary or where p would flip sign: the accepted (h, w, p, |F|)."""
+        k1w, k1p = rhs(t, coeffs(t), w, p)
         while True:
-            k1w, k1p = rhs(t, w, p)
-            k2w, k2p = rhs(t + h / 2, w + h / 2 * k1w, p + h / 2 * k1p)
-            k3w, k3p = rhs(t + h / 2, w + h / 2 * k2w, p + h / 2 * k2p)
-            k4w, k4p = rhs(t + h, w + h * k3w, p + h * k3p)
+            mid = coeffs(t + h / 2)
+            k2w, k2p = rhs(t + h / 2, mid, w + h / 2 * k1w, p + h / 2 * k1p)
+            k3w, k3p = rhs(t + h / 2, mid, w + h / 2 * k2w, p + h / 2 * k2p)
+            A, B, _, _ = end = coeffs(t + h)  # after k3: a fold halt wins over an EvalError
+            k4w, k4p = rhs(t + h, end, w + h * k3w, p + h * k3p)
             w_try = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
             p_try = p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-            Q = surface_terms(n, t + h, w_try, 0.0, *jets(t + h))[0]
+            Q = (A * (w_try * w_try - 2.0 * w_try) + B) / (n - 1)
             if Q > 0.0:
                 p_try, resid = _project_p(t + h, Q, p_try, projection_tol)
                 if p_try * p > 0.0:
@@ -376,8 +398,11 @@ def integrate_separatrix(
                     "fold_contact", f"projected region boundary reached at t = {t + h:.6g}"
                 )
             elif h <= min_h:
+                if not math.isfinite(Q):  # NaN or -inf: the trial step overflowed
+                    raise overflow(t)
+                # a halt: t is sampled again rather than its target row kept;
                 # F_t and F_w do not depend on p
-                Q_here, F_t, F_w, _ = surface_terms(n, t, w, 0.0, *jets(t))
+                Q_here, F_t, F_w, _ = surface_terms(n, t, w, 0.0, *_target_row(T, t))
                 if Q_here <= FOLD_TOL * (1.0 + abs(Q_here) + p * p):
                     raise _Halt(
                         "fold_contact",
@@ -389,7 +414,6 @@ def integrate_separatrix(
                 )
             h /= 2.0
 
-    ts, ws, ps = [t0], [w0], [p0]
     drift = 0.0
     halt_reason, halt_detail = "t_end", ""
     t, w, p = t0, w0, p0
@@ -409,8 +433,11 @@ def integrate_separatrix(
                 if h <= 1e-15 * max(1.0, abs(t)):
                     raise StepUnderflowError(f"step underflow at t = {t:.6g}")
                 h, w, p, resid = advance(t, w, p, h)
+                if resid > drift:  # rare once drift settles, so test inf only here
+                    if resid == math.inf:  # _project_p met an infinite Q or p
+                        raise overflow(t)
+                    drift = resid
                 t += h
-                drift = max(drift, resid)
             ts.append(t)
             ws.append(w)
             ps.append(p)

@@ -60,6 +60,10 @@ def _check_sign(curve: PotentialCurve, phi0: float):
         )
 
 
+def _halt_text(curve: PotentialCurve) -> str:
+    return curve.halt_reason + (f", {curve.halt_detail}" if curve.halt_detail else "")
+
+
 def _profile_layout(curve: PotentialCurve):
     """Profile grid starting at 0 with a uniform tail.
 
@@ -71,10 +75,9 @@ def _profile_layout(curve: PotentialCurve):
     """
     t = curve.t
     if t.size < MIN_PROFILE_SAMPLES:
-        halt = curve.halt_reason + (f", {curve.halt_detail}" if curve.halt_detail else "")
         raise CurveTooShortError(
             f"curve too short to reconstruct a profile: {t.size} samples, "
-            f"{MIN_PROFILE_SAMPLES} needed (halt: {halt})"
+            f"{MIN_PROFILE_SAMPLES} needed (halt: {_halt_text(curve)})"
         )
     on_step_grid = abs((t[1] - t[0]) - (t[2] - t[1])) <= 1e-9 * (t[2] - t[1])
     start = 0 if t[0] > 0.0 and on_step_grid else 1
@@ -283,6 +286,12 @@ def reconstruct_profile(
 
     if t_lo is None:
         t_lo = 0.05 * T.t_max
+    if curve.halt_reason != "t_end" and grid[-1] <= t_lo < T.t_max:
+        # the branch, not the window, is at fault: a t_lo past t_max stays a config error
+        raise CurveTooShortError(
+            f"profile ends at t = {grid[-1]:.6g}, before t_lo = {t_lo:.6g} "
+            f"(halt: {_halt_text(curve)})"
+        )
     window = _residual_window(grid, t_lo, float(grid[-1]))
     res_rr, res_tt = ricci_defects(profile, slice(None), q.phi, sample(grid, T.psi)[0, 0])
     return ReconstructionResult(

@@ -311,6 +311,32 @@ def test_non_finite_target_is_one_code_2_line_under_every_command(
     assert "not finite" in lines[0]
 
 
+OVERFLOW_CFG = 'n = 3\nphi = "{a}"\npsi = "{a}"\nt_max = 1\nout = "{out}"\n'
+
+
+def test_overflow_before_t_lo_is_one_code_3_line(tmp_path, capsys):
+    path = _write(tmp_path, "o.cfg", OVERFLOW_CFG.format(a="1e9", out=f"{tmp_path}/o"))
+    assert main(["solve", "--config", str(path)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("riccisym: code=3 ")
+    assert "halt: overflow" in lines[0]
+
+
+def test_overflow_is_not_reported_as_a_fold(tmp_path, capsys):
+    path = _write(tmp_path, "o.cfg", OVERFLOW_CFG.format(a="1e6", out=f"{tmp_path}/o"))
+    assert main(["solve", "--config", str(path)]) == 0
+    report = (tmp_path / "o_report.txt").read_text()
+    assert "halt: overflow" in report
+    assert "fold_contact" not in report + capsys.readouterr().err
+
+
+def test_t_lo_beyond_t_max_stays_a_config_error_after_an_early_halt(tmp_path, capsys):
+    cfg = OVERFLOW_CFG.format(a="1e9", out=f"{tmp_path}/o") + "t_lo = 2\n"
+    assert main(["solve", "--config", str(_write(tmp_path, "o.cfg", cfg))]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("riccisym: code=1 ")
+
+
 LOG_CFG = 'n = 3\nphi = "1"\npsi = "1 + log(1 - t)"\nt_max = 2\n'
 
 

@@ -1,9 +1,12 @@
 import ast
+import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccisym import potential, rotsym
 from riccisym.exprfn import eval_jet2, parse
@@ -53,6 +56,41 @@ def test_surface_gold_solution_on_surface():
 def test_surface_second_root():
     F, *_ = surface_eval(GOLD, 0.0, 2.0, 0.0)
     assert F == 0.0
+
+
+def _reference_surface_terms(n, t, w, p, phi, dphi, psi, dpsi):
+    """surface_terms as written before the coefficient split."""
+    ww = w * w - 2.0 * w
+    tt = t * t * phi * psi
+    F = ((n - 2) * phi * ww + tt) / (n - 1) - p * p
+    dtt = 2.0 * t * phi * psi + t * t * (dphi * psi + phi * dpsi)
+    F_t = ((n - 2) * dphi * ww + dtt) / (n - 1)
+    F_w = (n - 2) * phi * (2.0 * w - 2.0) / (n - 1)
+    F_p = -2.0 * p
+    return F, F_t, F_w, F_p
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500)
+@given(
+    n=st.integers(3, 40),
+    args=st.lists(_FINITE, min_size=7, max_size=7),
+    as_arrays=st.booleans(),
+)
+def test_surface_terms_match_the_reference_bit_for_bit(n, args, as_arrays):
+    if as_arrays:
+        # broadcast (2, 1) against (3,): every entry is its own operation
+        args = [np.array([[a], [-a]]) if i % 2 else np.array([a, 0.5 * a, -a])
+                for i, a in enumerate(args)]
+    with np.errstate(all="ignore"):  # overflow and inf - inf, as with Python floats
+        got = potential.surface_terms(n, *args)
+        ref = _reference_surface_terms(n, *args)
+    for g, r in zip(got, ref):
+        g, r = np.asarray(g), np.asarray(r)
+        assert g.shape == r.shape
+        assert np.array_equal(g, r, equal_nan=True)
 
 
 def test_lie_cartan_origin_singular():
@@ -267,6 +305,29 @@ def test_integrate_gold_family():
     assert curve.constraint_max <= 1e-9
 
 
+# sha256 of t, w and p bytes at step 1e-3: every instance is pure
+# arithmetic (no libm call), so a change to the integrator that claims
+# bit-identical output must keep these.
+@pytest.mark.parametrize(
+    "phi, psi, t_max, reason, digest",
+    [
+        ("1", "1", 10.0, "t_end",
+         "a5216ffcc28f6dea75eeea56199b05d0f3e28c264ab342fc29ad475aaa946ab8"),
+        ("-1", "-1", 10.0, "t_end",
+         "7f683a23fc94b910331c32f0c94fa97f303deee509d647b186f7105b916e56dd"),
+        ("1", "1 - 4*t^2", 0.46, "fold_contact",
+         "b081f814415042f4981314c1bc5f87e286b6d9f00e2dd92a9444248e551add1f"),
+        ("8", "8 - 4*t^2", 0.5, "t_end",
+         "5ffa2d906b932a42c3e43187684e3404a58c0adfcc613dd2410a80c6ff996770"),
+    ],
+    ids=["const_pos_t10", "const_neg_t10", "fold_contact", "gold_n3"],
+)
+def test_integrate_output_bytes_are_pinned(phi, psi, t_max, reason, digest):
+    _, c = solve_branch(_surface(3, phi, psi, t_max), 1e-3)
+    assert c.halt_reason == reason
+    assert hashlib.sha256(c.t.tobytes() + c.w.tobytes() + c.p.tobytes()).hexdigest() == digest
+
+
 def test_integrate_quadratic_coefficient_fit():
     _, curve = solve_branch(UNIT, step=1e-3, t_end=0.2)
     mask = curve.t <= 0.2
@@ -319,13 +380,27 @@ def test_integrate_step_halving_fourth_order():
          "F(t, w, 0) = -3.050e-08 < -1e-12 past t = 1.36681"),
         ("100", "1-40*t^2", 0.46, 1e-3, 112, "fold_contact",
          "|F_p| = 4.096e-09 < 1e-08 at t = 0.111798"),
+        ("1e9", "1e9", 1.0, 1e-3, 34, "overflow",
+         "w or p left the float range past t = 0.033; "
+         "last sample t = 0.033, w = 2.78082e+146, p = 6.21811e+150"),
     ],
-    ids=["sign_flip", "region_boundary", "fold_reached", "surface_exit", "small_F_p"],
+    ids=["sign_flip", "region_boundary", "fold_reached", "surface_exit", "small_F_p",
+         "overflow"],
 )
 def test_integrate_halt_branches(phi, psi, t_max, step, size, reason, detail):
     _, curve = solve_branch(_surface(3, phi, psi, t_max=t_max), step=step)
     assert (curve.halt_reason, curve.halt_detail) == (reason, detail)
     assert curve.t.size == size
+
+
+@pytest.mark.parametrize("a", ["1e6", "1e8", "1e12"])
+def test_integrate_overflow_keeps_only_finite_samples(a):
+    # w grows like exp(sqrt(phi/2) t) and leaves the float range before t = 1;
+    # this used to end as a fold or a surface exit, with an infinite |F|
+    _, curve = solve_branch(_surface(3, a, a), 1e-3)
+    assert curve.halt_reason == "overflow"
+    assert np.all(np.isfinite(curve.w)) and np.all(np.isfinite(curve.p))
+    assert math.isfinite(curve.constraint_max)
 
 
 def test_integrate_invalid_args():
@@ -556,6 +631,31 @@ def test_integrate_grid_path_matches_scalar_path(monkeypatch, n, phi, psi, t_max
         assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
     assert (fast.halt_reason, fast.halt_detail) == (slow.halt_reason, slow.halt_detail)
     assert fast.constraint_max == slow.constraint_max
+
+
+@pytest.mark.parametrize(
+    "n, phi, psi, t_max",
+    [
+        (3, "1", "1", 10.0),
+        (3, "-1", "-1", 10.0),
+        (4, "3*exp(-t^2)", "3*cos(t)^2 + t^4/(1+t^2)", 2.0),
+    ],
+)
+def test_uniform_steps_read_the_grid_table(monkeypatch, n, phi, psi, t_max):
+    # Only the capped steps near the origin miss the array blocks (20 and 28
+    # scalar rows here); a uniform step that fell back to the scalar path
+    # would keep the output but lose the array sampling.
+    calls = []
+    row = potential._target_row
+
+    def counting(T, t):
+        calls.append(t)
+        return row(T, t)
+
+    monkeypatch.setattr(potential, "_target_row", counting)
+    _, curve = solve_branch(_surface(n, phi, psi, t_max), 1e-3)
+    assert curve.halt_reason == "t_end"
+    assert len(calls) <= 32
 
 
 def test_constant_targets_never_halt_spuriously():
