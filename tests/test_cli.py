@@ -107,6 +107,15 @@ def test_solve_gold_writes_outputs(tmp_path, capsys):
     assert np.all(rps > 0)
 
 
+def test_first_power_solves_like_its_base(tmp_path):
+    # t^1 used to raise "zero base with negative exponent" at t = 0 (code=1)
+    for name, phi in (("pow1", "1 + 0*t^1"), ("const", "1")):
+        cfg = f'n = 3\nphi = "{phi}"\npsi = "1"\nt_max = 1\nout = "{tmp_path}/{name}"\n'
+        assert main(["solve", "--config", str(_write(tmp_path, f"{name}.cfg", cfg))]) == 0
+    csv = [(tmp_path / f"{name}_solution.csv").read_bytes() for name in ("pow1", "const")]
+    assert csv[0] == csv[1]
+
+
 def test_solve_singular_exit_code(tmp_path, capsys):
     cfg = 'n = 3\nphi = "t"\npsi = "t"\nt_max = 1\n' + f'out = "{tmp_path}/s"\n'
     path = _write(tmp_path, "sing.cfg", cfg)

@@ -1,6 +1,8 @@
+import collections
 import copy
 import math
 import pickle
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -195,6 +197,8 @@ def test_deterministic_evaluation():
 def _walk_pow(a, k):
     if k == 0:
         return Jet2(1.0, 0.0, 0.0)
+    if k == 1:
+        return a  # the general rule would take v ** -1 and d1 ** 2, which may raise
     if k < 0:
         if a.v == 0.0:
             raise ZeroDivisionError("zero base with negative exponent")
@@ -384,11 +388,100 @@ def test_grid_kernel_declines_where_the_scalar_kernel_raises():
         ("sqrt((t - 1)^2)", 1.0),
         ("t^-2", 0.0),
         ("log(t)", -1.0),
+        # libm overflow: math.exp, and math.pow on d1 ** 2 = 1e320 (which
+        # already overflows at t = 0.5)
+        ("exp(t)", 710.0),
+        ("(1e160*t)^3", 1.0),
     )
     for src, t in cases:
-        assert jet_grid(parse(src), [0.5, t, 2.0]) is None
+        ts = [0.5, t, 2.0]
+        assert jet_grid(parse(src), ts) is None
         with pytest.raises(EvalError):
             eval_jet2(parse(src), t)
+        first = next(o for o in (_outcome(eval_jet2, parse(src), x) for x in ts) if o[0] is EvalError)
+        with pytest.raises(EvalError) as err:
+            sample(ts, parse(src))
+        assert str(err.value) == first[1]
+
+
+# Abscissae over nine decades, plus the stretch just below exp's overflow
+# point log(DBL_MAX) = 709.78 and a neighbourhood of 1, where log is near 0.
+# 100k points, because numpy's substitutes for libm differ from it on only
+# 0.08% (x*x for x**2) to 3% (np.exp) of arguments.
+_DENSE = np.concatenate([
+    np.geomspace(1e-6, 700.0, 80_000),
+    np.linspace(709.0, 709.78, 10_000),
+    1.0 + np.linspace(-1e-3, 1e-3, 10_000),
+])
+
+
+class _CountingMath:
+    """The math module, counting the calls of each of its functions."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        fn = getattr(math, name)
+        if not callable(fn):
+            return fn
+
+        def counted(*args):
+            self.calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+
+def _libm_values(src):
+    """The value of a dense-test expression at each abscissa, from Python's
+    math and ** alone (the jet helpers play no part)."""
+    if "^" not in src:
+        return [getattr(math, src[: src.index("(")])(t) for t in _DENSE.tolist()]
+    k = int(src[src.index("^") + 1 :])
+    return [x ** k if k >= 0 else 1.0 / x ** -k for x in (0.5 * _DENSE - 0.7).tolist()]
+
+
+# each case with the math functions its jet must call on every element:
+# (d1/v)^2 in log and q1^2 in sqrt vary along the grid, d1^2 = 1^2 in sin,
+# cos and exp of t is one scalar pow, and x^-1 = 1/x^1 needs none
+@pytest.mark.parametrize(
+    "src, libm",
+    [("sin(t)", {"sin", "cos"}), ("cos(t)", {"sin", "cos"}), ("exp(t)", {"exp"}),
+     ("log(t)", {"log", "pow"}), ("sqrt(t)", {"sqrt", "pow"})]
+    + [(f"(0.5*t - 0.7)^{k}", set() if abs(k) <= 1 else {"pow"}) for k in range(-3, 6)],
+)
+def test_grid_kernel_calls_libm_on_every_element(src, libm, monkeypatch):
+    e = parse(src)
+    grid = np.column_stack(jet_grid(e, _DENSE))
+    scalar = np.array([(j.v, j.d1, j.d2) for j in map(eval_jet2, repeat(e), _DENSE.tolist())])
+    assert np.isfinite(grid).all()
+    for i, c in zip(*np.nonzero(grid.view(np.int64) != scalar.view(np.int64))):
+        pytest.fail(f"t={_DENSE[i]!r}: jet_grid {float.hex(grid[i, c])} != eval_jet2 {float.hex(scalar[i, c])}")
+    values = np.array(_libm_values(src))
+    for i in np.flatnonzero(grid[:, 0].view(np.int64) != values.view(np.int64)):
+        pytest.fail(f"t={_DENSE[i]!r}: value {float.hex(grid[i, 0])} != libm {float.hex(values[i])}")
+    # numpy's sin and cos can match libm bit for bit, and sqrt always does,
+    # so only the calls show that libm, not a ufunc, computed each element
+    spy = _CountingMath()
+    monkeypatch.setattr(exprfn, "math", spy)
+    jet_grid(parse(src), _DENSE)
+    assert {name for name, count in spy.calls.items() if count >= _DENSE.size} == libm
+
+
+def test_first_power_is_the_base_jet():
+    # the general rule for k = 1 took v ** -1 and d1 ** 2, which raised at a
+    # zero base and overflowed on steep or tiny bases; x^-1 is 1/x
+    cases = (
+        ("t^1", "t", 0.0),
+        ("(1e160*t)^1", "1e160*t", 1.0),
+        ("t^1", "t", 1e-320),
+        ("(1e160*t)^-1", "1/(1e160*t)", 1.0),
+    )
+    for src, same, t in cases:
+        assert eval_jet2(parse(src), t) == eval_jet2(parse(same), t)
+        grid, ref = jet_grid(parse(src), [t, 2.0]), jet_grid(parse(same), [t, 2.0])
+        assert grid is not None and all(map(np.array_equal, grid, ref))
 
 
 # the one grid sampler
