@@ -24,6 +24,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -143,20 +144,24 @@ def _validate_common(cfg: ProblemConfig):
 # deterministic CSV emission
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_csv(path: Path, header, rows):
     """Write the CSV under a temporary name and rename it into place, so a
-    failure while rows are produced leaves no partial file at path."""
+    failure while rows are produced leaves no partial file at path.
+
+    The first row fixes one '%' template for the file: a str cell is copied
+    and any other cell is written as '%.17g', which is format(float(x), '.17g').
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
+    rows = iter(rows)
     try:
         with open(tmp, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+            first = next(rows, None)
+            if first is not None:
+                fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
+                fh.write(fmt % tuple(first))
+                fh.writelines(fmt % tuple(row) for row in rows)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -166,10 +171,11 @@ def write_csv(path: Path, header, rows):
 def _solution_rows(sol):
     recon = sol.recon
     profile = recon.profile
-    return zip(
+    columns = (
         profile.grid, recon.w, recon.p, profile.r, profile.rp, profile.f, profile.fp,
         recon.res_rr, recon.res_tt,
     )
+    return zip(*(column.tolist() for column in columns))
 
 
 SOLUTION_HEADER = ("t", "w", "p", "r", "rp", "f", "fp", "res_rr", "res_tt")
@@ -233,15 +239,16 @@ def _cmd_analyze(cfg: ProblemConfig) -> int:
     write_csv(
         out.with_name(out.name + "_fold.csv"),
         ("t", "w_lower", "w_upper"),
-        _fold_rows(T, cfg),
+        zip(*(column.tolist() for column in _fold_points(T, cfg))),
     )
     return 0
 
 
-def _fold_rows(T: RotSymTensor, cfg: ProblemConfig):
+def _fold_points(T: RotSymTensor, cfg: ProblemConfig):
+    """(t, w_lower, w_upper) arrays where the fold is real, over `samples` abscissae."""
     ts = np.linspace(0.0, cfg.t_max, cfg.samples)
     real, lower, upper = potential.fold_branches(T.n, ts, sample(ts, T.psi)[0, 0])
-    yield from zip(ts[real], lower[real], upper[real])
+    return ts[real], lower[real], upper[real]
 
 
 def _cmd_portrait(cfg: ProblemConfig) -> int:
@@ -253,14 +260,20 @@ def _cmd_portrait(cfg: ProblemConfig) -> int:
     _, curve = potential.solve_branch(
         T, step=cfg.step, delta=cfg.delta, projection_tol=cfg.constraint_tol
     )
+    (phi, dphi, _), (psi, dpsi, _) = sample(curve.t, T.phi, T.psi)
+    F_sep = potential.surface_terms(T.n, curve.t, curve.w, curve.p, phi, dphi, psi, dpsi)[0]
+    t_fold, lower, upper = _fold_points(T, cfg)
+    (phi, dphi, _), (psi, dpsi, _) = sample(t_fold, T.phi, T.psi)
+    F_lower = potential.surface_terms(T.n, t_fold, lower, 0.0, phi, dphi, psi, dpsi)[0]
+    F_upper = potential.surface_terms(T.n, t_fold, upper, 0.0, phi, dphi, psi, dpsi)[0]
 
     def rows():
-        for t, w, p in zip(curve.t, curve.w, curve.p):
-            F = potential.surface_eval(T, t, w, p)[0]
-            yield ("separatrix", t, w, p, F)
-        for t, lower, upper in _fold_rows(T, cfg):
-            yield ("fold_lower", t, lower, 0.0, potential.surface_eval(T, t, lower, 0.0)[0])
-            yield ("fold_upper", t, upper, 0.0, potential.surface_eval(T, t, upper, 0.0)[0])
+        sep = (curve.t, curve.w, curve.p, F_sep)
+        yield from zip(repeat("separatrix"), *(column.tolist() for column in sep))
+        fold = (t_fold, lower, upper, F_lower, F_upper)
+        for t, w_lower, w_upper, F_l, F_u in zip(*(column.tolist() for column in fold)):
+            yield ("fold_lower", t, w_lower, 0.0, F_l)
+            yield ("fold_upper", t, w_upper, 0.0, F_u)
 
     out = Path(cfg.out)
     write_csv(out.with_name(out.name + "_portrait.csv"), ("branch", "t", "w", "p", "F"), rows())
@@ -300,7 +313,11 @@ def _cmd_verify(cfg: ProblemConfig) -> int:
     T = _tensor_from(cfg)
     t_lo = cfg.t_lo if cfg.t_lo is not None else 0.05 * cfg.t_max
     t_hi = cfg.t_hi if cfg.t_hi is not None else float(profile.grid[-1])
-    res_rr, res_tt = reconstruct.verify_ricci(profile, T, t_lo, t_hi)
+    # a finite profile can still divide by zero (r = 0 at t > 0); the gate
+    # below fails the resulting inf or NaN residual
+    with np.errstate(all="ignore"):
+        res_rr, res_tt = reconstruct.verify_ricci(profile, T, t_lo, t_hi)
+    worst = float(np.maximum(res_rr, res_tt))  # NaN if either is NaN
     out = Path(cfg.out)
     path = out.with_name(out.name + "_verify.txt")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -311,23 +328,56 @@ def _cmd_verify(cfg: ProblemConfig) -> int:
         f"residual tangential: {res_tt:.6e}\n"
         f"tolerance: {cfg.residual_tol:.6e}\n"
     )
-    if max(res_rr, res_tt) > cfg.residual_tol:
-        _diag(3, f"ricci residuals exceed tolerance: {max(res_rr, res_tt):.3e}")
+    if not worst <= cfg.residual_tol:
+        _diag(3, f"ricci residuals exceed tolerance: {worst:.3e}")
         return 3
     return 0
 
 
+PROFILE_COLUMNS = ("t", "f", "r", "rp", "fp")
+
+
 def _read_solution_csv(path: Path) -> dict:
+    """The PROFILE_COLUMNS of a solution CSV as float arrays.
+
+    Raises ConfigError unless every data row has as many fields as the
+    header and each cell parsed is a number, finite in PROFILE_COLUMNS.
+    Only those columns and the last one, which bounds the row width, are
+    parsed.
+    """
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+            missing = sorted(set(PROFILE_COLUMNS) - set(header))
+            if missing:
+                raise ConfigError(f"profile CSV missing columns {missing}")
+            start = fh.tell()
+            if all(line.isspace() for line in iter(fh.readline, "")):
+                raise ConfigError(f"profile CSV {path} has no data rows")
+            fh.seek(start)
+            last = len(header) - 1
+            usecols = [header.index(name) for name in PROFILE_COLUMNS] + [last]
+            try:
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=usecols)
+            except ValueError as err:
+                raise ConfigError(f"profile CSV {path}: {err}") from None
+            # parsing the last column fails a row with too few fields, so a
+            # comma count above the header's share is a row with too many
+            fh.seek(start)
+            if fh.read().count(",") != len(data) * last:
+                fh.seek(start)
+                lines = enumerate(filter(str.strip, fh), start=1)
+                row = next(i for i, line in lines if line.count(",") != last)
+                raise ConfigError(f"profile CSV {path}: data row {row} has more than {last + 1} fields")
     except OSError as err:
         raise ConfigError(f"cannot read profile CSV {path}: {err}") from None
-    needed = {"t", "f", "r", "rp", "fp"}
-    if not needed.issubset(header):
-        raise ConfigError(f"profile CSV missing columns {sorted(needed - set(header))}")
-    cols = {name: np.array([float(row[i]) for row in rows]) for i, name in enumerate(header)}
+    cols = dict(zip(PROFILE_COLUMNS, np.ascontiguousarray(data.T)))
+    for name, col in cols.items():
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            raise ConfigError(
+                f"profile CSV {path}: non-finite {name} = {col[bad[0]]} in data row {bad[0] + 1}"
+            )
     return cols
 
 

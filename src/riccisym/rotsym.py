@@ -43,8 +43,11 @@ def fourth_order_derivative(y: np.ndarray, h: float) -> np.ndarray:
 
 def _uniform_step(grid: np.ndarray) -> float:
     steps = np.diff(grid)
+    if steps.size == 0:
+        raise ValueError("grid needs at least two samples")
     h = steps[0]
-    if np.max(np.abs(steps - h)) > 1e-9 * max(h, 1e-300):
+    # a NaN step fails the comparison, so it is not uniform
+    if not np.max(np.abs(steps - h)) <= 1e-9 * max(h, 1e-300):
         raise ValueError("grid is not uniform")
     return float(h)
 

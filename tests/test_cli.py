@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -395,3 +398,160 @@ def test_analyze_classifies_the_saddle_once(tmp_path, monkeypatch):
     monkeypatch.setattr(potential, "saddle_report", counting)
     assert main(["analyze", "--config", str(path)]) == 0
     assert len(calls) == 1
+
+
+def _reference_csv(header, rows) -> bytes:
+    """The CSV bytes of one format(float(v), '.17g') call per non-str cell."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "n, phi, psi, t_max", [(4, "12", "12 - 8*t^2", 0.5), (3, "-1", "-1", 10.0)]
+)
+def test_write_csv_writes_the_reference_bytes(tmp_path, n, phi, psi, t_max):
+    sol = pipeline.solve(rotsym.RotSymTensor(n, parse(phi), parse(psi), t_max))
+    recon, profile = sol.recon, sol.recon.profile
+    columns = (
+        profile.grid, recon.w, recon.p, profile.r, profile.rp, profile.f, profile.fp,
+        recon.res_rr, recon.res_tt,
+    )
+    path = tmp_path / "s.csv"
+    cli.write_csv(path, cli.SOLUTION_HEADER, cli._solution_rows(sol))
+    assert path.read_bytes() == _reference_csv(cli.SOLUTION_HEADER, zip(*columns))
+
+
+def test_write_csv_formats_edge_values_like_format_17g(tmp_path):
+    header = ("name", "a", "b", "c", "d", "e", "f", "g")
+    rows = [
+        ("zero", -0.0, math.inf, -math.inf, math.nan, 5e-324, 2**60, sys.float_info.max),
+        ("numpy", np.float64(0.1), np.float64(-1e-300), np.float64(np.nan), 1, -(2**53 + 1),
+         np.float64(1e22), 123456789.123456789),
+        ("100%s", 0.0, -5e-324, 1e16, 2.5, np.float64(-0.0), 1e-7, -sys.float_info.max),
+    ]
+    path = tmp_path / "edge.csv"
+    cli.write_csv(path, header, iter(rows))
+    assert path.read_bytes() == _reference_csv(header, rows)
+    assert path.read_text().splitlines()[1] == (
+        "zero,-0,inf,-inf,nan,4.9406564584124654e-324,1.152921504606847e+18,"
+        "1.7976931348623157e+308"
+    )
+
+
+def test_write_csv_writes_the_header_of_an_empty_table(tmp_path):
+    path = tmp_path / "empty.csv"
+    cli.write_csv(path, ("a", "b"), iter(()))
+    assert path.read_text() == "a,b\n"
+
+
+@pytest.mark.parametrize(
+    "n, phi, psi, t_max",
+    [(3, "-1", "-1", 10.0), (4, "3*exp(-t^2)", "3*cos(t)^2 + t^4/(1+t^2)", 2.0)],
+)
+def test_portrait_F_is_the_surface_value_of_each_row(tmp_path, n, phi, psi, t_max):
+    cfg = f'n = {n}\nphi = "{phi}"\npsi = "{psi}"\nt_max = {t_max}\nout = "{tmp_path}/p"\n'
+    assert main(["portrait", "--config", str(_write(tmp_path, "p.cfg", cfg))]) == 0
+    _, rows = _read_csv(tmp_path / "p_portrait.csv")
+    T = rotsym.RotSymTensor(n, parse(phi), parse(psi), t_max)
+    assert {row[0] for row in rows} == {"separatrix", "fold_lower", "fold_upper"}
+    for row in rows:
+        t, w, p, F = map(float, row[1:])
+        assert F == potential.surface_eval(T, t, w, p)[0], row
+
+
+# ---------------------------------------------------------------------------
+# verify on profiles it cannot read
+
+
+@pytest.fixture(scope="module")
+def gold4_profile(tmp_path_factory):
+    """The lines of the gold n = 4 solution CSV."""
+    tmp = tmp_path_factory.mktemp("gold4")
+    path = _write(tmp, "g4.cfg", GOLD4_CFG + f'out = "{tmp}/g4"\n')
+    assert main(["solve", "--config", str(path)]) == 0
+    return (tmp / "g4_solution.csv").read_text().splitlines()
+
+
+def _set_cell(lines, row, column, value):
+    cells = lines[row].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    return lines[:row] + [",".join(cells)] + lines[row + 1:]
+
+
+def _verify(tmp_path, lines):
+    profile = tmp_path / "profile.csv"
+    profile.write_text("".join(line + "\n" for line in lines))
+    cfg = GOLD4_CFG + f'out = "{tmp_path}/v"\nprofile = "{profile}"\n'
+    return main(["verify", "--config", str(_write(tmp_path, "v.cfg", cfg))])
+
+
+UNREADABLE_PROFILES = {
+    "header only": (lambda lines: lines[:1], "has no data rows"),
+    "header and blank lines": (lambda lines: lines[:1] + ["", ""], "has no data rows"),
+    "short row": (
+        lambda lines: lines[:6] + [lines[6].rsplit(",", 1)[0]] + lines[7:],
+        "invalid column index 8",
+    ),
+    "long row": (
+        lambda lines: lines[:6] + [lines[6] + ",0"] + lines[7:],
+        "data row 6 has more than 9 fields",
+    ),
+    "header lost a column": (
+        lambda lines: [lines[0].replace(",w,", ",")] + lines[1:],
+        "data row 1 has more than 8 fields",
+    ),
+    "nan r": (lambda lines: _set_cell(lines, 7, "r", "nan"), "non-finite r = nan in data row 7"),
+    "nan rp": (lambda lines: _set_cell(lines, 8, "rp", "nan"), "non-finite rp = nan in data row 8"),
+    "nan fp": (lambda lines: _set_cell(lines, 9, "fp", "nan"), "non-finite fp = nan in data row 9"),
+    "nan t": (lambda lines: _set_cell(lines, 3, "t", "nan"), "non-finite t = nan in data row 3"),
+    "inf f": (lambda lines: _set_cell(lines, 4, "f", "-inf"), "non-finite f = -inf in data row 4"),
+    "junk rp": (lambda lines: _set_cell(lines, 5, "rp", "x"), "could not convert string 'x'"),
+    "blank t": (lambda lines: _set_cell(lines, 5, "t", ""), "could not convert string ''"),
+    "no r column": (
+        lambda lines: [lines[0].replace(",r,", ",radius,")] + lines[1:],
+        "missing columns ['r']",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_PROFILES)
+def test_verify_rejects_a_profile_it_cannot_read(tmp_path, capsys, gold4_profile, case):
+    mutate, reason = UNREADABLE_PROFILES[case]
+    assert _verify(tmp_path, mutate(gold4_profile)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith('riccisym: code=1 reason="'), err
+    assert reason in err[0]
+    assert not (tmp_path / "v_verify.txt").exists()
+
+
+@pytest.mark.parametrize("columns", [cli.SOLUTION_HEADER, ("fp", "t", "rp", "f", "r")])
+def test_verify_finds_the_profile_columns_by_name(tmp_path, capsys, gold4_profile, columns):
+    table = [line.split(",") for line in gold4_profile]
+    picks = [table[0].index(name) for name in columns]
+    assert _verify(tmp_path, [",".join(row[i] for i in picks) for row in table]) == 0
+    assert capsys.readouterr().err == ""
+    assert "residual radial: 4.989529e-09\n" in (tmp_path / "v_verify.txt").read_text()
+
+
+@pytest.mark.parametrize("residuals", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_verify_fails_a_nan_residual(tmp_path, capsys, monkeypatch, gold4_profile, residuals):
+    monkeypatch.setattr(reconstruct, "verify_ricci", lambda *args: residuals)
+    assert _verify(tmp_path, gold4_profile) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        'riccisym: code=3 reason="ricci residuals exceed tolerance: nan"'
+    ]
+
+
+@pytest.mark.parametrize(
+    "column, code, reason",
+    [("r", 3, "ricci residuals exceed tolerance: nan"), ("rp", 1, "r'(t) <= 0 at t = 0.199")],
+)
+def test_verify_fails_a_zero_radius_or_slope_without_warnings(
+    tmp_path, capsys, gold4_profile, column, code, reason
+):
+    # r = 0 at t > 0 divides by zero and gives a NaN residual, r' = 0 breaks
+    # the forward map's precondition; pytest turns a RuntimeWarning into an error
+    assert _verify(tmp_path, _set_cell(gold4_profile, 200, column, "0")) == code
+    assert capsys.readouterr().err.splitlines() == [f'riccisym: code={code} reason="{reason}"']

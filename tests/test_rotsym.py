@@ -191,3 +191,17 @@ def test_forward_oracle_consistency():
     assert np.max(np.abs(rep.conformal[:, 1] - 1.0)) < 1e-4
     assert np.max(np.abs(rep.conformal[:, 2] - 1.0)) < 1e-4
     assert np.min(np.abs(rep.verbatim[:, 1] - 1.0)) > 1e-2
+
+
+@pytest.mark.parametrize(
+    "grid, reason",
+    [
+        ([0.0], "at least two samples"),
+        ([0.0, 0.1, np.nan, 0.3], "not uniform"),
+        ([np.nan, 0.1, 0.2], "not uniform"),
+        ([0.0, 0.1, 0.2, 0.4], "not uniform"),
+    ],
+)
+def test_uniform_step_rejects_short_nan_and_uneven_grids(grid, reason):
+    with pytest.raises(ValueError, match=reason):
+        rotsym._uniform_step(np.array(grid))
