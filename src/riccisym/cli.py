@@ -357,18 +357,18 @@ def _read_solution_csv(path: Path) -> dict:
             fh.seek(start)
             last = len(header) - 1
             usecols = [header.index(name) for name in PROFILE_COLUMNS] + [last]
+            error = None
             try:
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=usecols)
             except ValueError as err:
-                raise ConfigError(f"profile CSV {path}: {err}") from None
+                error = err
             # parsing the last column fails a row with too few fields, so a
             # comma count above the header's share is a row with too many
             fh.seek(start)
-            if fh.read().count(",") != len(data) * last:
+            if error or fh.read().count(",") != len(data) * last:
                 fh.seek(start)
-                lines = enumerate(filter(str.strip, fh), start=1)
-                row = next(i for i, line in lines if line.count(",") != last)
-                raise ConfigError(f"profile CSV {path}: data row {row} has more than {last + 1} fields")
+                why = _unreadable_row(fh, header, usecols) or error
+                raise ConfigError(f"profile CSV {path}: {why}")
     except OSError as err:
         raise ConfigError(f"cannot read profile CSV {path}: {err}") from None
     cols = dict(zip(PROFILE_COLUMNS, np.ascontiguousarray(data.T)))
@@ -379,6 +379,22 @@ def _read_solution_csv(path: Path) -> dict:
                 f"profile CSV {path}: non-finite {name} = {col[bad[0]]} in data row {bad[0] + 1}"
             )
     return cols
+
+
+def _unreadable_row(lines, header, usecols) -> str | None:
+    """Why np.loadtxt fails the first data row it cannot read, or None if it
+    reads each alone; data rows count from 1 and skip empty lines, as it does."""
+    for row, line in enumerate((line for line in lines if line != "\n"), start=1):
+        cells = line.rstrip("\n").split(",")
+        if len(cells) != len(header):
+            more = "more" if len(cells) > len(header) else "fewer"
+            return f"data row {row} has {more} than {len(header)} fields"
+        for i in usecols:
+            try:
+                np.loadtxt([line], delimiter=",", comments=None, usecols=[i])
+            except ValueError:
+                return f"data row {row}: could not convert string {cells[i]!r} in column {header[i]}"
+    return None
 
 
 _DISPATCH = {

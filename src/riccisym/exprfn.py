@@ -17,20 +17,19 @@ reserved constant.
 Evaluation returns a :class:`Jet2` carrying (value, first, second derivative),
 propagated by truncated Taylor arithmetic, so derivatives are exact up to
 rounding (no finite differences).  Each expression is compiled once, on its
-first evaluation, into one closure per node over float triples, and the
+first evaluation, into one closure per node over (v, d1, d2) triples, and the
 kernel is kept on the instance; values and error messages are those of the
 node-by-node Jet2 arithmetic, bit for bit.
 
 sample(ts, *exprs) is the one way to evaluate expressions over a grid: it
 returns the (v, d1, d2) arrays of each expression over ts, bit-identical
 to eval_jet2 at each t, and raises the EvalError eval_jet2 would raise at
-the first failing abscissa.  Underneath, jet_grid runs the same closures
-and Taylor helpers over ndarrays (compiled lazily and kept like the scalar
-kernel): the jet arithmetic is numpy operations, and only the calls into
-math (sin, cos, exp, log, sqrt, pow) go element by element.  It returns
-None where it cannot promise scalar results; only a caller that must not
-raise at a t it may never reach (the integrator's look-ahead) uses it
-directly.
+the first failing abscissa.  Underneath, jet_grid runs the same kernel
+over a 1-d ndarray of abscissae: the jet arithmetic is numpy operations,
+and only the calls into math (sin, cos, exp, log, sqrt, pow) go element by
+element.  It returns None where it cannot promise scalar results; only a
+caller that must not raise at a t it may never reach (the integrator's
+look-ahead) uses it directly.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -67,12 +67,12 @@ class Expr:
     def __str__(self) -> str:
         return unparse(self)
 
-    def __getstate__(self):
-        # the compiled kernels (closures, see eval_jet2 and jet_grid) are rebuilt on first use
-        state = dict(self.__dict__)
-        state.pop("_kernel", None)
-        state.pop("_grid_kernel", None)
-        return state
+    @cached_property
+    def _kernel(self):  # see eval_jet2 and jet_grid
+        return _compile(self)
+
+    def __getstate__(self):  # the kernel is rebuilt on first use
+        return {k: v for k, v in self.__dict__.items() if k != "_kernel"}
 
 
 @dataclass(frozen=True)
@@ -441,15 +441,15 @@ def _sqrt(v, d1, d2):
 _CALLS = {"sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt}
 
 
-def _compile(e: Expr, grid: bool = False):
+def _compile(e: Expr):
     """One closure per node, mapping t to the (v, d1, d2) jet of e at t.
 
     Children are evaluated left to right and every node keeps its own
     error handling, so a failure raises the same EvalError text, nested
     messages included, as evaluating the tree node by node.
 
-    With grid=True, t is an ndarray and the same closures and helpers run
-    over arrays: all jet arithmetic is numpy operations in the scalar order
+    t is a number or a 1-d ndarray, and only the Var leaf tells them apart:
+    over an array all jet arithmetic is numpy operations in the scalar order
     (IEEE makes them bit-equal), and only the math calls inside ** and the
     functions go element by element.
     """
@@ -459,10 +459,9 @@ def _compile(e: Expr, grid: bool = False):
     if isinstance(e, Pi):
         return lambda t: (math.pi, 0.0, 0.0)
     if isinstance(e, Var):
-        leaf = np.asarray if grid else float
-        return lambda t: (leaf(t), 1.0, 0.0)
+        return lambda t: (t if isinstance(t, np.ndarray) and t.ndim else float(t), 1.0, 0.0)
     if isinstance(e, Neg):
-        arg = _compile(e.arg, grid)
+        arg = _compile(e.arg)
 
         def neg(t):
             v, d1, d2 = arg(t)
@@ -470,7 +469,7 @@ def _compile(e: Expr, grid: bool = False):
 
         return neg
     if isinstance(e, (Add, Sub, Mul, Div)):
-        lhs, rhs = _compile(e.lhs, grid), _compile(e.rhs, grid)
+        lhs, rhs = _compile(e.lhs), _compile(e.rhs)
     if isinstance(e, Add):
 
         def add(t):
@@ -511,7 +510,7 @@ def _compile(e: Expr, grid: bool = False):
 
         return div
     if isinstance(e, Pow):
-        base, k = _compile(e.base, grid), e.exponent
+        base, k = _compile(e.base), e.exponent
 
         def power(t):
             try:
@@ -525,7 +524,7 @@ def _compile(e: Expr, grid: bool = False):
 
         return power
     if isinstance(e, Call):
-        arg = _compile(e.arg, grid)
+        arg = _compile(e.arg)
         fn = _CALLS.get(e.name) or _unknown_function(e.name)
 
         def call(t):
@@ -553,34 +552,25 @@ def eval_jet2(e: Expr, t: float) -> Jet2:
     The first call compiles e into a kernel that is kept on the instance;
     later calls only run it.
     """
-    try:
-        kernel = e._kernel
-    except AttributeError:
-        kernel = _compile(e)
-        object.__setattr__(e, "_kernel", kernel)
-    return Jet2(*kernel(t))
+    return Jet2(*e._kernel(t))
 
 
 def jet_grid(e: Expr, ts):
     """Read-only (v, d1, d2) arrays of e over the 1-d abscissae ts, or None.
 
-    It raises no evaluation error.  The values are bit-identical to
-    eval_jet2 at each t.  None means that some t raises in eval_jet2, or
-    that the array kernel met a zero divisor or a floating-point exception
-    (overflow, underflow, invalid) it does not try to reproduce; sample
-    then evaluates point by point with eval_jet2, which gives the scalar
-    result or error.  Like eval_jet2's, the array kernel is compiled on
-    first use and kept on the instance.
+    It raises no evaluation error, only a ValueError if ts is not 1-d.  The
+    values are bit-identical to eval_jet2 at each t.  None means that some
+    t raises in eval_jet2, or that the kernel met a zero divisor or a
+    floating-point exception (overflow, underflow, invalid) it does not try
+    to reproduce over arrays; sample then evaluates point by point with
+    eval_jet2, which gives the scalar result or error.
     """
-    try:
-        kernel = e._grid_kernel
-    except AttributeError:
-        kernel = _compile(e, grid=True)
-        object.__setattr__(e, "_grid_kernel", kernel)
     ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"abscissae must be a 1-d array, got shape {ts.shape}")
     try:
         with np.errstate(all="raise"):
-            jet = kernel(ts)
+            jet = e._kernel(ts)
     except (ArithmeticError, ValueError):
         return None
     return tuple(np.broadcast_to(x, ts.shape) for x in jet)
@@ -593,7 +583,7 @@ def sample(ts, *exprs) -> np.ndarray:
     eval_jet2 at each t.  Each expression takes one jet_grid; if any
     declines, all are evaluated with eval_jet2, abscissa by abscissa and in
     argument order, so the first failing (t, expression) raises its
-    EvalError with the scalar text.
+    EvalError with the scalar text.  A ts that is not 1-d raises ValueError.
     """
     ts = np.asarray(ts, dtype=float)
     jets = [jet_grid(e, ts) for e in exprs]

@@ -36,7 +36,7 @@ from .rotsym import (
     MetricProfile,
     RotSymTensor,
     fourth_order_derivative,
-    ricci_forward_samples,
+    ricci_pullback,
 )
 
 
@@ -95,11 +95,6 @@ def _profile_layout(curve: PotentialCurve):
     return grid, start
 
 
-def _to_grid(curve_values: np.ndarray, start: int, zero_value: float, size: int) -> np.ndarray:
-    """Project a curve-aligned array onto the profile grid layout."""
-    return np.concatenate([[zero_value], curve_values[start : start + size - 1]])
-
-
 def _cumulative_potential_integral(curve: PotentialCurve, integrand: np.ndarray, limit0: float):
     """Cumulative integral from 0, curve-aligned.
 
@@ -155,8 +150,8 @@ def solve_rf(curve: PotentialCurve, phi: Expr, n: int) -> Quadrature:
 
     grid, start = _profile_layout(curve)
 
-    def on_grid(values, zero_value=0.0):
-        return _to_grid(values, start, zero_value, grid.size)
+    def on_grid(values, zero_value=0.0):  # curve-aligned values on the profile grid
+        return np.concatenate([[zero_value], values[start : start + grid.size - 1]])
 
     with np.errstate(over="ignore"):  # an overflow is reported by assemble_metric
         r = grid * np.exp(on_grid(J))
@@ -212,11 +207,9 @@ def ricci_defects(profile: MetricProfile, mask, phis, psis):
     phis and psis are the target values at those points; mask is a boolean
     array or a slice.
     """
-    alpha, beta = ricci_forward_samples(profile)
+    phi_hat, t2_psi_hat = ricci_pullback(profile)
     ts = profile.grid[mask]
-    res_rr = np.abs(alpha[mask] * profile.rp[mask] ** 2 - phis)
-    res_tt = np.abs(profile.r[mask] ** 2 * beta[mask] - ts**2 * psis)
-    return res_rr, res_tt
+    return np.abs(phi_hat[mask] - phis), np.abs(t2_psi_hat[mask] - ts**2 * psis)
 
 
 def verify_ricci(profile: MetricProfile, T: RotSymTensor, t_lo: float, t_hi: float):

@@ -8,8 +8,9 @@ For a profile (f, r) in the radial coordinate r the forward map is
 
 with f_r = f'(t)/r'(t) and f_rr = f_r'(t)/r'(t), and the pullback
 identities phi = alpha (r')^2, t^2 psi = r^2 beta recover tensor components
-on the t grid.  Closed-form profiles are evaluated through exact jets;
-sampled profiles use fourth-order stencils, on their grid only.
+on the t grid.  One array function holds the formula and its t = 0 limit,
+fed exact jets by closed-form profiles and fourth-order stencils by sampled
+ones (on their grid only); ricci_pullback alone computes the pullback.
 """
 
 from __future__ import annotations
@@ -213,47 +214,33 @@ class MetricProfile:
         return self.f_expr is not None and self.r_expr is not None
 
 
-def _forward_closed_form(profile: MetricProfile, t: float):
-    fj = eval_jet2(profile.f_expr, t)
-    rj = eval_jet2(profile.r_expr, t)
-    if rj.d1 <= 0:
-        raise ValueError(f"r'(t) <= 0 at t = {t}")
-    if rj.v == 0 and t > 0:
-        raise ValueError(f"r(t) = 0 at t = {t} > 0")
-    f_r = fj.d1 / rj.d1
-    f_r_prime = (fj.d2 * rj.d1 - fj.d1 * rj.d2) / rj.d1**2
-    f_rr = f_r_prime / rj.d1
-    n = profile.n
-    if t == 0.0:
-        # removable: f_r / r -> f_rr as t -> 0
-        alpha = -2.0 * (n - 1) * f_rr
-        return alpha, alpha
-    alpha = -(n - 1) * (f_rr + f_r / rj.v)
-    beta = -(f_rr + (2 * n - 3) * f_r / rj.v + (n - 2) * f_r**2)
-    return alpha, beta
-
-
-def _forward_sampled_grid(profile: MetricProfile):
-    """(alpha, beta) arrays over the profile grid, limits used at t = 0."""
-    grid, r, rp, fp = profile.grid, profile.r, profile.rp, profile.fp
-    n = profile.n
+def _forward(profile: MetricProfile, ts: np.ndarray):
+    """(r, r', alpha, beta) at ts, limits used at t = 0: from one jet sample of
+    a closed-form (f, r), or from a sampled profile, ts being its grid, and
+    a fourth-order stencil of its f_r."""
+    if profile.closed_form:
+        (_, fp, fpp), (r, rp, rpp) = sample(ts, profile.f_expr, profile.r_expr)
+    else:
+        r, rp, fp = profile.r, profile.rp, profile.fp
     if np.any(rp <= 0):
-        bad = profile.grid[np.argmax(rp <= 0)]
-        raise ValueError(f"r'(t) <= 0 at t = {bad}")
-    h = _uniform_step(grid)
+        raise ValueError(f"r'(t) <= 0 at t = {ts[np.argmax(rp <= 0)]}")
     f_r = fp / rp
-    f_rr = fourth_order_derivative(f_r, h) / rp
-    alpha = np.empty_like(f_r)
-    beta = np.empty_like(f_r)
-    pos = grid > 0
-    alpha[pos] = -(n - 1) * (f_rr[pos] + f_r[pos] / r[pos])
-    beta[pos] = -(
-        f_rr[pos] + (2 * n - 3) * f_r[pos] / r[pos] + (n - 2) * f_r[pos] ** 2
-    )
-    if not pos[0]:
-        alpha[0] = -2.0 * (n - 1) * f_rr[0]
-        beta[0] = alpha[0]
-    return alpha, beta
+    if profile.closed_form:
+        zero = (r == 0) & (ts > 0)
+        if np.any(zero):
+            raise ValueError(f"r(t) = 0 at t = {ts[np.argmax(zero)]} > 0")
+        f_rr = (fpp * rp - fp * rpp) / rp**2 / rp
+    else:
+        f_rr = fourth_order_derivative(f_r, _uniform_step(ts)) / rp
+    n = profile.n
+    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 at t = 0: see below
+        alpha = -(n - 1) * (f_rr + f_r / r)
+        beta = -(f_rr + (2 * n - 3) * f_r / r + (n - 2) * f_r**2)
+    origin = ts == 0
+    # removable: f_r / r -> f_rr as t -> 0
+    alpha[origin] = -2.0 * (n - 1) * f_rr[origin]
+    beta[origin] = alpha[origin]
+    return r, rp, alpha, beta
 
 
 def ricci_forward(profile: MetricProfile, t: float) -> tuple[float, float]:
@@ -267,30 +254,37 @@ def ricci_forward(profile: MetricProfile, t: float) -> tuple[float, float]:
         raise ValueError("ricci_forward needs a closed-form profile; use ricci_forward_samples")
     if t <= 0 or t > profile.grid[-1]:
         raise ValueError(f"t = {t} outside (0, t_max]")
-    return _forward_closed_form(profile, t)
+    _, _, alpha, beta = _forward(profile, np.array([t], dtype=float))
+    return float(alpha[0]), float(beta[0])
 
 
 def ricci_forward_samples(profile: MetricProfile):
     """(alpha, beta) on the whole profile grid, with continuous limits at 0."""
-    if profile.closed_form:
-        pairs = [_forward_closed_form(profile, t) for t in profile.grid]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-    return _forward_sampled_grid(profile)
+    return _forward(profile, profile.grid)[2:]
+
+
+def ricci_pullback(profile: MetricProfile, ts=None):
+    """(alpha (r')^2, r^2 beta), the Ricci tensor's parts to set against phi
+    and t^2 psi: on the profile grid, or at ts for a closed-form profile."""
+    if ts is None:
+        r, rp = profile.r, profile.rp
+        alpha, beta = ricci_forward_samples(profile)
+    else:
+        r, rp, alpha, beta = _forward(profile, ts)
+    return alpha * rp**2, r**2 * beta
 
 
 def forward_tensor(profile: MetricProfile):
     """Pull the profile's Ricci tensor back to (phi_hat, psi_hat) on the grid.
 
     phi_hat = alpha (r')^2 and psi_hat = r^2 beta / t^2, the latter extended
-    by continuity (value beta(0)) at t = 0.
+    by continuity at t = 0, where it equals phi_hat since alpha = beta there.
     """
-    alpha, beta = ricci_forward_samples(profile)
-    phi_hat = alpha * profile.rp**2
-    psi_hat = np.empty_like(phi_hat)
-    pos = profile.grid > 0
-    psi_hat[pos] = profile.r[pos] ** 2 * beta[pos] / profile.grid[pos] ** 2
-    if not pos[0]:
-        psi_hat[0] = beta[0] * profile.rp[0] ** 2
+    phi_hat, t2_psi_hat = ricci_pullback(profile)
+    origin = profile.grid == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi_hat = t2_psi_hat / profile.grid**2
+    psi_hat[origin] = phi_hat[origin]
     return phi_hat, psi_hat
 
 
@@ -338,12 +332,10 @@ def forward_oracle_report(profile: MetricProfile, ts, h: float = 2.5e-4) -> Forw
         fj, rj = jets(t)
         return 2.0 * np.exp(fj.v) * rj.v**2
 
+    ts = np.asarray(ts, dtype=float)
+    phi_fwd, t2_psi_fwd = ricci_pullback(profile, ts)
     rows_c, rows_v = [], []
-    for t in ts:
-        alpha, beta = _forward_closed_form(profile, t)
-        rj = eval_jet2(r_expr, t)
-        phi_fwd = alpha * rj.d1**2
-        psi_fwd = rj.v**2 * beta / t**2
+    for t, phi_t, psi_t in zip(ts, phi_fwd, t2_psi_fwd / ts**2):
         x = np.zeros(n)
         x[0] = t
         for (A, B), rows in (
@@ -353,5 +345,5 @@ def forward_oracle_report(profile: MetricProfile, ts, h: float = 2.5e-4) -> Forw
             mf = tensorlab.rotsym_to_cartesian(A, B, n)
             ric = tensorlab.ricci_numeric(mf, x, h)
             rad, tan = tensorlab.radial_tangential_split(ric, x)
-            rows.append((t, rad / phi_fwd, tan / psi_fwd))
+            rows.append((t, rad / phi_t, tan / psi_t))
     return ForwardOracleReport(np.array(rows_c), np.array(rows_v))

@@ -492,7 +492,7 @@ UNREADABLE_PROFILES = {
     "header and blank lines": (lambda lines: lines[:1] + ["", ""], "has no data rows"),
     "short row": (
         lambda lines: lines[:6] + [lines[6].rsplit(",", 1)[0]] + lines[7:],
-        "invalid column index 8",
+        "data row 6 has fewer than 9 fields",
     ),
     "long row": (
         lambda lines: lines[:6] + [lines[6] + ",0"] + lines[7:],
@@ -507,8 +507,18 @@ UNREADABLE_PROFILES = {
     "nan fp": (lambda lines: _set_cell(lines, 9, "fp", "nan"), "non-finite fp = nan in data row 9"),
     "nan t": (lambda lines: _set_cell(lines, 3, "t", "nan"), "non-finite t = nan in data row 3"),
     "inf f": (lambda lines: _set_cell(lines, 4, "f", "-inf"), "non-finite f = -inf in data row 4"),
-    "junk rp": (lambda lines: _set_cell(lines, 5, "rp", "x"), "could not convert string 'x'"),
-    "blank t": (lambda lines: _set_cell(lines, 5, "t", ""), "could not convert string ''"),
+    "junk rp": (
+        lambda lines: _set_cell(lines, 5, "rp", "x"),
+        "data row 5: could not convert string 'x' in column rp",
+    ),
+    "blank t": (
+        lambda lines: _set_cell(lines, 5, "t", ""),
+        "data row 5: could not convert string '' in column t",
+    ),
+    "blank lines between rows": (
+        lambda lines: lines[:3] + ["", "  "] + lines[3:],
+        "data row 3 has fewer than 9 fields",
+    ),
     "no r column": (
         lambda lines: [lines[0].replace(",r,", ",radius,")] + lines[1:],
         "missing columns ['r']",

@@ -2,6 +2,7 @@ import collections
 import copy
 import math
 import pickle
+import re
 from itertools import repeat
 
 import numpy as np
@@ -519,3 +520,27 @@ def test_sample_raises_at_the_first_failing_abscissa():
         sample(ts, phi)
     assert str(err.value) == "division by zero in '1/(t - 3)' at t=3.0"
 
+
+
+@pytest.mark.parametrize(
+    "call, shape",
+    [
+        (lambda: sample(0.5, parse("exp(t)")), "()"),
+        (lambda: jet_grid(parse("t"), 0.5), "()"),
+        (lambda: sample([[0.1, 0.2]], parse("t")), "(1, 2)"),
+    ],
+)
+def test_sample_and_jet_grid_reject_abscissae_that_are_not_1d(call, shape):
+    with pytest.raises(ValueError, match=rf"1-d array, got shape {re.escape(shape)}$"):
+        call()
+
+
+def test_numbers_and_arrays_share_one_compiled_kernel():
+    e = parse("sin(t)*t^2 - 1/(2 + t)")
+    jet_grid(e, [0.1, 0.2])
+    kernel = e._kernel
+    assert eval_jet2(e, 0.2) == Jet2(*(float(x[1]) for x in jet_grid(e, [0.1, 0.2])))
+    assert e._kernel is kernel and set(vars(e)) == {"lhs", "rhs", "_kernel"}
+    # the leaf for t keeps a scalar abscissa as given in error texts
+    with pytest.raises(EvalError, match=r"at t=0$"):
+        eval_jet2(parse("1/t"), 0)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,19 @@ def test_definiteness_error_is_one_class():
     from riccisym import pipeline, rotsym
 
     assert DefinitenessError is pipeline.DefinitenessError is rotsym.DefinitenessError
+
+
+@pytest.mark.parametrize(
+    "n, phi, psi, t_max, digest",
+    [
+        (4, "12", "12 - 8*t^2", 0.5,
+         "ddb173c7e784ea813e5c6e28fcfcc7c70fa73b649c3dffbfcaf994a511b82a07"),
+        (3, "-1", "-1", 10.0,
+         "ed259e08ce47d6f0cbadec65f30f05c53cf27aa860c5f5d12b99bd52da5dd4c8"),
+    ],
+    ids=["gold_n4", "const_neg_t10"],
+)
+def test_ricci_residual_bytes_are_pinned(n, phi, psi, t_max, digest):
+    # the sampled forward map (stencil f_rr, pullback) stays bit-identical
+    recon = solve(RotSymTensor(n, parse(phi), parse(psi), t_max)).recon
+    assert hashlib.sha256(recon.res_rr.tobytes() + recon.res_tt.tobytes()).hexdigest() == digest

@@ -174,6 +174,37 @@ def test_forward_precondition_violation():
         ricci_forward(shrink, 0.9)
 
 
+def test_closed_form_forward_refuses_a_zero_radius_or_slope():
+    # r = t (t - 1)(t - 2): r' = 2 > 0 at 0 and at 2, where r = 0
+    zero = _profile(3, "-t^2", "t*(t - 1)*(t - 2)", t_max=2.0, num=2)
+    shrink = _profile(3, "0", "t - t^2", t_max=1.0, num=5)  # r' = 0 at 0.5
+    for call in (lambda: ricci_forward(zero, 2.0), lambda: ricci_forward_samples(zero)):
+        with pytest.raises(ValueError, match=r"^r\(t\) = 0 at t = 2\.0 > 0$"):
+            call()
+    for call, t in ((lambda: ricci_forward(shrink, 0.75), 0.75), (lambda: ricci_forward_samples(shrink), 0.5)):
+        with pytest.raises(ValueError, match=rf"^r'\(t\) <= 0 at t = {t}$"):
+            call()
+
+
+def test_sampled_forward_maps_a_zero_radius_to_non_finite_values():
+    # verify then fails the residual instead of refusing the profile
+    p = _profile(3, "-t^2", "t", num=101)
+    r = p.r.copy()
+    r[50] = 0.0
+    sampled = MetricProfile(n=3, grid=p.grid, f=p.f, r=r, rp=p.rp, fp=p.fp)
+    alpha, beta = ricci_forward_samples(sampled)
+    assert not np.isfinite(alpha[50]) and not np.isfinite(beta[50])
+    assert np.isfinite(np.delete(alpha, 50)).all() and np.isfinite(np.delete(beta, 50)).all()
+
+
+@pytest.mark.parametrize("f_src, r_src", [("-t^2", "t"), ("log(1 + t^2)/3", "sin(t) + t^3/5")])
+def test_forward_at_one_abscissa_equals_the_grid_map(f_src, r_src):
+    p = _profile(4, f_src, r_src, t_max=1.2, num=97)
+    alpha, beta = ricci_forward_samples(p)
+    for i in range(1, p.grid.size):
+        assert ricci_forward(p, p.grid[i]) == (alpha[i], beta[i])
+
+
 def test_fourth_order_derivative_accuracy():
     h = 1e-3
     t = np.arange(0, 1 + h / 2, h)
