@@ -1,4 +1,9 @@
-"""Batch driver: config ingestion, pipeline orchestration, file emission.
+"""Batch driver: config ingestion and file emission around the pipeline.
+
+solve runs pipeline.solve; analyze runs its front half, pipeline.branch,
+so both share one definiteness scan, integration and continuation check.
+portrait integrates the branch without the scan.  analyze, portrait and
+hypersurface sample `samples` (at least 2) abscissae.
 
 Invocation:
 
@@ -11,7 +16,8 @@ quoted and follow the grammar documented in :mod:`riccisym.exprfn`.
 Exit codes: 0 success, 1 config or parse error, 2 tensor validation failure
 (sign change, non-finite target, origin mismatch or degenerate saddle), 3
 numerical failure (projection, monotonicity, sign).  Every failure prints
-one machine-readable line ``riccisym: code=<N> reason="..."`` on stderr.
+one machine-readable line ``riccisym: code=<N> reason="..."`` on stderr;
+a failing solve, analyze or portrait leaves no output file.
 Outputs are deterministic: CSV with a header row, 17 significant digits,
 '.' decimal separator and LF line endings.
 """
@@ -33,8 +39,8 @@ from . import hypersurface as hs
 from . import potential, reconstruct
 from .exprfn import EvalError, Expr, ParseError, parse, sample
 from .exprfn import eval_jet2  # noqa: F401  unused; bench/tracer.py patches cli.eval_jet2
-from .pipeline import solution_summary, solve
-from .rotsym import DefinitenessError, MetricProfile, RotSymTensor, definiteness_check
+from .pipeline import branch, solution_summary, solve
+from .rotsym import DefinitenessError, MetricProfile, RotSymTensor
 
 COMMANDS = ("solve", "analyze", "verify", "hypersurface", "portrait")
 
@@ -151,7 +157,6 @@ def write_csv(path: Path, header, rows):
     The first row fixes one '%' template for the file: a str cell is copied
     and any other cell is written as '%.17g', which is format(float(x), '.17g').
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     rows = iter(rows)
     try:
@@ -185,42 +190,46 @@ SOLUTION_HEADER = ("t", "w", "p", "r", "rp", "f", "fp", "res_rr", "res_tt")
 # commands
 
 
-def _tensor_from(cfg: ProblemConfig) -> RotSymTensor:
+def _tensor_from(cfg: ProblemConfig, command: str) -> RotSymTensor:
+    """The target of a config that holds what `command` needs and passes the
+    common checks."""
+    _require(cfg, command, ("n", "phi", "psi", "t_max"))
+    _validate_common(cfg)
     return RotSymTensor(cfg.n, cfg.phi, cfg.psi, cfg.t_max)
 
 
+def _require_samples(cfg: ProblemConfig):
+    if cfg.samples < 2:
+        raise ConfigError(f"samples must be >= 2, got {cfg.samples}")
+
+
+def _output(cfg: ProblemConfig, suffix: str) -> Path:
+    """The path <out><suffix>, its directory created."""
+    out = Path(cfg.out)
+    path = out.with_name(out.name + suffix)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _cmd_solve(cfg: ProblemConfig) -> int:
-    _require(cfg, "solve", ("n", "phi", "psi", "t_max"))
-    _validate_common(cfg)
     sol = solve(
-        _tensor_from(cfg),
+        _tensor_from(cfg, "solve"),
         step=cfg.step,
         delta=cfg.delta,
         t_lo=cfg.t_lo,
         constraint_tol=cfg.constraint_tol,
     )
-    out = Path(cfg.out)
-    write_csv(out.with_name(out.name + "_solution.csv"), SOLUTION_HEADER, _solution_rows(sol))
-    report = out.with_name(out.name + "_report.txt")
-    report.parent.mkdir(parents=True, exist_ok=True)
-    report.write_text(solution_summary(sol))
+    write_csv(_output(cfg, "_solution.csv"), SOLUTION_HEADER, _solution_rows(sol))
+    _output(cfg, "_report.txt").write_text(solution_summary(sol))
     return 0
 
 
 def _cmd_analyze(cfg: ProblemConfig) -> int:
-    _require(cfg, "analyze", ("n", "phi", "psi", "t_max"))
-    _validate_common(cfg)
+    T = _tensor_from(cfg, "analyze")
     if cfg.n == 2:
         raise ConfigError("analyze needs n > 2 (n = 2 has no fold structure)")
-    T = _tensor_from(cfg)
-    verdict = definiteness_check(T)
-    if not verdict.is_definite:
-        raise DefinitenessError(verdict)
-    rep, curve = potential.solve_branch(
-        T, step=cfg.step, delta=cfg.delta, projection_tol=cfg.constraint_tol
-    )
-    glob = potential.check_global(T, curve)
-    out = Path(cfg.out)
+    _require_samples(cfg)
+    verdict, rep, curve, glob = branch(T, cfg.step, cfg.delta, cfg.constraint_tol)
     lines = [
         f"definiteness: {verdict.kind}",
         f"classification: {rep.classification}",
@@ -233,14 +242,10 @@ def _cmd_analyze(cfg: ProblemConfig) -> int:
         f"verdict: {glob.verdict}",
     ]
     lines.extend(f"note: {note}" for note in glob.notes)
-    path = out.with_name(out.name + "_analysis.txt")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-    write_csv(
-        out.with_name(out.name + "_fold.csv"),
-        ("t", "w_lower", "w_upper"),
-        zip(*(column.tolist() for column in _fold_points(T, cfg))),
-    )
+    fold = [column.tolist() for column in _fold_points(T, cfg)]
+    # both outputs are built before either is written, so a failure leaves neither
+    _output(cfg, "_analysis.txt").write_text("\n".join(lines) + "\n")
+    write_csv(_output(cfg, "_fold.csv"), ("t", "w_lower", "w_upper"), zip(*fold))
     return 0
 
 
@@ -252,11 +257,10 @@ def _fold_points(T: RotSymTensor, cfg: ProblemConfig):
 
 
 def _cmd_portrait(cfg: ProblemConfig) -> int:
-    _require(cfg, "portrait", ("n", "phi", "psi", "t_max"))
-    _validate_common(cfg)
+    T = _tensor_from(cfg, "portrait")
     if cfg.n == 2:
         raise ConfigError("portrait needs n > 2 (n = 2 has no fold structure)")
-    T = _tensor_from(cfg)
+    _require_samples(cfg)
     _, curve = potential.solve_branch(
         T, step=cfg.step, delta=cfg.delta, projection_tol=cfg.constraint_tol
     )
@@ -264,8 +268,8 @@ def _cmd_portrait(cfg: ProblemConfig) -> int:
     F_sep = potential.surface_terms(T.n, curve.t, curve.w, curve.p, phi, dphi, psi, dpsi)[0]
     t_fold, lower, upper = _fold_points(T, cfg)
     (phi, dphi, _), (psi, dpsi, _) = sample(t_fold, T.phi, T.psi)
-    F_lower = potential.surface_terms(T.n, t_fold, lower, 0.0, phi, dphi, psi, dpsi)[0]
-    F_upper = potential.surface_terms(T.n, t_fold, upper, 0.0, phi, dphi, psi, dpsi)[0]
+    ws = np.stack((lower, upper))
+    F_lower, F_upper = potential.surface_terms(T.n, t_fold, ws, 0.0, phi, dphi, psi, dpsi)[0]
 
     def rows():
         sep = (curve.t, curve.w, curve.p, F_sep)
@@ -275,8 +279,7 @@ def _cmd_portrait(cfg: ProblemConfig) -> int:
             yield ("fold_lower", t, w_lower, 0.0, F_l)
             yield ("fold_upper", t, w_upper, 0.0, F_u)
 
-    out = Path(cfg.out)
-    write_csv(out.with_name(out.name + "_portrait.csv"), ("branch", "t", "w", "p", "F"), rows())
+    write_csv(_output(cfg, "_portrait.csv"), ("branch", "t", "w", "p", "F"), rows())
     return 0
 
 
@@ -284,12 +287,11 @@ def _cmd_hypersurface(cfg: ProblemConfig) -> int:
     _require(cfg, "hypersurface", ("n", "h", "r_max"))
     if cfg.n < 2:
         raise ConfigError("n must be >= 2")
+    _require_samples(cfg)
     E = hs.GraphEmbedding(cfg.n, cfg.h, cfg.r_max)
-    rs = np.linspace(0.0, cfg.r_max, cfg.samples)
-    table = hs.curvature_table(E, rs)
-    out = Path(cfg.out)
+    table = hs.curvature_table(E, np.linspace(0.0, cfg.r_max, cfg.samples))
     write_csv(
-        out.with_name(out.name + "_hypersurface.csv"),
+        _output(cfg, "_hypersurface.csv"),
         ("r", "f", "ric_rr", "ric_tt_unit", "h1", "h2", "scalar"),
         table,
     )
@@ -297,31 +299,19 @@ def _cmd_hypersurface(cfg: ProblemConfig) -> int:
 
 
 def _cmd_verify(cfg: ProblemConfig) -> int:
-    _require(cfg, "verify", ("n", "phi", "psi", "t_max"))
-    _validate_common(cfg)
+    T = _tensor_from(cfg, "verify")
     if not cfg.profile:
         raise ConfigError("command 'verify' requires config key 'profile'")
     data = _read_solution_csv(Path(cfg.profile))
-    profile = MetricProfile(
-        n=cfg.n,
-        grid=data["t"],
-        f=data["f"],
-        r=data["r"],
-        rp=data["rp"],
-        fp=data["fp"],
-    )
-    T = _tensor_from(cfg)
-    t_lo = cfg.t_lo if cfg.t_lo is not None else 0.05 * cfg.t_max
+    profile = MetricProfile(cfg.n, *(data[name] for name in PROFILE_COLUMNS))
+    t_lo = reconstruct.window_start(cfg.t_lo, cfg.t_max)
     t_hi = cfg.t_hi if cfg.t_hi is not None else float(profile.grid[-1])
     # a finite profile can still divide by zero (r = 0 at t > 0); the gate
     # below fails the resulting inf or NaN residual
     with np.errstate(all="ignore"):
         res_rr, res_tt = reconstruct.verify_ricci(profile, T, t_lo, t_hi)
     worst = float(np.maximum(res_rr, res_tt))  # NaN if either is NaN
-    out = Path(cfg.out)
-    path = out.with_name(out.name + "_verify.txt")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
+    _output(cfg, "_verify.txt").write_text(
         f"profile: {cfg.profile}\n"
         f"interval: [{t_lo:.6g}, {t_hi:.6g}]\n"
         f"residual radial: {res_rr:.6e}\n"
@@ -334,6 +324,7 @@ def _cmd_verify(cfg: ProblemConfig) -> int:
     return 0
 
 
+# the columns verify reads, in the order of MetricProfile's fields after n
 PROFILE_COLUMNS = ("t", "f", "r", "rp", "fp")
 
 

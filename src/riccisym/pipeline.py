@@ -1,5 +1,6 @@
-"""End-to-end solver: validate the target tensor, integrate the potential,
-reconstruct the metric profile and verify the result."""
+"""End-to-end solver.  branch, the front half shared by solve and the CLI's
+analyze, validates the target tensor and integrates the potential; solve
+then reconstructs the metric profile and verifies the result."""
 
 from __future__ import annotations
 
@@ -14,12 +15,33 @@ from .rotsym import DefinitenessError, DefinitenessVerdict, RotSymTensor, defini
 
 @dataclass
 class Solution:
-    tensor: RotSymTensor
     verdict: DefinitenessVerdict
     saddle: SaddleReport | None
     curve: PotentialCurve
     recon: ReconstructionResult
     global_report: GlobalReport | None
+
+
+def branch(
+    T: RotSymTensor,
+    step: float = 1e-3,
+    delta: float | None = None,
+    constraint_tol: float = potential.PROJECTION_TOL,
+) -> tuple[DefinitenessVerdict, SaddleReport | None, PotentialCurve, GlobalReport | None]:
+    """(verdict, saddle, curve, global report) of a target that passes the
+    definiteness scan; one that fails it raises DefinitenessError.
+
+    n = 2 goes through direct quadrature, with no saddle and no report;
+    n > 2 seeds and integrates the folded-saddle branch and checks that it
+    continues globally.
+    """
+    verdict = definiteness_check(T)
+    if not verdict.is_definite:
+        raise DefinitenessError(verdict)
+    if T.n == 2:
+        return verdict, None, potential.solve_n2(T, step), None
+    saddle, curve = potential.solve_branch(T, step, delta=delta, projection_tol=constraint_tol)
+    return verdict, saddle, curve, potential.check_global(T, curve)
 
 
 def solve(
@@ -29,41 +51,15 @@ def solve(
     t_lo: float | None = None,
     constraint_tol: float = potential.PROJECTION_TOL,
 ) -> Solution:
-    """Full pipeline for a validated tensor.
-
-    n = 2 goes through direct quadrature (no saddle analysis); n > 2 seeds
-    and integrates the folded-saddle branch, then both recover (r, f) by
-    quadrature and report every residual.
-    """
-    verdict = definiteness_check(T)
-    if not verdict.is_definite:
-        raise DefinitenessError(verdict)
-
-    if T.n == 2:
-        sign = 1 if verdict.phi0 > 0 else -1
-        curve = potential.solve_n2(T.phi, T.psi, sign, T.t_max, step)
-        saddle = None
-        global_report = None
-    else:
-        saddle, curve = potential.solve_branch(
-            T, step, delta=delta, projection_tol=constraint_tol
-        )
-        global_report = potential.check_global(T, curve)
-
+    """branch, then recovery of (r, f) by quadrature with every residual."""
+    verdict, saddle, curve, global_report = branch(T, step, delta, constraint_tol)
     try:
         recon = reconstruct.reconstruct_profile(curve, T, t_lo=t_lo)
     except reconstruct.CurveTooShortError as err:
         raise reconstruct.CurveTooShortError(
             f"{err}; step {step:g}, t_max {T.t_max:g}"
         ) from None
-    return Solution(
-        tensor=T,
-        verdict=verdict,
-        saddle=saddle,
-        curve=curve,
-        recon=recon,
-        global_report=global_report,
-    )
+    return Solution(verdict, saddle, curve, recon, global_report)
 
 
 def solution_summary(sol: Solution) -> str:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .exprfn import Expr, eval_jet2, jet_grid, sample
+from .exprfn import eval_jet2, jet_grid, sample
 from .rotsym import DefinitenessError, DefinitenessVerdict, RotSymTensor, bisect_root
 
 FOLD_TOL = 1e-8
@@ -470,9 +470,7 @@ def solve_branch(
     """
     rep = saddle_report(T)
     if rep.classification != "folded_saddle":
-        raise DefinitenessError(
-            DefinitenessVerdict("inconsistent", None, rep.reason, T.phi(0.0), T.psi(0.0))
-        )
+        raise DefinitenessError(DefinitenessVerdict("inconsistent", None, rep.reason))
     if t_end is None:
         t_end = T.t_max
     if delta is None:
@@ -487,19 +485,17 @@ def solve_branch(
 # n = 2: direct quadrature
 
 
-def solve_n2(phi: Expr, psi: Expr, sign: int, t_end: float, step: float) -> PotentialCurve:
-    """w(t) = sign * integral of s sqrt(phi psi) ds, by composite Simpson.
+def solve_n2(T: RotSymTensor, step: float) -> PotentialCurve:
+    """w(t) = sign(phi(0)) * integral of s sqrt(phi psi) ds, by composite Simpson.
 
     phi(0) psi(0) outside (0, inf) raises DefinitenessError, as it makes the
     saddle of n > 2 degenerate.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    m = max(2, int(round(t_end / step)))
+    m = max(2, int(round(T.t_max / step)))
     if m % 2:
         m += 1
-    ts = np.linspace(0.0, t_end, m + 1)
-    phis, psis = sample(ts, phi, psi)[:, 0]
+    ts = np.linspace(0.0, T.t_max, m + 1)
+    phis, psis = sample(ts, T.phi, T.psi)[:, 0]
     with np.errstate(all="ignore"):  # like Python float products, without warnings
         prod = phis * psis
     if np.any(prod < 0):
@@ -508,11 +504,12 @@ def solve_n2(phi: Expr, psi: Expr, sign: int, t_end: float, step: float) -> Pote
     if not np.all(np.isfinite(prod)):
         bad = ts[np.argmin(np.isfinite(prod))]
         raise ValueError(f"phi * psi is not finite at t = {bad:.6g}")
-    phi0 = eval_jet2(phi, 0.0)
-    psi0 = eval_jet2(psi, 0.0)
+    phi0 = eval_jet2(T.phi, 0.0)
+    psi0 = eval_jet2(T.psi, 0.0)
     reason = _origin_product_defect(phi0.v, psi0.v)
     if reason:
-        raise DefinitenessError(DefinitenessVerdict("inconsistent", None, reason, phi0.v, psi0.v))
+        raise DefinitenessError(DefinitenessVerdict("inconsistent", None, reason))
+    sign = 1 if phi0.v > 0 else -1
     integrand = ts * np.sqrt(prod)
     w = sign * cumulative_simpson(integrand, x=ts, initial=0.0)
     p = sign * integrand

@@ -201,6 +201,11 @@ def _residual_window(grid: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
     return (grid >= t_lo) & (grid <= t_hi)
 
 
+def window_start(t_lo: float | None, t_max: float) -> float:
+    """The residual window starts at t_lo, by default at 0.05 t_max."""
+    return 0.05 * t_max if t_lo is None else t_lo
+
+
 def ricci_defects(profile: MetricProfile, mask, phis, psis):
     """Per-point (|alpha (r')^2 - phi|, |r^2 beta - t^2 psi|) on profile.grid[mask].
 
@@ -277,8 +282,7 @@ def reconstruct_profile(
     residual_r = float(np.max(np.abs((n - 1) * p * rp_fd - q.phi * q.r)))
     residual_f = float(np.max(np.abs((n - 1) * p * q.fp + q.w * q.phi)))
 
-    if t_lo is None:
-        t_lo = 0.05 * T.t_max
+    t_lo = window_start(t_lo, T.t_max)
     if curve.halt_reason != "t_end" and grid[-1] <= t_lo < T.t_max:
         # the branch, not the window, is at fault: a t_lo past t_max stays a config error
         raise CurveTooShortError(

@@ -78,8 +78,6 @@ class DefinitenessVerdict:
     kind: str  # positive_definite | negative_definite | singular | inconsistent
     t_star: float | None = None
     reason: str = ""
-    phi0: float = 0.0
-    psi0: float = 0.0
 
     @property
     def is_definite(self) -> bool:
@@ -169,17 +167,11 @@ def definiteness_check(T: RotSymTensor) -> DefinitenessVerdict:
         t_star, what = min(defects, key=lambda d: (d[0], not isinstance(d[1], EvalError)))
         if isinstance(what, EvalError):
             raise what
-        return DefinitenessVerdict("singular", t_star, what, phi0, psi0)
+        return DefinitenessVerdict("singular", t_star, what)
     if abs(phi0 - psi0) > 1e-8 * max(abs(phi0), abs(psi0)):
-        return DefinitenessVerdict(
-            "inconsistent",
-            None,
-            f"phi(0) != psi(0): {phi0:.10g} vs {psi0:.10g}",
-            phi0,
-            psi0,
-        )
-    kind = "positive_definite" if phi0 > 0 else "negative_definite"
-    return DefinitenessVerdict(kind, None, "", phi0, psi0)
+        reason = f"phi(0) != psi(0): {phi0:.10g} vs {psi0:.10g}"
+        return DefinitenessVerdict("inconsistent", None, reason)
+    return DefinitenessVerdict("positive_definite" if phi0 > 0 else "negative_definite")
 
 
 # ---------------------------------------------------------------------------

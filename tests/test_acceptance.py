@@ -190,7 +190,7 @@ def test_criterion_6_flat_gates():
 
 
 def test_criterion_7_two_dimensional_branch():
-    curve = solve_n2(parse("1"), parse("1"), +1, 1.0, 1e-3)
+    curve = solve_n2(RotSymTensor(2, parse("1"), parse("1"), 1.0), 1e-3)
     err = float(np.max(np.abs(curve.w - curve.t**2 / 2)))
     i = int(np.argmin(np.abs(curve.t - 1.0)))
     err_end = abs(curve.w[i] - 0.5)

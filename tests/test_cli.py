@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -367,6 +368,77 @@ def test_failed_portrait_leaves_no_csv(tmp_path, capsys):
     assert main(["portrait", "--config", str(path)]) == 1
     assert "log of non-positive value" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["l.cfg"]
+
+
+def test_failed_analyze_leaves_no_report(tmp_path, capsys):
+    # the branch and the continuation check pass; the fold rows meet 0/0 at t = 0.37
+    cfg = 'n = 3\nphi = "1"\npsi = "1 + 0/(t - 0.37)"\nt_max = 1\nstep = 7e-3\n'
+    path = _write(tmp_path, "z.cfg", cfg + f'out = "{tmp_path}/z"\n')
+    assert main(["analyze", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        'riccisym: code=1 reason="division by zero in \'0/(t - 0.37)\' at t=0.37"'
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["z.cfg"]
+
+
+@pytest.mark.parametrize("samples", [-3, 0, 1])
+@pytest.mark.parametrize("command", ["analyze", "portrait", "hypersurface"])
+def test_fewer_than_two_samples_is_a_config_error(tmp_path, capsys, monkeypatch, command, samples):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    for owner, name in ((cli, "branch"), (potential, "solve_branch"), (cli.hs, "GraphEmbedding")):
+        monkeypatch.setattr(owner, name, no_work)
+    cfg = GOLD_CFG + f'h = "t"\nr_max = 1\nsamples = {samples}\nout = "{tmp_path}/s"\n'
+    assert main([command, "--config", str(_write(tmp_path, "s.cfg", cfg))]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f'riccisym: code=1 reason="samples must be >= 2, got {samples}"']
+    assert [p.name for p in tmp_path.iterdir()] == ["s.cfg"]
+
+
+# sha256 of every file the five commands write (in COMMANDS order, so verify
+# reads the solution just written), recorded before the commands shared
+# pipeline.branch; hypersurface reads h and r_max only
+PINNED_OUTPUTS = {
+    'n = 4\nphi = "12"\npsi = "12 - 8*t^2"\nt_max = 0.5\n': (
+        {"solve": 0, "analyze": 0, "verify": 0, "hypersurface": 0, "portrait": 0},
+        {
+            "p_analysis.txt": "47a6671d60ddb80ccd72b42911ae37ee74ce558026bba22cd4d1aca3747028f1",
+            "p_fold.csv": "03a9d0a5224b30f85f415eeb66a52063e3c7089897b983b61ce9fea761b88886",
+            "p_hypersurface.csv": "3bdc91c6b2dc684769a53d3f1b494b1033aa1c9b6c11a84c93e3a0a490659093",
+            "p_portrait.csv": "e68a52a05a1e983db3a7dc441ef60b0933f679192966fc78ccd8c434e0d688ae",
+            "p_report.txt": "a6d7e9254b6a9295a42ccf5548536b5bbdc97f37189dd2c7b6fbe354f3615925",
+            "p_solution.csv": "1874d88e62d95476fbd920959441aa5626d94c71fdba6d2c68b534bbc845c021",
+            "p_verify.txt": "835a64b13110df6ff6856abb6224e926cb0bea4f1d9214a6f89ba94c84262be3",
+        },
+    ),
+    # fold contact: the residuals reach 8.7e-3 near the fold, so verify exits 3
+    'n = 3\nphi = "1"\npsi = "1 - 4*t^2"\nt_max = 0.46\n': (
+        {"solve": 0, "analyze": 0, "verify": 3, "hypersurface": 0, "portrait": 0},
+        {
+            "p_analysis.txt": "d2720a99acf3db48cec07a8ada4f5bd6dc9b2bc775d7f2a1ed803c0ecaa0bee8",
+            "p_fold.csv": "372d01574a6a4eee185c7f48b1dcd9d4f7a001ec102ade2d84463b07b8d31949",
+            "p_hypersurface.csv": "f5178e77b135482ab5060c7c17b989648e839df6119828ed34a2df3db125c39f",
+            "p_portrait.csv": "ab4396cb4de81b66506d8bab5d16d4c2b8b77e57627ddde8d2b45f0ba1ddb8e1",
+            "p_report.txt": "ed2764ce9f61020f94fd6ef5a7f970d00a9317086d62bb65e6a82d37c8cdff82",
+            "p_solution.csv": "9ab39c51138a32fdaaf0d53894409023e8585d7cb7c5febb5a2e2287ff37689b",
+            "p_verify.txt": "70d474ec98a7eb231902d63830105014fe1ea24a0d72a041e97f4fc81f6f4d64",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("target", PINNED_OUTPUTS, ids=["gold_n4", "fold_contact_n3"])
+def test_command_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, target):
+    monkeypatch.chdir(tmp_path)  # relative paths, so the verify report is the same anywhere
+    extra = 'h = "t^2"\nr_max = 1\nout = "p"\nprofile = "p_solution.csv"\n'
+    _write(tmp_path, "p.cfg", target + extra)
+    codes = {command: main([command, "--config", "p.cfg"]) for command in cli.COMMANDS}
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.glob("p_*"))
+    }
+    assert (codes, digests) == PINNED_OUTPUTS[target]
 
 
 def test_write_csv_replaces_the_file_only_on_success(tmp_path):

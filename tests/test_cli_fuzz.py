@@ -2,10 +2,12 @@
 
 Every run of solve, analyze and portrait ends in a documented exit code:
 silent on success, exactly one ``riccisym: code=<N> reason="..."`` line on
-stderr otherwise, and never a traceback or a Python warning.  The grammar
-reaches the float edge cases on purpose: underflow (1e-200), overflow
-(1e999, 1e308*1e308) and the NaN of their differences.  verify holds to the
-same contract on a gold solution CSV with one mutation applied.
+stderr otherwise, never a traceback or a Python warning, and a failure
+leaves no output file.  The grammar reaches the float edge cases on
+purpose: underflow (1e-200), overflow (1e999, 1e308*1e308) and the NaN of
+their differences.  verify holds to the same contract, bar the file rule
+(a failed gate still writes its report), on a gold solution CSV with one
+mutation applied.
 """
 
 import contextlib
@@ -41,8 +43,9 @@ def expressions(depth):
 
 
 def _run(command, cfg_text, profile=None):
-    """(exit code, stderr lines, recorded warnings) of one in-process run;
-    `profile` is the text of the solution CSV that the config names."""
+    """(exit code, stderr lines, recorded warnings, names of the output files
+    left behind) of one in-process run; `profile` is the text of the
+    solution CSV that the config names."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fuzz.cfg"
         if profile is not None:
@@ -53,7 +56,8 @@ def _run(command, cfg_text, profile=None):
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             code = main([command, "--config", str(cfg)])
-    return code, err.getvalue().splitlines(), caught
+        left = sorted(p.name for p in Path(tmp).glob("fuzz_*"))
+    return code, err.getvalue().splitlines(), caught, left
 
 
 @settings(max_examples=60)
@@ -67,7 +71,9 @@ def _run(command, cfg_text, profile=None):
 def test_commands_end_in_one_documented_outcome(n, phi, psi, t_max, step):
     cfg_text = f'n = {n}\nphi = "{phi}"\npsi = "{psi}"\nt_max = {t_max}\nstep = {step}\n'
     for command in ("solve", "analyze", "portrait"):
-        _assert_one_outcome(command, *_run(command, cfg_text), codes=(0, 1, 2, 3))
+        code, lines, caught, left = _run(command, cfg_text)
+        _assert_one_outcome(command, code, lines, caught, codes=(0, 1, 2, 3))
+        assert code == 0 or not left, (command, left)  # a failure writes no file
 
 
 def _assert_one_outcome(command, code, lines, caught, codes):
@@ -130,4 +136,4 @@ def _mutate(data, lines):
 @given(data=st.data())
 def test_verify_of_a_mutated_profile_ends_in_one_documented_outcome(data):
     profile = "".join(_mutate(data, list(_gold4_lines())))
-    _assert_one_outcome("verify", *_run("verify", GOLD4, profile), codes=(0, 1, 3))
+    _assert_one_outcome("verify", *_run("verify", GOLD4, profile)[:3], codes=(0, 1, 3))

@@ -193,7 +193,7 @@ def test_solve_branch_raises_on_a_degenerate_saddle():
 
 def test_solve_n2_rejects_an_overflowing_product():
     with pytest.raises(ValueError, match="phi \\* psi is not finite at t = 0"):
-        solve_n2(parse("1e200"), parse("1e200"), +1, 1.0, 1e-2)
+        solve_n2(RotSymTensor(2, parse("1e200"), parse("1e200"), 1.0), 1e-2)
 
 
 def test_rotsym_does_not_import_potential():
@@ -417,21 +417,21 @@ def test_integrate_invalid_args():
 
 
 def test_n2_quadrature_exact():
-    curve = solve_n2(parse("1"), parse("1"), +1, 1.0, 1e-3)
+    curve = solve_n2(RotSymTensor(2, parse("1"), parse("1"), 1.0), 1e-3)
     assert np.max(np.abs(curve.w - curve.t**2 / 2)) < 1e-12
-    minus = solve_n2(parse("1"), parse("1"), -1, 1.0, 1e-3)
+    minus = solve_n2(RotSymTensor(2, parse("-1"), parse("-1"), 1.0), 1e-3)
     assert np.max(np.abs(minus.w + minus.t**2 / 2)) < 1e-12
 
 
 def test_n2_polynomial_case():
     # psi = (1+t^2)^2: w(1) = int s (1+s^2) ds = 3/4
-    curve = solve_n2(parse("1"), parse("(1 + t^2)^2"), +1, 1.0, 1e-3)
+    curve = solve_n2(RotSymTensor(2, parse("1"), parse("(1 + t^2)^2"), 1.0), 1e-3)
     assert abs(curve.w[-1] - 0.75) < 1e-10
 
 
 def test_n2_negative_product_rejected():
     with pytest.raises(ValueError):
-        solve_n2(parse("1"), parse("-1"), +1, 1.0, 1e-2)
+        solve_n2(RotSymTensor(2, parse("1"), parse("-1"), 1.0), 1e-2)
 
 
 def test_n2_matches_generic_implicit_integration():
@@ -440,7 +440,7 @@ def test_n2_matches_generic_implicit_integration():
     delta = 1e-4
     seed = (delta, delta**2 / 2, delta)
     curve = integrate_separatrix(S, seed, 1e-3, 1.0, w2=1.0, w3=0.0)
-    ref = solve_n2(parse("1"), parse("1"), +1, 1.0, 1e-3)
+    ref = solve_n2(RotSymTensor(2, parse("1"), parse("1"), 1.0), 1e-3)
     common = np.intersect1d(np.round(curve.t, 12), np.round(ref.t, 12))
     ic = np.isin(np.round(curve.t, 12), common)
     ir = np.isin(np.round(ref.t, 12), common)

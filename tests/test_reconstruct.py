@@ -239,7 +239,7 @@ def test_quadrature_fourth_order_convergence():
 def test_n2_curve_reconstruction():
     from riccisym.potential import solve_n2
 
-    curve = solve_n2(parse("1"), parse("1"), +1, 1.0, 1e-3)
+    curve = solve_n2(RotSymTensor(2, parse("1"), parse("1"), 1.0), 1e-3)
     T = RotSymTensor(2, parse("1"), parse("1"), 1.0)
     result = reconstruct_profile(curve, T)
     # n = 2: w = t^2/2, w' = t, integrand of J is phi/w' - 1/s = 0: r = t
