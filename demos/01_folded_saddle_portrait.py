@@ -26,7 +26,6 @@ print("  DX(0) =")
 for row in rep.DX0:
     print("   ", np.array2string(row, precision=6))
 print(f"  eigenvalues: {rep.lam1:.6g} (unstable), {rep.lam2:.6g} (stable)")
-print(f"  classification: {rep.classification}")
 print(f"  branch curvature w2 = {rep.w2:.6g}  (exact potential here is w = 2 t^2)")
 print(f"  branch eigenvalue -2 w2 = {rep.lam_seed:.6g}")
 print()

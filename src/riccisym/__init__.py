@@ -32,7 +32,6 @@ from .potential import (
 from .reconstruct import (
     ReconstructionError,
     ReconstructionResult,
-    assemble_metric,
     reconstruct_profile,
     ricci_potential_from_profile,
     solve_rf,

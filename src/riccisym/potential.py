@@ -100,7 +100,7 @@ def lie_cartan_field(T: RotSymTensor, state) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SaddleReport:
-    """Linearization of the Lie-Cartan field at the origin.
+    """Linearization of the Lie-Cartan field at the origin, a folded saddle.
 
     lam1 > 0 > lam2 are the nonzero eigenvalues; eigenvectors are (1, 0,
     -lam/2), all tangent to the surface.  w2 is the curvature of the
@@ -114,19 +114,25 @@ class SaddleReport:
     lam2: float
     unstable_dir: np.ndarray
     stable_dir: np.ndarray
-    classification: str  # "folded_saddle" | "degenerate"
     w2: float
     w3: float
     lam_seed: float
-    reason: str = ""
 
 
-def _origin_product_defect(phi0: float, psi0: float) -> str:
-    """Why phi(0) psi(0) is not in (0, inf), or "" when it is."""
-    prod = phi0 * psi0
-    if 0 < prod < math.inf:
-        return ""
-    return f"phi(0) psi(0) = {prod:.6g} " + ("<= 0" if prod <= 0 else "is not finite")
+def _degenerate_origin(reason: str) -> DefinitenessError:
+    return DefinitenessError(DefinitenessVerdict("inconsistent", None, reason))
+
+
+def _origin_jets(T: RotSymTensor):
+    """The jets of phi and psi at 0; raises DefinitenessError unless
+    phi(0) psi(0) lies in (0, inf), as there is no branch to follow otherwise."""
+    phi, psi = eval_jet2(T.phi, 0.0), eval_jet2(T.psi, 0.0)
+    prod = phi.v * psi.v
+    if not 0 < prod < math.inf:
+        raise _degenerate_origin(
+            f"phi(0) psi(0) = {prod:.6g} " + ("<= 0" if prod <= 0 else "is not finite")
+        )
+    return phi, psi
 
 
 def _eigvec(lam: float) -> np.ndarray:
@@ -135,9 +141,12 @@ def _eigvec(lam: float) -> np.ndarray:
 
 
 def saddle_report(T: RotSymTensor) -> SaddleReport:
+    """The folded saddle at the origin.  n = 2, a phi(0) psi(0) outside
+    (0, inf) and a non-finite linearization raise DefinitenessError."""
     n = T.n
-    phi = eval_jet2(T.phi, 0.0)
-    psi = eval_jet2(T.psi, 0.0)
+    if n == 2:
+        raise _degenerate_origin("n = 2 reduces to direct quadrature")
+    phi, psi = _origin_jets(T)
     phi0, psi0 = phi.v, psi.v
     DX0 = np.array(
         [
@@ -150,18 +159,6 @@ def saddle_report(T: RotSymTensor) -> SaddleReport:
             ],
         ]
     )
-
-    def degenerate(reason):
-        nan = math.nan
-        return SaddleReport(
-            DX0, nan, nan, np.zeros(3), np.zeros(3), "degenerate", nan, nan, nan, reason=reason
-        )
-
-    if n == 2:
-        return degenerate("n = 2 reduces to direct quadrature")
-    reason = _origin_product_defect(phi0, psi0)
-    if reason:
-        return degenerate(reason)
     # nonzero eigenvalues solve  -lam^2 + B lam + C = 0
     B = 2.0 * (n - 2) * phi0 / (n - 1)
     C = 4.0 * phi0 * psi0 / (n - 1)
@@ -176,7 +173,7 @@ def saddle_report(T: RotSymTensor) -> SaddleReport:
         w2 = 2.0 * phi0 * psi0 / (qb + math.copysign(qd, qb))
     w3 = 3.0 * (psi.d1 + phi.d1 / (n - 1)) / (n + 1)
     if not (np.all(np.isfinite(DX0)) and all(map(math.isfinite, (lam1, lam2, w2, w3)))):
-        return degenerate(
+        raise _degenerate_origin(
             f"linearization at the origin is not finite: "
             f"lam1 = {lam1:.6g}, w2 = {w2:.6g}, w3 = {w3:.6g}"
         )
@@ -186,7 +183,6 @@ def saddle_report(T: RotSymTensor) -> SaddleReport:
         lam2=lam2,
         unstable_dir=_eigvec(lam1),
         stable_dir=_eigvec(lam2),
-        classification="folded_saddle",
         w2=w2,
         w3=w3,
         lam_seed=-2.0 * w2,
@@ -260,8 +256,6 @@ def seed_offset(t_max: float, step: float) -> float:
 
 def seed_separatrix(T: RotSymTensor, rep: SaddleReport, delta: float):
     """Second-order series seed (delta, w2 d^2/2, w2 d), p projected onto F = 0."""
-    if rep.classification != "folded_saddle":
-        raise ValueError(f"cannot seed a degenerate configuration: {rep.reason}")
     if not 0 < delta <= 1e-2 * T.t_max:
         raise ValueError(f"delta must lie in (0, {1e-2 * T.t_max:g}]")
     w0 = rep.w2 * delta * delta / 2.0
@@ -465,12 +459,10 @@ def solve_branch(
 ) -> tuple[SaddleReport, PotentialCurve]:
     """Classify the saddle, seed the branch and integrate it in one call.
 
-    A degenerate saddle raises DefinitenessError; otherwise the saddle
-    report and the integrated curve are returned.
+    A degenerate origin raises DefinitenessError (see saddle_report);
+    otherwise the saddle report and the integrated curve are returned.
     """
     rep = saddle_report(T)
-    if rep.classification != "folded_saddle":
-        raise DefinitenessError(DefinitenessVerdict("inconsistent", None, rep.reason))
     if t_end is None:
         t_end = T.t_max
     if delta is None:
@@ -504,11 +496,7 @@ def solve_n2(T: RotSymTensor, step: float) -> PotentialCurve:
     if not np.all(np.isfinite(prod)):
         bad = ts[np.argmin(np.isfinite(prod))]
         raise ValueError(f"phi * psi is not finite at t = {bad:.6g}")
-    phi0 = eval_jet2(T.phi, 0.0)
-    psi0 = eval_jet2(T.psi, 0.0)
-    reason = _origin_product_defect(phi0.v, psi0.v)
-    if reason:
-        raise DefinitenessError(DefinitenessVerdict("inconsistent", None, reason))
+    phi0, psi0 = _origin_jets(T)
     sign = 1 if phi0.v > 0 else -1
     integrand = ts * np.sqrt(prod)
     w = sign * cumulative_simpson(integrand, x=ts, initial=0.0)

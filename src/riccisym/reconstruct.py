@@ -131,7 +131,8 @@ def solve_rf(curve: PotentialCurve, phi: Expr, n: int) -> Quadrature:
     reconstruct_profile.  f' = -(phi/(n-1)) (w/w') is exact on the samples,
     so the second defining ODE holds to rounding by construction.  Every
     profile-grid point is 0 or a curve sample, so phi is sampled once, on
-    curve.t, and its jet at 0.
+    curve.t, and its jet at 0.  An r' <= 0 or a non-finite r or f raises
+    ReconstructionError, so the samples meet the MetricProfile invariants.
     """
     phi0j = eval_jet2(phi, 0.0)
     _check_sign(curve, phi0j.v)
@@ -153,7 +154,7 @@ def solve_rf(curve: PotentialCurve, phi: Expr, n: int) -> Quadrature:
     def on_grid(values, zero_value=0.0):  # curve-aligned values on the profile grid
         return np.concatenate([[zero_value], values[start : start + grid.size - 1]])
 
-    with np.errstate(over="ignore"):  # an overflow is reported by assemble_metric
+    with np.errstate(over="ignore"):  # an overflow is reported below
         r = grid * np.exp(on_grid(J))
     r[0] = 0.0
     phi_g, p_g = on_grid(phis, phi0j.v), on_grid(curve.p)
@@ -167,32 +168,11 @@ def solve_rf(curve: PotentialCurve, phi: Expr, n: int) -> Quadrature:
     f[0] = 0.0
     fp = -on_grid(integrand_f)
     fp[0] = 0.0
-    return Quadrature(grid, r, rp, f, fp, phi_g, on_grid(curve.w), p_g)
-
-
-def assemble_metric(n: int, grid, f, fp, r, rp) -> MetricProfile:
-    """Pack samples into a MetricProfile, enforcing the profile invariants."""
-    grid = np.asarray(grid, dtype=float)
-    f = np.asarray(f, dtype=float)
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(rp, dtype=float)
-    fp = np.asarray(fp, dtype=float)
-    if grid[0] != 0.0:
-        raise ReconstructionError(f"grid must start at 0, got {grid[0]}")
-    if r[0] != 0.0:
-        raise ReconstructionError(f"r(0) = {r[0]}, expected 0")
-    if abs(rp[0] - 1.0) > 1e-8:
-        raise ReconstructionError(f"r'(0) = {rp[0]}, expected 1")
-    if f[0] != 0.0:
-        raise ReconstructionError(f"f(0) = {f[0]}, expected 0")
-    if np.any(rp <= 0):
-        bad = grid[np.argmax(rp <= 0)]
-        raise ReconstructionError(f"r' <= 0 at grid point t = {bad:.6g}")
     for name, x in (("r", r), ("f", f)):
         if not np.all(np.isfinite(x)):
             bad = grid[np.argmax(~np.isfinite(x))]
             raise ReconstructionError(f"{name} not finite at grid point t = {bad:.6g}")
-    return MetricProfile(n=n, grid=grid, f=f, r=r, rp=rp, fp=fp)
+    return Quadrature(grid, r, rp, f, fp, phi_g, on_grid(curve.w), p_g)
 
 
 def _residual_window(grid: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
@@ -266,7 +246,7 @@ def trim_fold_tail(curve: PotentialCurve) -> PotentialCurve:
 def reconstruct_profile(
     curve: PotentialCurve, T: RotSymTensor, t_lo: float | None = None
 ) -> ReconstructionResult:
-    """Run both quadratures, assemble the profile and evaluate all residuals.
+    """Run both quadratures, build the profile and evaluate all residuals.
 
     phi is sampled once, by solve_rf, and psi once on the profile grid; the
     Ricci residuals are the maxima of the per-point defects over
@@ -275,7 +255,7 @@ def reconstruct_profile(
     n = T.n
     q = solve_rf(trim_fold_tail(curve), T.phi, n)
     grid, p = q.grid, q.p
-    profile = assemble_metric(n, grid, q.f, q.fp, q.r, q.rp)
+    profile = MetricProfile(n, grid, q.f, q.r, q.rp, q.fp)
 
     # stencil r', not profile.rp: the ODE r' would make this 0 by construction
     rp_fd = fourth_order_derivative(q.r, float(grid[2] - grid[1]))

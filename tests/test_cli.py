@@ -397,6 +397,23 @@ def test_fewer_than_two_samples_is_a_config_error(tmp_path, capsys, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["s.cfg"]
 
 
+@pytest.mark.parametrize("via", ["config", "flag"])
+@pytest.mark.parametrize("out", ["", "."])
+@pytest.mark.parametrize("command", ["solve", "hypersurface"])
+def test_out_without_a_file_name_is_a_config_error(tmp_path, capsys, monkeypatch, command, out, via):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    for owner, name in ((cli, "solve"), (cli.hs, "GraphEmbedding")):
+        monkeypatch.setattr(owner, name, no_work)
+    cfg = GOLD_CFG + 'h = "t"\nr_max = 1\n' + (f'out = "{out}"\n' if via == "config" else "")
+    argv = [command, "--config", str(_write(tmp_path, "o.cfg", cfg))]
+    assert main(argv + (["--out", out] if via == "flag" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f'riccisym: code=1 reason="out must end in a file name, got {out!r}"']
+    assert [p.name for p in tmp_path.iterdir()] == ["o.cfg"]
+
+
 # sha256 of every file the five commands write (in COMMANDS order, so verify
 # reads the solution just written), recorded before the commands shared
 # pipeline.branch; hypersurface reads h and r_max only

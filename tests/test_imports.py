@@ -1,4 +1,4 @@
-"""An unused-import check for src/riccisym, in place of a linter."""
+"""Unused-import and dead-helper checks for src/riccisym, in place of a linter."""
 
 import ast
 from pathlib import Path
@@ -43,3 +43,50 @@ def test_the_check_finds_an_unused_import():
 def test_every_import_is_used(module):
     unused = unused_imports((PACKAGE / f"{module}.py").read_text())
     assert [name for name in unused if (module, name) not in ALLOWED] == []
+
+
+def private_definitions(source: str) -> set[str]:
+    """Module-level _names that a def, a class or an assignment binds; dunders aside."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def names_read(source: str) -> set[str]:
+    """Names the code loads, bare or as an attribute (module._name)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """module._name for each module-level _name that no module reads."""
+    read = set().union(*(names_read(source) for source in sources.values()))
+    return sorted(
+        f"{module}.{name}"
+        for module, source in sources.items()
+        for name in private_definitions(source) - read
+    )
+
+
+def test_the_check_finds_a_dead_helper():
+    sources = {
+        "a": "_TOL = 1e-13\n_unused: int = 3\ndef _used():\n    return _TOL\n"
+        "def _dead():\n    return _used()\nclass _Shape:\n    pass\n",
+        "b": "from . import a\n__all__ = []\ndef f():\n    return a._Shape\n",
+    }
+    assert dead_helpers(sources) == ["a._dead", "a._unused"]
+
+
+def test_every_private_helper_is_read():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert dead_helpers(sources) == []

@@ -129,7 +129,6 @@ def test_lie_cartan_tangency():
 
 def test_saddle_spot_values():
     rep = saddle_report(_surface(3, "8", "8"))
-    assert rep.classification == "folded_saddle"
     assert abs(rep.lam1 - 16.0) < 1e-10
     assert abs(rep.lam2 + 8.0) < 1e-10
     rep = saddle_report(UNIT)
@@ -147,7 +146,6 @@ def test_saddle_eigen_identities_grid():
     for n in (3, 4, 5, 8):
         for a in (1.0, 8.0, -1.0, -8.0):
             rep = saddle_report(_surface(n, f"{a}", f"{a}"))
-            assert rep.classification == "folded_saddle"
             assert abs(rep.lam1 * rep.lam2 + 4 * a * a / (n - 1)) < 1e-10
             assert abs(rep.lam1 + rep.lam2 - 2 * (n - 2) * a / (n - 1)) < 1e-10
             assert rep.lam1 > 0 > rep.lam2
@@ -156,8 +154,11 @@ def test_saddle_eigen_identities_grid():
 
 
 def test_saddle_degenerate_cases():
-    assert saddle_report(_surface(2, "1", "1")).classification == "degenerate"
-    assert saddle_report(_surface(3, "1", "-1")).classification == "degenerate"
+    with pytest.raises(DefinitenessError, match="^n = 2 reduces to direct quadrature$"):
+        saddle_report(_surface(2, "1", "1"))
+    with pytest.raises(DefinitenessError, match=r"^phi\(0\) psi\(0\) = -1 <= 0$") as err:
+        saddle_report(_surface(3, "1", "-1"))
+    assert err.value.verdict.kind == "inconsistent"
 
 
 @pytest.mark.parametrize(
@@ -169,16 +170,16 @@ def test_saddle_degenerate_cases():
     ],
 )
 def test_saddle_non_finite_target_is_degenerate(phi, reason):
-    rep = saddle_report(_surface(3, phi, phi))
-    assert rep.classification == "degenerate"
-    assert rep.reason.startswith(reason)
+    with pytest.raises(DefinitenessError) as err:
+        saddle_report(_surface(3, phi, phi))
+    assert err.value.verdict.kind == "inconsistent"
+    assert err.value.verdict.reason.startswith(reason)
 
 
 def test_saddle_branch_curvature_of_a_tiny_product():
     # phi0 psi0 = 1e-320 is below rounding against phi0^2, so the textbook
     # root cancels to 0; the branch curvature is still ~ psi0 / (n - 2)
     rep = saddle_report(_surface(3, "1e-150", "1e-170"))
-    assert rep.classification == "folded_saddle"
     assert rep.w2 == pytest.approx(1e-170, rel=1e-12)
 
 

@@ -5,7 +5,6 @@ from riccisym.exprfn import parse
 from riccisym.potential import PotentialCurve, solve_branch
 from riccisym.reconstruct import (
     ReconstructionError,
-    assemble_metric,
     reconstruct_profile,
     ricci_potential_from_profile,
     solve_rf,
@@ -137,15 +136,25 @@ def test_sign_violation_detected():
         solve_rf(curve, parse("-8"), 3)  # phi(0) < 0 against p > 0
 
 
-def test_assemble_metric_invariants():
-    curve = _gold_curve()
-    grid, r, rp, f, fp = solve_rf(curve, parse("8"), 3)[:5]
-    profile = assemble_metric(3, grid, f, fp, r, rp)
-    assert profile.r[0] == 0.0 and profile.f[0] == 0.0
-    bad_rp = rp.copy()
-    bad_rp[0] = 0.9
-    with pytest.raises(ReconstructionError, match="r'"):
-        assemble_metric(3, grid, f, fp, r, bad_rp)
+def _hand_built_curve(p):
+    """A curve on t = 0, 0.05, ..., 1 with the given slopes, for the target phi = psi = 1."""
+    t = np.linspace(0.0, 1.0, 21)
+    curve = PotentialCurve(t=t, w=t * t / 2, p=p(t), w2=1.0, w3=0.0, halt_reason="t_end")
+    return curve, RotSymTensor(3, parse("1"), parse("1"), 1.0)
+
+
+def test_overflowing_radius_is_refused():
+    # J = int 1/(2 p) ds with p = 1e-300 overflows exp(J) at the first step
+    curve, T = _hand_built_curve(lambda t: np.full_like(t, 1e-300))
+    with pytest.raises(ReconstructionError, match=r"^r not finite at grid point t = 0\.05$"):
+        reconstruct_profile(curve, T)
+
+
+def test_slope_turning_negative_is_refused():
+    # p keeps its sign over the 10 samples _check_sign reads, then turns
+    curve, T = _hand_built_curve(lambda t: np.where(t < 0.625, t, -t))
+    with pytest.raises(ReconstructionError, match=r"^monotonicity lost: r'\(0\.65\) <= 0$"):
+        reconstruct_profile(curve, T)
 
 
 def test_verify_ricci_gold_pipeline():
