@@ -126,6 +126,11 @@ def parse_config(path: Path) -> ProblemConfig:
             setattr(cfg, key, value)
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+    if cfg.step > 0:  # a step <= 0 is refused by the checks of each command
+        try:
+            potential.check_sample_count(cfg.t_max, cfg.step)
+        except ValueError as err:
+            raise ConfigError(f"{path}: {err}") from None
     return cfg
 
 

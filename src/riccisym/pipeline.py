@@ -74,6 +74,10 @@ def solution_summary(sol: Solution) -> str:
     lines.append(f"halt: {sol.curve.halt_reason}"
                  + (f" ({sol.curve.halt_detail})" if sol.curve.halt_detail else ""))
     lines.append(f"max |F| along curve: {sol.curve.constraint_max:.3e}")
+    if sol.curve.work is not None:
+        lines.append(
+            "integration work: " + ", ".join(f"{k} = {v}" for k, v in sol.curve.work.items())
+        )
     res = sol.recon
     lines.append(f"residual (n-1) w' r' - phi r : {res.residual_r:.3e}")
     lines.append(f"residual (n-1) w' f' + w phi : {res.residual_f:.3e}")

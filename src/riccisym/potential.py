@@ -24,7 +24,12 @@ defined in a full neighborhood of the origin.
 
 Integration runs in t (unit speed where F_p != 0) with a one-dimensional
 Newton projection of p back onto the surface after every step; F is
-quadratic in p, so the projection is a Babylonian iteration.
+quadratic in p, so the projection is a Babylonian iteration.  The target
+enters a step only through the t-only coefficients of F (_coeffs), one row
+per abscissa.  One RK4 kernel holds the stage formula: it runs the uniform
+steps of a block of targets in one loop over rows sampled as arrays, and
+the general path (the capped steps near the origin, halvings, halts) runs
+it over three rows of its own.  The curve records the work done.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .exprfn import eval_jet2, jet_grid, sample
+from .exprfn import EvalError, eval_jet2, jet_grid, sample
 from .rotsym import DefinitenessError, DefinitenessVerdict, RotSymTensor, bisect_root
 
 FOLD_TOL = 1e-8
@@ -43,6 +48,7 @@ EXIT_TOL = 1e-12
 PROJECTION_TOL = 1e-13
 GLOBAL_GRID = 129  # check_global's scan resolution
 _GRID_BLOCK = 256  # integration targets per array evaluation of the target
+MAX_SAMPLES = 10**7  # largest t_max / step a solve accepts
 _EPS = float(np.finfo(float).eps)
 
 
@@ -231,6 +237,11 @@ class PotentialCurve:
     halt_reason: str  # "t_end" | "fold_contact" | "surface_exit" | "overflow"
     halt_detail: str = ""
     constraint_max: float = 0.0
+    # integrate_separatrix's counts of uniform_steps (run by the kernel in
+    # one loop), other_steps (general sub-steps), halvings,
+    # newton_projections (those needing a Newton iteration) and scalar_rows
+    # (_coeffs rows sampled point by point); None for direct quadrature
+    work: dict | None = None
 
 
 def _project_p(t: float, Q: float, p: float, tol: float):
@@ -269,14 +280,30 @@ class _Halt(Exception):
     """A geometric end of the branch: args are (halt_reason, halt_detail)."""
 
 
-def _grid_block(T: RotSymTensor, prev: float, targets) -> dict:
-    """_coeffs rows keyed by the abscissae a uniform step visits on its way
-    through targets: prev, then each midpoint prev + (target - prev)/2 and
-    target in turn.
+def check_sample_count(t_max: float, step: float) -> None:
+    """Raise ValueError when t_max / step exceeds MAX_SAMPLES, before any work."""
+    if t_max / step > MAX_SAMPLES:
+        raise ValueError(
+            f"t_max / step = {t_max / step:.6g} exceeds the cap of {MAX_SAMPLES:.0e} samples"
+        )
 
-    Empty when either jet_grid declines: the block looks ahead, so it must
-    not raise at a t the solve may never reach; the scalar path raises the
-    EvalError, with its own text and t, if the solve does get there.
+
+def _grid_block(T: RotSymTensor, prev: float, targets, step: float):
+    """The _coeffs rows that uniform steps read on their way through targets,
+    as columns, and where those steps run.
+
+    Returns (P, A, B, C, D, runs), or None when either jet_grid declines.
+    P holds the abscissae: P[0] = prev, then target k's midpoint
+    prev_k + (target_k - prev_k)/2 at 2k+1 and target_k at 2k+2, prev_k
+    being the target before it; A, B, C and D are the _coeffs columns over
+    P.  A step is uniform when the driver takes it as the one sub-step
+    h = target_k - prev_k (not capped near the origin, no underflow) and
+    t + h lands exactly on target_k; runs[k] is the first target at or
+    after k whose step is not uniform (len(targets) if none).
+
+    The block looks ahead, so it must not raise at a t the solve may never
+    reach; the scalar path raises the EvalError, with its own text and t,
+    if the solve does get there.
     """
     pts = [prev]
     for target in targets:
@@ -286,10 +313,22 @@ def _grid_block(T: RotSymTensor, prev: float, targets) -> dict:
     phi = jet_grid(T.phi, pts)
     psi = None if phi is None else jet_grid(T.psi, pts)
     if psi is None:
-        return {}
+        return None
+    P = np.array(pts)
     with np.errstate(over="ignore", invalid="ignore"):  # like Python floats
-        rows = _coeffs(T.n, np.array(pts), phi[0], phi[1], psi[0], psi[1])
-    return dict(zip(pts, zip(*(c.tolist() for c in rows))))
+        rows = _coeffs(T.n, P, phi[0], phi[1], psi[0], psi[1])
+    # integrate_separatrix's sub-step rule, over the whole block
+    t, target = P[:-1:2], P[2::2]
+    h = target - t
+    uniform = (
+        (h <= np.maximum(0.25 * t, 1e-3 * step))
+        & (h > 1e-15 * np.maximum(1.0, np.abs(t)))
+        & (t < target - 1e-12 * step)
+        & (t + h == target)
+    )
+    m = len(targets)
+    runs = np.minimum.accumulate(np.where(uniform, m, np.arange(m))[::-1])[::-1]
+    return (pts, *(c.tolist() for c in rows), runs.tolist())
 
 
 def integrate_separatrix(
@@ -307,44 +346,34 @@ def integrate_separatrix(
     variable, each step followed by a Newton projection of p onto F = 0.
     Halts at t_end, at fold contact (|F_p| below FOLD_TOL min(1, |phi(0)|)),
     when the projected region F >= 0 is exited, or when w or p overflows;
-    the reason is recorded on the curve.
+    the reason is recorded on the curve.  A t_end / step above MAX_SAMPLES
+    raises ValueError.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     t0, w0, p0 = seed
     if t_end <= t0:
         raise ValueError("t_end must exceed the seed abscissa")
+    check_sample_count(t_end, step)
 
     n = T.n
+    n1 = float(n - 1)  # x / n1 is x / (n - 1): the int converts exactly
+    tol = projection_tol
     # p, and so F_p = -2p, scales with phi(0): a small target is not the fold
     fold_tol = FOLD_TOL * min(1.0, abs(eval_jet2(T.phi, 0.0).v))
-    # The RK4 stages, the region test and the projection of one step share
-    # abscissae (k2/k3 at t + h/2; k4, Q, the projection and the next k1 at
-    # t + h; a halved step reuses t + h/2), so each row of _coeffs is
-    # computed once.  Once the step is uniform, h = target - t is exact
-    # (Sterbenz), so every stage lands on a target or on the midpoint
-    # prev + (target - prev)/2; those are sampled as arrays, a block of
-    # targets at a time (see _grid_block), into one table of rows.  The
-    # near-origin capped steps and the halvings miss the block and are
-    # evaluated point by point into the same table, which starts afresh
-    # with every block so it stays bounded.
-    table = {}
-
-    def coeffs(t):
-        c = table.get(t)
-        if c is None:
-            c = table[t] = _coeffs(n, t, *_target_row(T, t))
-        return c
-
-    def rhs(t, c, w, p):  # (w', p') from t's row c of _coeffs; F is not needed
-        A, _, C, D = c
-        ww = w * w - 2.0 * w
-        F_t = (C * ww + D) / (n - 1)
-        F_w = A * (2.0 * w - 2.0) / (n - 1)
-        F_p = -2.0 * p
-        if abs(F_p) < fold_tol:
-            raise _Halt("fold_contact", f"|F_p| = {abs(F_p):.3e} < {fold_tol:g} at t = {t:.6g}")
-        return p, -(F_t + p * F_w) / F_p
+    neg_fold_tol = -fold_tol  # -fold_tol < F_p < fold_tol is |F_p| < fold_tol
+    # The surface enters a step only through the _coeffs rows at t, t + h/2
+    # and t + h (k1; k2 and k3; k4 and Q).  Once the step is uniform,
+    # h = target - t is exact (Sterbenz), so every stage lands on a target
+    # or on the midpoint prev + (target - prev)/2; those rows are sampled as
+    # arrays, a block of targets at a time (see _grid_block), and rk4 runs a
+    # block's consecutive uniform steps in one loop, reading rows by index.
+    # Every other step (the capped ones near the origin, a halving, a halt)
+    # takes the general path: rk4 over three rows of its own, the grid's
+    # where it has them and scalar ones elsewhere.
+    work = dict.fromkeys(
+        ("uniform_steps", "other_steps", "halvings", "newton_projections", "scalar_rows"), 0
+    )
 
     # aligned targets: multiples of step, then exactly t_end
     k0 = int(math.floor(t0 / step + 1e-9)) + 1
@@ -364,23 +393,124 @@ def integrate_separatrix(
             f"last sample t = {ts[-1]:.6g}, w = {ws[-1]:.6g}, p = {ps[-1]:.6g}",
         )
 
-    def advance(t, w, p, h):
-        """One projected RK4 sub-step of at most h, halved near the region
-        boundary or where p would flip sign: the accepted (h, w, p, |F|)."""
-        k1w, k1p = rhs(t, coeffs(t), w, p)
+    def fold(F_p, t):
+        return _Halt("fold_contact", f"|F_p| = {abs(F_p):.3e} < {fold_tol:g} at t = {t:.6g}")
+
+    def rk4(P, A, B, C, D, i, stop, t, w, p, h, drift, record):
+        """Projected RK4 steps from row i (t = P[i]) up to row stop over the
+        _coeffs columns A-D: a step reads rows i, i+1 and i+2 (t, t + h/2,
+        t + h) and ends on row i+2.  The first step takes h as given, the
+        next ones h = P[i+2] - t; record appends each step's end to the curve.
+
+        Stops before the first step whose trial is not plain (Q > 0, and a
+        projected p of unchanged sign and finite |F|) and returns
+        (i, t, w, p, drift, trial), trial being that step's (p_try, Q), with
+        p_try projected if Q > 0.  trial is None at stop, and at a row whose
+        A is None (one the caller could not evaluate).  A stage at the fold
+        raises _Halt before the next row is read.
+        """
         while True:
-            mid = coeffs(t + h / 2)
-            k2w, k2p = rhs(t + h / 2, mid, w + h / 2 * k1w, p + h / 2 * k1p)
-            k3w, k3p = rhs(t + h / 2, mid, w + h / 2 * k2w, p + h / 2 * k2p)
-            A, B, _, _ = end = coeffs(t + h)  # after k3: a fold halt wins over an EvalError
-            k4w, k4p = rhs(t + h, end, w + h * k3w, p + h * k3p)
-            w_try = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-            p_try = p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-            Q = (A * (w_try * w_try - 2.0 * w_try) + B) / (n - 1)
+            hh = h / 2
+            ww = w * w - 2.0 * w
+            F_p = -2.0 * p
+            if neg_fold_tol < F_p < fold_tol:
+                raise fold(F_p, P[i])
+            k1 = -((C[i] * ww + D[i]) / n1 + p * (A[i] * (2.0 * w - 2.0) / n1)) / F_p
+            a, c, d = A[i + 1], C[i + 1], D[i + 1]
+            if a is None:
+                return i, t, w, p, drift, None
+            w2 = w + hh * p
+            p2 = p + hh * k1
+            ww = w2 * w2 - 2.0 * w2
+            F_p = -2.0 * p2
+            if neg_fold_tol < F_p < fold_tol:
+                raise fold(F_p, P[i + 1])
+            k2 = -((c * ww + d) / n1 + p2 * (a * (2.0 * w2 - 2.0) / n1)) / F_p
+            w3 = w + hh * p2
+            p3 = p + hh * k2
+            ww = w3 * w3 - 2.0 * w3
+            F_p = -2.0 * p3
+            if neg_fold_tol < F_p < fold_tol:
+                raise fold(F_p, P[i + 1])
+            k3 = -((c * ww + d) / n1 + p3 * (a * (2.0 * w3 - 2.0) / n1)) / F_p
+            a, c, d = A[i + 2], C[i + 2], D[i + 2]
+            if a is None:
+                return i, t, w, p, drift, None
+            w4 = w + h * p3
+            p4 = p + h * k3
+            ww = w4 * w4 - 2.0 * w4
+            F_p = -2.0 * p4
+            if neg_fold_tol < F_p < fold_tol:
+                raise fold(F_p, P[i + 2])
+            k4 = -((c * ww + d) / n1 + p4 * (a * (2.0 * w4 - 2.0) / n1)) / F_p
+            h6 = h / 6
+            w_try = w + h6 * (p + 2.0 * p2 + 2.0 * p3 + p4)
+            p_try = p + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            Q = (a * (w_try * w_try - 2.0 * w_try) + B[i + 2]) / n1
+            if not Q > 0.0:
+                return i, t, w, p, drift, (p_try, Q)
+            # _project_p's accept test, inlined: nearly every trial passes it
+            pp = p_try * p_try
+            resid = abs(Q - pp)
+            if not (resid <= tol or resid <= 8.0 * _EPS * (abs(Q) + pp + 1e-300)):
+                work["newton_projections"] += 1
+                p_try, resid = _project_p(P[i + 2], Q, p_try, tol)
+            if not p_try * p > 0.0:
+                return i, t, w, p, drift, (p_try, Q)
+            if resid > drift:  # rare once drift settles, so test inf only here
+                if resid == math.inf:
+                    return i, t, w, p, drift, (p_try, Q)
+                drift = resid
+            t += h
+            w = w_try
+            p = p_try
+            i += 2
+            if record:
+                ts.append(t)
+                ws.append(w)
+                ps.append(p)
+            if i == stop:
+                return i, t, w, p, drift, None
+            h = P[i + 2] - t
+
+    def row(x):
+        """The _coeffs row at x: the grid's if x is one of target k's
+        abscissae there, else a scalar one."""
+        if grid:
+            for j in range(2 * k, 2 * k + 3):
+                if x == P[j]:
+                    return A[j], B[j], C[j], D[j]
+        work["scalar_rows"] += 1
+        return _coeffs(n, x, *_target_row(T, x))
+
+    def substep(t, w, p, h, drift, here):
+        """One projected RK4 sub-step of at most h from t, whose row is
+        here, halved near the region boundary or where p would flip sign:
+        the accepted (t, w, p, drift, row at the new t)."""
+        mid = end = error = None
+        none = (None,) * 4
+        while True:
+            # an error here is raised only once the stages reach its row,
+            # so a fold halt at k1-k3 wins over an EvalError at t + h
+            try:
+                if mid is None:
+                    mid = row(t + h / 2)
+                if end is None:
+                    end = row(t + h)
+            except EvalError as err:
+                error = err
+            i, t1, w1, p1, drift, trial = rk4(
+                (t, t + h / 2, t + h), *zip(here, mid or none, end or none),
+                0, 2, t, w, p, h, drift, False,
+            )
+            if i:
+                return t1, w1, p1, drift, end
+            if trial is None:
+                raise error
+            p_try, Q = trial
             if Q > 0.0:
-                p_try, resid = _project_p(t + h, Q, p_try, projection_tol)
-                if p_try * p > 0.0:
-                    return h, w_try, p_try, resid
+                if p_try * p > 0.0:  # _project_p met an infinite Q or p
+                    raise overflow(t)
                 # Near the saddle the p equation is stiff: an RK4 predictor
                 # can overshoot p through 0 and the projection then lands on
                 # the wrong root.  w' changes sign only on the fold, so a
@@ -394,8 +524,9 @@ def integrate_separatrix(
             elif h <= min_h:
                 if not math.isfinite(Q):  # NaN or -inf: the trial step overflowed
                     raise overflow(t)
-                # a halt: t is sampled again rather than its target row kept;
+                # a halt: t is sampled again rather than its row kept;
                 # F_t and F_w do not depend on p
+                work["scalar_rows"] += 1
                 Q_here, F_t, F_w, _ = surface_terms(n, t, w, 0.0, *_target_row(T, t))
                 if Q_here <= FOLD_TOL * (1.0 + abs(Q_here) + p * p):
                     raise _Halt(
@@ -407,34 +538,49 @@ def integrate_separatrix(
                     "surface_exit", f"F(t, w, 0) = {Q:.3e} < -{EXIT_TOL:g} past t = {t:.6g}"
                 )
             h /= 2.0
+            work["halvings"] += 1
+            end, mid = mid, None
 
     drift = 0.0
     halt_reason, halt_detail = "t_end", ""
     t, w, p = t0, w0, p0
-    use_grid = True
+    here = None  # the row at t, while the general path holds it
+    grid = None
     try:
-        for i, target in enumerate(targets):
-            if i % _GRID_BLOCK == 0:
-                # once a block declines, the rest of the solve goes point by
-                # point, so no target is sampled twice
-                prev = targets[i - 1] if i else t0
-                table = _grid_block(T, prev, targets[i : i + _GRID_BLOCK]) if use_grid else {}
-                use_grid = bool(table)
-            # Sub-steps are capped by t/4 near the origin, where the lifted
-            # field has 1/t-scale derivatives; only the targets are recorded.
-            while t < target - 1e-12 * step:
-                h = min(target - t, max(0.25 * t, 1e-3 * step))
-                if h <= 1e-15 * max(1.0, abs(t)):
-                    raise StepUnderflowError(f"step underflow at t = {t:.6g}")
-                h, w, p, resid = advance(t, w, p, h)
-                if resid > drift:  # rare once drift settles, so test inf only here
-                    if resid == math.inf:  # _project_p met an infinite Q or p
-                        raise overflow(t)
-                    drift = resid
-                t += h
-            ts.append(t)
-            ws.append(w)
-            ps.append(p)
+        for b in range(0, len(targets), _GRID_BLOCK):
+            block = targets[b : b + _GRID_BLOCK]
+            # once a block declines, the rest of the solve goes point by
+            # point, so no target is sampled twice
+            if b == 0 or grid:
+                grid = _grid_block(T, targets[b - 1] if b else t0, block, step)
+            if grid:
+                P, A, B, C, D, runs = grid
+            k = 0
+            while k < len(block):
+                if grid and runs[k] > k and t == P[2 * k]:
+                    i, t, w, p, drift, _ = rk4(
+                        P, A, B, C, D, 2 * k, 2 * runs[k], t, w, p, P[2 * k + 2] - t, drift, True
+                    )
+                    if i > 2 * k:
+                        work["uniform_steps"] += i // 2 - k
+                        k, here = i // 2, None
+                        if k == len(block):
+                            break
+                target = block[k]
+                # Sub-steps are capped by t/4 near the origin, where the lifted
+                # field has 1/t-scale derivatives; only the targets are recorded.
+                while t < target - 1e-12 * step:
+                    h = min(target - t, max(0.25 * t, 1e-3 * step))
+                    if h <= 1e-15 * max(1.0, abs(t)):
+                        raise StepUnderflowError(f"step underflow at t = {t:.6g}")
+                    if here is None:
+                        here = row(t)
+                    t, w, p, drift, here = substep(t, w, p, h, drift, here)
+                    work["other_steps"] += 1
+                ts.append(t)
+                ws.append(w)
+                ps.append(p)
+                k += 1
     except _Halt as halt:
         halt_reason, halt_detail = halt.args
 
@@ -447,6 +593,7 @@ def integrate_separatrix(
         halt_reason=halt_reason,
         halt_detail=halt_detail,
         constraint_max=drift,
+        work=work,
     )
 
 
@@ -481,8 +628,10 @@ def solve_n2(T: RotSymTensor, step: float) -> PotentialCurve:
     """w(t) = sign(phi(0)) * integral of s sqrt(phi psi) ds, by composite Simpson.
 
     phi(0) psi(0) outside (0, inf) raises DefinitenessError, as it makes the
-    saddle of n > 2 degenerate.
+    saddle of n > 2 degenerate, and a t_max / step above MAX_SAMPLES raises
+    ValueError.
     """
+    check_sample_count(T.t_max, step)
     m = max(2, int(round(T.t_max / step)))
     if m % 2:
         m += 1

@@ -63,6 +63,17 @@ def test_parse_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
     assert not list(tmp_path.glob("x_*"))
 
 
+@pytest.mark.parametrize("t_max, step", [(1.0, 1e-300), (1e5, 1e-3), (10.0000001, 1e-6)])
+def test_parse_config_caps_the_sample_count(tmp_path, t_max, step):
+    # the integrator lists t_max / step targets before its first step, so a
+    # tiny step used to hang the solve while it filled memory
+    text = f'n = 3\nphi = "1"\npsi = "1"\nt_max = {t_max!r}\nstep = {step!r}\n'
+    with pytest.raises(cli.ConfigError, match=r"t_max / step = .* exceeds the cap of 1e\+07"):
+        parse_config(_write(tmp_path, "a.cfg", text))
+    text = f'n = 3\nphi = "1"\npsi = "1"\nt_max = 10.0\nstep = 1e-6\n'
+    assert parse_config(_write(tmp_path, "b.cfg", text)).step == 1e-6
+
+
 def test_overflow_is_one_diagnostic_line(tmp_path, capsys):
     cfg = 'n = 3\nphi = "exp(t^3)"\npsi = "exp(t^3)"\nt_max = 20\n' + f'out = "{tmp_path}/o"\n'
     path = _write(tmp_path, "o.cfg", cfg)
@@ -416,7 +427,8 @@ def test_out_without_a_file_name_is_a_config_error(tmp_path, capsys, monkeypatch
 
 # sha256 of every file the five commands write (in COMMANDS order, so verify
 # reads the solution just written), recorded before the commands shared
-# pipeline.branch; hypersurface reads h and r_max only
+# pipeline.branch, except p_report.txt, which gained its "integration work"
+# line later; hypersurface reads h and r_max only
 PINNED_OUTPUTS = {
     'n = 4\nphi = "12"\npsi = "12 - 8*t^2"\nt_max = 0.5\n': (
         {"solve": 0, "analyze": 0, "verify": 0, "hypersurface": 0, "portrait": 0},
@@ -425,7 +437,7 @@ PINNED_OUTPUTS = {
             "p_fold.csv": "03a9d0a5224b30f85f415eeb66a52063e3c7089897b983b61ce9fea761b88886",
             "p_hypersurface.csv": "3bdc91c6b2dc684769a53d3f1b494b1033aa1c9b6c11a84c93e3a0a490659093",
             "p_portrait.csv": "e68a52a05a1e983db3a7dc441ef60b0933f679192966fc78ccd8c434e0d688ae",
-            "p_report.txt": "a6d7e9254b6a9295a42ccf5548536b5bbdc97f37189dd2c7b6fbe354f3615925",
+            "p_report.txt": "fbdfbf4c1dfd952437e7c98b56725042504d004900eefe87a6b447e906a27b0e",
             "p_solution.csv": "1874d88e62d95476fbd920959441aa5626d94c71fdba6d2c68b534bbc845c021",
             "p_verify.txt": "835a64b13110df6ff6856abb6224e926cb0bea4f1d9214a6f89ba94c84262be3",
         },
@@ -438,7 +450,7 @@ PINNED_OUTPUTS = {
             "p_fold.csv": "372d01574a6a4eee185c7f48b1dcd9d4f7a001ec102ade2d84463b07b8d31949",
             "p_hypersurface.csv": "f5178e77b135482ab5060c7c17b989648e839df6119828ed34a2df3db125c39f",
             "p_portrait.csv": "ab4396cb4de81b66506d8bab5d16d4c2b8b77e57627ddde8d2b45f0ba1ddb8e1",
-            "p_report.txt": "ed2764ce9f61020f94fd6ef5a7f970d00a9317086d62bb65e6a82d37c8cdff82",
+            "p_report.txt": "0435bcb9c6892ef41560a02020374a8b01a0ba14255f123379a218d07138a641",
             "p_solution.csv": "9ab39c51138a32fdaaf0d53894409023e8585d7cb7c5febb5a2e2287ff37689b",
             "p_verify.txt": "70d474ec98a7eb231902d63830105014fe1ea24a0d72a041e97f4fc81f6f4d64",
         },

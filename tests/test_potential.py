@@ -5,11 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 
 from riccisym import potential, rotsym
-from riccisym.exprfn import eval_jet2, parse
+from riccisym.exprfn import EvalError, eval_jet2, parse
 from riccisym.potential import (
     GlobalReport,
     PotentialCurve,
@@ -306,26 +306,39 @@ def test_integrate_gold_family():
     assert curve.constraint_max <= 1e-9
 
 
-# sha256 of t, w and p bytes at step 1e-3: every instance is pure
-# arithmetic (no libm call), so a change to the integrator that claims
-# bit-identical output must keep these.
+# sha256 of t, w and p bytes, with the halt detail and the drift: every
+# instance is pure arithmetic (no libm call), so a change to the integrator
+# that claims bit-identical output must keep these.  The last four (a stiff
+# branch, high n, a coarse step, a tiny target) lean on the general path:
+# capped sub-steps, halvings and Newton projections.
 @pytest.mark.parametrize(
-    "phi, psi, t_max, reason, digest",
+    "n, phi, psi, t_max, step, reason, detail, drift, digest",
     [
-        ("1", "1", 10.0, "t_end",
+        (3, "1", "1", 10.0, 1e-3, "t_end", "", 2.9103830456733704e-10,
          "a5216ffcc28f6dea75eeea56199b05d0f3e28c264ab342fc29ad475aaa946ab8"),
-        ("-1", "-1", 10.0, "t_end",
+        (3, "-1", "-1", 10.0, 1e-3, "t_end", "", 9.903189379656396e-14,
          "7f683a23fc94b910331c32f0c94fa97f303deee509d647b186f7105b916e56dd"),
-        ("1", "1 - 4*t^2", 0.46, "fold_contact",
+        (3, "1", "1 - 4*t^2", 0.46, 1e-3, "fold_contact",
+         "fold reached near t = 0.41197 (p = 3.822e-06, push = 1.474e-01)", 9.914204873728849e-14,
          "b081f814415042f4981314c1bc5f87e286b6d9f00e2dd92a9444248e551add1f"),
-        ("8", "8 - 4*t^2", 0.5, "t_end",
+        (3, "8", "8 - 4*t^2", 0.5, 1e-3, "t_end", "", 3.9968028886505635e-15,
          "5ffa2d906b932a42c3e43187684e3404a58c0adfcc613dd2410a80c6ff996770"),
+        (3, "-1e4", "-1e4", 1.0, 1e-3, "t_end", "", 9.178620530292392e-09,
+         "3f71e9054d2615734ecaa2ecbe1b62c09e4854d4d562d09daa2b5f46d53a2dd4"),
+        (24, "1", "1", 1.0, 1e-3, "t_end", "", 7.610056812197703e-14,
+         "8b287f7150916684f54025d6dd908baeae6ab796864a07fea623deed05405728"),
+        (18, "1", "1", 1.0, 1e-2, "t_end", "", 9.880529554251449e-14,
+         "1bdb5d99c18c8e2bee2440ccd20352f7e3823cde8c0d6df008850db0988cde2e"),
+        (3, "1e-6", "1e-6", 1.0, 1e-3, "t_end", "", 4.291403324402304e-28,
+         "6120d36feb5969a39be9948c891e83b989a25b646afa96f1228a4b4dd337f812"),
     ],
-    ids=["const_pos_t10", "const_neg_t10", "fold_contact", "gold_n3"],
+    ids=["const_pos_t10", "const_neg_t10", "fold_contact", "gold_n3", "stiff_neg_1e4",
+         "const_n24", "const_n18_step1e-2", "tiny_1e-6"],
 )
-def test_integrate_output_bytes_are_pinned(phi, psi, t_max, reason, digest):
-    _, c = solve_branch(_surface(3, phi, psi, t_max), 1e-3)
-    assert c.halt_reason == reason
+def test_integrate_output_bytes_are_pinned(n, phi, psi, t_max, step, reason, detail, drift,
+                                           digest):
+    _, c = solve_branch(_surface(n, phi, psi, t_max), step)
+    assert (c.halt_reason, c.halt_detail, c.constraint_max) == (reason, detail, drift)
     assert hashlib.sha256(c.t.tobytes() + c.w.tobytes() + c.p.tobytes()).hexdigest() == digest
 
 
@@ -621,9 +634,13 @@ def test_integrate_evaluates_each_jet_once(monkeypatch, n, phi, psi, t_max):
         (3, "-1", "-1", 2.0),
         (4, "3*exp(-t^2)", "3*cos(t)^2 + t^4/(1+t^2)", 2.0),
         (3, "1", "1 - 4*t^2", 0.46),
+        (3, "-1e4", "-1e4", 1.0),
+        (24, "1", "1", 1.0),
     ],
 )
 def test_integrate_grid_path_matches_scalar_path(monkeypatch, n, phi, psi, t_max):
+    # with jet_grid off every step takes the general path, so this pits the
+    # kernel's two callers against each other
     S = _surface(n, phi, psi, t_max)
     _, fast = solve_branch(S, step=1e-3)
     monkeypatch.setattr(potential, "jet_grid", lambda e, ts: None)
@@ -659,6 +676,34 @@ def test_uniform_steps_read_the_grid_table(monkeypatch, n, phi, psi, t_max):
     assert len(calls) <= 32
 
 
+@pytest.mark.parametrize("where", ["midpoint", "end"])
+def test_a_fold_halt_wins_over_an_error_at_a_later_row(where):
+    # psi is singular at t + h/2 or t + h of the first step, so the array
+    # block declines and the general path meets an EvalError there; with p
+    # at the fold, k1 halts before the stages reach that row
+    t0, step = 0.5, 0.1
+    h = 6 * step - t0  # the first target is 6 step
+    x = t0 + h / 2 if where == "midpoint" else t0 + h
+    S = _surface(3, "1", f"1 + sqrt((t - {x!r})^2)", 1.0)
+    curve = integrate_separatrix(S, (t0, 0.1, 1e-10), step, 1.0)
+    assert (curve.halt_reason, curve.halt_detail) == (
+        "fold_contact", "|F_p| = 2.000e-10 < 1e-08 at t = 0.5"
+    )
+    assert curve.t.size == 1
+    with pytest.raises(EvalError, match=f"at t={x!r}"):
+        integrate_separatrix(S, (t0, 0.1, 0.5), step, 1.0)
+
+
+@pytest.mark.parametrize("a", ["1", "-1"])
+def test_long_span_runs_in_the_uniform_kernel(a):
+    # the scalar-row count above cannot see a kernel that hands every step
+    # to the general path; the work counts can
+    _, curve = solve_branch(_surface(3, a, a, 10.0), 1e-3)
+    assert curve.halt_reason == "t_end"
+    assert curve.work["uniform_steps"] >= 9_990
+    assert curve.work["other_steps"] <= 20
+
+
 def test_constant_targets_never_halt_spuriously():
     # Near the saddle the p equation is stiff for large n; an overshooting
     # RK4 predictor used to end these solves with a false "w' sign change".
@@ -672,3 +717,224 @@ def test_constant_targets_never_halt_spuriously():
                 if curve.halt_reason != "t_end" or verdict != "global_continuation_expected":
                     failures.append((n, a, step, curve.halt_reason, curve.halt_detail))
     assert not failures, failures
+
+
+# ---------------------------------------------------------------------------
+# differential test: the RK4 kernel against the table-driven integrator it
+# replaced (closures and a dict of _coeffs rows keyed by t), kept here as it
+# was apart from a step budget
+
+
+class _RefHalt(Exception):
+    pass
+
+
+class _OverBudget(Exception):
+    """The reference tried more RK4 steps than its budget allows."""
+
+
+def _ref_grid_block(T, prev, targets):
+    pts = [prev]
+    for target in targets:
+        pts.append(prev + (target - prev) / 2)
+        pts.append(target)
+        prev = target
+    phi = potential.jet_grid(T.phi, pts)
+    psi = None if phi is None else potential.jet_grid(T.psi, pts)
+    if psi is None:
+        return {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = potential._coeffs(T.n, np.array(pts), phi[0], phi[1], psi[0], psi[1])
+    return dict(zip(pts, zip(*(c.tolist() for c in rows))))
+
+
+def _reference_integrate(T, seed, step, t_end, projection_tol=potential.PROJECTION_TOL,
+                         budget=math.inf):
+    """(ts, ws, ps, halt_reason, halt_detail, drift) as integrate_separatrix gave them.
+
+    The one addition: raises _OverBudget once more than budget RK4 steps
+    (halved ones included) have been tried.
+    """
+    _coeffs, _target_row, _project_p = potential._coeffs, potential._target_row, potential._project_p
+    FOLD_TOL, EXIT_TOL = potential.FOLD_TOL, potential.EXIT_TOL
+    if step <= 0:
+        raise ValueError("step must be positive")
+    t0, w0, p0 = seed
+    if t_end <= t0:
+        raise ValueError("t_end must exceed the seed abscissa")
+
+    n = T.n
+    fold_tol = FOLD_TOL * min(1.0, abs(eval_jet2(T.phi, 0.0).v))
+    table = {}
+
+    def coeffs(t):
+        c = table.get(t)
+        if c is None:
+            c = table[t] = _coeffs(n, t, *_target_row(T, t))
+        return c
+
+    def rhs(t, c, w, p):
+        A, _, C, D = c
+        ww = w * w - 2.0 * w
+        F_t = (C * ww + D) / (n - 1)
+        F_w = A * (2.0 * w - 2.0) / (n - 1)
+        F_p = -2.0 * p
+        if abs(F_p) < fold_tol:
+            raise _RefHalt("fold_contact", f"|F_p| = {abs(F_p):.3e} < {fold_tol:g} at t = {t:.6g}")
+        return p, -(F_t + p * F_w) / F_p
+
+    k0 = int(math.floor(t0 / step + 1e-9)) + 1
+    targets = [k * step for k in range(k0, int(math.floor(t_end / step + 1e-9)) + 1)]
+    if not targets or targets[-1] < t_end - 1e-9 * step:
+        targets.append(t_end)
+    if abs(targets[-1] - t_end) <= 1e-9 * step:
+        targets[-1] = t_end
+
+    min_h = 1e-6 * step
+    ts, ws, ps = [t0], [w0], [p0]
+
+    def overflow(t):
+        return _RefHalt(
+            "overflow",
+            f"w or p left the float range past t = {t:.6g}; "
+            f"last sample t = {ts[-1]:.6g}, w = {ws[-1]:.6g}, p = {ps[-1]:.6g}",
+        )
+
+    tries = 0
+
+    def advance(t, w, p, h):
+        nonlocal tries
+        k1w, k1p = rhs(t, coeffs(t), w, p)
+        while True:
+            tries += 1
+            if tries > budget:
+                raise _OverBudget
+            mid = coeffs(t + h / 2)
+            k2w, k2p = rhs(t + h / 2, mid, w + h / 2 * k1w, p + h / 2 * k1p)
+            k3w, k3p = rhs(t + h / 2, mid, w + h / 2 * k2w, p + h / 2 * k2p)
+            A, B, _, _ = end = coeffs(t + h)
+            k4w, k4p = rhs(t + h, end, w + h * k3w, p + h * k3p)
+            w_try = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+            p_try = p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+            Q = (A * (w_try * w_try - 2.0 * w_try) + B) / (n - 1)
+            if Q > 0.0:
+                p_try, resid = _project_p(t + h, Q, p_try, projection_tol)
+                if p_try * p > 0.0:
+                    return h, w_try, p_try, resid
+                if h <= min_h:
+                    raise _RefHalt("fold_contact", f"w' sign change across t = {t + h:.6g}")
+            elif -EXIT_TOL <= Q:
+                raise _RefHalt(
+                    "fold_contact", f"projected region boundary reached at t = {t + h:.6g}"
+                )
+            elif h <= min_h:
+                if not math.isfinite(Q):
+                    raise overflow(t)
+                Q_here, F_t, F_w, _ = potential.surface_terms(n, t, w, 0.0, *_target_row(T, t))
+                if Q_here <= FOLD_TOL * (1.0 + abs(Q_here) + p * p):
+                    raise _RefHalt(
+                        "fold_contact",
+                        f"fold reached near t = {t:.6g} "
+                        f"(p = {p:.3e}, push = {-(F_t + p * F_w):.3e})",
+                    )
+                raise _RefHalt(
+                    "surface_exit", f"F(t, w, 0) = {Q:.3e} < -{EXIT_TOL:g} past t = {t:.6g}"
+                )
+            h /= 2.0
+
+    drift = 0.0
+    halt_reason, halt_detail = "t_end", ""
+    t, w, p = t0, w0, p0
+    use_grid = True
+    try:
+        for i, target in enumerate(targets):
+            if i % potential._GRID_BLOCK == 0:
+                prev = targets[i - 1] if i else t0
+                table = (
+                    _ref_grid_block(T, prev, targets[i : i + potential._GRID_BLOCK])
+                    if use_grid else {}
+                )
+                use_grid = bool(table)
+            while t < target - 1e-12 * step:
+                h = min(target - t, max(0.25 * t, 1e-3 * step))
+                if h <= 1e-15 * max(1.0, abs(t)):
+                    raise potential.StepUnderflowError(f"step underflow at t = {t:.6g}")
+                h, w, p, resid = advance(t, w, p, h)
+                if resid > drift:
+                    if resid == math.inf:
+                        raise overflow(t)
+                    drift = resid
+                t += h
+            ts.append(t)
+            ws.append(w)
+            ps.append(p)
+    except _RefHalt as halt:
+        halt_reason, halt_detail = halt.args
+    return np.array(ts), np.array(ws), np.array(ps), halt_reason, halt_detail, drift
+
+
+def _outcome(integrate, T, seed, step, **kwargs):
+    try:
+        return integrate(T, seed, step, T.t_max, **kwargs)
+    except _OverBudget:
+        raise
+    except Exception as err:  # compared by type and text
+        return type(err), str(err)
+
+
+def _polynomial(coefficients):
+    return " + ".join(f"({c!r})*t^{k}" for k, c in enumerate(coefficients))
+
+
+_COEFFICIENT = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-6.0, 4.0),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(3, 30),
+    sign=st.sampled_from([-1.0, 1.0]),
+    phi0=st.floats(-6.0, 4.0),
+    psi0=st.floats(-6.0, 4.0),
+    phi_tail=st.lists(_COEFFICIENT, max_size=2),
+    psi_tail=st.lists(_COEFFICIENT, max_size=2),
+    step=st.sampled_from([1e-3, 7e-3, 1e-2]),
+    t_max=st.floats(0.05, 2.0),
+    delta=st.one_of(st.none(), st.floats(1e-4, 1.0)),
+)
+def test_kernel_matches_the_table_integrator_bit_for_bit(
+    n, sign, phi0, psi0, phi_tail, psi_tail, step, t_max, delta
+):
+    # phi(0) psi(0) > 0, so every case has a folded saddle to leave
+    phi = _polynomial([sign * 10.0**phi0] + phi_tail)
+    psi = _polynomial([sign * 10.0**psi0] + psi_tail)
+    T = _surface(n, phi, psi, t_max)
+    rep = saddle_report(T)
+    try:
+        seed = seed_separatrix(
+            T, rep, seed_offset(t_max, step) if delta is None else delta * 1e-2 * t_max
+        )
+    except potential.ProjectionError:  # no seed, so nothing to integrate
+        event("no seed")
+        return
+    try:
+        ref = _outcome(_reference_integrate, T, seed, step, budget=10_000)
+    except _OverBudget:
+        # A stiff branch (ROADMAP item 2) can halve every step down towards
+        # min_h and take hundreds of thousands of sub-steps, for seconds
+        # each way; the halving ladder it would test is met within budget
+        # by the lighter examples too (see the "halvings" event).
+        reject()
+    got = _outcome(integrate_separatrix, T, seed, step)
+    if isinstance(got, PotentialCurve):
+        event("halvings" if got.work["halvings"] else "no halvings")
+        got = (got.t, got.w, got.p, got.halt_reason, got.halt_detail, got.constraint_max)
+    event(ref[0].__name__ if len(ref) == 2 else ref[3])
+    if len(ref) == 2:  # the reference raised
+        assert got == ref
+        return
+    assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in ref[:3]]
+    assert got[3:] == ref[3:]
