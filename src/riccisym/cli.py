@@ -206,6 +206,8 @@ def _tensor_from(cfg: ProblemConfig, command: str) -> RotSymTensor:
 def _require_samples(cfg: ProblemConfig):
     if cfg.samples < 2:
         raise ConfigError(f"samples must be >= 2, got {cfg.samples}")
+    if cfg.samples > potential.MAX_SAMPLES:
+        raise ConfigError(f"samples must be <= {potential.MAX_SAMPLES}, got {cfg.samples}")
 
 
 def _output(cfg: ProblemConfig, suffix: str) -> Path:

@@ -18,8 +18,8 @@ Evaluation returns a :class:`Jet2` carrying (value, first, second derivative),
 propagated by truncated Taylor arithmetic, so derivatives are exact up to
 rounding (no finite differences).  Each expression is compiled once, on its
 first evaluation, into one closure per node over (v, d1, d2) triples, and the
-kernel is kept on the instance; values and error messages are those of the
-node-by-node Jet2 arithmetic, bit for bit.
+kernel is kept on the instance; values and error messages are those of
+node-by-node jet arithmetic, bit for bit.
 
 sample(ts, *exprs) is the one way to evaluate expressions over a grid: it
 returns the (v, d1, d2) arrays of each expression over ts, bit-identical
@@ -27,9 +27,8 @@ to eval_jet2 at each t, and raises the EvalError eval_jet2 would raise at
 the first failing abscissa.  Underneath, jet_grid runs the same kernel
 over a 1-d ndarray of abscissae: the jet arithmetic is numpy operations,
 and only the calls into math (sin, cos, exp, log, sqrt, pow) go element by
-element.  It returns None where it cannot promise scalar results; only a
-caller that must not raise at a t it may never reach (the integrator's
-look-ahead) uses it directly.
+element.  It returns None where it cannot promise scalar results, and
+sample then goes point by point; sample is its only caller in the package.
 """
 
 from __future__ import annotations
@@ -334,35 +333,12 @@ class Jet2:
     d1: float
     d2: float
 
-    def __add__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.v + other.v, self.d1 + other.d1, self.d2 + other.d2)
 
-    def __sub__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.v - other.v, self.d1 - other.d1, self.d2 - other.d2)
-
-    def __neg__(self) -> "Jet2":
-        return Jet2(-self.v, -self.d1, -self.d2)
-
-    def __mul__(self, other: "Jet2") -> "Jet2":
-        return Jet2(
-            self.v * other.v,
-            self.d1 * other.v + self.v * other.d1,
-            self.d2 * other.v + 2.0 * self.d1 * other.d1 + self.v * other.d2,
-        )
-
-    def __truediv__(self, other: "Jet2") -> "Jet2":
-        if other.v == 0.0:
-            raise ZeroDivisionError("jet division by zero")
-        q = self.v / other.v
-        q1 = (self.d1 - q * other.d1) / other.v
-        q2 = (self.d2 - 2.0 * q1 * other.d1 - q * other.d2) / other.v
-        return Jet2(q, q1, q2)
-
-
-# Taylor arithmetic on (v, d1, d2) triples of floats or ndarrays, in the order
-# of the Jet2 operators, so results are bit-identical to them.  Only the math
-# (libm) calls go element by element: numpy's exp, log and power differ from
-# them in the last bit on up to 3% of arguments, and x*x from x**2 on 0.08%.
+# Taylor arithmetic on (v, d1, d2) triples of floats or ndarrays.  Each rule
+# is written once, in the operation order of node-by-node jet arithmetic, so
+# array and scalar results are bit-identical to it.  Only the math (libm)
+# calls go element by element: numpy's exp, log and power differ from them
+# in the last bit on up to 3% of arguments, and x*x from x**2 on 0.08%.
 
 
 def _libm(fn, x, *args):
@@ -395,7 +371,8 @@ def _pow(v, d1, d2, k: int):
         p0, p1, p2 = _pow(v, d1, d2, -k)
         if _any(p0 == 0.0):
             raise ZeroDivisionError("jet division by zero")
-        # Jet2(1, 0, 0) / p; 0.0 - x keeps the sign of a zero the way Jet2 does
+        # (1, 0, 0) / p by the quotient rule; its 0.0 - x keeps the sign of a
+        # zero that -x would flip
         q = 1.0 / p0
         q1 = (0.0 - q * p1) / p0
         return q, q1, (0.0 - 2.0 * q1 * p1 - q * p2) / p0

@@ -26,28 +26,31 @@ Integration runs in t (unit speed where F_p != 0) with a one-dimensional
 Newton projection of p back onto the surface after every step; F is
 quadratic in p, so the projection is a Babylonian iteration.  The target
 enters a step only through the t-only coefficients of F (_coeffs), one row
-per abscissa.  One RK4 kernel holds the stage formula: it runs the uniform
-steps of a block of targets in one loop over rows sampled as arrays, and
-the general path (the capped steps near the origin, halvings, halts) runs
-it over three rows of its own.  The curve records the work done.
+per abscissa.  One RK4 kernel holds the stage formula and reads rows by
+index: it runs the uniform steps of a block of targets in one loop over the
+block's rows, sampled as arrays (or, where the sample raises, evaluated
+point by point as they are read), and the general path (the capped steps
+near the origin, halvings, halts) runs it over three rows of its own.  The
+curve records the work done.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .exprfn import EvalError, eval_jet2, jet_grid, sample
+from .exprfn import EvalError, eval_jet2, sample
 from .rotsym import DefinitenessError, DefinitenessVerdict, RotSymTensor, bisect_root
 
 FOLD_TOL = 1e-8
 EXIT_TOL = 1e-12
 PROJECTION_TOL = 1e-13
 GLOBAL_GRID = 129  # check_global's scan resolution
-_GRID_BLOCK = 256  # integration targets per array evaluation of the target
+_GRID_BLOCK = 256  # integration targets per sample of the target
 MAX_SAMPLES = 10**7  # largest t_max / step a solve accepts
 _EPS = float(np.finfo(float).eps)
 
@@ -240,7 +243,9 @@ class PotentialCurve:
     # integrate_separatrix's counts of uniform_steps (run by the kernel in
     # one loop), other_steps (general sub-steps), halvings,
     # newton_projections (those needing a Newton iteration) and scalar_rows
-    # (_coeffs rows sampled point by point); None for direct quadrature
+    # (_coeffs rows it evaluates point by point: general-path rows and rows
+    # of a block whose sample raised, not sample's own fallback); None for
+    # direct quadrature
     work: dict | None = None
 
 
@@ -288,47 +293,60 @@ def check_sample_count(t_max: float, step: float) -> None:
         )
 
 
-def _grid_block(T: RotSymTensor, prev: float, targets, step: float):
+class _Memo(dict):
+    """key -> fn(key), computed on first read and kept (lazy rows for rk4)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, scalar_row):
     """The _coeffs rows that uniform steps read on their way through targets,
-    as columns, and where those steps run.
+    and where those steps run.
 
-    Returns (P, A, B, C, D, runs), or None when either jet_grid declines.
-    P holds the abscissae: P[0] = prev, then target k's midpoint
-    prev_k + (target_k - prev_k)/2 at 2k+1 and target_k at 2k+2, prev_k
-    being the target before it; A, B, C and D are the _coeffs columns over
-    P.  A step is uniform when the driver takes it as the one sub-step
-    h = target_k - prev_k (not capped near the origin, no underflow) and
-    t + h lands exactly on target_k; runs[k] is the first target at or
-    after k whose step is not uniform (len(targets) if none).
+    Returns (P, rows, runs).  P holds the abscissae as floats: P[0] = prev,
+    then target k's midpoint prev_k + (target_k - prev_k)/2 at 2k+1 and
+    target_k at 2k+2, prev_k being the target before it; rows[j] is the
+    (A, B, C, D) row at P[j].  A step is uniform when integrate_separatrix
+    takes it as the one sub-step h = target_k - prev_k (not capped near the
+    origin, no underflow) and t + h lands exactly on target_k; runs[k] is
+    the first target at or after k whose step is not uniform (len(targets)
+    if none).
 
-    The block looks ahead, so it must not raise at a t the solve may never
-    reach; the scalar path raises the EvalError, with its own text and t,
-    if the solve does get there.
+    The rows come from one sample over P.  The block looks ahead, so it must
+    not raise at a t the solve may never reach: where sample raises, each
+    row is evaluated by scalar_row on first read, and a stage that reaches
+    a bad row raises the scalar EvalError there.
     """
-    pts = [prev]
-    for target in targets:
-        pts.append(prev + (target - prev) / 2)
-        pts.append(target)
-        prev = target
-    phi = jet_grid(T.phi, pts)
-    psi = None if phi is None else jet_grid(T.psi, pts)
-    if psi is None:
-        return None
-    P = np.array(pts)
-    with np.errstate(over="ignore", invalid="ignore"):  # like Python floats
-        rows = _coeffs(T.n, P, phi[0], phi[1], psi[0], psi[1])
+    m = len(targets)
+    P = np.empty(2 * m + 1)
+    P[0] = prev
+    P[2::2] = targets
+    t = P[:-1:2]  # prev_k
+    h = targets - t
+    P[1::2] = t + h / 2
+    pts = P.tolist()
+    try:
+        phi, psi = sample(P, T.phi, T.psi)
+    except EvalError:
+        rows = _Memo(lambda j: scalar_row(pts[j]))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # like Python floats
+            columns = _coeffs(T.n, P, phi[0], phi[1], psi[0], psi[1])
+        rows = list(zip(*(c.tolist() for c in columns)))
     # integrate_separatrix's sub-step rule, over the whole block
-    t, target = P[:-1:2], P[2::2]
-    h = target - t
     uniform = (
         (h <= np.maximum(0.25 * t, 1e-3 * step))
         & (h > 1e-15 * np.maximum(1.0, np.abs(t)))
-        & (t < target - 1e-12 * step)
-        & (t + h == target)
+        & (t < targets - 1e-12 * step)
+        & (t + h == targets)
     )
-    m = len(targets)
     runs = np.minimum.accumulate(np.where(uniform, m, np.arange(m))[::-1])[::-1]
-    return (pts, *(c.tolist() for c in rows), runs.tolist())
+    return pts, rows, runs.tolist()
 
 
 def integrate_separatrix(
@@ -365,26 +383,25 @@ def integrate_separatrix(
     # The surface enters a step only through the _coeffs rows at t, t + h/2
     # and t + h (k1; k2 and k3; k4 and Q).  Once the step is uniform,
     # h = target - t is exact (Sterbenz), so every stage lands on a target
-    # or on the midpoint prev + (target - prev)/2; those rows are sampled as
-    # arrays, a block of targets at a time (see _grid_block), and rk4 runs a
-    # block's consecutive uniform steps in one loop, reading rows by index.
-    # Every other step (the capped ones near the origin, a halving, a halt)
-    # takes the general path: rk4 over three rows of its own, the grid's
-    # where it has them and scalar ones elsewhere.
+    # or a midpoint of the block (see _grid_block), and rk4 runs a block's
+    # consecutive uniform steps in one loop.  Every other step (capped near
+    # the origin, halved, halting) runs rk4 over its three rows, read lazily
+    # like a raising block's: a fold halt at an earlier stage wins over an
+    # EvalError at a later row.
     work = dict.fromkeys(
         ("uniform_steps", "other_steps", "halvings", "newton_projections", "scalar_rows"), 0
     )
 
     # aligned targets: multiples of step, then exactly t_end
     k0 = int(math.floor(t0 / step + 1e-9)) + 1
-    targets = [k * step for k in range(k0, int(math.floor(t_end / step + 1e-9)) + 1)]
-    if not targets or targets[-1] < t_end - 1e-9 * step:
-        targets.append(t_end)
+    targets = np.arange(k0, int(math.floor(t_end / step + 1e-9)) + 1) * step
+    if not targets.size or targets[-1] < t_end - 1e-9 * step:
+        targets = np.append(targets, t_end)
     if abs(targets[-1] - t_end) <= 1e-9 * step:
         targets[-1] = t_end
 
     min_h = 1e-6 * step
-    ts, ws, ps = [t0], [w0], [p0]
+    ts, ws, ps = array("d", [t0]), array("d", [w0]), array("d", [p0])
 
     def overflow(t):
         return _Halt(
@@ -396,29 +413,27 @@ def integrate_separatrix(
     def fold(F_p, t):
         return _Halt("fold_contact", f"|F_p| = {abs(F_p):.3e} < {fold_tol:g} at t = {t:.6g}")
 
-    def rk4(P, A, B, C, D, i, stop, t, w, p, h, drift, record):
-        """Projected RK4 steps from row i (t = P[i]) up to row stop over the
-        _coeffs columns A-D: a step reads rows i, i+1 and i+2 (t, t + h/2,
-        t + h) and ends on row i+2.  The first step takes h as given, the
-        next ones h = P[i+2] - t; record appends each step's end to the curve.
+    def rk4(P, rows, i, stop, t, w, p, h, drift, record):
+        """Projected RK4 steps from row i (t = P[i]) up to row stop: a step
+        reads rows i, i+1 and i+2 (t, t + h/2, t + h) and ends on row i+2.
+        The first step takes h as given, the next ones h = P[i+2] - t;
+        record appends each step's end to the curve.
 
         Stops before the first step whose trial is not plain (Q > 0, and a
         projected p of unchanged sign and finite |F|) and returns
-        (i, t, w, p, drift, trial), trial being that step's (p_try, Q), with
-        p_try projected if Q > 0.  trial is None at stop, and at a row whose
-        A is None (one the caller could not evaluate).  A stage at the fold
-        raises _Halt before the next row is read.
+        (i, t, w, p, drift, trial), trial being that step's (p_try, Q), p_try
+        projected if Q > 0, or None at stop.  A stage at the fold raises
+        _Halt before the next row is read.
         """
         while True:
+            a, _, c, d = rows[i]
             hh = h / 2
             ww = w * w - 2.0 * w
             F_p = -2.0 * p
             if neg_fold_tol < F_p < fold_tol:
                 raise fold(F_p, P[i])
-            k1 = -((C[i] * ww + D[i]) / n1 + p * (A[i] * (2.0 * w - 2.0) / n1)) / F_p
-            a, c, d = A[i + 1], C[i + 1], D[i + 1]
-            if a is None:
-                return i, t, w, p, drift, None
+            k1 = -((c * ww + d) / n1 + p * (a * (2.0 * w - 2.0) / n1)) / F_p
+            a, _, c, d = rows[i + 1]
             w2 = w + hh * p
             p2 = p + hh * k1
             ww = w2 * w2 - 2.0 * w2
@@ -433,9 +448,7 @@ def integrate_separatrix(
             if neg_fold_tol < F_p < fold_tol:
                 raise fold(F_p, P[i + 1])
             k3 = -((c * ww + d) / n1 + p3 * (a * (2.0 * w3 - 2.0) / n1)) / F_p
-            a, c, d = A[i + 2], C[i + 2], D[i + 2]
-            if a is None:
-                return i, t, w, p, drift, None
+            a, b, c, d = rows[i + 2]
             w4 = w + h * p3
             p4 = p + h * k3
             ww = w4 * w4 - 2.0 * w4
@@ -446,7 +459,7 @@ def integrate_separatrix(
             h6 = h / 6
             w_try = w + h6 * (p + 2.0 * p2 + 2.0 * p3 + p4)
             p_try = p + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            Q = (a * (w_try * w_try - 2.0 * w_try) + B[i + 2]) / n1
+            Q = (a * (w_try * w_try - 2.0 * w_try) + b) / n1
             if not Q > 0.0:
                 return i, t, w, p, drift, (p_try, Q)
             # _project_p's accept test, inlined: nearly every trial passes it
@@ -473,40 +486,30 @@ def integrate_separatrix(
                 return i, t, w, p, drift, None
             h = P[i + 2] - t
 
-    def row(x):
-        """The _coeffs row at x: the grid's if x is one of target k's
-        abscissae there, else a scalar one."""
-        if grid:
-            for j in range(2 * k, 2 * k + 3):
-                if x == P[j]:
-                    return A[j], B[j], C[j], D[j]
+    def scalar_row(x):
+        """The _coeffs row at x, sampled point by point."""
         work["scalar_rows"] += 1
         return _coeffs(n, x, *_target_row(T, x))
 
-    def substep(t, w, p, h, drift, here):
-        """One projected RK4 sub-step of at most h from t, whose row is
-        here, halved near the region boundary or where p would flip sign:
-        the accepted (t, w, p, drift, row at the new t)."""
-        mid = end = error = None
-        none = (None,) * 4
+    def row(x):
+        """The _coeffs row at x: the block's if x is one of target k's
+        abscissae there, else a scalar one, kept until the next target."""
+        for j in range(2 * k, 2 * k + 3):
+            if x == P[j]:
+                return rows[j]
+        return off[x]
+
+    def substep(t, w, p, h, drift):
+        """One projected RK4 sub-step of at most h from t, halved near the
+        region boundary or where p would flip sign: the accepted
+        (t, w, p, drift)."""
         while True:
-            # an error here is raised only once the stages reach its row,
-            # so a fold halt at k1-k3 wins over an EvalError at t + h
-            try:
-                if mid is None:
-                    mid = row(t + h / 2)
-                if end is None:
-                    end = row(t + h)
-            except EvalError as err:
-                error = err
+            P3 = (t, t + h / 2, t + h)
             i, t1, w1, p1, drift, trial = rk4(
-                (t, t + h / 2, t + h), *zip(here, mid or none, end or none),
-                0, 2, t, w, p, h, drift, False,
+                P3, _Memo(lambda j: row(P3[j])), 0, 2, t, w, p, h, drift, False
             )
             if i:
-                return t1, w1, p1, drift, end
-            if trial is None:
-                raise error
+                return t1, w1, p1, drift
             p_try, Q = trial
             if Q > 0.0:
                 if p_try * p > 0.0:  # _project_p met an infinite Q or p
@@ -539,43 +542,35 @@ def integrate_separatrix(
                 )
             h /= 2.0
             work["halvings"] += 1
-            end, mid = mid, None
 
     drift = 0.0
     halt_reason, halt_detail = "t_end", ""
     t, w, p = t0, w0, p0
-    here = None  # the row at t, while the general path holds it
-    grid = None
     try:
         for b in range(0, len(targets), _GRID_BLOCK):
-            block = targets[b : b + _GRID_BLOCK]
-            # once a block declines, the rest of the solve goes point by
-            # point, so no target is sampled twice
-            if b == 0 or grid:
-                grid = _grid_block(T, targets[b - 1] if b else t0, block, step)
-            if grid:
-                P, A, B, C, D, runs = grid
+            P, rows, runs = _grid_block(
+                T, targets[b - 1] if b else t0, targets[b : b + _GRID_BLOCK], step, scalar_row
+            )
             k = 0
-            while k < len(block):
-                if grid and runs[k] > k and t == P[2 * k]:
+            while k < len(runs):
+                if runs[k] > k and t == P[2 * k]:
                     i, t, w, p, drift, _ = rk4(
-                        P, A, B, C, D, 2 * k, 2 * runs[k], t, w, p, P[2 * k + 2] - t, drift, True
+                        P, rows, 2 * k, 2 * runs[k], t, w, p, P[2 * k + 2] - t, drift, True
                     )
                     if i > 2 * k:
                         work["uniform_steps"] += i // 2 - k
-                        k, here = i // 2, None
-                        if k == len(block):
+                        k = i // 2
+                        if k == len(runs):
                             break
-                target = block[k]
+                target = P[2 * k + 2]
+                off = _Memo(scalar_row)
                 # Sub-steps are capped by t/4 near the origin, where the lifted
                 # field has 1/t-scale derivatives; only the targets are recorded.
                 while t < target - 1e-12 * step:
                     h = min(target - t, max(0.25 * t, 1e-3 * step))
                     if h <= 1e-15 * max(1.0, abs(t)):
                         raise StepUnderflowError(f"step underflow at t = {t:.6g}")
-                    if here is None:
-                        here = row(t)
-                    t, w, p, drift, here = substep(t, w, p, h, drift, here)
+                    t, w, p, drift = substep(t, w, p, h, drift)
                     work["other_steps"] += 1
                 ts.append(t)
                 ws.append(w)

@@ -393,9 +393,10 @@ def test_failed_analyze_leaves_no_report(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["z.cfg"]
 
 
-@pytest.mark.parametrize("samples", [-3, 0, 1])
+@pytest.mark.parametrize("samples", [-3, 0, 1, 10**9])
 @pytest.mark.parametrize("command", ["analyze", "portrait", "hypersurface"])
 def test_fewer_than_two_samples_is_a_config_error(tmp_path, capsys, monkeypatch, command, samples):
+    # also too many: 10^9 would be 8 GB linspaces, or 10^9 rows in Python
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the config was checked")
 
@@ -404,7 +405,8 @@ def test_fewer_than_two_samples_is_a_config_error(tmp_path, capsys, monkeypatch,
     cfg = GOLD_CFG + f'h = "t"\nr_max = 1\nsamples = {samples}\nout = "{tmp_path}/s"\n'
     assert main([command, "--config", str(_write(tmp_path, "s.cfg", cfg))]) == 1
     err = capsys.readouterr().err
-    assert err.splitlines() == [f'riccisym: code=1 reason="samples must be >= 2, got {samples}"']
+    bound = ">= 2" if samples < 2 else f"<= {potential.MAX_SAMPLES}"
+    assert err.splitlines() == [f'riccisym: code=1 reason="samples must be {bound}, got {samples}"']
     assert [p.name for p in tmp_path.iterdir()] == ["s.cfg"]
 
 

@@ -3,6 +3,7 @@ import copy
 import math
 import pickle
 import re
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -195,35 +196,69 @@ def test_deterministic_evaluation():
 # compiled kernels against the recursive walk they replaced
 
 
+@dataclass(frozen=True)
+class _Jet:
+    """The jet arithmetic the compiled kernels follow, operator by operator
+    (reference); the walk's results are compared by value with eval_jet2's."""
+
+    v: float
+    d1: float
+    d2: float
+
+    def __add__(self, other):
+        return _Jet(self.v + other.v, self.d1 + other.d1, self.d2 + other.d2)
+
+    def __sub__(self, other):
+        return _Jet(self.v - other.v, self.d1 - other.d1, self.d2 - other.d2)
+
+    def __neg__(self):
+        return _Jet(-self.v, -self.d1, -self.d2)
+
+    def __mul__(self, other):
+        return _Jet(
+            self.v * other.v,
+            self.d1 * other.v + self.v * other.d1,
+            self.d2 * other.v + 2.0 * self.d1 * other.d1 + self.v * other.d2,
+        )
+
+    def __truediv__(self, other):
+        if other.v == 0.0:
+            raise ZeroDivisionError("jet division by zero")
+        q = self.v / other.v
+        q1 = (self.d1 - q * other.d1) / other.v
+        q2 = (self.d2 - 2.0 * q1 * other.d1 - q * other.d2) / other.v
+        return _Jet(q, q1, q2)
+
+
 def _walk_pow(a, k):
     if k == 0:
-        return Jet2(1.0, 0.0, 0.0)
+        return _Jet(1.0, 0.0, 0.0)
     if k == 1:
         return a  # the general rule would take v ** -1 and d1 ** 2, which may raise
     if k < 0:
         if a.v == 0.0:
             raise ZeroDivisionError("zero base with negative exponent")
-        return Jet2(1.0, 0.0, 0.0) / _walk_pow(a, -k)
+        return _Jet(1.0, 0.0, 0.0) / _walk_pow(a, -k)
     v = a.v ** k
     d1 = k * a.v ** (k - 1) * a.d1
     d2 = k * (k - 1) * a.v ** (k - 2) * a.d1 ** 2 + k * a.v ** (k - 1) * a.d2
-    return Jet2(v, d1, d2)
+    return _Jet(v, d1, d2)
 
 
 def _walk_call(name, a):
     if name == "sin":
         s, c = math.sin(a.v), math.cos(a.v)
-        return Jet2(s, c * a.d1, -s * a.d1 ** 2 + c * a.d2)
+        return _Jet(s, c * a.d1, -s * a.d1 ** 2 + c * a.d2)
     if name == "cos":
         s, c = math.sin(a.v), math.cos(a.v)
-        return Jet2(c, -s * a.d1, -c * a.d1 ** 2 - s * a.d2)
+        return _Jet(c, -s * a.d1, -c * a.d1 ** 2 - s * a.d2)
     if name == "exp":
         e = math.exp(a.v)
-        return Jet2(e, e * a.d1, e * (a.d1 ** 2 + a.d2))
+        return _Jet(e, e * a.d1, e * (a.d1 ** 2 + a.d2))
     if name == "log":
         if a.v <= 0.0:
             raise ValueError(f"log of non-positive value {a.v}")
-        return Jet2(math.log(a.v), a.d1 / a.v, a.d2 / a.v - (a.d1 / a.v) ** 2)
+        return _Jet(math.log(a.v), a.d1 / a.v, a.d2 / a.v - (a.d1 / a.v) ** 2)
     if name == "sqrt":
         if a.v < 0.0:
             raise ValueError(f"sqrt of negative value {a.v}")
@@ -232,18 +267,18 @@ def _walk_call(name, a):
         s = math.sqrt(a.v)
         d1 = a.d1 / (2.0 * s)
         d2 = (a.d2 - 2.0 * d1 ** 2) / (2.0 * s)
-        return Jet2(s, d1, d2)
+        return _Jet(s, d1, d2)
     raise ValueError(f"unknown function {name!r}")
 
 
 def _walk(e, t):
     """The node-by-node evaluator that compiled kernels replaced (reference)."""
     if isinstance(e, Num):
-        return Jet2(float(e.value), 0.0, 0.0)
+        return _Jet(float(e.value), 0.0, 0.0)
     if isinstance(e, Pi):
-        return Jet2(math.pi, 0.0, 0.0)
+        return _Jet(math.pi, 0.0, 0.0)
     if isinstance(e, Var):
-        return Jet2(float(t), 1.0, 0.0)
+        return _Jet(float(t), 1.0, 0.0)
     if isinstance(e, Neg):
         return -_walk(e.arg, t)
     if isinstance(e, Add):

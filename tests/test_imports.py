@@ -90,3 +90,29 @@ def test_the_check_finds_a_dead_helper():
 def test_every_private_helper_is_read():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert dead_helpers(sources) == []
+
+
+def names_jet_grid(source: str) -> bool:
+    """Whether the module names jet_grid: imports it, reads it, or reads exprfn.jet_grid."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias) and node.name == "jet_grid":
+            return True
+        if isinstance(node, ast.Name) and node.id == "jet_grid":
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "jet_grid":
+            return True
+    return False
+
+
+def test_the_check_finds_a_grid_evaluator():
+    assert names_jet_grid("from .exprfn import jet_grid as grid\n")
+    assert names_jet_grid("from . import exprfn\ndef f(e, ts):\n    return exprfn.jet_grid(e, ts)\n")
+    assert not names_jet_grid("from .exprfn import sample\ndef f(e, ts):\n    return sample(ts, e)\n")
+
+
+def test_sample_is_the_only_grid_evaluator():
+    # exprfn.sample is the one way to evaluate an expression over a grid;
+    # jet_grid, which returns None where sample falls back, stays inside exprfn
+    naming = [p.stem for p in PACKAGE.glob("*.py")
+              if p.stem != "exprfn" and names_jet_grid(p.read_text())]
+    assert naming == []

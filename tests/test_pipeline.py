@@ -96,8 +96,9 @@ def test_solve_samples_the_target_in_bulk(monkeypatch):
 
 def test_error_inside_a_grid_block_keeps_its_text_and_abscissa():
     # the definiteness scan misses t = 1, so integration meets the singular
-    # sqrt derivative there; the array block declines and the scalar path
-    # raises the error at the same t
+    # sqrt derivative there; sample raises for that block, so its rows are
+    # evaluated point by point as the kernel reads them, and the row at
+    # t = 1 raises the scalar error
     T = RotSymTensor(3, parse("2"), parse("1 + sqrt((t - 1)^2)"), 2.0)
     assert definiteness_check(T).is_definite
     with pytest.raises(EvalError) as err:

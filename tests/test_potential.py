@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 
 from riccisym import potential, rotsym
-from riccisym.exprfn import EvalError, eval_jet2, parse
+from riccisym.exprfn import EvalError, eval_jet2, jet_grid, parse
 from riccisym.potential import (
     GlobalReport,
     PotentialCurve,
@@ -639,11 +640,15 @@ def test_integrate_evaluates_each_jet_once(monkeypatch, n, phi, psi, t_max):
     ],
 )
 def test_integrate_grid_path_matches_scalar_path(monkeypatch, n, phi, psi, t_max):
-    # with jet_grid off every step takes the general path, so this pits the
-    # kernel's two callers against each other
+    # with sample raising, every block's rows are evaluated lazily, point by
+    # point, so this pits array rows against lazy rows in the same kernel
     S = _surface(n, phi, psi, t_max)
     _, fast = solve_branch(S, step=1e-3)
-    monkeypatch.setattr(potential, "jet_grid", lambda e, ts: None)
+
+    def declining(ts, *exprs):
+        raise EvalError("declined")
+
+    monkeypatch.setattr(potential, "sample", declining)
     _, slow = solve_branch(S, step=1e-3)
     for name in ("t", "w", "p"):
         assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
@@ -704,6 +709,57 @@ def test_long_span_runs_in_the_uniform_kernel(a):
     assert curve.work["other_steps"] <= 20
 
 
+def test_a_subnormal_product_stays_in_the_uniform_kernel():
+    # from t ~ 5.12 on, exp(-t^4) underflows in the array jets, so sample
+    # falls back to point-by-point jets inside each block; the rows are
+    # still one list and the uniform steps still run in the kernel
+    _, curve = solve_branch(_surface(3, "1 + exp(-t^4)", "1 + exp(-t^4)", 10.0), 1e-3)
+    assert curve.halt_reason == "t_end"
+    assert curve.work["uniform_steps"] >= 9_990
+    assert curve.work["other_steps"] <= 20
+    digest = hashlib.sha256(curve.t.tobytes() + curve.w.tobytes() + curve.p.tobytes())
+    assert digest.hexdigest() == "0347fdc4f6e65044c75e42c9d23280fca9fdb3cc7a11267a57292df2ab8a56ea"
+
+
+def test_a_block_whose_sample_raises_is_read_lazily(monkeypatch):
+    # sample raises for the one block that holds t = 3: its rows are then
+    # evaluated point by point as the kernel reads them, and the next
+    # block is sampled as arrays again
+    S = _surface(3, "1", "1", 10.0)
+    _, ref = solve_branch(S, 1e-3)
+    real = potential.sample
+
+    def raising(ts, *exprs):
+        if ts[0] <= 3.0 <= ts[-1]:
+            raise EvalError("declined")
+        return real(ts, *exprs)
+
+    monkeypatch.setattr(potential, "sample", raising)
+    _, curve = solve_branch(S, 1e-3)
+    for name in ("t", "w", "p"):
+        assert getattr(curve, name).tobytes() == getattr(ref, name).tobytes()
+    assert (curve.halt_reason, curve.halt_detail) == (ref.halt_reason, ref.halt_detail)
+    assert curve.constraint_max == ref.constraint_max
+    assert curve.work["uniform_steps"] == ref.work["uniform_steps"]
+    extra = curve.work["scalar_rows"] - ref.work["scalar_rows"]
+    assert 0 < extra <= 2 * potential._GRID_BLOCK + 1
+
+
+def test_integration_memory_is_bounded_per_sample():
+    # the targets and the samples are float64 buffers: about 60 bytes a sample
+    S = _surface(3, "1", "1", 1.0)
+    step = 1e-4
+    seed = seed_separatrix(S, saddle_report(S), seed_offset(1.0, step))
+    tracemalloc.start()
+    try:
+        curve = integrate_separatrix(S, seed, step, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.t.size == 10_001
+    assert peak <= 100 * curve.t.size
+
+
 def test_constant_targets_never_halt_spuriously():
     # Near the saddle the p equation is stiff for large n; an overshooting
     # RK4 predictor used to end these solves with a false "w' sign change".
@@ -739,8 +795,8 @@ def _ref_grid_block(T, prev, targets):
         pts.append(prev + (target - prev) / 2)
         pts.append(target)
         prev = target
-    phi = potential.jet_grid(T.phi, pts)
-    psi = None if phi is None else potential.jet_grid(T.psi, pts)
+    phi = jet_grid(T.phi, pts)
+    psi = None if phi is None else jet_grid(T.psi, pts)
     if psi is None:
         return {}
     with np.errstate(over="ignore", invalid="ignore"):
