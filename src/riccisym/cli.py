@@ -119,9 +119,13 @@ def parse_config(path: Path) -> ProblemConfig:
             setattr(cfg, key, number)
         elif key in _INT_KEYS:
             try:
-                setattr(cfg, key, int(value))
+                number = int(value)
+                float(number)  # n and samples enter float arithmetic
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: {key} must be an integer") from None
+            except OverflowError:
+                raise ConfigError(f"{path}:{lineno}: {key} exceeds the float range") from None
+            setattr(cfg, key, number)
         elif key in _STR_KEYS:
             setattr(cfg, key, value)
         else:
@@ -259,7 +263,7 @@ def _cmd_analyze(cfg: ProblemConfig) -> int:
 def _fold_points(T: RotSymTensor, cfg: ProblemConfig):
     """(t, w_lower, w_upper) arrays where the fold is real, over `samples` abscissae."""
     ts = np.linspace(0.0, cfg.t_max, cfg.samples)
-    real, lower, upper = potential.fold_branches(T.n, ts, sample(ts, T.psi)[0, 0])
+    real, lower, upper = potential.fold_branches(T.n, ts, sample(ts, T.psi.first_order)[0, 0])
     return ts[real], lower[real], upper[real]
 
 
@@ -271,10 +275,10 @@ def _cmd_portrait(cfg: ProblemConfig) -> int:
     _, curve = potential.solve_branch(
         T, step=cfg.step, delta=cfg.delta, projection_tol=cfg.constraint_tol
     )
-    (phi, dphi, _), (psi, dpsi, _) = sample(curve.t, T.phi, T.psi)
+    (phi, dphi), (psi, dpsi) = sample(curve.t, T.phi.first_order, T.psi.first_order)
     F_sep = potential.surface_terms(T.n, curve.t, curve.w, curve.p, phi, dphi, psi, dpsi)[0]
     t_fold, lower, upper = _fold_points(T, cfg)
-    (phi, dphi, _), (psi, dpsi, _) = sample(t_fold, T.phi, T.psi)
+    (phi, dphi), (psi, dpsi) = sample(t_fold, T.phi.first_order, T.psi.first_order)
     ws = np.stack((lower, upper))
     F_lower, F_upper = potential.surface_terms(T.n, t_fold, ws, 0.0, phi, dphi, psi, dpsi)[0]
 

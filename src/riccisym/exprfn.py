@@ -16,24 +16,30 @@ reserved constant.
 
 Evaluation returns a :class:`Jet2` carrying (value, first, second derivative),
 propagated by truncated Taylor arithmetic, so derivatives are exact up to
-rounding (no finite differences).  Each expression is compiled once, on its
-first evaluation, into one closure per node over (v, d1, d2) triples, and the
-kernel is kept on the instance; values and error messages are those of
-node-by-node jet arithmetic, bit for bit.
+rounding (no finite differences).  The derivative order is a property of
+what is evaluated: an expression gives all three, and its first_order gives
+(value, first derivative) only, never computing a d2 term, so a failure
+that lies only in d2 (an overflowing square of a steep slope, say) does not
+raise.  Each expression is compiled once per order, on its first
+evaluation, into one closure per node over jet tuples, and the kernel is
+kept on the instance; values and error messages are those of node-by-node
+jet arithmetic to that order, bit for bit, and the (v, d1) of a first-order
+jet equal those of the second-order one.
 
 sample(ts, *exprs) is the one way to evaluate expressions over a grid: it
-returns the (v, d1, d2) arrays of each expression over ts, bit-identical
-to eval_jet2 at each t, and raises the EvalError eval_jet2 would raise at
-the first failing abscissa.  Underneath, jet_grid runs the same kernel
-over a 1-d ndarray of abscissae: the jet arithmetic is numpy operations,
-and only the calls into math (sin, cos, exp, log, sqrt, pow) go element by
-element.  It returns None where it cannot promise scalar results, and
-sample then goes point by point; sample is its only caller in the package.
+returns the jet arrays of each expression over ts, bit-identical to
+eval_jet2 at each t, and raises the EvalError eval_jet2 would raise at the
+first failing abscissa.  Underneath, jet_grid runs the same kernel over a
+1-d ndarray of abscissae: the jet arithmetic is numpy operations, and only
+the calls into math (sin, cos, exp, log, sqrt, pow) go element by element.
+It returns None where it cannot promise scalar results, and sample then
+goes point by point; sample is its only caller in the package.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,10 +74,15 @@ class Expr:
 
     @cached_property
     def _kernel(self):  # see eval_jet2 and jet_grid
-        return _compile(self)
+        return _compile(self, 2)
 
-    def __getstate__(self):  # the kernel is rebuilt on first use
-        return {k: v for k, v in self.__dict__.items() if k != "_kernel"}
+    @cached_property
+    def first_order(self) -> FirstOrder:
+        """This expression to first order, for eval_jet2 and sample."""
+        return FirstOrder(self)
+
+    def __getstate__(self):  # the kernels are rebuilt on first use
+        return {k: v for k, v in self.__dict__.items() if k not in ("_kernel", "first_order")}
 
 
 @dataclass(frozen=True)
@@ -131,6 +142,18 @@ class Call(Expr):
 
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
+
+
+class FirstOrder:
+    """An expression evaluated to first order: eval_jet2 gives its value and
+    first derivative with a NaN d2, and sample its (v, d1) arrays.  The d2
+    terms are never computed, so a failure that lies only in them raises
+    nothing.  Get one from Expr.first_order, which keeps it."""
+
+    __slots__ = ("_kernel",)
+
+    def __init__(self, e: Expr):
+        self._kernel = _compile(e, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +350,21 @@ def unparse(e: Expr) -> str:
 
 @dataclass(frozen=True)
 class Jet2:
-    """Truncated Taylor triple (value, first, second derivative)."""
+    """Truncated Taylor triple (value, first, second derivative); d2 is NaN
+    for an expression evaluated to first order."""
 
     v: float
     d1: float
-    d2: float
+    d2: float = math.nan
 
 
-# Taylor arithmetic on (v, d1, d2) triples of floats or ndarrays.  Each rule
-# is written once, in the operation order of node-by-node jet arithmetic, so
-# array and scalar results are bit-identical to it.  Only the math (libm)
-# calls go element by element: numpy's exp, log and power differ from them
-# in the last bit on up to 3% of arguments, and x*x from x**2 on 0.08%.
+# Taylor arithmetic on jets of floats or ndarrays: (v, d1) to first order,
+# (v, d1, d2) to second.  Each rule is written once, in the operation order
+# of node-by-node jet arithmetic, so array and scalar results are
+# bit-identical to it, and it computes its d2 terms only when the jet it is
+# given carries a d2, after its v and d1.  Only the math (libm) calls go
+# element by element: numpy's exp, log and power differ from them in the
+# last bit on up to 3% of arguments, and x*x from x**2 on 0.08%.
 
 
 def _libm(fn, x, *args):
@@ -360,138 +386,127 @@ def _ipow(x, k: int):
     return x if k == 1 else _libm(math.pow, x, k)
 
 
-def _pow(v, d1, d2, k: int):
+def _pow(k: int, v, d1, d2=None):
     if k == 0:
-        return 1.0, 0.0, 0.0
+        return (1.0, 0.0) if d2 is None else (1.0, 0.0, 0.0)
     if k == 1:
-        return v, d1, d2
+        return (v, d1) if d2 is None else (v, d1, d2)
     if k < 0:
         if _any(v == 0.0):
             raise ZeroDivisionError("zero base with negative exponent")
-        p0, p1, p2 = _pow(v, d1, d2, -k)
+        p = _pow(-k, v, d1, d2)
+        p0, p1 = p[0], p[1]
         if _any(p0 == 0.0):
             raise ZeroDivisionError("jet division by zero")
         # (1, 0, 0) / p by the quotient rule; its 0.0 - x keeps the sign of a
         # zero that -x would flip
         q = 1.0 / p0
         q1 = (0.0 - q * p1) / p0
-        return q, q1, (0.0 - 2.0 * q1 * p1 - q * p2) / p0
+        return (q, q1) if d2 is None else (q, q1, (0.0 - 2.0 * q1 * p1 - q * p[2]) / p0)
     vk1 = _ipow(v, k - 1)
-    return (
-        _ipow(v, k),
-        k * vk1 * d1,
-        k * (k - 1) * _ipow(v, k - 2) * _ipow(d1, 2) + k * vk1 * d2,
-    )
+    first = _ipow(v, k), k * vk1 * d1
+    if d2 is None:
+        return first
+    return *first, k * (k - 1) * _ipow(v, k - 2) * _ipow(d1, 2) + k * vk1 * d2
 
 
-def _sin(v, d1, d2):
+def _sin(v, d1, d2=None):
     s, c = _libm(math.sin, v), _libm(math.cos, v)
-    return s, c * d1, -s * _ipow(d1, 2) + c * d2
+    return (s, c * d1) if d2 is None else (s, c * d1, -s * _ipow(d1, 2) + c * d2)
 
 
-def _cos(v, d1, d2):
+def _cos(v, d1, d2=None):
     s, c = _libm(math.sin, v), _libm(math.cos, v)
-    return c, -s * d1, -c * _ipow(d1, 2) - s * d2
+    return (c, -s * d1) if d2 is None else (c, -s * d1, -c * _ipow(d1, 2) - s * d2)
 
 
-def _exp(v, d1, d2):
+def _exp(v, d1, d2=None):
     e = _libm(math.exp, v)
-    return e, e * d1, e * (_ipow(d1, 2) + d2)
+    return (e, e * d1) if d2 is None else (e, e * d1, e * (_ipow(d1, 2) + d2))
 
 
-def _log(v, d1, d2):
+def _log(v, d1, d2=None):
     if _any(v <= 0.0):  # NaN passes
         raise ValueError(f"log of non-positive value {v}")
-    return _libm(math.log, v), d1 / v, d2 / v - _ipow(d1 / v, 2)
+    first = _libm(math.log, v), d1 / v
+    return first if d2 is None else (*first, d2 / v - _ipow(d1 / v, 2))
 
 
-def _sqrt(v, d1, d2):
+def _sqrt(v, d1, d2=None):
     if _any(v < 0.0):
         raise ValueError(f"sqrt of negative value {v}")
     if _any(v == 0.0):
         raise ValueError("sqrt derivative singular at 0")
     s = _libm(math.sqrt, v)
     q1 = d1 / (2.0 * s)
-    return s, q1, (d2 - 2.0 * _ipow(q1, 2)) / (2.0 * s)
+    return (s, q1) if d2 is None else (s, q1, (d2 - 2.0 * _ipow(q1, 2)) / (2.0 * s))
 
 
 _CALLS = {"sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt}
 
 
-def _compile(e: Expr):
-    """One closure per node, mapping t to the (v, d1, d2) jet of e at t.
+def _compile(e: Expr, order: int):
+    """One closure per node, mapping t to the jet of e at t: (v, d1) for
+    order 1, (v, d1, d2) for order 2.
 
     Children are evaluated left to right and every node keeps its own
     error handling, so a failure raises the same EvalError text, nested
-    messages included, as evaluating the tree node by node.
+    messages included, as evaluating the tree node by node to that order.
 
     t is a number or a 1-d ndarray, and only the Var leaf tells them apart:
     over an array all jet arithmetic is numpy operations in the scalar order
     (IEEE makes them bit-equal), and only the math calls inside ** and the
     functions go element by element.
     """
+    second = order == 2
     if isinstance(e, Num):
-        const = (float(e.value), 0.0, 0.0)
+        const = (float(e.value), 0.0, 0.0)[: order + 1]
         return lambda t: const
     if isinstance(e, Pi):
-        return lambda t: (math.pi, 0.0, 0.0)
+        const = (math.pi, 0.0, 0.0)[: order + 1]
+        return lambda t: const
     if isinstance(e, Var):
-        return lambda t: (t if isinstance(t, np.ndarray) and t.ndim else float(t), 1.0, 0.0)
+        slope = (1.0, 0.0)[:order]
+        return lambda t: (t if isinstance(t, np.ndarray) and t.ndim else float(t), *slope)
     if isinstance(e, Neg):
-        arg = _compile(e.arg)
-
-        def neg(t):
-            v, d1, d2 = arg(t)
-            return -v, -d1, -d2
-
-        return neg
+        arg = _compile(e.arg, order)
+        return lambda t: tuple(map(operator.neg, arg(t)))
     if isinstance(e, (Add, Sub, Mul, Div)):
-        lhs, rhs = _compile(e.lhs), _compile(e.rhs)
+        lhs, rhs = _compile(e.lhs, order), _compile(e.rhs, order)
     if isinstance(e, Add):
-
-        def add(t):
-            av, a1, a2 = lhs(t)
-            bv, b1, b2 = rhs(t)
-            return av + bv, a1 + b1, a2 + b2
-
-        return add
+        return lambda t: tuple(map(operator.add, lhs(t), rhs(t)))
     if isinstance(e, Sub):
-
-        def sub(t):
-            av, a1, a2 = lhs(t)
-            bv, b1, b2 = rhs(t)
-            return av - bv, a1 - b1, a2 - b2
-
-        return sub
+        return lambda t: tuple(map(operator.sub, lhs(t), rhs(t)))
     if isinstance(e, Mul):
 
         def mul(t):
-            av, a1, a2 = lhs(t)
-            bv, b1, b2 = rhs(t)
-            return av * bv, a1 * bv + av * b1, a2 * bv + 2.0 * a1 * b1 + av * b2
+            a, b = lhs(t), rhs(t)
+            av, a1, bv, b1 = a[0], a[1], b[0], b[1]
+            first = av * bv, a1 * bv + av * b1
+            return (*first, a[2] * bv + 2.0 * a1 * b1 + av * b[2]) if second else first
 
         return mul
     if isinstance(e, Div):
 
         def div(t):
             try:
-                av, a1, a2 = lhs(t)
-                bv, b1, b2 = rhs(t)
+                a, b = lhs(t), rhs(t)
+                bv, b1 = b[0], b[1]
                 if _any(bv == 0.0):  # on arrays, inf / 0 and NaN / 0 raise nothing
                     raise ZeroDivisionError
-                q = av / bv
-                q1 = (a1 - q * b1) / bv
-                return q, q1, (a2 - 2.0 * q1 * b1 - q * b2) / bv
+                q = a[0] / bv
+                q1 = (a[1] - q * b1) / bv
+                return (q, q1, (a[2] - 2.0 * q1 * b1 - q * b[2]) / bv) if second else (q, q1)
             except ZeroDivisionError:
                 raise EvalError(f"division by zero in '{unparse(e)}' at t={t}") from None
 
         return div
     if isinstance(e, Pow):
-        base, k = _compile(e.base), e.exponent
+        base, k = _compile(e.base, order), e.exponent
 
         def power(t):
             try:
-                return _pow(*base(t), k)
+                return _pow(k, *base(t))
             except ZeroDivisionError:
                 raise EvalError(
                     f"zero base with negative exponent in '{unparse(e)}' at t={t}"
@@ -501,7 +516,7 @@ def _compile(e: Expr):
 
         return power
     if isinstance(e, Call):
-        arg = _compile(e.arg)
+        arg = _compile(e.arg, order)
         fn = _CALLS.get(e.name) or _unknown_function(e.name)
 
         def call(t):
@@ -517,14 +532,15 @@ def _compile(e: Expr):
 
 
 def _unknown_function(name: str):
-    def fn(v, d1, d2):
+    def fn(v, d1, d2=None):
         raise ValueError(f"unknown function {name!r}")
 
     return fn
 
 
-def eval_jet2(e: Expr, t: float) -> Jet2:
-    """Evaluate e and its first two derivatives at t (exact jet arithmetic).
+def eval_jet2(e: Expr | FirstOrder, t: float) -> Jet2:
+    """Evaluate e and its first two derivatives at t (exact jet arithmetic),
+    or only the first one for e.first_order.
 
     The first call compiles e into a kernel that is kept on the instance;
     later calls only run it.
@@ -532,8 +548,9 @@ def eval_jet2(e: Expr, t: float) -> Jet2:
     return Jet2(*e._kernel(t))
 
 
-def jet_grid(e: Expr, ts):
-    """Read-only (v, d1, d2) arrays of e over the 1-d abscissae ts, or None.
+def jet_grid(e: Expr | FirstOrder, ts):
+    """Read-only jet arrays of e over the 1-d abscissae ts, or None: (v, d1,
+    d2), or (v, d1) for e.first_order.
 
     It raises no evaluation error, only a ValueError if ts is not 1-d.  The
     values are bit-identical to eval_jet2 at each t.  None means that some
@@ -554,11 +571,12 @@ def jet_grid(e: Expr, ts):
 
 
 def sample(ts, *exprs) -> np.ndarray:
-    """Jets of exprs over the 1-d abscissae ts, shape (len(exprs), 3, len(ts)).
+    """Jets of exprs over the 1-d abscissae ts, shape (len(exprs), 3, len(ts)),
+    or (len(exprs), 2, len(ts)) when every expression is a first_order.
 
-    Entry [i] holds the (v, d1, d2) arrays of exprs[i], bit-identical to
-    eval_jet2 at each t.  Each expression takes one jet_grid; if any
-    declines, all are evaluated with eval_jet2, abscissa by abscissa and in
+    Entry [i] holds the jet arrays of exprs[i], bit-identical to eval_jet2
+    at each t.  Each expression takes one jet_grid; if any declines, all are
+    evaluated to their own order as eval_jet2 does, abscissa by abscissa and in
     argument order, so the first failing (t, expression) raises its
     EvalError with the scalar text.  A ts that is not 1-d raises ValueError.
     """
@@ -566,5 +584,5 @@ def sample(ts, *exprs) -> np.ndarray:
     jets = [jet_grid(e, ts) for e in exprs]
     if all(jet is not None for jet in jets):
         return np.array(jets, dtype=float)
-    rows = [[(j.v, j.d1, j.d2) for j in (eval_jet2(e, t) for e in exprs)] for t in ts]
-    return np.array(rows, dtype=float).reshape(ts.size, len(exprs), 3).transpose(1, 2, 0)
+    rows = [[e._kernel(t) for e in exprs] for t in ts]
+    return np.array(rows, dtype=float).reshape(ts.size, len(exprs), -1).transpose(1, 2, 0)

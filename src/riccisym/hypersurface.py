@@ -134,13 +134,17 @@ def cartesian_field(E: GraphEmbedding) -> tensorlab.MetricField:
 
 
 def curvature_table(E: GraphEmbedding, rs) -> np.ndarray:
-    """Rows (r, f, Ric_rr, Ric_tt_unit, h1, h2, scalar) for CSV emission."""
+    """Rows (r, f, Ric_rr, Ric_tt_unit, h1, h2, scalar) for CSV emission.
+
+    The scalar is the trace of the frame Ricci matrix, radial + (n-1)
+    tangential, from frame_diagonal's closed form: gauss_curvatures would
+    build an n^4 Riemann tensor on every row to read it.
+    """
     rows = []
     for r in rs:
         f, _, _ = induced_metric(E, r)
         ric_rr, ric_tt = ricci_graph(E, r)
         h1, h2 = principal_curvatures(E, r)
-        hs = np.concatenate([[h1], np.full(E.n - 1, h2)])
-        _, _, scalar = gauss_curvatures(hs)
-        rows.append((r, f, ric_rr, ric_tt, h1, h2, scalar))
+        radial, tangential = frame_diagonal(E, r)
+        rows.append((r, f, ric_rr, ric_tt, h1, h2, radial + (E.n - 1) * tangential))
     return np.array(rows)

@@ -31,7 +31,10 @@ index: it runs the uniform steps of a block of targets in one loop over the
 block's rows, sampled as arrays (or, where the sample raises, evaluated
 point by point as they are read), and the general path (the capped steps
 near the origin, halvings, halts) runs it over three rows of its own.  The
-curve records the work done.
+target is evaluated to first order only, as no row reads a second
+derivative.  The curve records the work done, and phi and psi at its
+samples from those same rows, so the continuation check and the
+reconstruction need not evaluate the target there again.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ class StepUnderflowError(RuntimeError):
 
 
 def _target_row(T: RotSymTensor, t: float):
-    """(phi, phi', psi, psi') at t; everything else on the surface is arithmetic."""
-    phi, psi = eval_jet2(T.phi, t), eval_jet2(T.psi, t)
+    """(phi, phi', psi, psi') at t, from first-order jets; everything else on
+    the surface is arithmetic."""
+    phi, psi = eval_jet2(T.phi.first_order, t), eval_jet2(T.psi.first_order, t)
     return phi.v, phi.d1, psi.v, psi.d1
 
 
@@ -133,9 +137,9 @@ def _degenerate_origin(reason: str) -> DefinitenessError:
 
 
 def _origin_jets(T: RotSymTensor):
-    """The jets of phi and psi at 0; raises DefinitenessError unless
+    """The first-order jets of phi and psi at 0; raises DefinitenessError unless
     phi(0) psi(0) lies in (0, inf), as there is no branch to follow otherwise."""
-    phi, psi = eval_jet2(T.phi, 0.0), eval_jet2(T.psi, 0.0)
+    phi, psi = eval_jet2(T.phi.first_order, 0.0), eval_jet2(T.psi.first_order, 0.0)
     prod = phi.v * psi.v
     if not 0 < prod < math.inf:
         raise _degenerate_origin(
@@ -215,7 +219,7 @@ def fold_curve(T: RotSymTensor, t: float) -> np.ndarray:
     """w values (lower, upper) of the fold over t; empty when there is none."""
     if T.n == 2:
         raise ValueError("fold curve is defined for n > 2")
-    real, lower, upper = fold_branches(T.n, t, eval_jet2(T.psi, t).v)
+    real, lower, upper = fold_branches(T.n, t, eval_jet2(T.psi.first_order, t).v)
     return np.array([lower, upper]) if real else np.array([])
 
 
@@ -227,14 +231,18 @@ def fold_curve(T: RotSymTensor, t: float) -> np.ndarray:
 class PotentialCurve:
     """Samples (t_i, w_i, p_i) of the Ricci potential on F = 0.
 
-    t starts at the seed offset (0 for direct quadrature); w2/w3 are the
-    series coefficients of the branch at the origin (used to bridge [0, t[0]]
-    in reconstruction).
+    t starts at the seed offset (0 for direct quadrature); phi and psi hold
+    the target's values at t, taken from the samples the solve already made,
+    so that the continuation check and the reconstruction sample no curve
+    abscissa again; w2/w3 are the series coefficients of the branch at the
+    origin (used to bridge [0, t[0]] in reconstruction).
     """
 
     t: np.ndarray
     w: np.ndarray
     p: np.ndarray
+    phi: np.ndarray
+    psi: np.ndarray
     w2: float
     w3: float
     halt_reason: str  # "t_end" | "fold_contact" | "surface_exit" | "overflow"
@@ -308,7 +316,7 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, 
     """The _coeffs rows that uniform steps read on their way through targets,
     and where those steps run.
 
-    Returns (P, rows, runs).  P holds the abscissae as floats: P[0] = prev,
+    Returns (P, values, rows, runs).  P holds the abscissae as floats: P[0] = prev,
     then target k's midpoint prev_k + (target_k - prev_k)/2 at 2k+1 and
     target_k at 2k+2, prev_k being the target before it; rows[j] is the
     (A, B, C, D) row at P[j].  A step is uniform when integrate_separatrix
@@ -317,10 +325,11 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, 
     the first target at or after k whose step is not uniform (len(targets)
     if none).
 
-    The rows come from one sample over P.  The block looks ahead, so it must
-    not raise at a t the solve may never reach: where sample raises, each
-    row is evaluated by scalar_row on first read, and a stage that reaches
-    a bad row raises the scalar EvalError there.
+    The rows come from one first-order sample over P, and values holds its
+    phi and psi values, shape (2, len(P)).  The block looks ahead, so it
+    must not raise at a t the solve may never reach: where sample raises,
+    values is None, each row is evaluated by scalar_row on first read, and a
+    stage that reaches a bad row raises the scalar EvalError there.
     """
     m = len(targets)
     P = np.empty(2 * m + 1)
@@ -331,10 +340,11 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, 
     P[1::2] = t + h / 2
     pts = P.tolist()
     try:
-        phi, psi = sample(P, T.phi, T.psi)
+        jets = sample(P, T.phi.first_order, T.psi.first_order)
     except EvalError:
-        rows = _Memo(lambda j: scalar_row(pts[j]))
+        values, rows = None, _Memo(lambda j: scalar_row(pts[j]))
     else:
+        (phi, psi), values = jets, jets[:, 0]
         with np.errstate(over="ignore", invalid="ignore"):  # like Python floats
             columns = _coeffs(T.n, P, phi[0], phi[1], psi[0], psi[1])
         rows = list(zip(*(c.tolist() for c in columns)))
@@ -346,7 +356,7 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, 
         & (t + h == targets)
     )
     runs = np.minimum.accumulate(np.where(uniform, m, np.arange(m))[::-1])[::-1]
-    return pts, rows, runs.tolist()
+    return pts, values, rows, runs.tolist()
 
 
 def integrate_separatrix(
@@ -365,7 +375,8 @@ def integrate_separatrix(
     Halts at t_end, at fold contact (|F_p| below FOLD_TOL min(1, |phi(0)|)),
     when the projected region F >= 0 is exited, or when w or p overflows;
     the reason is recorded on the curve.  A t_end / step above MAX_SAMPLES
-    raises ValueError.
+    raises ValueError.  phi and psi are read at the curve's abscissae from
+    the samples of the target the steps used.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -378,7 +389,7 @@ def integrate_separatrix(
     n1 = float(n - 1)  # x / n1 is x / (n - 1): the int converts exactly
     tol = projection_tol
     # p, and so F_p = -2p, scales with phi(0): a small target is not the fold
-    fold_tol = FOLD_TOL * min(1.0, abs(eval_jet2(T.phi, 0.0).v))
+    fold_tol = FOLD_TOL * min(1.0, abs(eval_jet2(T.phi.first_order, 0.0).v))
     neg_fold_tol = -fold_tol  # -fold_tol < F_p < fold_tol is |F_p| < fold_tol
     # The surface enters a step only through the _coeffs rows at t, t + h/2
     # and t + h (k1; k2 and k3; k4 and Q).  Once the step is uniform,
@@ -402,6 +413,7 @@ def integrate_separatrix(
 
     min_h = 1e-6 * step
     ts, ws, ps = array("d", [t0]), array("d", [w0]), array("d", [p0])
+    phis, psis = array("d"), array("d")
 
     def overflow(t):
         return _Halt(
@@ -486,6 +498,23 @@ def integrate_separatrix(
                 return i, t, w, p, drift, None
             h = P[i + 2] - t
 
+    def record_values(values, base, strays):
+        """Append phi and psi at the samples recorded since the last call:
+        ts[base] lies at P[0], so ts[base + j] is P[2j], unless the general
+        path ended that sample off its target (j in strays).  Those
+        samples, and every sample of a block whose sample raised, are
+        evaluated again, point by point; that raises nothing, as the steps
+        have read the row of each."""
+        lo, hi = len(phis) - base, len(ts) - base
+        if values is None:
+            new, strays = np.empty((2, hi - lo)), range(lo, hi)
+        else:
+            new = values[:, 2 * lo : 2 * hi - 1 : 2]
+        for j in strays:
+            new[:, j - lo] = _target_row(T, ts[base + j])[::2]
+        phis.frombytes(new[0].tobytes())
+        psis.frombytes(new[1].tobytes())
+
     def scalar_row(x):
         """The _coeffs row at x, sampled point by point."""
         work["scalar_rows"] += 1
@@ -548,9 +577,10 @@ def integrate_separatrix(
     t, w, p = t0, w0, p0
     try:
         for b in range(0, len(targets), _GRID_BLOCK):
-            P, rows, runs = _grid_block(
+            P, values, rows, runs = _grid_block(
                 T, targets[b - 1] if b else t0, targets[b : b + _GRID_BLOCK], step, scalar_row
             )
+            base, strays = len(ts) - 1, []
             k = 0
             while k < len(runs):
                 if runs[k] > k and t == P[2 * k]:
@@ -575,14 +605,21 @@ def integrate_separatrix(
                 ts.append(t)
                 ws.append(w)
                 ps.append(p)
+                if t != target:
+                    strays.append(k + 1)
                 k += 1
+            record_values(values, base, strays)
     except _Halt as halt:
         halt_reason, halt_detail = halt.args
+        record_values(values, base, strays)
 
+    # the arrays share the buffers: no copy of the curve at its largest
     return PotentialCurve(
-        t=np.array(ts),
-        w=np.array(ws),
-        p=np.array(ps),
+        t=np.frombuffer(ts),
+        w=np.frombuffer(ws),
+        p=np.frombuffer(ps),
+        phi=np.frombuffer(phis),
+        psi=np.frombuffer(psis),
         w2=w2,
         w3=w3,
         halt_reason=halt_reason,
@@ -631,7 +668,7 @@ def solve_n2(T: RotSymTensor, step: float) -> PotentialCurve:
     if m % 2:
         m += 1
     ts = np.linspace(0.0, T.t_max, m + 1)
-    phis, psis = sample(ts, T.phi, T.psi)[:, 0]
+    phis, psis = sample(ts, T.phi.first_order, T.psi.first_order)[:, 0]
     with np.errstate(all="ignore"):  # like Python float products, without warnings
         prod = phis * psis
     if np.any(prod < 0):
@@ -647,7 +684,7 @@ def solve_n2(T: RotSymTensor, step: float) -> PotentialCurve:
     p = sign * integrand
     w2 = sign * math.sqrt(phi0.v * psi0.v)
     w3 = sign * (phi0.d1 * psi0.v + phi0.v * psi0.d1) / math.sqrt(phi0.v * psi0.v)
-    return PotentialCurve(t=ts, w=w, p=p, w2=w2, w3=w3, halt_reason="t_end")
+    return PotentialCurve(t=ts, w=w, p=p, phi=phis, psi=psis, w2=w2, w3=w3, halt_reason="t_end")
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +709,8 @@ class GlobalReport:
 
 
 def _jet_columns(T: RotSymTensor, ts: np.ndarray) -> np.ndarray:
-    """Rows phi, phi', psi, psi' over ts, from one pair of jets per abscissa."""
-    return sample(ts, T.phi, T.psi)[:, :2].reshape(4, -1)
+    """Rows phi, phi', psi, psi' over ts, from one pair of first-order jets per abscissa."""
+    return sample(ts, T.phi.first_order, T.psi.first_order).reshape(4, -1)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the scans meet inf and NaN like Python floats
@@ -687,10 +724,12 @@ def check_global(T: RotSymTensor, curve: PotentialCurve) -> GlobalReport:
     (b) fold_margin: the least |phi d/dt(t^2 psi)| over 129 samples of
         (0, t_max]; sign changes are bisected into fold_roots and make the
         margin 0.
-    (c) curve_fold_distance: the least |w - fold| along the curve, NaN
-        when the fold never exists over it.
+    (c) curve_fold_distance: the least |w - fold| along the curve, from
+        the psi values the curve carries; NaN when the fold never exists
+        over it.
 
-    phi and psi are evaluated once per abscissa; the scans are broadcasts.
+    phi and psi are evaluated once per abscissa of the two 129-point scans,
+    to first order, and at no curve abscissa; the scans are broadcasts.
     """
     notes = []
     n = T.n
@@ -745,7 +784,7 @@ def check_global(T: RotSymTensor, curve: PotentialCurve) -> GlobalReport:
     # (c) distance from the computed branch to the fold branches
     dist = math.inf
     if n > 2:
-        _, lower, upper = fold_branches(n, curve.t, sample(curve.t, T.psi)[0, 0])
+        _, lower, upper = fold_branches(n, curve.t, curve.psi)
         gap = np.minimum(np.abs(lower - curve.w), np.abs(upper - curve.w))
         dist = float(np.fmin.reduce(gap, initial=math.inf))
     if not math.isfinite(dist):

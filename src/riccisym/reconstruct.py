@@ -8,9 +8,11 @@ profile follows from explicit quadratures:
 
 Both integrands have removable singularities at s = 0; their limit values
 come from the series coefficients w2, w3 carried by the curve.  solve_rf
-runs both quadratures in one pass over one sample of phi on the curve, and
-lays them out on the profile grid together with phi, w and w' there, so a
-reconstruction samples phi once.  The singular ODE forms
+runs both quadratures in one pass over the phi values the curve carries
+(the solve sampled them on its way), and lays them out on the profile grid
+together with phi, w and w' there; reconstruct_profile takes psi from the
+curve too, so a reconstruction evaluates the target only at t = 0.  The
+singular ODE forms
 
     (n-1) w' r' - phi r = 0        (n-1) w' f' + w phi = 0
 
@@ -119,6 +121,7 @@ class Quadrature(NamedTuple):
     phi: np.ndarray  # phi(0) at grid[0]
     w: np.ndarray
     p: np.ndarray
+    start: int  # grid[1:] is curve.t[start:], as _profile_layout lays it out
 
 
 def solve_rf(curve: PotentialCurve, phi: Expr, n: int) -> Quadrature:
@@ -130,17 +133,18 @@ def solve_rf(curve: PotentialCurve, phi: Expr, n: int) -> Quadrature:
     stencil derivative of r is used only for residual_r in
     reconstruct_profile.  f' = -(phi/(n-1)) (w/w') is exact on the samples,
     so the second defining ODE holds to rounding by construction.  Every
-    profile-grid point is 0 or a curve sample, so phi is sampled once, on
-    curve.t, and its jet at 0.  An r' <= 0 or a non-finite r or f raises
-    ReconstructionError, so the samples meet the MetricProfile invariants.
+    profile-grid point is 0 or a curve sample, so phi is read from curve.phi
+    and evaluated only at 0, to first order.  An r' <= 0 or a non-finite r
+    or f raises ReconstructionError, so the samples meet the MetricProfile
+    invariants.
     """
-    phi0j = eval_jet2(phi, 0.0)
+    phi0j = eval_jet2(phi.first_order, 0.0)
     _check_sign(curve, phi0j.v)
     t = curve.t
     # limit at s = 0 from w ~ (w2/2) s^2 + (w3/6) s^3
     limit0 = phi0j.d1 / phi0j.v - curve.w3 / (2.0 * curve.w2) if curve.w2 else 0.0
-    phis = sample(t, phi)[0, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    phis = curve.phi
+    with np.errstate(all="ignore"):  # a non-finite r or f is reported below
         integrand_r = phis / ((n - 1) * curve.p) - 1.0 / t
         integrand_f = (phis / (n - 1)) * (curve.w / curve.p)
     if t[0] == 0.0:
@@ -172,7 +176,7 @@ def solve_rf(curve: PotentialCurve, phi: Expr, n: int) -> Quadrature:
         if not np.all(np.isfinite(x)):
             bad = grid[np.argmax(~np.isfinite(x))]
             raise ReconstructionError(f"{name} not finite at grid point t = {bad:.6g}")
-    return Quadrature(grid, r, rp, f, fp, phi_g, on_grid(curve.w), p_g)
+    return Quadrature(grid, r, rp, f, fp, phi_g, on_grid(curve.w), p_g, start)
 
 
 def _residual_window(grid: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
@@ -206,7 +210,8 @@ def verify_ricci(profile: MetricProfile, T: RotSymTensor, t_lo: float, t_hi: flo
     """
     mask = _residual_window(profile.grid, t_lo, t_hi)
     ts = profile.grid[mask]
-    res_rr, res_tt = ricci_defects(profile, mask, sample(ts, T.phi)[0, 0], sample(ts, T.psi)[0, 0])
+    phis, psis = sample(ts, T.phi.first_order, T.psi.first_order)[:, 0]
+    res_rr, res_tt = ricci_defects(profile, mask, phis, psis)
     return float(np.max(res_rr)), float(np.max(res_tt))
 
 
@@ -240,7 +245,8 @@ def trim_fold_tail(curve: PotentialCurve) -> PotentialCurve:
     k = FOLD_TRIM_SAMPLES
     if curve.halt_reason != "fold_contact" or curve.t.size <= k:
         return curve
-    return replace(curve, t=curve.t[:-k], w=curve.w[:-k], p=curve.p[:-k])
+    arrays = ("t", "w", "p", "phi", "psi")
+    return replace(curve, **{name: getattr(curve, name)[:-k] for name in arrays})
 
 
 def reconstruct_profile(
@@ -248,12 +254,14 @@ def reconstruct_profile(
 ) -> ReconstructionResult:
     """Run both quadratures, build the profile and evaluate all residuals.
 
-    phi is sampled once, by solve_rf, and psi once on the profile grid; the
+    phi and psi on the profile grid are the curve's values and their
+    first-order values at 0, so no curve abscissa is sampled again; the
     Ricci residuals are the maxima of the per-point defects over
     [t_lo, grid[-1]], t_lo defaulting to 0.05 t_max.
     """
     n = T.n
-    q = solve_rf(trim_fold_tail(curve), T.phi, n)
+    trimmed = trim_fold_tail(curve)
+    q = solve_rf(trimmed, T.phi, n)
     grid, p = q.grid, q.p
     profile = MetricProfile(n, grid, q.f, q.r, q.rp, q.fp)
 
@@ -270,7 +278,9 @@ def reconstruct_profile(
             f"(halt: {_halt_text(curve)})"
         )
     window = _residual_window(grid, t_lo, float(grid[-1]))
-    res_rr, res_tt = ricci_defects(profile, slice(None), q.phi, sample(grid, T.psi)[0, 0])
+    psi0 = eval_jet2(T.psi.first_order, 0.0).v
+    psi = np.concatenate([[psi0], trimmed.psi[q.start : q.start + grid.size - 1]])
+    res_rr, res_tt = ricci_defects(profile, slice(None), q.phi, psi)
     return ReconstructionResult(
         profile=profile,
         residual_r=residual_r,

@@ -118,12 +118,13 @@ def _scan(name: str, e: Expr, ts: np.ndarray):
     The defect is (t, what), what being the EvalError raised at t or the
     reason the tensor is singular at t: a non-finite value or first
     derivative, a zero, or a sign change (bisected to width 1e-10); it is
-    None when e has none.  Only a failing sample evaluates e a second time,
-    to find where it fails.
+    None when e has none.  e is evaluated to first order, and only a failing
+    sample evaluates it a second time, to find where it fails.
     """
     defect = None
+    e = e.first_order
     try:
-        vals, d1 = sample(ts, e)[0, :2]
+        vals, d1 = sample(ts, e)[0]
     except EvalError as err:
         jets = []
         for t in ts:
@@ -198,7 +199,7 @@ class MetricProfile:
     @classmethod
     def from_exprs(cls, n: int, f_expr: Expr, r_expr: Expr, t_max: float, num: int = 513):
         grid = np.linspace(0.0, t_max, num)
-        (f, fp, _), (r, rp, _) = sample(grid, f_expr, r_expr)
+        (f, fp), (r, rp) = sample(grid, f_expr.first_order, r_expr.first_order)
         return cls(n=n, grid=grid, f=f, r=r, rp=rp, fp=fp, f_expr=f_expr, r_expr=r_expr)
 
     @property
@@ -306,7 +307,7 @@ def forward_oracle_report(profile: MetricProfile, ts, h: float = 2.5e-4) -> Forw
     f_expr, r_expr = profile.f_expr, profile.r_expr
 
     def jets(t):
-        return eval_jet2(f_expr, t), eval_jet2(r_expr, t)
+        return eval_jet2(f_expr.first_order, t), eval_jet2(r_expr.first_order, t)
 
     def a_conformal(t):
         fj, rj = jets(t)

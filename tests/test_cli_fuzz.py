@@ -1,13 +1,13 @@
-"""Random targets and mutated profiles through the command line.
+"""Random targets, mutated configs and mutated profiles through the command line.
 
 Every run of solve, analyze and portrait ends in a documented exit code:
 silent on success, exactly one ``riccisym: code=<N> reason="..."`` line on
 stderr otherwise, never a traceback or a Python warning, and a failure
 leaves no output file.  The grammar reaches the float edge cases on
 purpose: underflow (1e-200), overflow (1e999, 1e308*1e308) and the NaN of
-their differences.  verify holds to the same contract, bar the file rule
-(a failed gate still writes its report), on a gold solution CSV with one
-mutation applied.
+their differences.  A config text that parse_config refuses exits 1.
+verify holds to the same contract, bar the file rule (a failed gate still
+writes its report), on a gold solution CSV with one mutation applied.
 """
 
 import contextlib
@@ -21,7 +21,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riccisym.cli import main
+from riccisym.cli import ConfigError, main, parse_config
 
 ATOMS = ("0", "1", "-1", "8", "1e-200", "1e999", "1e308*1e308", "t", "t^2", "pi")
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -137,3 +137,83 @@ def _mutate(data, lines):
 def test_verify_of_a_mutated_profile_ends_in_one_documented_outcome(data):
     profile = "".join(_mutate(data, list(_gold4_lines())))
     _assert_one_outcome("verify", *_run("verify", GOLD4, profile)[:3], codes=(0, 1, 3))
+
+
+# a valid config, one `key = value` a line; the runs add their own `out`
+CONFIG = (
+    'n = 4', 'phi = "12"', 'psi = "12 - 8*t^2"', 't_max = 0.5', 'step = 0.01', 'samples = 11'
+)
+VALUES = ("", "x", "1.2.3", "0x10", "1_0", "nan", "inf", "-inf", "1e999", "-1", "0", "1e308",
+          "1e-308", "9" * 400, "\uff14", "'12'", '"', "t", "12 - 8*t^2")
+UNKNOWN = ("colour = 3", "N = 4", "phi2 = \"1\"", "t-max = 1", " = 4", "=")
+NON_ASCII = ("\u00e9", "\u00a0", "\uff14", "\u03c0", "\u200b", "\U0001f642", "\ufeff", "\u2212")
+
+
+def _mutate_config(data, lines):
+    """lines with one drawn mutation applied."""
+    kind = data.draw(st.sampled_from(
+        ("drop", "duplicate", "reorder", "unknown", "quote", "value", "equals", "non_ascii")
+    ))
+    i = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    if kind == "drop":
+        return lines[:i] + lines[i + 1:]
+    if kind == "duplicate":
+        return lines + [line]
+    if kind == "reorder":
+        lines = list(lines)
+        data.draw(st.randoms(use_true_random=False)).shuffle(lines)
+        return lines
+    if kind == "unknown":
+        return lines[:i] + [data.draw(st.sampled_from(UNKNOWN))] + lines[i:]
+    if kind == "value":
+        line = line.split("=", 1)[0] + "= " + data.draw(st.sampled_from(VALUES))
+    else:
+        at = data.draw(st.integers(0, len(line)))
+        if kind == "quote" and ('"' in line) and data.draw(st.booleans()):
+            at = line.index('"') if data.draw(st.booleans()) else line.rindex('"')
+            line = line[:at] + line[at + 1:]  # one quote of a pair removed
+        else:
+            text = {"quote": st.sampled_from(('"', "'")), "equals": st.just("="),
+                    "non_ascii": st.sampled_from(NON_ASCII)}[kind]
+            line = line[:at] + data.draw(text) + line[at:]
+    return lines[:i] + [line] + lines[i + 1:]
+
+
+def _refused(cfg_text):
+    """Whether parse_config refuses the text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(cfg_text)
+        try:
+            parse_config(path)
+        except ConfigError:
+            return True
+    return False
+
+
+def _assert_config_outcome(lines):
+    cfg_text = "".join(line + "\n" for line in lines)
+    refused = _refused(cfg_text)
+    for command in ("solve", "analyze"):
+        code, lines_out, caught, left = _run(command, cfg_text)
+        _assert_one_outcome(command, code, lines_out, caught, codes=(0, 1, 2, 3))
+        assert code == 0 or not left, (command, left)
+        assert code == 1 or not refused, (command, code)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_mutated_config_ends_in_one_documented_outcome(data):
+    lines = list(CONFIG)
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = _mutate_config(data, lines)
+    _assert_config_outcome(lines)
+
+
+def test_every_value_of_every_key_ends_in_one_documented_outcome():
+    # a 400-digit n used to end in an OverflowError traceback
+    for i, line in enumerate(CONFIG):
+        for value in VALUES:
+            mutated = line.split("=")[0] + "= " + value
+            _assert_config_outcome(CONFIG[:i] + (mutated,) + CONFIG[i + 1:])

@@ -199,66 +199,80 @@ def test_deterministic_evaluation():
 @dataclass(frozen=True)
 class _Jet:
     """The jet arithmetic the compiled kernels follow, operator by operator
-    (reference); the walk's results are compared by value with eval_jet2's."""
+    (reference); the walk's results are compared by value with eval_jet2's.
+    A d2 of None is a first-order jet: no d2 term is computed, each after
+    the v and d1 terms of its rule."""
 
     v: float
     d1: float
-    d2: float
+    d2: float | None
 
     def __add__(self, other):
-        return _Jet(self.v + other.v, self.d1 + other.d1, self.d2 + other.d2)
+        d2 = None if self.d2 is None else self.d2 + other.d2
+        return _Jet(self.v + other.v, self.d1 + other.d1, d2)
 
     def __sub__(self, other):
-        return _Jet(self.v - other.v, self.d1 - other.d1, self.d2 - other.d2)
+        d2 = None if self.d2 is None else self.d2 - other.d2
+        return _Jet(self.v - other.v, self.d1 - other.d1, d2)
 
     def __neg__(self):
-        return _Jet(-self.v, -self.d1, -self.d2)
+        return _Jet(-self.v, -self.d1, None if self.d2 is None else -self.d2)
 
     def __mul__(self, other):
-        return _Jet(
-            self.v * other.v,
-            self.d1 * other.v + self.v * other.d1,
-            self.d2 * other.v + 2.0 * self.d1 * other.d1 + self.v * other.d2,
-        )
+        v, d1 = self.v * other.v, self.d1 * other.v + self.v * other.d1
+        if self.d2 is None:
+            return _Jet(v, d1, None)
+        return _Jet(v, d1, self.d2 * other.v + 2.0 * self.d1 * other.d1 + self.v * other.d2)
 
     def __truediv__(self, other):
         if other.v == 0.0:
             raise ZeroDivisionError("jet division by zero")
         q = self.v / other.v
         q1 = (self.d1 - q * other.d1) / other.v
+        if self.d2 is None:
+            return _Jet(q, q1, None)
         q2 = (self.d2 - 2.0 * q1 * other.d1 - q * other.d2) / other.v
         return _Jet(q, q1, q2)
 
 
+def _const(x, a):
+    """The jet of the constant x, of a's order."""
+    return _Jet(x, 0.0, None if a.d2 is None else 0.0)
+
+
 def _walk_pow(a, k):
     if k == 0:
-        return _Jet(1.0, 0.0, 0.0)
+        return _const(1.0, a)
     if k == 1:
         return a  # the general rule would take v ** -1 and d1 ** 2, which may raise
     if k < 0:
         if a.v == 0.0:
             raise ZeroDivisionError("zero base with negative exponent")
-        return _Jet(1.0, 0.0, 0.0) / _walk_pow(a, -k)
+        return _const(1.0, a) / _walk_pow(a, -k)
     v = a.v ** k
     d1 = k * a.v ** (k - 1) * a.d1
+    if a.d2 is None:
+        return _Jet(v, d1, None)
     d2 = k * (k - 1) * a.v ** (k - 2) * a.d1 ** 2 + k * a.v ** (k - 1) * a.d2
     return _Jet(v, d1, d2)
 
 
 def _walk_call(name, a):
+    first = a.d2 is None
     if name == "sin":
         s, c = math.sin(a.v), math.cos(a.v)
-        return _Jet(s, c * a.d1, -s * a.d1 ** 2 + c * a.d2)
+        return _Jet(s, c * a.d1, None if first else -s * a.d1 ** 2 + c * a.d2)
     if name == "cos":
         s, c = math.sin(a.v), math.cos(a.v)
-        return _Jet(c, -s * a.d1, -c * a.d1 ** 2 - s * a.d2)
+        return _Jet(c, -s * a.d1, None if first else -c * a.d1 ** 2 - s * a.d2)
     if name == "exp":
         e = math.exp(a.v)
-        return _Jet(e, e * a.d1, e * (a.d1 ** 2 + a.d2))
+        return _Jet(e, e * a.d1, None if first else e * (a.d1 ** 2 + a.d2))
     if name == "log":
         if a.v <= 0.0:
             raise ValueError(f"log of non-positive value {a.v}")
-        return _Jet(math.log(a.v), a.d1 / a.v, a.d2 / a.v - (a.d1 / a.v) ** 2)
+        v, d1 = math.log(a.v), a.d1 / a.v
+        return _Jet(v, d1, None if first else a.d2 / a.v - (a.d1 / a.v) ** 2)
     if name == "sqrt":
         if a.v < 0.0:
             raise ValueError(f"sqrt of negative value {a.v}")
@@ -266,42 +280,43 @@ def _walk_call(name, a):
             raise ValueError("sqrt derivative singular at 0")
         s = math.sqrt(a.v)
         d1 = a.d1 / (2.0 * s)
-        d2 = (a.d2 - 2.0 * d1 ** 2) / (2.0 * s)
-        return _Jet(s, d1, d2)
+        return _Jet(s, d1, None if first else (a.d2 - 2.0 * d1 ** 2) / (2.0 * s))
     raise ValueError(f"unknown function {name!r}")
 
 
-def _walk(e, t):
-    """The node-by-node evaluator that compiled kernels replaced (reference)."""
+def _walk(e, t, order=2):
+    """The node-by-node evaluator that compiled kernels replaced (reference),
+    to the given derivative order."""
+    zero = 0.0 if order == 2 else None
     if isinstance(e, Num):
-        return _Jet(float(e.value), 0.0, 0.0)
+        return _Jet(float(e.value), 0.0, zero)
     if isinstance(e, Pi):
-        return _Jet(math.pi, 0.0, 0.0)
+        return _Jet(math.pi, 0.0, zero)
     if isinstance(e, Var):
-        return _Jet(float(t), 1.0, 0.0)
+        return _Jet(float(t), 1.0, zero)
     if isinstance(e, Neg):
-        return -_walk(e.arg, t)
+        return -_walk(e.arg, t, order)
     if isinstance(e, Add):
-        return _walk(e.lhs, t) + _walk(e.rhs, t)
+        return _walk(e.lhs, t, order) + _walk(e.rhs, t, order)
     if isinstance(e, Sub):
-        return _walk(e.lhs, t) - _walk(e.rhs, t)
+        return _walk(e.lhs, t, order) - _walk(e.rhs, t, order)
     if isinstance(e, Mul):
-        return _walk(e.lhs, t) * _walk(e.rhs, t)
+        return _walk(e.lhs, t, order) * _walk(e.rhs, t, order)
     if isinstance(e, Div):
         try:
-            return _walk(e.lhs, t) / _walk(e.rhs, t)
+            return _walk(e.lhs, t, order) / _walk(e.rhs, t, order)
         except ZeroDivisionError:
             raise EvalError(f"division by zero in '{unparse(e)}' at t={t}") from None
     if isinstance(e, Pow):
         try:
-            return _walk_pow(_walk(e.base, t), e.exponent)
+            return _walk_pow(_walk(e.base, t, order), e.exponent)
         except ZeroDivisionError:
             raise EvalError(f"zero base with negative exponent in '{unparse(e)}' at t={t}") from None
         except OverflowError:
             raise EvalError(f"overflow in '{unparse(e)}' at t={t}") from None
     if isinstance(e, Call):
         try:
-            return _walk_call(e.name, _walk(e.arg, t))
+            return _walk_call(e.name, _walk(e.arg, t, order))
         except ValueError as err:
             raise EvalError(f"{err} in '{unparse(e)}' at t={t}") from None
         except OverflowError:
@@ -310,12 +325,13 @@ def _walk(e, t):
 
 
 def _outcome(evaluate, e, t):
-    """Bit pattern of the jet (NaNs compare equal), or the error raised."""
+    """Bit pattern of the jet (NaNs, and a first-order walk's None d2, read
+    "nan"), or the error raised."""
     try:
         j = evaluate(e, t)
     except Exception as err:  # the walk's exception type and text are the contract
         return type(err), str(err)
-    return tuple("nan" if math.isnan(x) else float.hex(x) for x in (j.v, j.d1, j.d2))
+    return tuple("nan" if x is None or math.isnan(x) else float.hex(x) for x in (j.v, j.d1, j.d2))
 
 
 # parser literals are nonnegative; 1e999 parses to inf.  A steep t (slope
@@ -357,11 +373,56 @@ def test_compiled_kernel_matches_recursive_walk(e, ts):
         assert _outcome(eval_jet2, e, t) == _outcome(_walk, e, t)
 
 
+def _first_order(e, t):
+    return eval_jet2(e.first_order, t)
+
+
+@settings(max_examples=500)
+@given(_exprs, st.lists(_ts, min_size=1, max_size=4))
+def test_first_order_jets_are_the_leading_terms(e, ts):
+    # to first order the kernel follows the walk without its d2 terms; its
+    # v and d1 are eval_jet2's wherever that succeeds, and it raises only
+    # where eval_jet2 raises too
+    for t in ts:
+        first = _outcome(_first_order, e, t)
+        assert first == _outcome(lambda e, t: _walk(e, t, order=1), e, t)
+        full = _outcome(eval_jet2, e, t)
+        if isinstance(first[0], type):
+            assert full[0] is first[0]
+        elif not isinstance(full[0], type):
+            assert first == full[:2] + ("nan",)
+    # over arrays: bit-equal, or the first scalar error
+    ts = [float(t) for t in ts]
+    scalar = [_outcome(_first_order, e, t) for t in ts]
+    error = next((o for o in scalar if isinstance(o[0], type)), None)
+    if error is None:
+        got = sample(ts, e.first_order)
+        assert got.shape == (1, 2, len(ts))
+        rows = [tuple(map(_bits, got[0, :, k].tolist())) + ("nan",) for k in range(len(ts))]
+        assert rows == scalar
+    else:
+        with pytest.raises(error[0]) as err:
+            sample(ts, e.first_order)
+        assert str(err.value) == error[1]
+
+
+def test_a_failure_only_in_d2_does_not_stop_a_first_order_jet():
+    # d1^2 = 4e320 overflows in d2 alone
+    e = parse("(1e160*t)^2")
+    j = eval_jet2(e.first_order, 1e-160)
+    assert (j.v, j.d1) == (1.0, 2e160) and math.isnan(j.d2)
+    with pytest.raises(EvalError, match=r"^overflow in '\(1e\+160\*t\)\^2' at t=1e-160$"):
+        eval_jet2(e, 1e-160)
+    assert sample([1e-160], e.first_order).tolist() == [[[1.0], [2e160]]]
+    assert jet_grid(e, [1e-160]) is None
+
+
 def test_evaluated_expr_pickles_copies_and_hashes_like_a_fresh_parse():
     for src in ("3*cos(t)^2 + t^4/(1+t^2)", "t", "1e999"):
         used, fresh = parse(src), parse(src)
         eval_jet2(used, 0.3)
         jet_grid(used, [0.3, 0.4])
+        eval_jet2(used.first_order, 0.3)
         assert used == fresh and hash(used) == hash(fresh)
         assert pickle.dumps(used) == pickle.dumps(fresh)
         for other in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used), copy.copy(used)):

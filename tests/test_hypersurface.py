@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,27 @@ def test_curvature_table_shape():
     table = curvature_table(PARAB, [0.0, 0.5, 1.0])
     assert table.shape == (3, 7)
     assert abs(table[2, 2] - 1.6) < 1e-12
+
+
+def test_curvature_table_scalar_is_the_frame_trace():
+    E = GraphEmbedding(5, parse("t - 0.3*t^2"), 1.0)
+    table = curvature_table(E, np.linspace(0.0, 1.0, 11))
+    for h1, h2, scalar in table[:, 4:]:
+        _, _, trace = gauss_curvatures([h1] + [h2] * (E.n - 1))
+        assert scalar == pytest.approx(trace, rel=1e-14, abs=1e-14)
+
+
+def test_curvature_table_memory_does_not_grow_like_n4():
+    # an n^4 Riemann tensor per row would take 104 MB at n = 60
+    E = GraphEmbedding(60, parse("t^2"), 1.0)
+    tracemalloc.start()
+    try:
+        table = curvature_table(E, [0.0, 0.5, 1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (3, 7) and np.isfinite(table).all()
+    assert peak < 2**20
 
 
 def test_embedding_validation():

@@ -10,6 +10,8 @@ from riccisym import (
     definiteness_check,
     parse,
     potential,
+    reconstruct,
+    rotsym,
     solution_summary,
     solve,
 )
@@ -143,3 +145,24 @@ def test_ricci_residual_bytes_are_pinned(n, phi, psi, t_max, digest):
     # the sampled forward map (stencil f_rr, pullback) stays bit-identical
     recon = solve(RotSymTensor(n, parse(phi), parse(psi), t_max)).recon
     assert hashlib.sha256(recon.res_rr.tobytes() + recon.res_tt.tobytes()).hexdigest() == digest
+
+
+def test_a_solve_samples_each_abscissa_once(monkeypatch):
+    # the definiteness scans, check_global's two grids and the integrator's
+    # blocks are the only samples; the continuation check and the
+    # reconstruction read the target values the curve carries
+    calls = []
+    for module in (rotsym, potential, reconstruct):
+        def counting(ts, *exprs, real=module.sample, name=module.__name__.split(".")[-1]):
+            calls.append((name, len(ts)))
+            return real(ts, *exprs)
+
+        monkeypatch.setattr(module, "sample", counting)
+    T = RotSymTensor(4, parse("3*exp(-t^2)"), parse("3*cos(t)^2 + t^4/(1+t^2)"), 2.0)
+    sol = solve(T, step=1e-3)
+    assert sol.curve.t.size == 2001
+    # 2000 targets: blocks of 256 targets and their midpoints, after the
+    # block's start
+    blocks = [("potential", 2 * 256 + 1)] * 7 + [("potential", 2 * 208 + 1)]
+    grids = [("potential", potential.GLOBAL_GRID)] * 2
+    assert calls == [("rotsym", rotsym.DEFINITENESS_GRID)] * 2 + blocks + grids

@@ -491,6 +491,8 @@ def test_check_global_zero_psi():
         t=np.array([0.1, 0.2]),
         w=np.zeros(2),
         p=np.zeros(2),
+        phi=np.ones(2),
+        psi=np.zeros(2),
         w2=0.0,
         w3=0.0,
         halt_reason="t_end",
@@ -569,10 +571,11 @@ def _scalar_check_global(S, curve, grid=129):
 _NAN_ROW = float(np.linspace(0.0, 1.28e156, 129)[2])
 
 
-def _hand_curve(t, w):
+def _hand_curve(S, t, w):
     t, w = np.asarray(t, dtype=float), np.asarray(w, dtype=float)
+    phi, psi = (np.array([eval_jet2(e, x).v for x in t]) for e in (S.phi, S.psi))
     return PotentialCurve(
-        t=t, w=w, p=np.zeros_like(t), w2=0.0, w3=0.0,
+        t=t, w=w, p=np.zeros_like(t), phi=phi, psi=psi, w2=0.0, w3=0.0,
         halt_reason="t_end",
     )
 
@@ -594,7 +597,7 @@ def _hand_curve(t, w):
 )
 def test_check_global_matches_scalar_scan(n, phi, psi, t_max, curve):
     S = _surface(n, phi, psi, t_max)
-    curve = solve_branch(S, step=1e-3)[1] if curve is None else _hand_curve(*curve)
+    curve = solve_branch(S, step=1e-3)[1] if curve is None else _hand_curve(S, *curve)
     got = check_global(S, curve)
     with np.errstate(over="ignore", invalid="ignore"):  # numpy scalars warn, Python floats do not
         ref = _scalar_check_global(S, curve)
@@ -650,10 +653,30 @@ def test_integrate_grid_path_matches_scalar_path(monkeypatch, n, phi, psi, t_max
 
     monkeypatch.setattr(potential, "sample", declining)
     _, slow = solve_branch(S, step=1e-3)
-    for name in ("t", "w", "p"):
+    for name in ("t", "w", "p", "phi", "psi"):
         assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
     assert (fast.halt_reason, fast.halt_detail) == (slow.halt_reason, slow.halt_detail)
     assert fast.constraint_max == slow.constraint_max
+    assert_carries_target_values(S, fast)
+
+
+def assert_carries_target_values(S, curve):
+    """The curve's phi and psi are the target's values at its t, bit for bit."""
+    for e, values in ((S.phi, curve.phi), (S.psi, curve.psi)):
+        ref = np.array([eval_jet2(e.first_order, t).v for t in curve.t.tolist()])
+        assert values.tobytes() == ref.tobytes()
+
+
+def test_a_sample_off_its_target_carries_its_own_values():
+    # t_end below the step: the one general sub-step from the seed lands
+    # 1.4e-20 short of t_end, where psi differs from the block's psi(t_end)
+    S = _surface(3, "1", "1 + 1e10*t", 1.0)
+    t_end = 0.00010176224273210448
+    seed = seed_separatrix(S, saddle_report(S), 5.309539181249486e-06)
+    curve = integrate_separatrix(S, seed, 1.0, t_end)
+    assert curve.t.size == 2 and curve.t[-1] != t_end
+    assert eval_jet2(S.psi, curve.t[-1]).v != eval_jet2(S.psi, t_end).v
+    assert_carries_target_values(S, curve)
 
 
 @pytest.mark.parametrize(
@@ -736,7 +759,7 @@ def test_a_block_whose_sample_raises_is_read_lazily(monkeypatch):
 
     monkeypatch.setattr(potential, "sample", raising)
     _, curve = solve_branch(S, 1e-3)
-    for name in ("t", "w", "p"):
+    for name in ("t", "w", "p", "phi", "psi"):
         assert getattr(curve, name).tobytes() == getattr(ref, name).tobytes()
     assert (curve.halt_reason, curve.halt_detail) == (ref.halt_reason, ref.halt_detail)
     assert curve.constraint_max == ref.constraint_max

@@ -29,7 +29,8 @@ def _gold_tensor(t_max=0.5):
 
 
 def _synthetic_quadratic_curve(n, phi0, t_end=0.5, m=500):
-    # exact potential of the family w = phi0 t^2 / (2(n-1))
+    # exact potential of the family w = phi0 t^2 / (2(n-1)), for the target
+    # phi = phi0, psi = phi0 - (n-2) phi0^2 t^2 / (4 (n-1)^2)
     w2 = phi0 / (n - 1)
     delta = 1e-4 * t_end
     step = t_end / m
@@ -38,6 +39,8 @@ def _synthetic_quadratic_curve(n, phi0, t_end=0.5, m=500):
         t=t,
         w=w2 * t**2 / 2,
         p=w2 * t,
+        phi=np.full_like(t, phi0),
+        psi=phi0 - (n - 2) * w2**2 * t**2 / 4,
         w2=w2,
         w3=0.0,
         halt_reason="t_end",
@@ -99,7 +102,7 @@ def test_residual_r_uses_stencil_derivative_of_r(monkeypatch):
 
 
 def test_reconstruction_samples_phi_and_psi_once(monkeypatch):
-    # phi on the profile grid comes from the quadrature's sample on curve.t
+    # phi and psi on the profile grid are the values the curve carries
     calls = []
     real_sample = reconstruct.sample
 
@@ -110,7 +113,7 @@ def test_reconstruction_samples_phi_and_psi_once(monkeypatch):
     monkeypatch.setattr(reconstruct, "sample", counting)
     T = _gold_tensor()
     reconstruct_profile(_gold_curve(), T)
-    assert calls == [(T.phi,), (T.psi,)]
+    assert calls == []
 
 
 def test_solve_f_gold():
@@ -139,7 +142,10 @@ def test_sign_violation_detected():
 def _hand_built_curve(p):
     """A curve on t = 0, 0.05, ..., 1 with the given slopes, for the target phi = psi = 1."""
     t = np.linspace(0.0, 1.0, 21)
-    curve = PotentialCurve(t=t, w=t * t / 2, p=p(t), w2=1.0, w3=0.0, halt_reason="t_end")
+    ones = np.ones_like(t)
+    curve = PotentialCurve(
+        t=t, w=t * t / 2, p=p(t), phi=ones, psi=ones, w2=1.0, w3=0.0, halt_reason="t_end"
+    )
     return curve, RotSymTensor(3, parse("1"), parse("1"), 1.0)
 
 

@@ -89,7 +89,7 @@ def test_definiteness_samples_each_component_once(monkeypatch):
     monkeypatch.setattr(rotsym, "eval_jet2", lambda e, t: scalar.append(t))
     T = _tensor(4, "3*exp(-t^2)", "3*cos(t)^2 + t^4/(1+t^2)", t_max=2.0)
     assert definiteness_check(T).kind == "positive_definite"
-    assert calls == [T.phi, T.psi] and scalar == []
+    assert calls == [T.phi.first_order, T.psi.first_order] and scalar == []
 
 
 # ---------------------------------------------------------------------------
