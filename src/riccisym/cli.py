@@ -28,7 +28,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -450,6 +449,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.sweep:
+        from concurrent.futures import ProcessPoolExecutor  # only a sweep starts workers
+
         configs = sorted(Path(args.sweep).glob("*.cfg"))
         if not configs:
             _diag(1, f"no .cfg files in {args.sweep}")

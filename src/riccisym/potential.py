@@ -35,6 +35,10 @@ target is evaluated to first order only, as no row reads a second
 derivative.  The curve records the work done, and phi and psi at its
 samples from those same rows, so the continuation check and the
 reconstruction need not evaluate the target there again.
+
+The n = 2 quadrature and both quadratures of the reconstruction run
+cumulative_simpson, which follows scipy's cumulative Simpson formula in
+scipy's order of operations, bit for bit, so the solve imports numpy only.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .exprfn import EvalError, eval_jet2, sample
 from .rotsym import DefinitenessError, DefinitenessVerdict, RotSymTensor, bisect_root
@@ -656,6 +659,51 @@ def solve_branch(
 # n = 2: direct quadrature
 
 
+def _simpson_first_halves(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Integral over [x_i, x_i+1] of the parabola through samples i, i+1, i+2.
+
+    Eqn (8) of K. V. Cartwright, "Simpson's Rule Cumulative Integration
+    with MS Excel and Irregularly-spaced Data", J. Math. Sci. Math. Educ.
+    12(2), 1-9.  Reversed inputs give the integrals over [x_i+1, x_i+2].
+    """
+    x21 = dx[:-1]
+    x32 = dx[1:]
+    f1 = y[:-2]
+    f2 = y[1:-1]
+    f3 = y[2:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * f1 + coeff2 * f2 + coeff3 * f3)
+
+
+def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative integral of the samples y over x from x[0], by composite Simpson.
+
+    The 1-d form of scipy.integrate.cumulative_simpson(y, x=x, initial=0.0),
+    bit for bit: each interval but the last takes the parabola through its
+    own samples and the next one (even intervals) or the previous one (odd
+    intervals), the last takes the previous one, and the pieces are summed
+    in order.  x must be strictly increasing (ValueError otherwise) and
+    hold at least three samples.
+    """
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise ValueError("Input x must be strictly increasing.")
+    h1 = _simpson_first_halves(y, dx)
+    h2 = _simpson_first_halves(y[::-1], dx[::-1])[::-1]
+    pieces = np.empty(dx.size)
+    pieces[:-1:2] = h1[::2]
+    pieces[1::2] = h2[::2]
+    pieces[-1] = h2[-1]
+    # scipy adds its initial value 0.0 to every sum, which turns -0.0 into 0.0
+    return np.concatenate([[0.0], np.cumsum(pieces) + 0.0])
+
+
 def solve_n2(T: RotSymTensor, step: float) -> PotentialCurve:
     """w(t) = sign(phi(0)) * integral of s sqrt(phi psi) ds, by composite Simpson.
 
@@ -680,7 +728,7 @@ def solve_n2(T: RotSymTensor, step: float) -> PotentialCurve:
     phi0, psi0 = _origin_jets(T)
     sign = 1 if phi0.v > 0 else -1
     integrand = ts * np.sqrt(prod)
-    w = sign * cumulative_simpson(integrand, x=ts, initial=0.0)
+    w = sign * cumulative_simpson(integrand, ts)
     p = sign * integrand
     w2 = sign * math.sqrt(phi0.v * psi0.v)
     w3 = sign * (phi0.d1 * psi0.v + phi0.v * psi0.d1) / math.sqrt(phi0.v * psi0.v)

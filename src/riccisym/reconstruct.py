@@ -30,10 +30,9 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .exprfn import Expr, eval_jet2, sample
-from .potential import PotentialCurve
+from .potential import PotentialCurve, cumulative_simpson
 from .rotsym import (
     MetricProfile,
     RotSymTensor,
@@ -106,7 +105,7 @@ def _cumulative_potential_integral(curve: PotentialCurve, integrand: np.ndarray,
     limit, orders of magnitude below the target tolerances since the seed
     offset is tiny (and zero when the curve starts at t = 0).
     """
-    vals = cumulative_simpson(integrand, x=curve.t, initial=0.0)
+    vals = cumulative_simpson(integrand, curve.t)
     return vals + 0.5 * (limit0 + integrand[0]) * curve.t[0]
 
 
@@ -150,10 +149,9 @@ def solve_rf(curve: PotentialCurve, phi: Expr, n: int) -> Quadrature:
     if t[0] == 0.0:
         integrand_r[0] = limit0
         integrand_f[0] = 0.0  # w/w' -> 0 at s = 0
+    grid, start = _profile_layout(curve)  # a curve too short raises before any quadrature
     J = _cumulative_potential_integral(curve, integrand_r, limit0)
     F = _cumulative_potential_integral(curve, integrand_f, 0.0)
-
-    grid, start = _profile_layout(curve)
 
     def on_grid(values, zero_value=0.0):  # curve-aligned values on the profile grid
         return np.concatenate([[zero_value], values[start : start + grid.size - 1]])

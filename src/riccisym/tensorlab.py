@@ -13,6 +13,11 @@ Cartesian-style chart; the Ricci tensor is taken in the Christoffel form
 
 which vanishes on flat space and reproduces Ric = (n-1)/R^2 * g on round
 spheres of radius R.
+
+scipy is used here only, for the LU factorization in invert_spd, and is
+imported on its first call: the solve, verify and CLI path needs numpy
+only.  The oracle serves rotsym.forward_oracle_report, acceptance
+criteria 5, 6 and 10, and demo 04.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .exprfn import Expr, eval_jet2
 
@@ -56,6 +60,8 @@ def metric_at(mf: MetricField, x) -> np.ndarray:
 
 def invert_spd(m: np.ndarray) -> np.ndarray:
     """Invert a symmetric matrix; raises SingularMatrixError on tiny pivots."""
+    from scipy.linalg import lu_factor, lu_solve  # loaded on first use, off the solve path
+
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
     if n > MAX_DIM:

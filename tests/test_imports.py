@@ -1,6 +1,11 @@
-"""Unused-import and dead-helper checks for src/riccisym, in place of a linter."""
+"""Unused-import and dead-helper checks for src/riccisym, in place of a linter,
+and the set of modules a cold import loads."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,3 +121,30 @@ def test_sample_is_the_only_grid_evaluator():
     naming = [p.stem for p in PACKAGE.glob("*.py")
               if p.stem != "exprfn" and names_jet_grid(p.read_text())]
     assert naming == []
+
+
+IMPORT_SET_PROBE = """
+import json, sys
+import numpy as np
+import riccisym, riccisym.cli
+
+cold = sorted(name for name in sys.modules
+              if name.split(".")[0] == "scipy" or name == "concurrent.futures.process")
+riccisym.tensorlab.invert_spd(np.eye(3))
+print(json.dumps([cold, "scipy.linalg" in sys.modules]))
+"""
+
+
+def test_a_cold_import_loads_numpy_and_nothing_heavier():
+    # the solve, verify and CLI path reads no scipy, and only a sweep starts
+    # worker processes; the numeric oracle loads scipy.linalg on first use
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_SET_PROBE], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cold, oracle_loads_linalg = json.loads(proc.stdout)
+    assert cold == []
+    assert oracle_loads_linalg

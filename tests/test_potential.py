@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 
-from riccisym import potential, rotsym
+from riccisym import pipeline, potential, reconstruct, rotsym
 from riccisym.exprfn import EvalError, eval_jet2, jet_grid, parse
 from riccisym.potential import (
     GlobalReport,
     PotentialCurve,
     check_global,
+    cumulative_simpson,
     fold_curve,
     integrate_separatrix,
     lie_cartan_field,
@@ -460,6 +462,92 @@ def test_n2_matches_generic_implicit_integration():
     ic = np.isin(np.round(curve.t, 12), common)
     ir = np.isin(np.round(ref.t, 12), common)
     assert np.max(np.abs(curve.w[ic] - ref.w[ir])) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# cumulative Simpson: the port against scipy's routine, byte for byte
+
+_SIMPSON_SPECIALS = st.sampled_from([0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _simpson_inputs(draw):
+    """(y, x): 3 to 300 samples over uniform, jittered or geometric increasing x.
+
+    y is finite at one of three scales, with up to three special values
+    (signed zeros, +-1e300, +-inf, nan) put in, or signed zeros throughout.
+    """
+    m = draw(st.integers(3, 300))
+    k = np.arange(m, dtype=float)
+    x0, h = draw(st.floats(-10.0, 10.0)), draw(st.floats(1e-4, 1.0))
+    kind = draw(st.sampled_from(["uniform", "jittered", "geometric"]))
+    if kind == "uniform":
+        x = x0 + k * h
+    elif kind == "jittered":
+        jitter = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-0.4, 0.4, m)
+        x = x0 + (k + jitter) * h
+    else:
+        x = x0 + h * draw(st.floats(1.001, 1.1)) ** k
+    if draw(st.booleans()):
+        y = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=m, max_size=m)))
+    else:
+        y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m)))
+        y *= draw(st.sampled_from([1.0, 1e297, 1e-300]))
+        for i, v in draw(st.lists(st.tuples(st.integers(0, m - 1), _SIMPSON_SPECIALS), max_size=3)):
+            y[i] = v
+    return y, x
+
+
+def _scipy_simpson(y, x):
+    return scipy_cumulative_simpson(y, x=x, initial=0.0)
+
+
+@settings(max_examples=150)
+@given(_simpson_inputs())
+def test_cumulative_simpson_is_scipys_bit_for_bit(inputs):
+    y, x = inputs
+    assert np.all(np.diff(x) > 0)
+    event(f"{'odd' if y.size % 2 else 'even'} length")
+    event("finite y" if np.all(np.isfinite(y)) else "inf or nan in y")
+    with np.errstate(all="ignore"):  # inf and nan samples, as scipy sees them
+        ours, ref = cumulative_simpson(y, x), _scipy_simpson(y, x)
+    assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+
+
+def test_cumulative_simpson_turns_negative_zeros_positive():
+    # the first interval's piece is -0.0 (every term of eqn (8) is -0.0 there)
+    out = cumulative_simpson(np.array([-0.0, -0.0, 0.0, -0.0]), np.arange(4.0))
+    assert out.tobytes() == np.zeros(4).tobytes()
+
+
+@pytest.mark.parametrize("x", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]])
+def test_cumulative_simpson_refuses_x_that_does_not_increase(x):
+    x, y = np.array(x), np.ones(4)
+    with pytest.raises(ValueError, match=r"^Input x must be strictly increasing\.$") as ours:
+        cumulative_simpson(y, x)
+    with pytest.raises(ValueError) as ref:
+        _scipy_simpson(y, x)
+    assert str(ours.value) == str(ref.value)
+
+
+@pytest.mark.parametrize(
+    "n, phi, psi, t_max",
+    [(4, "12", "12 - 8*t^2", 0.5), (3, "-1", "-1", 10.0), (2, "-1", "-1", 10.0)],
+    ids=["gold_n4", "const_neg_t10", "n2_const_neg_t10"],
+)
+def test_solve_quadratures_are_scipys_bit_for_bit(monkeypatch, n, phi, psi, t_max):
+    port, calls = potential.cumulative_simpson, []
+
+    def spy(y, x):
+        calls.append((y.copy(), x.copy(), port(y, x)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(potential, "cumulative_simpson", spy)
+    monkeypatch.setattr(reconstruct, "cumulative_simpson", spy)
+    pipeline.solve(_surface(n, phi, psi, t_max), step=1e-3)
+    assert len(calls) == (3 if n == 2 else 2)  # w for n = 2, then J and F
+    for y, x, ours in calls:
+        assert ours.tobytes() == _scipy_simpson(y, x).tobytes()
 
 
 # ---------------------------------------------------------------------------
