@@ -20,6 +20,12 @@ one machine-readable line ``riccisym: code=<N> reason="..."`` on stderr;
 a failing solve, analyze or portrait leaves no output file.
 Outputs are deterministic: CSV with a header row, 17 significant digits,
 '.' decimal separator and LF line endings.
+
+Tables stream: every CSV is written from its float64 columns CHUNK_ROWS rows
+at a time, so the Python objects alive while a file is written do not grow
+with its row count, and verify counts a profile's fields in READ_CHARS
+reads.  What stays in memory is the arrays a command computes and, for
+verify, the parsed columns it checks.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -158,12 +163,20 @@ def _validate_common(cfg: ProblemConfig):
 # deterministic CSV emission
 
 
+# _rows converts this many rows to Python floats at a time; verify reads
+# a profile this many characters at a time
+CHUNK_ROWS = 4096
+READ_CHARS = 1 << 16
+
+
 def write_csv(path: Path, header, rows):
     """Write the CSV under a temporary name and rename it into place, so a
     failure while rows are produced leaves no partial file at path.
 
-    The first row fixes one '%' template for the file: a str cell is copied
-    and any other cell is written as '%.17g', which is format(float(x), '.17g').
+    rows may be any iterable and is consumed once, row by row, so a lazy
+    source such as _rows keeps no more than its current chunk alive.  The
+    first row fixes one '%' template for the file: a str cell is copied and
+    any other cell is written as '%.17g', which is format(float(x), '.17g').
     """
     tmp = path.with_name(path.name + ".tmp")
     rows = iter(rows)
@@ -181,14 +194,20 @@ def write_csv(path: Path, header, rows):
         raise
 
 
+def _rows(*columns):
+    """The rows of equal-length 1-D arrays as tuples of Python floats,
+    converted CHUNK_ROWS rows at a time."""
+    for start in range(0, len(columns[0]), CHUNK_ROWS):
+        yield from zip(*(column[start:start + CHUNK_ROWS].tolist() for column in columns))
+
+
 def _solution_rows(sol):
     recon = sol.recon
     profile = recon.profile
-    columns = (
+    return _rows(
         profile.grid, recon.w, recon.p, profile.r, profile.rp, profile.f, profile.fp,
         recon.res_rr, recon.res_tt,
     )
-    return zip(*(column.tolist() for column in columns))
 
 
 SOLUTION_HEADER = ("t", "w", "p", "r", "rp", "f", "fp", "res_rr", "res_tt")
@@ -252,10 +271,10 @@ def _cmd_analyze(cfg: ProblemConfig) -> int:
         f"verdict: {glob.verdict}",
     ]
     lines.extend(f"note: {note}" for note in glob.notes)
-    fold = [column.tolist() for column in _fold_points(T, cfg)]
-    # both outputs are built before either is written, so a failure leaves neither
+    fold = _fold_points(T, cfg)
+    # both outputs are computed before either is written, so a failure leaves neither
     _output(cfg, "_analysis.txt").write_text("\n".join(lines) + "\n")
-    write_csv(_output(cfg, "_fold.csv"), ("t", "w_lower", "w_upper"), zip(*fold))
+    write_csv(_output(cfg, "_fold.csv"), ("t", "w_lower", "w_upper"), _rows(*fold))
     return 0
 
 
@@ -282,10 +301,9 @@ def _cmd_portrait(cfg: ProblemConfig) -> int:
     F_lower, F_upper = potential.surface_terms(T.n, t_fold, ws, 0.0, phi, dphi, psi, dpsi)[0]
 
     def rows():
-        sep = (curve.t, curve.w, curve.p, F_sep)
-        yield from zip(repeat("separatrix"), *(column.tolist() for column in sep))
-        fold = (t_fold, lower, upper, F_lower, F_upper)
-        for t, w_lower, w_upper, F_l, F_u in zip(*(column.tolist() for column in fold)):
+        for row in _rows(curve.t, curve.w, curve.p, F_sep):
+            yield ("separatrix", *row)
+        for t, w_lower, w_upper, F_l, F_u in _rows(t_fold, lower, upper, F_lower, F_upper):
             yield ("fold_lower", t, w_lower, 0.0, F_l)
             yield ("fold_upper", t, w_upper, 0.0, F_u)
 
@@ -303,7 +321,7 @@ def _cmd_hypersurface(cfg: ProblemConfig) -> int:
     write_csv(
         _output(cfg, "_hypersurface.csv"),
         ("r", "f", "ric_rr", "ric_tt_unit", "h1", "h2", "scalar"),
-        table,
+        _rows(*table.T),
     )
     return 0
 
@@ -344,7 +362,10 @@ def _read_solution_csv(path: Path) -> dict:
     Raises ConfigError unless every data row has as many fields as the
     header and each cell parsed is a number, finite in PROFILE_COLUMNS.
     Only those columns and the last one, which bounds the row width, are
-    parsed.
+    parsed, into one float64 table of six columns whose column views are
+    returned; it is the only thing kept.  The fields are counted in
+    READ_CHARS reads, and a bad row is found by reading the file again line
+    by line, so no copy of the text is held.
     """
     try:
         with open(path) as fh:
@@ -366,13 +387,13 @@ def _read_solution_csv(path: Path) -> dict:
             # parsing the last column fails a row with too few fields, so a
             # comma count above the header's share is a row with too many
             fh.seek(start)
-            if error or fh.read().count(",") != len(data) * last:
+            if error or _count_commas(fh) != len(data) * last:
                 fh.seek(start)
                 why = _unreadable_row(fh, header, usecols) or error
                 raise ConfigError(f"profile CSV {path}: {why}")
     except OSError as err:
         raise ConfigError(f"cannot read profile CSV {path}: {err}") from None
-    cols = dict(zip(PROFILE_COLUMNS, np.ascontiguousarray(data.T)))
+    cols = dict(zip(PROFILE_COLUMNS, data.T))
     for name, col in cols.items():
         bad = np.flatnonzero(~np.isfinite(col))
         if bad.size:
@@ -380,6 +401,11 @@ def _read_solution_csv(path: Path) -> dict:
                 f"profile CSV {path}: non-finite {name} = {col[bad[0]]} in data row {bad[0] + 1}"
             )
     return cols
+
+
+def _count_commas(fh) -> int:
+    """The commas from fh's position to its end, counted READ_CHARS at a time."""
+    return sum(chunk.count(",") for chunk in iter(lambda: fh.read(READ_CHARS), ""))
 
 
 def _unreadable_row(lines, header, usecols) -> str | None:

@@ -134,17 +134,18 @@ def cartesian_field(E: GraphEmbedding) -> tensorlab.MetricField:
 
 
 def curvature_table(E: GraphEmbedding, rs) -> np.ndarray:
-    """Rows (r, f, Ric_rr, Ric_tt_unit, h1, h2, scalar) for CSV emission.
+    """Rows (r, f, Ric_rr, Ric_tt_unit, h1, h2, scalar) for CSV emission, as
+    one (len(rs), 7) float array filled row by row.
 
     The scalar is the trace of the frame Ricci matrix, radial + (n-1)
     tangential, from frame_diagonal's closed form: gauss_curvatures would
     build an n^4 Riemann tensor on every row to read it.
     """
-    rows = []
-    for r in rs:
+    table = np.empty((len(rs), 7))
+    for i, r in enumerate(rs):
         f, _, _ = induced_metric(E, r)
         ric_rr, ric_tt = ricci_graph(E, r)
         h1, h2 = principal_curvatures(E, r)
         radial, tangential = frame_diagonal(E, r)
-        rows.append((r, f, ric_rr, ric_tt, h1, h2, radial + (E.n - 1) * tangential))
-    return np.array(rows)
+        table[i] = r, f, ric_rr, ric_tt, h1, h2, radial + (E.n - 1) * tangential
+    return table

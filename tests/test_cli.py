@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from riccisym import cli, pipeline, potential, reconstruct, rotsym
 from riccisym.cli import main, parse_config, run_single
@@ -514,7 +515,9 @@ def _reference_csv(header, rows) -> bytes:
 
 
 @pytest.mark.parametrize(
-    "n, phi, psi, t_max", [(4, "12", "12 - 8*t^2", 0.5), (3, "-1", "-1", 10.0)]
+    "n, phi, psi, t_max",
+    # 8.191 gives 8,192 rows, two full chunks of _rows
+    [(4, "12", "12 - 8*t^2", 0.5), (3, "-1", "-1", 10.0), (3, "-1", "-1", 8.191)],
 )
 def test_write_csv_writes_the_reference_bytes(tmp_path, n, phi, psi, t_max):
     sol = pipeline.solve(rotsym.RotSymTensor(n, parse(phi), parse(psi), t_max))
@@ -549,6 +552,32 @@ def test_write_csv_writes_the_header_of_an_empty_table(tmp_path):
     path = tmp_path / "empty.csv"
     cli.write_csv(path, ("a", "b"), iter(()))
     assert path.read_text() == "a,b\n"
+
+
+@pytest.fixture(scope="module")
+def long_solution(tmp_path_factory):
+    """A 100,001-row solution and its CSV."""
+    sol = pipeline.solve(rotsym.RotSymTensor(3, parse("1"), parse("1"), 1.0), step=1e-5)
+    assert sol.recon.profile.grid.size == 100_001
+    path = tmp_path_factory.mktemp("long") / "s.csv"
+    cli.write_csv(path, cli.SOLUTION_HEADER, cli._solution_rows(sol))
+    return sol, path
+
+
+def test_solution_csv_write_memory_is_bounded_per_row(tmp_path, long_solution):
+    # one Python float per cell of the whole table would take 288 bytes a row
+    sol, _ = long_solution
+    path = tmp_path / "s.csv"
+    _, peak = traced_peak(lambda: cli.write_csv(path, cli.SOLUTION_HEADER, cli._solution_rows(sol)))
+    assert peak <= 64 * sol.recon.profile.grid.size
+
+
+def test_solution_csv_read_memory_is_bounded_per_row(long_solution):
+    # the six parsed float64 columns take 48 bytes a row
+    sol, path = long_solution
+    data, peak = traced_peak(lambda: cli._read_solution_csv(path))
+    assert data["r"].tobytes() == sol.recon.profile.r.tobytes()
+    assert peak <= 64 * sol.recon.profile.grid.size
 
 
 @pytest.mark.parametrize(
@@ -602,6 +631,10 @@ UNREADABLE_PROFILES = {
     "long row": (
         lambda lines: lines[:6] + [lines[6] + ",0"] + lines[7:],
         "data row 6 has more than 9 fields",
+    ),
+    "long last row": (  # past the first READ_CHARS of the 85 KB file
+        lambda lines: lines[:-1] + [lines[-1] + ",0"],
+        "data row 501 has more than 9 fields",
     ),
     "header lost a column": (
         lambda lines: [lines[0].replace(",w,", ",")] + lines[1:],

@@ -1,7 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from riccisym import tensorlab
 from riccisym.exprfn import parse
@@ -154,12 +153,7 @@ def test_curvature_table_scalar_is_the_frame_trace():
 def test_curvature_table_memory_does_not_grow_like_n4():
     # an n^4 Riemann tensor per row would take 104 MB at n = 60
     E = GraphEmbedding(60, parse("t^2"), 1.0)
-    tracemalloc.start()
-    try:
-        table = curvature_table(E, [0.0, 0.5, 1.0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    table, peak = traced_peak(lambda: curvature_table(E, [0.0, 0.5, 1.0]))
     assert table.shape == (3, 7) and np.isfinite(table).all()
     assert peak < 2**20
 

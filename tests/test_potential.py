@@ -1,13 +1,13 @@
 import ast
 import hashlib
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
+from conftest import traced_peak
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 
 from riccisym import pipeline, potential, reconstruct, rotsym
@@ -861,12 +861,7 @@ def test_integration_memory_is_bounded_per_sample():
     S = _surface(3, "1", "1", 1.0)
     step = 1e-4
     seed = seed_separatrix(S, saddle_report(S), seed_offset(1.0, step))
-    tracemalloc.start()
-    try:
-        curve = integrate_separatrix(S, seed, step, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    curve, peak = traced_peak(lambda: integrate_separatrix(S, seed, step, 1.0))
     assert curve.t.size == 10_001
     assert peak <= 100 * curve.t.size
 
