@@ -13,8 +13,9 @@ Commands: solve, analyze, verify, hypersurface, portrait.  Configs are
 line-oriented ``key = value`` text with '#' comments; expression values are
 quoted and follow the grammar documented in :mod:`riccisym.exprfn`.
 
-Exit codes: 0 success, 1 config or parse error, 2 tensor validation failure
-(sign change, non-finite target, origin mismatch or degenerate saddle), 3
+Exit codes: 0 success, 1 usage error (a missing or unknown command, an
+unknown option), config or parse error, 2 tensor validation failure (sign
+change, non-finite target, origin mismatch or degenerate saddle), 3
 numerical failure (projection, monotonicity, sign).  Every failure prints
 one machine-readable line ``riccisym: code=<N> reason="..."`` on stderr;
 a failing solve, analyze or portrait leaves no output file.
@@ -35,6 +36,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +59,14 @@ _NUMERIC_ERRORS = (
 
 class ConfigError(ValueError):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ConfigError, so they exit 1
+    with one diagnostic line like any other config error."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 @dataclass
@@ -364,8 +374,8 @@ def _read_solution_csv(path: Path) -> dict:
     Only those columns and the last one, which bounds the row width, are
     parsed, into one float64 table of six columns whose column views are
     returned; it is the only thing kept.  The fields are counted in
-    READ_CHARS reads, and a bad row is found by reading the file again line
-    by line, so no copy of the text is held.
+    READ_CHARS reads, and a bad row is found by reading the file again
+    CHUNK_ROWS lines at a time, so no copy of the text is held.
     """
     try:
         with open(path) as fh:
@@ -410,18 +420,40 @@ def _count_commas(fh) -> int:
 
 def _unreadable_row(lines, header, usecols) -> str | None:
     """Why np.loadtxt fails the first data row it cannot read, or None if it
-    reads each alone; data rows count from 1 and skip empty lines, as it does."""
-    for row, line in enumerate((line for line in lines if line != "\n"), start=1):
-        cells = line.rstrip("\n").split(",")
-        if len(cells) != len(header):
-            more = "more" if len(cells) > len(header) else "fewer"
-            return f"data row {row} has {more} than {len(header)} fields"
-        for i in usecols:
-            try:
-                np.loadtxt([line], delimiter=",", comments=None, usecols=[i])
-            except ValueError:
-                return f"data row {row}: could not convert string {cells[i]!r} in column {header[i]}"
+    reads each alone; data rows count from 1 and skip empty lines, as it does.
+
+    The rows are parsed CHUNK_ROWS at a time, then those of the first chunk
+    that fails one at a time, then the cells of its first failing row one at
+    a time, so the search takes O(rows / CHUNK_ROWS + CHUNK_ROWS) parses.
+    """
+    rows = (line for line in lines if line != "\n")
+    last = len(header) - 1
+    start = 1
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        if "".join(chunk).count(",") == len(chunk) * last and _reads(chunk, usecols):
+            start += len(chunk)
+            continue
+        for row, line in enumerate(chunk, start=start):
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != len(header):
+                more = "more" if len(cells) > len(header) else "fewer"
+                return f"data row {row} has {more} than {len(header)} fields"
+            if _reads([line], usecols):
+                continue
+            for i in usecols:
+                if not _reads([line], [i]):
+                    return f"data row {row}: could not convert string {cells[i]!r} in column {header[i]}"
+        start += len(chunk)
     return None
+
+
+def _reads(lines, usecols) -> bool:
+    """Whether np.loadtxt parses the columns usecols of every one of lines."""
+    try:
+        np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols)
+    except ValueError:
+        return False
+    return True
 
 
 _DISPATCH = {
@@ -467,12 +499,16 @@ def _sweep_job(args):
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="riccisym", description=__doc__)
+    ap = _ArgumentParser(prog="riccisym", description=__doc__)
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--config", help="path to a key = value config file")
     ap.add_argument("--out", help="override the output path prefix")
     ap.add_argument("--sweep", help="directory of .cfg files to run in parallel")
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except ConfigError as err:
+        _diag(1, str(err))
+        return 1
 
     if args.sweep:
         from concurrent.futures import ProcessPoolExecutor  # only a sweep starts workers

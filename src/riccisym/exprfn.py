@@ -29,11 +29,12 @@ jet equal those of the second-order one.
 sample(ts, *exprs) is the one way to evaluate expressions over a grid: it
 returns the jet arrays of each expression over ts, bit-identical to
 eval_jet2 at each t, and raises the EvalError eval_jet2 would raise at the
-first failing abscissa.  Underneath, jet_grid runs the same kernel over a
-1-d ndarray of abscissae: the jet arithmetic is numpy operations, and only
-the calls into math (sin, cos, exp, log, sqrt, pow) go element by element.
-It returns None where it cannot promise scalar results, and sample then
-goes point by point; sample is its only caller in the package.
+first failing abscissa.  Underneath, it runs the same kernels over a 1-d
+ndarray of abscissae: the jet arithmetic is numpy operations, and only the
+calls into math (sin, cos, exp, log, sqrt, pow) go element by element.
+Where a kernel cannot promise scalar results, sample goes point by point.
+jet_grid is that array evaluation for one expression, returning None
+where sample would go point by point; no module of the package calls it.
 """
 
 from __future__ import annotations
@@ -548,6 +549,26 @@ def eval_jet2(e: Expr | FirstOrder, t: float) -> Jet2:
     return Jet2(*e._kernel(t))
 
 
+def _abscissae(ts) -> np.ndarray:
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"abscissae must be a 1-d array, got shape {ts.shape}")
+    return ts
+
+
+def _jets_into(out: np.ndarray, exprs, ts: np.ndarray) -> bool:
+    """Write the jet arrays of each of exprs over ts into out[i], running every
+    kernel under one errstate; False as soon as one declines (see jet_grid)."""
+    try:
+        with np.errstate(all="raise"):
+            for i, e in enumerate(exprs):
+                for j, x in enumerate(e._kernel(ts)):
+                    out[i, j] = x  # a constant component broadcasts
+    except (ArithmeticError, ValueError):
+        return False
+    return True
+
+
 def jet_grid(e: Expr | FirstOrder, ts):
     """Read-only jet arrays of e over the 1-d abscissae ts, or None: (v, d1,
     d2), or (v, d1) for e.first_order.
@@ -559,15 +580,12 @@ def jet_grid(e: Expr | FirstOrder, ts):
     to reproduce over arrays; sample then evaluates point by point with
     eval_jet2, which gives the scalar result or error.
     """
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1:
-        raise ValueError(f"abscissae must be a 1-d array, got shape {ts.shape}")
-    try:
-        with np.errstate(all="raise"):
-            jet = e._kernel(ts)
-    except (ArithmeticError, ValueError):
+    ts = _abscissae(ts)
+    out = np.empty((1, 2 if isinstance(e, FirstOrder) else 3, ts.size))
+    if not _jets_into(out, (e,), ts):
         return None
-    return tuple(np.broadcast_to(x, ts.shape) for x in jet)
+    out.flags.writeable = False
+    return tuple(out[0])
 
 
 def sample(ts, *exprs) -> np.ndarray:
@@ -575,14 +593,21 @@ def sample(ts, *exprs) -> np.ndarray:
     or (len(exprs), 2, len(ts)) when every expression is a first_order.
 
     Entry [i] holds the jet arrays of exprs[i], bit-identical to eval_jet2
-    at each t.  Each expression takes one jet_grid; if any declines, all are
-    evaluated to their own order as eval_jet2 does, abscissa by abscissa and in
-    argument order, so the first failing (t, expression) raises its
-    EvalError with the scalar text.  A ts that is not 1-d raises ValueError.
+    at each t; a first_order among second-order expressions has a NaN d2.
+    Every kernel runs over ts, as jet_grid's does, into one array; if any
+    declines, all are evaluated to their own order as eval_jet2 does,
+    abscissa by abscissa and in argument order, so the first failing (t,
+    expression) raises its EvalError with the scalar text.  A ts that is not
+    1-d raises ValueError.
     """
-    ts = np.asarray(ts, dtype=float)
-    jets = [jet_grid(e, ts) for e in exprs]
-    if all(jet is not None for jet in jets):
-        return np.array(jets, dtype=float)
-    rows = [[e._kernel(t) for e in exprs] for t in ts]
-    return np.array(rows, dtype=float).reshape(ts.size, len(exprs), -1).transpose(1, 2, 0)
+    ts = _abscissae(ts)
+    first = all(isinstance(e, FirstOrder) for e in exprs)
+    out = np.empty((len(exprs), 2 if first else 3, ts.size))
+    if not first:
+        out[:, 2] = math.nan
+    if not _jets_into(out, exprs, ts):
+        for j, t in enumerate(ts.tolist()):
+            for i, e in enumerate(exprs):
+                jet = e._kernel(t)
+                out[i, : len(jet), j] = jet
+    return out

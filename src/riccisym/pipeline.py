@@ -51,7 +51,17 @@ def solve(
     t_lo: float | None = None,
     constraint_tol: float = potential.PROJECTION_TOL,
 ) -> Solution:
-    """branch, then recovery of (r, f) by quadrature with every residual."""
+    """branch, then recovery of (r, f) by quadrature with every residual.
+
+    A step that leaves a curve reaching t_max fewer samples than a profile
+    needs raises ValueError before any work.
+    """
+    samples = potential.curve_samples(T, step, delta)
+    if samples < reconstruct.MIN_PROFILE_SAMPLES:
+        raise ValueError(
+            f"step {step:g} leaves {samples} samples up to t_max {T.t_max:g}, "
+            f"fewer than the {reconstruct.MIN_PROFILE_SAMPLES} a profile needs"
+        )
     verdict, saddle, curve, global_report = branch(T, step, delta, constraint_tol)
     try:
         recon = reconstruct.reconstruct_profile(curve, T, t_lo=t_lo)

@@ -30,7 +30,8 @@ per abscissa.  One RK4 kernel holds the stage formula and reads rows by
 index: it runs the uniform steps of a block of targets in one loop over the
 block's rows, sampled as arrays (or, where the sample raises, evaluated
 point by point as they are read), and the general path (the capped steps
-near the origin, halvings, halts) runs it over three rows of its own.  The
+near the origin, halvings, halts) runs it over three rows of its own, those
+of the capped steps to a target from one more sample.  The
 target is evaluated to first order only, as no row reads a second
 derivative.  The curve records the work done, and phi and psi at its
 samples from those same rows, so the continuation check and the
@@ -254,9 +255,9 @@ class PotentialCurve:
     # integrate_separatrix's counts of uniform_steps (run by the kernel in
     # one loop), other_steps (general sub-steps), halvings,
     # newton_projections (those needing a Newton iteration) and scalar_rows
-    # (_coeffs rows it evaluates point by point: general-path rows and rows
-    # of a block whose sample raised, not sample's own fallback); None for
-    # direct quadrature
+    # (_coeffs rows it evaluates point by point: rows of halved sub-steps and
+    # halts, and rows whose block or capped sub-steps' sample raised, not
+    # sample's own fallback); None for direct quadrature
     work: dict | None = None
 
 
@@ -304,6 +305,35 @@ def check_sample_count(t_max: float, step: float) -> None:
         )
 
 
+def _target_span(t0: float, t_end: float, step: float):
+    """integrate_separatrix's targets past the seed t0, as (k0, k1, end): the
+    multiples k step for k0 <= k <= k1, then t_end itself if end."""
+    k0 = int(math.floor(t0 / step + 1e-9)) + 1
+    k1 = int(math.floor(t_end / step + 1e-9))
+    return k0, k1, k1 < k0 or k1 * step < t_end - 1e-9 * step
+
+
+def _n2_intervals(t_max: float, step: float) -> int:
+    """solve_n2's number of Simpson intervals: t_max / step rounded, made
+    even, and at least 2."""
+    m = max(2, int(round(t_max / step)))
+    return m + m % 2
+
+
+def curve_samples(T: RotSymTensor, step: float, delta: float | None = None) -> int:
+    """The samples of a curve that reaches t_max: solve_n2's grid at n = 2,
+    else the seed at delta (seed_offset by default) and the targets of
+    integrate_separatrix.  A step <= 0, or a t_max / step above MAX_SAMPLES,
+    raises ValueError."""
+    if not step > 0:
+        raise ValueError("step must be positive")
+    check_sample_count(T.t_max, step)
+    if T.n == 2:
+        return _n2_intervals(T.t_max, step) + 1
+    k0, k1, end = _target_span(seed_offset(T.t_max, step) if delta is None else delta, T.t_max, step)
+    return 1 + max(0, k1 + 1 - k0) + end
+
+
 class _Memo(dict):
     """key -> fn(key), computed on first read and kept (lazy rows for rk4)."""
 
@@ -313,6 +343,43 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.fn(key)
         return value
+
+
+def _capped_step(t: float, target: float, step: float) -> float | None:
+    """The general path's next sub-step from t towards target, before any
+    halving, or None once t lies within 1e-12 step of target.  Sub-steps are
+    capped by t/4 near the origin, where the lifted field has 1/t-scale
+    derivatives; one below rounding at t raises StepUnderflowError."""
+    if not t < target - 1e-12 * step:
+        return None
+    h = min(target - t, max(0.25 * t, 1e-3 * step))
+    if h <= 1e-15 * max(1.0, abs(t)):
+        raise StepUnderflowError(f"step underflow at t = {t:.6g}")
+    return h
+
+
+def _substep_abscissae(t: float, target: float, step: float) -> list:
+    """The abscissae of the rows the general path reads from t to target if
+    it halves no sub-step: t, then t + h/2 and t + h of each sub-step."""
+    xs = [t]
+    try:
+        while (h := _capped_step(t, target, step)) is not None:
+            xs += (t + h / 2, t + h)
+            t += h
+    except StepUnderflowError:
+        pass  # raised again by the step that meets it
+    return xs
+
+
+def _sampled_rows(T: RotSymTensor, xs: np.ndarray):
+    """(values, rows) at the abscissae xs from one first-order sample: values
+    holds phi and psi, shape (2, len(xs)), and rows[j] the (A, B, C, D) row
+    at xs[j] as floats.  Raises EvalError where sample does."""
+    jets = sample(xs, T.phi.first_order, T.psi.first_order)
+    phi, psi = jets
+    with np.errstate(over="ignore", invalid="ignore"):  # like Python floats
+        columns = _coeffs(T.n, xs, phi[0], phi[1], psi[0], psi[1])
+    return jets[:, 0], list(zip(*(c.tolist() for c in columns)))
 
 
 def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, scalar_row):
@@ -343,15 +410,10 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, 
     P[1::2] = t + h / 2
     pts = P.tolist()
     try:
-        jets = sample(P, T.phi.first_order, T.psi.first_order)
+        values, rows = _sampled_rows(T, P)
     except EvalError:
         values, rows = None, _Memo(lambda j: scalar_row(pts[j]))
-    else:
-        (phi, psi), values = jets, jets[:, 0]
-        with np.errstate(over="ignore", invalid="ignore"):  # like Python floats
-            columns = _coeffs(T.n, P, phi[0], phi[1], psi[0], psi[1])
-        rows = list(zip(*(c.tolist() for c in columns)))
-    # integrate_separatrix's sub-step rule, over the whole block
+    # _capped_step's rule, over the whole block
     uniform = (
         (h <= np.maximum(0.25 * t, 1e-3 * step))
         & (h > 1e-15 * np.maximum(1.0, np.abs(t)))
@@ -401,15 +463,16 @@ def integrate_separatrix(
     # consecutive uniform steps in one loop.  Every other step (capped near
     # the origin, halved, halting) runs rk4 over its three rows, read lazily
     # like a raising block's: a fold halt at an earlier stage wins over an
-    # EvalError at a later row.
+    # EvalError at a later row.  The rows of the capped steps to a target
+    # come from one sample made before the first of them (see prefetch).
     work = dict.fromkeys(
         ("uniform_steps", "other_steps", "halvings", "newton_projections", "scalar_rows"), 0
     )
 
     # aligned targets: multiples of step, then exactly t_end
-    k0 = int(math.floor(t0 / step + 1e-9)) + 1
-    targets = np.arange(k0, int(math.floor(t_end / step + 1e-9)) + 1) * step
-    if not targets.size or targets[-1] < t_end - 1e-9 * step:
+    k0, k1, end = _target_span(t0, t_end, step)
+    targets = np.arange(k0, k1 + 1) * step
+    if end:
         targets = np.append(targets, t_end)
     if abs(targets[-1] - t_end) <= 1e-9 * step:
         targets[-1] = t_end
@@ -523,9 +586,23 @@ def integrate_separatrix(
         work["scalar_rows"] += 1
         return _coeffs(n, x, *_target_row(T, x))
 
+    def prefetch(t, target, held):
+        """The rows of the sub-steps from t to target, less the rows held by
+        the block, in a memo filled from one sample; where that sample
+        raises, or a sub-step is halved, rows are read by scalar_row."""
+        off = _Memo(scalar_row)
+        xs = [x for x in _substep_abscissae(t, target, step) if x not in held]
+        if xs:
+            try:
+                off.update(zip(xs, _sampled_rows(T, np.array(xs))[1]))
+            except EvalError:
+                pass
+        return off
+
     def row(x):
         """The _coeffs row at x: the block's if x is one of target k's
-        abscissae there, else a scalar one, kept until the next target."""
+        abscissae there, else the prefetched or scalar one of off, kept
+        until the next target."""
         for j in range(2 * k, 2 * k + 3):
             if x == P[j]:
                 return rows[j]
@@ -596,13 +673,9 @@ def integrate_separatrix(
                         if k == len(runs):
                             break
                 target = P[2 * k + 2]
-                off = _Memo(scalar_row)
-                # Sub-steps are capped by t/4 near the origin, where the lifted
-                # field has 1/t-scale derivatives; only the targets are recorded.
-                while t < target - 1e-12 * step:
-                    h = min(target - t, max(0.25 * t, 1e-3 * step))
-                    if h <= 1e-15 * max(1.0, abs(t)):
-                        raise StepUnderflowError(f"step underflow at t = {t:.6g}")
+                off = prefetch(t, target, P[2 * k : 2 * k + 3])
+                # only the targets are recorded
+                while (h := _capped_step(t, target, step)) is not None:
                     t, w, p, drift = substep(t, w, p, h, drift)
                     work["other_steps"] += 1
                 ts.append(t)
@@ -712,10 +785,7 @@ def solve_n2(T: RotSymTensor, step: float) -> PotentialCurve:
     ValueError.
     """
     check_sample_count(T.t_max, step)
-    m = max(2, int(round(T.t_max / step)))
-    if m % 2:
-        m += 1
-    ts = np.linspace(0.0, T.t_max, m + 1)
+    ts = np.linspace(0.0, T.t_max, _n2_intervals(T.t_max, step) + 1)
     phis, psis = sample(ts, T.phi.first_order, T.psi.first_order)[:, 0]
     with np.errstate(all="ignore"):  # like Python float products, without warnings
         prod = phis * psis
@@ -761,6 +831,35 @@ def _jet_columns(T: RotSymTensor, ts: np.ndarray) -> np.ndarray:
     return sample(ts, T.phi.first_order, T.psi.first_order).reshape(4, -1)
 
 
+def _least_gradient(n: int, ts: np.ndarray, ws: np.ndarray, jets: np.ndarray) -> float:
+    """The least |grad F| over the grid ts x ws of (t, w), each point lifted to
+    p = sqrt(F(t, w, 0)), skipping NaN (so F < 0); inf if every point is NaN.
+
+    Bit-identical to surface_terms over the broadcast grid, built in place
+    from the _coeffs columns: F(t, w, 0) is F - 0.0 * 0.0, which is F, and
+    the one sqrt is of the least squared norm, as sqrt is monotone.
+    """
+    A, B, C, D = (c[:, None] for c in _coeffs(n, ts, *jets))
+    ww = ws * ws - 2.0 * ws
+    F = A * ww  # rows: t, columns: w
+    F += B
+    F /= n - 1
+    F_t = C * ww
+    F_t += D
+    F_t /= n - 1
+    F_w = A * (2.0 * ws - 2.0)
+    F_w /= n - 1
+    # |grad F|^2 = F_t^2 + F_w^2 + (4 p) p, summed in that order into F_t
+    F_t *= F_t
+    F_w *= F_w
+    F_t += F_w
+    p = np.sqrt(F, out=F)
+    np.multiply(p, 4.0, out=F_w)
+    F_w *= p
+    F_t += F_w
+    return math.sqrt(np.fmin.reduce(F_t, axis=None, initial=math.inf))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the scans meet inf and NaN like Python floats
 def check_global(T: RotSymTensor, curve: PotentialCurve) -> GlobalReport:
     """Margins of the global continuation criterion for a computed branch.
@@ -792,12 +891,7 @@ def check_global(T: RotSymTensor, curve: PotentialCurve) -> GlobalReport:
     w_hi = max(float(np.max(curve.w)), max(folds_all, default=2.0), 2.0)
     pad = 0.25 * (w_hi - w_lo + 1.0)
     ws = np.linspace(w_lo - pad, w_hi + pad, GLOBAL_GRID)
-    # rows: t, columns: w
-    F, F_t, F_w, _ = surface_terms(n, ts_scan[:, None], ws, 0.0, *jets[:, :, None])
-    # F(t, w, 0) = Q, on-surface p = sqrt(Q); NaN (and so skipped) where Q < 0
-    p = np.sqrt(F)
-    norm = np.sqrt(F_t * F_t + F_w * F_w + 4.0 * p * p)
-    grad_margin = float(np.fmin.reduce(norm, axis=None, initial=math.inf))
+    grad_margin = _least_gradient(n, ts_scan, ws, jets)
     if not math.isfinite(grad_margin):
         grad_margin = 0.0
         notes.append("surface scan found no points with F >= 0")

@@ -88,15 +88,37 @@ def test_overflow_is_one_diagnostic_line(tmp_path, capsys):
 
 
 def test_curve_too_short_says_why(tmp_path, capsys):
-    cfg = 'n = 3\nphi = "1"\npsi = "1"\nt_max = 0.3\nstep = 0.5\n' + f'out = "{tmp_path}/s"\n'
-    path = _write(tmp_path, "s.cfg", cfg)
+    # six samples up to t_max, but the fold halts the branch after four
+    cfg = 'n = 3\nphi = "1"\npsi = "1 - 4*t^2"\nt_max = 0.46\nstep = 0.11\n'
+    path = _write(tmp_path, "s.cfg", cfg + f'out = "{tmp_path}/s"\n')
     assert main(["solve", "--config", str(path)]) == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("riccisym: code=3 ")
-    assert "curve too short to reconstruct a profile: 2 samples, 6 needed" in lines[0]
-    assert "(halt: t_end)" in lines[0]
-    assert "step 0.5, t_max 0.3" in lines[0]
+    assert "curve too short to reconstruct a profile: 4 samples, 6 needed" in lines[0]
+    assert "(halt: fold_contact, fold reached near t = 0.41" in lines[0]
+    assert "step 0.11, t_max 0.46" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "t_max, step, samples",
+    [(0.5, 1e300, 2), (1e-308, 0.01, 2), (0.3, 0.5, 2), (0.5, 0.125, 5)],
+)
+def test_a_step_that_leaves_too_few_samples_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, t_max, step, samples
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the step was checked")
+
+    monkeypatch.setattr(pipeline, "definiteness_check", no_work)
+    cfg = f'n = 4\nphi = "12"\npsi = "12 - 8*t^2"\nt_max = {t_max!r}\nstep = {step!r}\n'
+    path = _write(tmp_path, "s.cfg", cfg + f'out = "{tmp_path}/s"\n')
+    assert main(["solve", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f'riccisym: code=1 reason="step {step:g} leaves {samples} samples up to t_max {t_max:g}, '
+        'fewer than the 6 a profile needs"'
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["s.cfg"]
 
 
 def test_solve_gold_writes_outputs(tmp_path, capsys):
@@ -308,6 +330,30 @@ def test_missing_config_argument(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, reason",
+    [
+        ([], "the following arguments are required: command"),
+        (["solve", "--bogus"], "unrecognized arguments: --bogus"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ],
+    ids=["no command", "unknown option", "unknown command"],
+)
+def test_a_usage_error_is_one_code_1_line(capsys, argv, reason):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f'riccisym: code=1 reason="{reason}')
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: riccisym")
+
+
+@pytest.mark.parametrize(
     "command, n",
     [("solve", 3), ("analyze", 3), ("portrait", 3), ("solve", 2)],
     ids=["solve", "analyze", "portrait", "solve-n2"],
@@ -431,9 +477,11 @@ def test_out_without_a_file_name_is_a_config_error(tmp_path, capsys, monkeypatch
 # sha256 of every file the five commands write (in COMMANDS order, so verify
 # reads the solution just written), recorded before the commands shared
 # pipeline.branch, except p_report.txt, which gained its "integration work"
-# line later, and the p_hypersurface.csv files, whose scalar column moved by
-# up to 5.1e-16, relative, when it came from the closed-form frame trace in
-# place of an einsum; hypersurface reads h and r_max only
+# line later and whose scalar_rows count fell (39 to 0 and 133 to 94) when the
+# rows of the capped sub-steps came from one sample, and the
+# p_hypersurface.csv files, whose scalar column moved by up to 5.1e-16,
+# relative, when it came from the closed-form frame trace in place of an
+# einsum; hypersurface reads h and r_max only
 PINNED_OUTPUTS = {
     'n = 4\nphi = "12"\npsi = "12 - 8*t^2"\nt_max = 0.5\n': (
         {"solve": 0, "analyze": 0, "verify": 0, "hypersurface": 0, "portrait": 0},
@@ -442,7 +490,7 @@ PINNED_OUTPUTS = {
             "p_fold.csv": "03a9d0a5224b30f85f415eeb66a52063e3c7089897b983b61ce9fea761b88886",
             "p_hypersurface.csv": "e2fffa7c7799318211599575226672fba9172466596309348e5e292e7ff30104",
             "p_portrait.csv": "e68a52a05a1e983db3a7dc441ef60b0933f679192966fc78ccd8c434e0d688ae",
-            "p_report.txt": "fbdfbf4c1dfd952437e7c98b56725042504d004900eefe87a6b447e906a27b0e",
+            "p_report.txt": "45681332dd3fe4944f5771a97211459704b25a6365cdb68968e17c5c3a040c8f",
             "p_solution.csv": "1874d88e62d95476fbd920959441aa5626d94c71fdba6d2c68b534bbc845c021",
             "p_verify.txt": "835a64b13110df6ff6856abb6224e926cb0bea4f1d9214a6f89ba94c84262be3",
         },
@@ -455,7 +503,7 @@ PINNED_OUTPUTS = {
             "p_fold.csv": "372d01574a6a4eee185c7f48b1dcd9d4f7a001ec102ade2d84463b07b8d31949",
             "p_hypersurface.csv": "d2dd7342e451a4f5bee925f2479af99d5d129a9236f6eb72c6920c55cbef1883",
             "p_portrait.csv": "ab4396cb4de81b66506d8bab5d16d4c2b8b77e57627ddde8d2b45f0ba1ddb8e1",
-            "p_report.txt": "0435bcb9c6892ef41560a02020374a8b01a0ba14255f123379a218d07138a641",
+            "p_report.txt": "053001e7cf2dedbbc60e856e544400956899a1763ffd6e6a3b827d663b346f7f",
             "p_solution.csv": "9ab39c51138a32fdaaf0d53894409023e8585d7cb7c5febb5a2e2287ff37689b",
             "p_verify.txt": "70d474ec98a7eb231902d63830105014fe1ea24a0d72a041e97f4fc81f6f4d64",
         },
@@ -672,6 +720,37 @@ def test_verify_rejects_a_profile_it_cannot_read(tmp_path, capsys, gold4_profile
     assert len(err) == 1 and err[0].startswith('riccisym: code=1 reason="'), err
     assert reason in err[0]
     assert not (tmp_path / "v_verify.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "mutate, reason",
+    [
+        (lambda line: line + ",0", " has more than 9 fields"),
+        (lambda line: line.rsplit(",", 1)[0] + ",x", ": could not convert string 'x' in column res_tt"),
+        (lambda line: "x," + line.split(",", 1)[1], ": could not convert string 'x' in column t"),
+    ],
+    ids=["long", "junk last cell", "junk t"],
+)
+def test_verify_finds_a_bad_last_row_in_few_parses(
+    tmp_path, capsys, monkeypatch, gold4_profile, mutate, reason
+):
+    # the rows are parsed a chunk at a time, then those of the failing chunk
+    # one at a time: not one parse per cell of every row
+    rows = 3 * cli.CHUNK_ROWS + 1
+    body = (gold4_profile[1:] * (rows // 500 + 1))[:rows]
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    assert _verify(tmp_path, gold4_profile[:1] + body[:-1] + [mutate(body[-1])]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f'riccisym: code=1 reason="profile CSV {tmp_path}/profile.csv: data row {rows}{reason}"'
+    ]
+    assert len(calls) <= cli.CHUNK_ROWS + 11
 
 
 @pytest.mark.parametrize("columns", [cli.SOLUTION_HEADER, ("fp", "t", "rp", "f", "r")])

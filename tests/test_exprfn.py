@@ -618,6 +618,18 @@ def test_sample_raises_at_the_first_failing_abscissa():
 
 
 
+@pytest.mark.parametrize("ts", [[0.5, 1.0], [0.5, 1e-200]], ids=["arrays", "point by point"])
+def test_a_first_order_among_second_order_expressions_has_a_nan_d2(ts):
+    e, f = parse("1e-200*t^2"), parse("sin(t)")
+    assert (jet_grid(e, ts) is None) == (ts[1] == 1e-200)  # t^2 underflows
+    got = sample(ts, e, f.first_order)
+    assert got.shape == (2, 3, 2)
+    for k, t in enumerate(ts):
+        j, jf = eval_jet2(e, t), eval_jet2(f.first_order, t)
+        assert got[0, :, k].tolist() == [j.v, j.d1, j.d2]
+        assert got[1, :2, k].tolist() == [jf.v, jf.d1] and math.isnan(got[1, 2, k])
+
+
 @pytest.mark.parametrize(
     "call, shape",
     [

@@ -148,13 +148,15 @@ def test_ricci_residual_bytes_are_pinned(n, phi, psi, t_max, digest):
 
 
 def test_a_solve_samples_each_abscissa_once(monkeypatch):
-    # the definiteness scans, check_global's two grids and the integrator's
-    # blocks are the only samples; the continuation check and the
+    # the definiteness scans, check_global's two grids, the integrator's
+    # blocks and one sample a target for the rows of the capped sub-steps
+    # near the origin are the only samples; the continuation check and the
     # reconstruction read the target values the curve carries
-    calls = []
+    calls, abscissae = [], []
     for module in (rotsym, potential, reconstruct):
         def counting(ts, *exprs, real=module.sample, name=module.__name__.split(".")[-1]):
             calls.append((name, len(ts)))
+            abscissae.append(np.asarray(ts).tolist())
             return real(ts, *exprs)
 
         monkeypatch.setattr(module, "sample", counting)
@@ -162,7 +164,46 @@ def test_a_solve_samples_each_abscissa_once(monkeypatch):
     sol = solve(T, step=1e-3)
     assert sol.curve.t.size == 2001
     # 2000 targets: blocks of 256 targets and their midpoints, after the
-    # block's start
-    blocks = [("potential", 2 * 256 + 1)] * 7 + [("potential", 2 * 208 + 1)]
+    # block's start; the first four targets are reached by capped sub-steps
+    # from the seed at 2e-4, whose rows the first block does not hold
+    block = ("potential", 2 * 256 + 1)
+    capped = [("potential", m) for m in (15, 7, 2, 3)]
+    blocks = [block] + capped + [block] * 6 + [("potential", 2 * 208 + 1)]
     grids = [("potential", potential.GLOBAL_GRID)] * 2
     assert calls == [("rotsym", rotsym.DEFINITENESS_GRID)] * 2 + blocks + grids
+    assert sol.curve.work["scalar_rows"] == 0
+    # no abscissa is sampled twice by the integrator, but for each block's
+    # start, which is the last target of the block before it
+    first, rows, later = abscissae[2], abscissae[3:7], abscissae[7:-2]
+    starts = [first] + later
+    assert all(xs[0] == before[-1] for before, xs in zip(starts, later))
+    integrator = first + sum(rows, []) + [x for xs in later for x in xs[1:]]
+    assert len(set(integrator)) == len(integrator)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_solve_refuses_exactly_the_steps_that_leave_too_few_samples(n):
+    # curve_samples counts the samples of each curve below, so a config that
+    # solve refuses is one whose curve would be too short, and every other
+    # config still solves
+    refused = solved = 0
+    for t_max in (0.3, 1.0, 2.0):
+        for q in (4.0, 4.5, 5.0, 6.0):
+            for nudge in (-1e-10, 0.0, 1e-10):
+                step = t_max / (q + nudge)
+                for delta in (None, 1e-2 * t_max):
+                    T = RotSymTensor(n, parse("1"), parse("1"), t_max)
+                    curve = potential.solve_n2(T, step) if n == 2 else potential.solve_branch(
+                        T, step, delta=delta)[1]
+                    assert curve.halt_reason == "t_end"
+                    assert potential.curve_samples(T, step, delta) == curve.t.size
+                    if curve.t.size < reconstruct.MIN_PROFILE_SAMPLES:
+                        with pytest.raises(reconstruct.CurveTooShortError):
+                            reconstruct.reconstruct_profile(curve, T)
+                        with pytest.raises(ValueError, match=f"leaves {curve.t.size} samples"):
+                            solve(T, step, delta)
+                        refused += 1
+                    else:
+                        assert solve(T, step, delta).curve.t.size == curve.t.size
+                        solved += 1
+    assert refused and solved

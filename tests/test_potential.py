@@ -810,6 +810,47 @@ def test_a_fold_halt_wins_over_an_error_at_a_later_row(where):
         integrate_separatrix(S, (t0, 0.1, 0.5), step, 1.0)
 
 
+# the sub-steps from the seed at 0.01 to the first target, 0.1, start with
+# 0.01 -> 0.0125 -> 0.015625 -> 0.01953125; X is the third one's midpoint
+_CAPPED_X = 0.017578125
+
+
+@pytest.mark.parametrize(
+    "seed, outcome",
+    [
+        (None, f"sqrt derivative singular at 0 in 'sqrt((t - {_CAPPED_X!r})^2)' at t={_CAPPED_X!r}"),
+        ((0.01, 0.1, 1e-10), ("fold_contact", "|F_p| = 2.000e-10 < 1e-08 at t = 0.01")),
+    ],
+    ids=["error", "halt"],
+)
+def test_a_capped_sub_step_sample_that_raises_leaves_the_rows_lazy(monkeypatch, seed, outcome):
+    # psi is singular at X, which only the capped sub-steps read: their one
+    # sample raises, so their rows are read point by point, and the solve
+    # meets the scalar error at X, or halts at the fold before it gets there
+    S = _surface(3, "1", f"1 + sqrt((t - {_CAPPED_X!r})^2)", 1.0)
+    assert _CAPPED_X in potential._substep_abscissae(0.01, 0.1, 0.1)
+    raised = []
+    real = potential.sample
+
+    def recording(ts, *exprs):
+        try:
+            return real(ts, *exprs)
+        except EvalError:
+            raised.append(len(ts))
+            raise
+
+    monkeypatch.setattr(potential, "sample", recording)
+    if seed is None:
+        with pytest.raises(EvalError) as err:
+            integrate_separatrix(S, seed_separatrix(S, saddle_report(S), 0.01), 0.1, 1.0)
+        assert str(err.value) == outcome
+    else:
+        curve = integrate_separatrix(S, seed, 0.1, 1.0)
+        assert (curve.halt_reason, curve.halt_detail) == outcome
+        assert curve.t.size == 1
+    assert raised == [21]  # the 23 abscissae of the sub-steps, less the block's 2
+
+
 @pytest.mark.parametrize("a", ["1", "-1"])
 def test_long_span_runs_in_the_uniform_kernel(a):
     # the scalar-row count above cannot see a kernel that hands every step
