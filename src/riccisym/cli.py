@@ -7,18 +7,20 @@ hypersurface sample `samples` (at least 2) abscissae.
 
 Invocation:
 
-    riccisym <command> --config <path> [--out <prefix>] [--sweep <dir>]
+    riccisym <command> --config <path> [--out <prefix>]
 
+One process runs one config; a shell loop or xargs -P runs many.
 Commands: solve, analyze, verify, hypersurface, portrait.  Configs are
 line-oriented ``key = value`` text with '#' comments; expression values are
 quoted and follow the grammar documented in :mod:`riccisym.exprfn`.
 
 Exit codes: 0 success, 1 usage error (a missing or unknown command, an
-unknown option), config or parse error, 2 tensor validation failure (sign
-change, non-finite target, origin mismatch or degenerate saddle), 3
-numerical failure (projection, monotonicity, sign).  Every failure prints
-one machine-readable line ``riccisym: code=<N> reason="..."`` on stderr;
-a failing solve, analyze or portrait leaves no output file.
+unknown option), config or parse error, or an output that cannot be
+written, 2 tensor validation failure (sign change, non-finite target,
+origin mismatch or degenerate saddle), 3 numerical failure (projection,
+monotonicity, sign).  Every failure prints one machine-readable line
+``riccisym: code=<N> reason="..."`` on stderr; a failing solve, analyze or
+portrait leaves no output file.
 Outputs are deterministic: CSV with a header row, 17 significant digits,
 '.' decimal separator and LF line endings.
 
@@ -486,16 +488,12 @@ def run_single(command: str, config_path: str, out_override: str | None = None) 
     except _NUMERIC_ERRORS as err:
         _diag(3, str(err))
         return 3
+    except OSError as err:  # a config or profile that cannot be read is a ConfigError
+        _diag(1, f"cannot write output: {err}")
+        return 1
     except ValueError as err:
         _diag(1, str(err))
         return 1
-
-
-def _sweep_job(args):
-    command, config_path = args
-    stem = Path(config_path).stem
-    code = run_single(command, config_path, out_override=None)
-    return stem, code
 
 
 def main(argv=None) -> int:
@@ -503,31 +501,13 @@ def main(argv=None) -> int:
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--config", help="path to a key = value config file")
     ap.add_argument("--out", help="override the output path prefix")
-    ap.add_argument("--sweep", help="directory of .cfg files to run in parallel")
     try:
         args = ap.parse_args(argv)
     except ConfigError as err:
         _diag(1, str(err))
         return 1
-
-    if args.sweep:
-        from concurrent.futures import ProcessPoolExecutor  # only a sweep starts workers
-
-        configs = sorted(Path(args.sweep).glob("*.cfg"))
-        if not configs:
-            _diag(1, f"no .cfg files in {args.sweep}")
-            return 1
-        worst = 0
-        with ProcessPoolExecutor() as pool:
-            for stem, code in pool.map(
-                _sweep_job, [(args.command, str(c)) for c in configs]
-            ):
-                print(f"{stem}: exit {code}")
-                worst = max(worst, code)
-        return worst
-
     if not args.config:
-        _diag(1, "--config is required unless --sweep is given")
+        _diag(1, "--config is required")
         return 1
     return run_single(args.command, args.config, args.out)
 

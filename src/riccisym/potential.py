@@ -28,11 +28,12 @@ quadratic in p, so the projection is a Babylonian iteration.  The target
 enters a step only through the t-only coefficients of F (_coeffs), one row
 per abscissa.  One RK4 kernel holds the stage formula and reads rows by
 index: it runs the uniform steps of a block of targets in one loop over the
-block's rows, sampled as arrays (or, where the sample raises, evaluated
-point by point as they are read), and the general path (the capped steps
-near the origin, halvings, halts) runs it over three rows of its own, those
-of the capped steps to a target from one more sample.  The
-target is evaluated to first order only, as no row reads a second
+block's rows, sampled as arrays, and the general path (the capped steps
+near the origin, halvings, halts, and every step of a block whose sample
+raises) runs it one sub-step at a time over one row memo per target, keyed
+by abscissa: the block's rows of that target, then one more sample for
+the other sub-steps, then point-by-point rows for what is still missing.
+The target is evaluated to first order only, as no row reads a second
 derivative.  The curve records the work done, and phi and psi at its
 samples from those same rows, so the continuation check and the
 reconstruction need not evaluate the target there again.
@@ -256,7 +257,7 @@ class PotentialCurve:
     # one loop), other_steps (general sub-steps), halvings,
     # newton_projections (those needing a Newton iteration) and scalar_rows
     # (_coeffs rows it evaluates point by point: rows of halved sub-steps and
-    # halts, and rows whose block or capped sub-steps' sample raised, not
+    # halts, and rows of a target's sub-steps whose sample raised, not
     # sample's own fallback); None for direct quadrature
     work: dict | None = None
 
@@ -382,7 +383,7 @@ def _sampled_rows(T: RotSymTensor, xs: np.ndarray):
     return jets[:, 0], list(zip(*(c.tolist() for c in columns)))
 
 
-def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, scalar_row):
+def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float):
     """The _coeffs rows that uniform steps read on their way through targets,
     and where those steps run.
 
@@ -398,8 +399,8 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, 
     The rows come from one first-order sample over P, and values holds its
     phi and psi values, shape (2, len(P)).  The block looks ahead, so it
     must not raise at a t the solve may never reach: where sample raises,
-    values is None, each row is evaluated by scalar_row on first read, and a
-    stage that reaches a bad row raises the scalar EvalError there.
+    values is None, rows is empty and no step is uniform (runs[k] == k), so
+    the general path takes every target of the block.
     """
     m = len(targets)
     P = np.empty(2 * m + 1)
@@ -412,7 +413,7 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, 
     try:
         values, rows = _sampled_rows(T, P)
     except EvalError:
-        values, rows = None, _Memo(lambda j: scalar_row(pts[j]))
+        return pts, None, [], list(range(m))
     # _capped_step's rule, over the whole block
     uniform = (
         (h <= np.maximum(0.25 * t, 1e-3 * step))
@@ -461,10 +462,10 @@ def integrate_separatrix(
     # h = target - t is exact (Sterbenz), so every stage lands on a target
     # or a midpoint of the block (see _grid_block), and rk4 runs a block's
     # consecutive uniform steps in one loop.  Every other step (capped near
-    # the origin, halved, halting) runs rk4 over its three rows, read lazily
-    # like a raising block's: a fold halt at an earlier stage wins over an
-    # EvalError at a later row.  The rows of the capped steps to a target
-    # come from one sample made before the first of them (see prefetch).
+    # the origin, halved, halting, or in a block whose sample raised) runs
+    # rk4 over its three rows, read lazily from the target's memo off (see
+    # prefetch): a fold halt at an earlier stage wins over an EvalError at
+    # a later row.
     work = dict.fromkeys(
         ("uniform_steps", "other_steps", "halvings", "newton_projections", "scalar_rows"), 0
     )
@@ -586,27 +587,20 @@ def integrate_separatrix(
         work["scalar_rows"] += 1
         return _coeffs(n, x, *_target_row(T, x))
 
-    def prefetch(t, target, held):
-        """The rows of the sub-steps from t to target, less the rows held by
-        the block, in a memo filled from one sample; where that sample
-        raises, or a sub-step is halved, rows are read by scalar_row."""
+    def prefetch(t, target, k):
+        """The rows of the sub-steps from t to target k of the block, keyed
+        by abscissa: the block's rows at P[2k..2k+2], then the rest from one
+        sample.  A row missing there (that sample raised, or a sub-step was
+        halved) is read by scalar_row, and kept until the next target."""
         off = _Memo(scalar_row)
-        xs = [x for x in _substep_abscissae(t, target, step) if x not in held]
+        off.update(zip(P[2 * k : 2 * k + 3], rows[2 * k : 2 * k + 3]))
+        xs = [x for x in _substep_abscissae(t, target, step) if x not in off]
         if xs:
             try:
                 off.update(zip(xs, _sampled_rows(T, np.array(xs))[1]))
             except EvalError:
                 pass
         return off
-
-    def row(x):
-        """The _coeffs row at x: the block's if x is one of target k's
-        abscissae there, else the prefetched or scalar one of off, kept
-        until the next target."""
-        for j in range(2 * k, 2 * k + 3):
-            if x == P[j]:
-                return rows[j]
-        return off[x]
 
     def substep(t, w, p, h, drift):
         """One projected RK4 sub-step of at most h from t, halved near the
@@ -615,7 +609,7 @@ def integrate_separatrix(
         while True:
             P3 = (t, t + h / 2, t + h)
             i, t1, w1, p1, drift, trial = rk4(
-                P3, _Memo(lambda j: row(P3[j])), 0, 2, t, w, p, h, drift, False
+                P3, _Memo(lambda j: off[P3[j]]), 0, 2, t, w, p, h, drift, False
             )
             if i:
                 return t1, w1, p1, drift
@@ -658,7 +652,7 @@ def integrate_separatrix(
     try:
         for b in range(0, len(targets), _GRID_BLOCK):
             P, values, rows, runs = _grid_block(
-                T, targets[b - 1] if b else t0, targets[b : b + _GRID_BLOCK], step, scalar_row
+                T, targets[b - 1] if b else t0, targets[b : b + _GRID_BLOCK], step
             )
             base, strays = len(ts) - 1, []
             k = 0
@@ -673,7 +667,7 @@ def integrate_separatrix(
                         if k == len(runs):
                             break
                 target = P[2 * k + 2]
-                off = prefetch(t, target, P[2 * k : 2 * k + 3])
+                off = prefetch(t, target, k)
                 # only the targets are recorded
                 while (h := _capped_step(t, target, step)) is not None:
                     t, w, p, drift = substep(t, w, p, h, drift)

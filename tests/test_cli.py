@@ -305,25 +305,6 @@ def test_verify_detects_bad_profile(tmp_path, capsys):
     assert "code=3" in capsys.readouterr().err
 
 
-def test_sweep_runs_directory(tmp_path, capsys):
-    sweep = tmp_path / "sweep"
-    sweep.mkdir()
-    _write(sweep, "one.cfg", GOLD_CFG + f'out = "{tmp_path}/sw_one"\n')
-    _write(
-        sweep,
-        "two.cfg",
-        'n = 4\nphi = "12"\npsi = "12 - 8*t^2"\nt_max = 0.5\n'
-        + f'out = "{tmp_path}/sw_two"\n',
-    )
-    code = main(["solve", "--sweep", str(sweep)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "one: exit 0" in out
-    assert "two: exit 0" in out
-    assert (tmp_path / "sw_one_solution.csv").exists()
-    assert (tmp_path / "sw_two_solution.csv").exists()
-
-
 def test_missing_config_argument(capsys):
     assert main(["solve"]) == 1
     assert "code=1" in capsys.readouterr().err
@@ -335,8 +316,10 @@ def test_missing_config_argument(capsys):
         ([], "the following arguments are required: command"),
         (["solve", "--bogus"], "unrecognized arguments: --bogus"),
         (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["solve"], "--config is required"),
+        (["solve", "--config", "a.cfg", "--sweep", "configs"], "unrecognized arguments: --sweep"),
     ],
-    ids=["no command", "unknown option", "unknown command"],
+    ids=["no command", "unknown option", "unknown command", "no config", "removed sweep"],
 )
 def test_a_usage_error_is_one_code_1_line(capsys, argv, reason):
     assert main(argv) == 1
@@ -438,6 +421,24 @@ def test_failed_analyze_leaves_no_report(tmp_path, capsys):
         'riccisym: code=1 reason="division by zero in \'0/(t - 0.37)\' at t=0.37"'
     ]
     assert [p.name for p in tmp_path.iterdir()] == ["z.cfg"]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_an_unwritable_out_is_one_code_1_line(tmp_path, capsys, command):
+    # the parent of out is a regular file, so creating the output directory
+    # fails for every user, root included
+    profile = tmp_path / "g_solution.csv"
+    cfg = GOLD_CFG + f'h = "t^2"\nr_max = 1\nprofile = "{profile}"\n'
+    path = _write(tmp_path, "c.cfg", cfg + f'out = "{tmp_path}/g"\n')
+    assert main(["solve", "--config", str(path)]) == 0
+    capsys.readouterr()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main([command, "--config", str(path), "--out", str(path / "x")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f'riccisym: code=1 reason="cannot write output: [Errno 17] File exists: \'{path}\'"'
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("samples", [-3, 0, 1, 10**9])

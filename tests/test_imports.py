@@ -123,6 +123,39 @@ def test_sample_is_the_only_grid_evaluator():
     assert naming == []
 
 
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+
+def imported_pools(source: str) -> list[str]:
+    """The modules under POOL_MODULES that the module imports, at any depth
+    of its code (a lazy import inside a function counts)."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+            names.extend(f"{node.module}.{alias.name}" for alias in node.names)
+    return sorted({name for name in names
+                   if any(name == p or name.startswith(p + ".") for p in POOL_MODULES)})
+
+
+def test_the_check_finds_a_process_pool():
+    source = "import os\ndef run(jobs):\n    from concurrent.futures import ProcessPoolExecutor\n"
+    source += "    import multiprocessing.pool as mp\n    from concurrent import futures\n"
+    assert imported_pools(source) == [
+        "concurrent.futures", "concurrent.futures.ProcessPoolExecutor", "multiprocessing.pool",
+    ]
+    assert imported_pools("from .potential import integrate_separatrix\nimport concurrency\n") == []
+
+
+def test_no_module_starts_a_process_pool():
+    # one config per process: a shell loop or xargs -P runs many, so the
+    # package has no worker pool to start or to keep off the import path
+    pools = {p.stem: imported_pools(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert {module: names for module, names in pools.items() if names} == {}
+
+
 IMPORT_SET_PROBE = """
 import json, sys
 import numpy as np
@@ -136,8 +169,8 @@ print(json.dumps([cold, "scipy.linalg" in sys.modules]))
 
 
 def test_a_cold_import_loads_numpy_and_nothing_heavier():
-    # the solve, verify and CLI path reads no scipy, and only a sweep starts
-    # worker processes; the numeric oracle loads scipy.linalg on first use
+    # the solve, verify and CLI path reads no scipy and loads no process
+    # pool; the numeric oracle loads scipy.linalg on first use
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
     proc = subprocess.run(

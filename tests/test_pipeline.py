@@ -98,9 +98,9 @@ def test_solve_samples_the_target_in_bulk(monkeypatch):
 
 def test_error_inside_a_grid_block_keeps_its_text_and_abscissa():
     # the definiteness scan misses t = 1, so integration meets the singular
-    # sqrt derivative there; sample raises for that block, so its rows are
-    # evaluated point by point as the kernel reads them, and the row at
-    # t = 1 raises the scalar error
+    # sqrt derivative there; sample raises for that block, so the general
+    # path takes each of its targets, the sample of the target that reads
+    # t = 1 raises too, and its row there raises the scalar error
     T = RotSymTensor(3, parse("2"), parse("1 + sqrt((t - 1)^2)"), 2.0)
     assert definiteness_check(T).is_definite
     with pytest.raises(EvalError) as err:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, reject, settings
+from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 from conftest import traced_peak
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
@@ -731,8 +731,9 @@ def test_integrate_evaluates_each_jet_once(monkeypatch, n, phi, psi, t_max):
     ],
 )
 def test_integrate_grid_path_matches_scalar_path(monkeypatch, n, phi, psi, t_max):
-    # with sample raising, every block's rows are evaluated lazily, point by
-    # point, so this pits array rows against lazy rows in the same kernel
+    # with sample raising, every block declines and every step runs in the
+    # general path over rows evaluated point by point, so this pits the
+    # uniform loop over array rows against the general path
     S = _surface(n, phi, psi, t_max)
     _, fast = solve_branch(S, step=1e-3)
 
@@ -851,6 +852,63 @@ def test_a_capped_sub_step_sample_that_raises_leaves_the_rows_lazy(monkeypatch, 
     assert raised == [21]  # the 23 abscissae of the sub-steps, less the block's 2
 
 
+def _takes_one_exact_sub_step(prev, target, step):
+    """Whether the general path reaches target from prev in one sub-step of
+    h = target - prev that lands exactly on target."""
+    try:
+        h = potential._capped_step(prev, target, step)
+    except potential.StepUnderflowError:
+        return False
+    return h == target - prev and prev + h == target
+
+
+@st.composite
+def _block_steps(draw):
+    """(prev, targets, step): up to four targets after prev, each one step on,
+    a drawn fraction of a step, about the cap max(t/4, 1e-3 step), a few
+    units of the underflow floor 1e-15 max(1, t), or 1e-12 step; each
+    nudged by at most one ulp."""
+    step = draw(st.floats(1e-6, 1.0))
+    prev = draw(st.one_of(
+        st.just(0.0),  # where a step of 1e-15 is exactly the underflow floor
+        st.floats(0.0, 4 * step, exclude_max=True),  # near the origin, where t/4 caps
+        st.floats(0.0, 1e6),
+    ))
+    targets, t = [], prev
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["step", "fraction", "cap", "floor", "tiny"]))
+        scale = draw(st.sampled_from([0.5, 1.0, 1.0 + 2**-52, 2.0]))
+        h = {
+            "step": step,
+            "fraction": draw(st.floats(0.0, 2.0)) * step,
+            "cap": scale * max(0.25 * t, 1e-3 * step),
+            "floor": scale * 1e-15 * max(1.0, t),
+            "tiny": scale * 1e-12 * step,
+        }[kind]
+        target = float(np.nextafter(t + h, draw(st.sampled_from([-math.inf, t + h, math.inf]))))
+        targets.append(target)
+        t = target
+    return prev, targets, step
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_steps())
+@example((0.0, [1e-15, 2e-15], 1e-3))  # at the underflow floor, then above it
+@example((1.0, [1.25, 1.5625, 1.5625 + 0.25 * 1.5625 + 2**-52], 1e-3))  # the t/4 cap, then past it
+@example((1e-4, [1e-3, 2e-3], 1e-3))  # capped near the origin, then whole
+@example((1.0, [1.1, float(np.nextafter(1.1 + 0.1, 2.0))], 0.1))  # one ulp past 12 step
+@example((1.2819769117794477e-14, [0.000949979831211065], 1.0))  # t + (target - t) != target
+def test_the_block_marks_a_step_uniform_exactly_when_the_general_path_takes_it_whole(case):
+    # _grid_block's array mask and _capped_step state one rule twice
+    prev, targets, step = case
+    runs = potential._grid_block(UNIT, prev, np.array(targets), step)[3]
+    for k, target in enumerate(targets):
+        before = targets[k - 1] if k else prev
+        uniform = _takes_one_exact_sub_step(before, target, step)
+        event("uniform" if uniform else "not uniform")
+        assert (runs[k] > k) == uniform, (k, before, target)
+
+
 @pytest.mark.parametrize("a", ["1", "-1"])
 def test_long_span_runs_in_the_uniform_kernel(a):
     # the scalar-row count above cannot see a kernel that hands every step
@@ -874,9 +932,11 @@ def test_a_subnormal_product_stays_in_the_uniform_kernel():
 
 
 def test_a_block_whose_sample_raises_is_read_lazily(monkeypatch):
-    # sample raises for the one block that holds t = 3: its rows are then
-    # evaluated point by point as the kernel reads them, and the next
-    # block is sampled as arrays again
+    # sample raises for the one block that holds t = 3: none of its 256
+    # steps is uniform, so each target's rows come from one sample of its
+    # three abscissae, which raises for the two targets whose step reads
+    # t = 3; only their 6 rows are evaluated point by point, as the kernel
+    # reads them, and the next block is sampled as arrays again
     S = _surface(3, "1", "1", 10.0)
     _, ref = solve_branch(S, 1e-3)
     real = potential.sample
@@ -892,9 +952,11 @@ def test_a_block_whose_sample_raises_is_read_lazily(monkeypatch):
         assert getattr(curve, name).tobytes() == getattr(ref, name).tobytes()
     assert (curve.halt_reason, curve.halt_detail) == (ref.halt_reason, ref.halt_detail)
     assert curve.constraint_max == ref.constraint_max
-    assert curve.work["uniform_steps"] == ref.work["uniform_steps"]
-    extra = curve.work["scalar_rows"] - ref.work["scalar_rows"]
-    assert 0 < extra <= 2 * potential._GRID_BLOCK + 1
+    assert ref.work["uniform_steps"] == 9_996 and ref.work["other_steps"] == 12
+    assert ref.work["scalar_rows"] == 0
+    # the block's 256 steps move from the uniform loop to the general path
+    assert (curve.work["uniform_steps"], curve.work["other_steps"]) == (9_740, 268)
+    assert curve.work["scalar_rows"] == 6
 
 
 def test_integration_memory_is_bounded_per_sample():
