@@ -32,9 +32,10 @@ eval_jet2 at each t, and raises the EvalError eval_jet2 would raise at the
 first failing abscissa.  Underneath, it runs the same kernels over a 1-d
 ndarray of abscissae: the jet arithmetic is numpy operations, and only the
 calls into math (sin, cos, exp, log, sqrt, pow) go element by element.
-Where a kernel cannot promise scalar results, sample goes point by point.
-jet_grid is that array evaluation for one expression, returning None
-where sample would go point by point; no module of the package calls it.
+Where a kernel cannot promise scalar results, sample goes point by point,
+and the EvalError it then raises carries the jets of the abscissae before
+the failing one, so a caller that scans for the first failure need not
+evaluate them again.
 """
 
 from __future__ import annotations
@@ -58,7 +59,13 @@ class ParseError(ValueError):
 
 
 class EvalError(ValueError):
-    """Domain error during evaluation, reporting the offending subexpression."""
+    """Domain error during evaluation, reporting the offending subexpression.
+
+    One raised by sample has jets: what sample returns for the abscissae
+    before the failing one (their number is jets.shape[2]); else None.
+    """
+
+    jets = None
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +81,7 @@ class Expr:
         return unparse(self)
 
     @cached_property
-    def _kernel(self):  # see eval_jet2 and jet_grid
+    def _kernel(self):  # see eval_jet2 and sample
         return _compile(self, 2)
 
     @cached_property
@@ -549,16 +556,12 @@ def eval_jet2(e: Expr | FirstOrder, t: float) -> Jet2:
     return Jet2(*e._kernel(t))
 
 
-def _abscissae(ts) -> np.ndarray:
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1:
-        raise ValueError(f"abscissae must be a 1-d array, got shape {ts.shape}")
-    return ts
-
-
 def _jets_into(out: np.ndarray, exprs, ts: np.ndarray) -> bool:
     """Write the jet arrays of each of exprs over ts into out[i], running every
-    kernel under one errstate; False as soon as one declines (see jet_grid)."""
+    kernel under one errstate, or return False as soon as one declines: where
+    some t raises in eval_jet2, or where the kernel meets a zero divisor or a
+    floating-point exception (overflow, underflow, invalid) that it does not
+    try to reproduce over arrays.  sample then goes point by point."""
     try:
         with np.errstate(all="raise"):
             for i, e in enumerate(exprs):
@@ -569,38 +572,21 @@ def _jets_into(out: np.ndarray, exprs, ts: np.ndarray) -> bool:
     return True
 
 
-def jet_grid(e: Expr | FirstOrder, ts):
-    """Read-only jet arrays of e over the 1-d abscissae ts, or None: (v, d1,
-    d2), or (v, d1) for e.first_order.
-
-    It raises no evaluation error, only a ValueError if ts is not 1-d.  The
-    values are bit-identical to eval_jet2 at each t.  None means that some
-    t raises in eval_jet2, or that the kernel met a zero divisor or a
-    floating-point exception (overflow, underflow, invalid) it does not try
-    to reproduce over arrays; sample then evaluates point by point with
-    eval_jet2, which gives the scalar result or error.
-    """
-    ts = _abscissae(ts)
-    out = np.empty((1, 2 if isinstance(e, FirstOrder) else 3, ts.size))
-    if not _jets_into(out, (e,), ts):
-        return None
-    out.flags.writeable = False
-    return tuple(out[0])
-
-
 def sample(ts, *exprs) -> np.ndarray:
     """Jets of exprs over the 1-d abscissae ts, shape (len(exprs), 3, len(ts)),
     or (len(exprs), 2, len(ts)) when every expression is a first_order.
 
     Entry [i] holds the jet arrays of exprs[i], bit-identical to eval_jet2
     at each t; a first_order among second-order expressions has a NaN d2.
-    Every kernel runs over ts, as jet_grid's does, into one array; if any
-    declines, all are evaluated to their own order as eval_jet2 does,
-    abscissa by abscissa and in argument order, so the first failing (t,
-    expression) raises its EvalError with the scalar text.  A ts that is not
-    1-d raises ValueError.
+    Every kernel runs over ts into one array; if any declines, all are
+    evaluated to their own order as eval_jet2 does, abscissa by abscissa and
+    in argument order, so the first failing (t, expression) raises its
+    EvalError with the scalar text, its jets holding the result for the
+    abscissae before t.  A ts that is not 1-d raises ValueError.
     """
-    ts = _abscissae(ts)
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"abscissae must be a 1-d array, got shape {ts.shape}")
     first = all(isinstance(e, FirstOrder) for e in exprs)
     out = np.empty((len(exprs), 2 if first else 3, ts.size))
     if not first:
@@ -608,6 +594,10 @@ def sample(ts, *exprs) -> np.ndarray:
     if not _jets_into(out, exprs, ts):
         for j, t in enumerate(ts.tolist()):
             for i, e in enumerate(exprs):
-                jet = e._kernel(t)
+                try:
+                    jet = e._kernel(t)
+                except EvalError as err:
+                    err.jets = out[:, :, :j]
+                    raise
                 out[i, : len(jet), j] = jet
     return out

@@ -372,15 +372,15 @@ def _substep_abscissae(t: float, target: float, step: float) -> list:
     return xs
 
 
-def _sampled_rows(T: RotSymTensor, xs: np.ndarray):
-    """(values, rows) at the abscissae xs from one first-order sample: values
-    holds phi and psi, shape (2, len(xs)), and rows[j] the (A, B, C, D) row
-    at xs[j] as floats.  Raises EvalError where sample does."""
+def _sampled_columns(T: RotSymTensor, xs: np.ndarray):
+    """(values, columns) at the abscissae xs from one first-order sample:
+    values holds phi and psi, shape (2, len(xs)), and columns the A, B, C
+    and D of _coeffs as lists of floats.  Raises EvalError where sample does."""
     jets = sample(xs, T.phi.first_order, T.psi.first_order)
     phi, psi = jets
     with np.errstate(over="ignore", invalid="ignore"):  # like Python floats
         columns = _coeffs(T.n, xs, phi[0], phi[1], psi[0], psi[1])
-    return jets[:, 0], list(zip(*(c.tolist() for c in columns)))
+    return jets[:, 0], [c.tolist() for c in columns]
 
 
 def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float):
@@ -411,9 +411,10 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float):
     P[1::2] = t + h / 2
     pts = P.tolist()
     try:
-        values, rows = _sampled_rows(T, P)
+        values, columns = _sampled_columns(T, P)
     except EvalError:
         return pts, None, [], list(range(m))
+    rows = list(zip(*columns))
     # _capped_step's rule, over the whole block
     uniform = (
         (h <= np.maximum(0.25 * t, 1e-3 * step))
@@ -501,8 +502,8 @@ def integrate_separatrix(
         Stops before the first step whose trial is not plain (Q > 0, and a
         projected p of unchanged sign and finite |F|) and returns
         (i, t, w, p, drift, trial), trial being that step's (p_try, Q), p_try
-        projected if Q > 0, or None at stop.  A stage at the fold raises
-        _Halt before the next row is read.
+        projected if Q > 0 and not both are infinite, or None at stop.  A
+        stage at the fold raises _Halt before the next row is read.
         """
         while True:
             a, _, c, d = rows[i]
@@ -545,6 +546,8 @@ def integrate_separatrix(
             pp = p_try * p_try
             resid = abs(Q - pp)
             if not (resid <= tol or resid <= 8.0 * _EPS * (abs(Q) + pp + 1e-300)):
+                if resid != resid:  # inf - inf: an overflowed trial, as below
+                    return i, t, w, p, drift, (p_try, Q)
                 work["newton_projections"] += 1
                 p_try, resid = _project_p(P[i + 2], Q, p_try, tol)
             if not p_try * p > 0.0:
@@ -567,37 +570,35 @@ def integrate_separatrix(
 
     def record_values(values, base, strays):
         """Append phi and psi at the samples recorded since the last call:
-        ts[base] lies at P[0], so ts[base + j] is P[2j], unless the general
-        path ended that sample off its target (j in strays).  Those
-        samples, and every sample of a block whose sample raised, are
-        evaluated again, point by point; that raises nothing, as the steps
-        have read the row of each."""
+        ts[base] lies at P[0], so ts[base + j] is P[2j] and takes the block's
+        values there, unless the general path ended it off its target or
+        the block's sample raised; then strays[j] holds them."""
         lo, hi = len(phis) - base, len(ts) - base
-        if values is None:
-            new, strays = np.empty((2, hi - lo)), range(lo, hi)
-        else:
-            new = values[:, 2 * lo : 2 * hi - 1 : 2]
-        for j in strays:
-            new[:, j - lo] = _target_row(T, ts[base + j])[::2]
+        new = np.empty((2, hi - lo)) if values is None else values[:, 2 * lo : 2 * hi - 1 : 2]
+        for j, x in strays.items():
+            new[:, j - lo] = x
         phis.frombytes(new[0].tobytes())
         psis.frombytes(new[1].tobytes())
 
     def scalar_row(x):
-        """The _coeffs row at x, sampled point by point."""
+        """The _coeffs row at x, then phi and psi there, sampled point by point."""
         work["scalar_rows"] += 1
-        return _coeffs(n, x, *_target_row(T, x))
+        phi, dphi, psi, dpsi = _target_row(T, x)
+        return (*_coeffs(n, x, phi, dphi, psi, dpsi), phi, psi)
 
     def prefetch(t, target, k):
         """The rows of the sub-steps from t to target k of the block, keyed
         by abscissa: the block's rows at P[2k..2k+2], then the rest from one
         sample.  A row missing there (that sample raised, or a sub-step was
-        halved) is read by scalar_row, and kept until the next target."""
+        halved) is read by scalar_row, and kept until the next target.  The
+        rows not from the block end in phi and psi, for record_values."""
         off = _Memo(scalar_row)
         off.update(zip(P[2 * k : 2 * k + 3], rows[2 * k : 2 * k + 3]))
         xs = [x for x in _substep_abscissae(t, target, step) if x not in off]
         if xs:
             try:
-                off.update(zip(xs, _sampled_rows(T, np.array(xs))[1]))
+                phi_psi, columns = _sampled_columns(T, np.array(xs))
+                off.update(zip(xs, zip(*columns, *phi_psi.tolist())))
             except EvalError:
                 pass
         return off
@@ -609,13 +610,13 @@ def integrate_separatrix(
         while True:
             P3 = (t, t + h / 2, t + h)
             i, t1, w1, p1, drift, trial = rk4(
-                P3, _Memo(lambda j: off[P3[j]]), 0, 2, t, w, p, h, drift, False
+                P3, _Memo(lambda j: off[P3[j]][:4]), 0, 2, t, w, p, h, drift, False
             )
             if i:
                 return t1, w1, p1, drift
             p_try, Q = trial
             if Q > 0.0:
-                if p_try * p > 0.0:  # _project_p met an infinite Q or p
+                if p_try * p > 0.0:  # an infinite Q or p_try
                     raise overflow(t)
                 # Near the saddle the p equation is stiff: an RK4 predictor
                 # can overshoot p through 0 and the projection then lands on
@@ -654,7 +655,7 @@ def integrate_separatrix(
             P, values, rows, runs = _grid_block(
                 T, targets[b - 1] if b else t0, targets[b : b + _GRID_BLOCK], step
             )
-            base, strays = len(ts) - 1, []
+            base, strays = len(ts) - 1, {}
             k = 0
             while k < len(runs):
                 if runs[k] > k and t == P[2 * k]:
@@ -668,6 +669,8 @@ def integrate_separatrix(
                             break
                 target = P[2 * k + 2]
                 off = prefetch(t, target, k)
+                if values is None and not (phis or k):  # the seed, whose row is read first
+                    strays[0] = off[t][4:]
                 # only the targets are recorded
                 while (h := _capped_step(t, target, step)) is not None:
                     t, w, p, drift = substep(t, w, p, h, drift)
@@ -675,8 +678,8 @@ def integrate_separatrix(
                 ts.append(t)
                 ws.append(w)
                 ps.append(p)
-                if t != target:
-                    strays.append(k + 1)
+                if t != target or values is None:  # from the last sub-step's row
+                    strays[k + 1] = off[t][4:]
                 k += 1
             record_values(values, base, strays)
     except _Halt as halt:

@@ -118,23 +118,16 @@ def _scan(name: str, e: Expr, ts: np.ndarray):
     The defect is (t, what), what being the EvalError raised at t or the
     reason the tensor is singular at t: a non-finite value or first
     derivative, a zero, or a sign change (bisected to width 1e-10); it is
-    None when e has none.  e is evaluated to first order, and only a failing
-    sample evaluates it a second time, to find where it fails.
+    None when e has none.  e is evaluated to first order, once at each t up
+    to the first that fails, as a failing sample keeps the jets before it.
     """
     defect = None
     e = e.first_order
     try:
         vals, d1 = sample(ts, e)[0]
     except EvalError as err:
-        jets = []
-        for t in ts:
-            try:
-                jets.append(eval_jet2(e, t))
-            except EvalError:
-                break
-        defect = (float(ts[len(jets)]), err)
-        vals = np.array([j.v for j in jets])
-        d1 = np.array([j.d1 for j in jets])
+        vals, d1 = err.jets[0]
+        defect = (float(ts[vals.size]), err)
     neg = vals < 0
     hits = ~np.isfinite(vals) | ~np.isfinite(d1) | (vals == 0.0)
     hits[1:] |= neg[1:] != neg[:-1]

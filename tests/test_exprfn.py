@@ -28,7 +28,6 @@ from riccisym.exprfn import (
     Sub,
     Var,
     eval_jet2,
-    jet_grid,
     parse,
     sample,
     unparse,
@@ -414,14 +413,14 @@ def test_a_failure_only_in_d2_does_not_stop_a_first_order_jet():
     with pytest.raises(EvalError, match=r"^overflow in '\(1e\+160\*t\)\^2' at t=1e-160$"):
         eval_jet2(e, 1e-160)
     assert sample([1e-160], e.first_order).tolist() == [[[1.0], [2e160]]]
-    assert jet_grid(e, [1e-160]) is None
+    assert _array_jets(e, [1e-160]) is None
 
 
 def test_evaluated_expr_pickles_copies_and_hashes_like_a_fresh_parse():
     for src in ("3*cos(t)^2 + t^4/(1+t^2)", "t", "1e999"):
         used, fresh = parse(src), parse(src)
         eval_jet2(used, 0.3)
-        jet_grid(used, [0.3, 0.4])
+        sample([0.3, 0.4], used)
         eval_jet2(used.first_order, 0.3)
         assert used == fresh and hash(used) == hash(fresh)
         assert pickle.dumps(used) == pickle.dumps(fresh)
@@ -437,14 +436,22 @@ def _bits(x):
     return "nan" if math.isnan(x) else float.hex(x)
 
 
+def _array_jets(e, ts):
+    """The jet arrays of e over ts from the array kernel that sample tries
+    first, or None where it declines and sample goes point by point."""
+    ts = np.asarray(ts, dtype=float)
+    out = np.empty((1, 2 if isinstance(e, exprfn.FirstOrder) else 3, ts.size))
+    return tuple(out[0]) if exprfn._jets_into(out, (e,), ts) else None
+
+
 @settings(max_examples=500)
 @given(_exprs, st.lists(_ts, min_size=1, max_size=16))
 def test_grid_kernel_is_bit_equal_or_declines(e, ts):
-    jet = jet_grid(e, ts)
+    jet = _array_jets(e, ts)
     if jet is None:
-        return  # callers evaluate point by point with eval_jet2
+        return  # sample evaluates point by point with eval_jet2
     for x in jet:
-        assert x.shape == (len(ts),) and not x.flags.writeable
+        assert x.shape == (len(ts),)
     for i, t in enumerate(ts):
         j = eval_jet2(e, t)  # an array result promises the scalar kernel does not raise
         assert tuple(_bits(float(x[i])) for x in jet) == tuple(map(_bits, (j.v, j.d1, j.d2)))
@@ -470,7 +477,7 @@ def test_grid_kernel_is_bit_equal_or_declines(e, ts):
 def test_grid_kernel_serves_the_reference_targets(src, t_max):
     # the fast path must not switch itself off on the benchmark targets
     ts = np.linspace(-t_max, t_max, 2001)
-    jet = jet_grid(parse(src), ts)
+    jet = _array_jets(parse(src), ts)
     assert jet is not None
     ref = np.array([tuple(vars(eval_jet2(parse(src), t)).values()) for t in ts])
     assert np.array_equal(np.column_stack(jet), ref)
@@ -492,7 +499,7 @@ def test_grid_kernel_declines_where_the_scalar_kernel_raises():
     )
     for src, t in cases:
         ts = [0.5, t, 2.0]
-        assert jet_grid(parse(src), ts) is None
+        assert _array_jets(parse(src), ts) is None
         with pytest.raises(EvalError):
             eval_jet2(parse(src), t)
         first = next(o for o in (_outcome(eval_jet2, parse(src), x) for x in ts) if o[0] is EvalError)
@@ -550,11 +557,11 @@ def _libm_values(src):
 )
 def test_grid_kernel_calls_libm_on_every_element(src, libm, monkeypatch):
     e = parse(src)
-    grid = np.column_stack(jet_grid(e, _DENSE))
+    grid = np.column_stack(_array_jets(e, _DENSE))
     scalar = np.array([(j.v, j.d1, j.d2) for j in map(eval_jet2, repeat(e), _DENSE.tolist())])
     assert np.isfinite(grid).all()
     for i, c in zip(*np.nonzero(grid.view(np.int64) != scalar.view(np.int64))):
-        pytest.fail(f"t={_DENSE[i]!r}: jet_grid {float.hex(grid[i, c])} != eval_jet2 {float.hex(scalar[i, c])}")
+        pytest.fail(f"t={_DENSE[i]!r}: array kernel {float.hex(grid[i, c])} != eval_jet2 {float.hex(scalar[i, c])}")
     values = np.array(_libm_values(src))
     for i in np.flatnonzero(grid[:, 0].view(np.int64) != values.view(np.int64)):
         pytest.fail(f"t={_DENSE[i]!r}: value {float.hex(grid[i, 0])} != libm {float.hex(values[i])}")
@@ -562,7 +569,7 @@ def test_grid_kernel_calls_libm_on_every_element(src, libm, monkeypatch):
     # so only the calls show that libm, not a ufunc, computed each element
     spy = _CountingMath()
     monkeypatch.setattr(exprfn, "math", spy)
-    jet_grid(parse(src), _DENSE)
+    _array_jets(parse(src), _DENSE)
     assert {name for name, count in spy.calls.items() if count >= _DENSE.size} == libm
 
 
@@ -577,7 +584,7 @@ def test_first_power_is_the_base_jet():
     )
     for src, same, t in cases:
         assert eval_jet2(parse(src), t) == eval_jet2(parse(same), t)
-        grid, ref = jet_grid(parse(src), [t, 2.0]), jet_grid(parse(same), [t, 2.0])
+        grid, ref = _array_jets(parse(src), [t, 2.0]), _array_jets(parse(same), [t, 2.0])
         assert grid is not None and all(map(np.array_equal, grid, ref))
 
 
@@ -600,6 +607,12 @@ def test_sample_is_bit_equal_or_raises_the_first_scalar_error(exprs, ts):
         with pytest.raises(error[0]) as err:
             sample(ts, *exprs)
         assert str(err.value) == error[1]
+        # with the jets of the abscissae before the failing one
+        k = next(j for j, row in enumerate(scalar) if error in row)
+        jets = err.value.jets
+        assert jets.shape == (len(exprs), 3, k)
+        assert [[tuple(map(_bits, jets[i, :, j].tolist())) for i in range(len(exprs))]
+                for j in range(k)] == scalar[:k]
 
 
 def test_sample_raises_at_the_first_failing_abscissa():
@@ -617,11 +630,28 @@ def test_sample_raises_at_the_first_failing_abscissa():
     assert str(err.value) == "division by zero in '1/(t - 3)' at t=3.0"
 
 
+def test_a_raising_sample_keeps_the_jets_of_one_and_of_two_expressions():
+    # the jets before the failing abscissa are eval_jet2's, bit for bit, to
+    # each expression's own order
+    phi, psi = parse("1/(t - 3)"), parse("log(2 - t)")
+    ts = np.linspace(0.0, 4.0, 5)
+    for exprs, first_failing in (((phi,), 3), ((phi.first_order,), 3), ((psi, phi), 2),
+                                 ((phi.first_order, psi), 2)):
+        with pytest.raises(EvalError) as err:
+            sample(ts, *exprs)
+        jets = err.value.jets
+        assert jets.shape == (len(exprs), 2 if exprs == (phi.first_order,) else 3, first_failing)
+        for i, e in enumerate(exprs):
+            for k, t in enumerate(ts[:first_failing].tolist()):
+                got = tuple(map(_bits, jets[i, :, k].tolist()))
+                assert got + ("nan",) * (3 - len(got)) == _outcome(eval_jet2, e, t)
+    assert EvalError("text").jets is None
+
 
 @pytest.mark.parametrize("ts", [[0.5, 1.0], [0.5, 1e-200]], ids=["arrays", "point by point"])
 def test_a_first_order_among_second_order_expressions_has_a_nan_d2(ts):
     e, f = parse("1e-200*t^2"), parse("sin(t)")
-    assert (jet_grid(e, ts) is None) == (ts[1] == 1e-200)  # t^2 underflows
+    assert (_array_jets(e, ts) is None) == (ts[1] == 1e-200)  # t^2 underflows
     got = sample(ts, e, f.first_order)
     assert got.shape == (2, 3, 2)
     for k, t in enumerate(ts):
@@ -634,20 +664,20 @@ def test_a_first_order_among_second_order_expressions_has_a_nan_d2(ts):
     "call, shape",
     [
         (lambda: sample(0.5, parse("exp(t)")), "()"),
-        (lambda: jet_grid(parse("t"), 0.5), "()"),
+        (lambda: sample(0.5, parse("t")), "()"),
         (lambda: sample([[0.1, 0.2]], parse("t")), "(1, 2)"),
     ],
 )
-def test_sample_and_jet_grid_reject_abscissae_that_are_not_1d(call, shape):
+def test_sample_rejects_abscissae_that_are_not_1d(call, shape):
     with pytest.raises(ValueError, match=rf"1-d array, got shape {re.escape(shape)}$"):
         call()
 
 
 def test_numbers_and_arrays_share_one_compiled_kernel():
     e = parse("sin(t)*t^2 - 1/(2 + t)")
-    jet_grid(e, [0.1, 0.2])
+    sample([0.1, 0.2], e)
     kernel = e._kernel
-    assert eval_jet2(e, 0.2) == Jet2(*(float(x[1]) for x in jet_grid(e, [0.1, 0.2])))
+    assert eval_jet2(e, 0.2) == Jet2(*sample([0.1, 0.2], e)[0, :, 1].tolist())
     assert e._kernel is kernel and set(vars(e)) == {"lhs", "rhs", "_kernel"}
     # the leaf for t keeps a scalar abscissa as given in error texts
     with pytest.raises(EvalError, match=r"at t=0$"):

@@ -97,30 +97,37 @@ def test_every_private_helper_is_read():
     assert dead_helpers(sources) == []
 
 
-def names_jet_grid(source: str) -> bool:
-    """Whether the module names jet_grid: imports it, reads it, or reads exprfn.jet_grid."""
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.alias) and node.name == "jet_grid":
-            return True
-        if isinstance(node, ast.Name) and node.id == "jet_grid":
-            return True
-        if isinstance(node, ast.Attribute) and node.attr == "jet_grid":
-            return True
-    return False
+def readers(source: str, name: str) -> list[str]:
+    """The top-level definitions of the module that read name, as a name, an
+    attribute or an import, at any depth of their code; "<module>" for each
+    top-level statement outside a definition that does."""
+    found = []
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name
+                    or isinstance(node, ast.alias) and node.name == name):
+                found.append(getattr(stmt, "name", "<module>"))
+                break
+    return found
 
 
 def test_the_check_finds_a_grid_evaluator():
-    assert names_jet_grid("from .exprfn import jet_grid as grid\n")
-    assert names_jet_grid("from . import exprfn\ndef f(e, ts):\n    return exprfn.jet_grid(e, ts)\n")
-    assert not names_jet_grid("from .exprfn import sample\ndef f(e, ts):\n    return sample(ts, e)\n")
+    assert readers("from .exprfn import _jets_into as fill\n", "_jets_into") == ["<module>"]
+    source = "from . import exprfn\ndef f(e, ts):\n    def g():\n"
+    source += "        return exprfn._jets_into(None, (e,), ts)\n    return g()\n"
+    assert readers(source, "_jets_into") == ["f"]
+    source = "def _jets_into(out, exprs, ts):\n    return True\n"
+    source += "def sample(ts, *exprs):\n    return _jets_into(None, exprs, ts)\n"
+    assert readers(source, "_jets_into") == ["sample"]
 
 
 def test_sample_is_the_only_grid_evaluator():
-    # exprfn.sample is the one way to evaluate an expression over a grid;
-    # jet_grid, which returns None where sample falls back, stays inside exprfn
-    naming = [p.stem for p in PACKAGE.glob("*.py")
-              if p.stem != "exprfn" and names_jet_grid(p.read_text())]
-    assert naming == []
+    # exprfn.sample is the one way to evaluate an expression over a grid:
+    # the array kernel's runner, _jets_into, has no caller but sample
+    found = [f"{p.stem}.{where}" for p in sorted(PACKAGE.glob("*.py"))
+             for where in readers(p.read_text(), "_jets_into")]
+    assert found == ["exprfn.sample"]
 
 
 POOL_MODULES = ("concurrent.futures", "multiprocessing")

@@ -11,7 +11,7 @@ from conftest import traced_peak
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 
 from riccisym import pipeline, potential, reconstruct, rotsym
-from riccisym.exprfn import EvalError, eval_jet2, jet_grid, parse
+from riccisym.exprfn import EvalError, eval_jet2, parse, sample
 from riccisym.potential import (
     GlobalReport,
     PotentialCurve,
@@ -400,9 +400,14 @@ def test_integrate_step_halving_fourth_order():
         ("1e9", "1e9", 1.0, 1e-3, 34, "overflow",
          "w or p left the float range past t = 0.033; "
          "last sample t = 0.033, w = 2.78082e+146, p = 6.21811e+150"),
+        # the trial's Q and p both overflow, so Q - p^2 is NaN; this used to
+        # go to the projection and end in "did not converge (|F| = nan)"
+        ("exp(t)", "exp(t)", 30.0, 1.0, 21, "overflow",
+         "w or p left the float range past t = 20; "
+         "last sample t = 20, w = 1.53142e+136, p = 2.3852e+140"),
     ],
     ids=["sign_flip", "region_boundary", "fold_reached", "surface_exit", "small_F_p",
-         "overflow"],
+         "overflow", "overflow_trial"],
 )
 def test_integrate_halt_branches(phi, psi, t_max, step, size, reason, detail):
     _, curve = solve_branch(_surface(3, phi, psi, t_max=t_max), step=step)
@@ -959,6 +964,32 @@ def test_a_block_whose_sample_raises_is_read_lazily(monkeypatch):
     assert curve.work["scalar_rows"] == 6
 
 
+def test_a_declined_block_evaluates_no_sample_again(monkeypatch):
+    # with sample raising for the block that holds t = 3, the samples of
+    # that block take phi and psi from the rows their sub-steps read, so
+    # the only point-by-point evaluations are the counted scalar rows
+    S = _surface(3, "1", "1", 10.0)
+    step = 1e-3
+    seed = seed_separatrix(S, saddle_report(S), seed_offset(10.0, step))
+    real, row, calls = potential.sample, potential._target_row, []
+
+    def raising(ts, *exprs):
+        if ts[0] <= 3.0 <= ts[-1]:
+            raise EvalError("declined")
+        return real(ts, *exprs)
+
+    def counting(T, t):
+        calls.append(t)
+        return row(T, t)
+
+    monkeypatch.setattr(potential, "sample", raising)
+    monkeypatch.setattr(potential, "_target_row", counting)
+    curve = integrate_separatrix(S, seed, step, 10.0)
+    assert curve.halt_reason == "t_end" and curve.work["other_steps"] == 268
+    assert len(calls) == curve.work["scalar_rows"] == 6
+    assert_carries_target_values(S, curve)
+
+
 def test_integration_memory_is_bounded_per_sample():
     # the targets and the samples are float64 buffers: about 60 bytes a sample
     S = _surface(3, "1", "1", 1.0)
@@ -1004,9 +1035,9 @@ def _ref_grid_block(T, prev, targets):
         pts.append(prev + (target - prev) / 2)
         pts.append(target)
         prev = target
-    phi = jet_grid(T.phi, pts)
-    psi = None if phi is None else jet_grid(T.psi, pts)
-    if psi is None:
+    try:
+        phi, psi = sample(pts, T.phi.first_order, T.psi.first_order)
+    except EvalError:
         return {}
     with np.errstate(over="ignore", invalid="ignore"):
         rows = potential._coeffs(T.n, np.array(pts), phi[0], phi[1], psi[0], psi[1])

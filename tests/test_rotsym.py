@@ -92,6 +92,27 @@ def test_definiteness_samples_each_component_once(monkeypatch):
     assert calls == [T.phi.first_order, T.psi.first_order] and scalar == []
 
 
+def test_a_failing_scan_evaluates_each_abscissa_at_most_once():
+    # the sample's fallback meets the failing abscissa after 64 jets and
+    # keeps them, so the scan does not walk them a second time
+    psi = parse("1 + 0*log(0.5 - t)")
+    first, kernel, scalar = psi.first_order, psi.first_order._kernel, []
+
+    def counting(t):
+        if not isinstance(t, np.ndarray):
+            scalar.append(t)
+        return kernel(t)
+
+    first._kernel = counting
+    ts = np.linspace(0.0, 2.0, rotsym.DEFINITENESS_GRID)
+    v0, (t, err) = rotsym._scan("psi", psi, ts)
+    assert v0 == 1.0 and t == ts[64] == 0.5019607843137255
+    assert str(err) == (
+        "log of non-positive value -0.0019607843137254832 in 'log(0.5 - t)' at t=0.5019607843137255"
+    )
+    assert len(scalar) == len(set(scalar)) == 65
+
+
 # ---------------------------------------------------------------------------
 # forward Ricci map
 
