@@ -24,16 +24,18 @@ portrait leaves no output file.
 Outputs are deterministic: CSV with a header row, 17 significant digits,
 '.' decimal separator and LF line endings.
 
-Tables stream: every CSV is written from its float64 columns CHUNK_ROWS rows
-at a time, so the Python objects alive while a file is written do not grow
-with its row count, and verify counts a profile's fields in READ_CHARS
-reads.  What stays in memory is the arrays a command computes and, for
-verify, the parsed columns it checks.
+Tables stream: every CSV is written from its columns by one numpy kernel,
+CHUNK_ROWS rows at a time, each float cell byte for byte as
+format(x, '.17g') and each label as its bytes, so what a file's writing
+holds does not grow with its row count; verify counts a profile's fields
+in READ_CHARS reads.  What stays in memory is the arrays a command computes
+and, for verify, the parsed columns it checks.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -175,48 +177,202 @@ def _validate_common(cfg: ProblemConfig):
 # deterministic CSV emission
 
 
-# _rows converts this many rows to Python floats at a time; verify reads
-# a profile this many characters at a time
-CHUNK_ROWS = 4096
+# write_csv formats this many rows at a time; verify reads a profile this
+# many characters at a time
+CHUNK_ROWS = 1024
 READ_CHARS = 1 << 16
 
 
-def write_csv(path: Path, header, rows):
+def write_csv(path: Path, header, blocks):
     """Write the CSV under a temporary name and rename it into place, so a
-    failure while rows are produced leaves no partial file at path.
+    failure while blocks are produced leaves no partial file at path.
 
-    rows may be any iterable and is consumed once, row by row, so a lazy
-    source such as _rows keeps no more than its current chunk alive.  The
-    first row fixes one '%' template for the file: a str cell is copied and
-    any other cell is written as '%.17g', which is format(float(x), '.17g').
+    blocks is an iterable of column tuples, consumed once; the rows of each
+    block follow those of the block before it.  A block holds equal-length
+    1-D columns: a label column is a numpy 'S' array, written as its bytes,
+    and any other is read as float64 and written as format(float(x), '.17g').
+    Each block is formatted CHUNK_ROWS rows at a time by _csv_rows.
     """
     tmp = path.with_name(path.name + ".tmp")
-    rows = iter(rows)
     try:
-        with open(tmp, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            first = next(rows, None)
-            if first is not None:
-                fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
-                fh.write(fmt % tuple(first))
-                fh.writelines(fmt % tuple(row) for row in rows)
+        with open(tmp, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            for block in blocks:
+                columns = [c if c.dtype.kind == "S" else np.asarray(c, np.float64)
+                           for c in map(np.asarray, block)]
+                for start in range(0, len(columns[0]), CHUNK_ROWS):
+                    fh.write(_csv_rows([c[start:start + CHUNK_ROWS] for c in columns]))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _rows(*columns):
-    """The rows of equal-length 1-D arrays as tuples of Python floats,
-    converted CHUNK_ROWS rows at a time."""
-    for start in range(0, len(columns[0]), CHUNK_ROWS):
-        yield from zip(*(column[start:start + CHUNK_ROWS].tolist() for column in columns))
+# Each float cell is formatted into a 48-byte slot of six little-endian
+# uint64 words: the sign and the "0.000" lead of 0.000ddd (bytes 0-5), 17
+# digits each followed by a '.' slot (6-39), "e+ddd" (40-44), the separator
+# (45) and two bytes of padding.  Bytes a cell does not use stay NUL, and a
+# chunk's slots become its CSV text with one bytes.translate that deletes
+# them: compacting cell by cell was several times slower.
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
+_POW10_SPAN = 300  # the table holds 10**k for |k| <= _POW10_SPAN
 
 
-def _solution_rows(sol):
+def _word(text: bytes, at: int = 0) -> int:
+    """The uint64 whose little-endian bytes hold text from byte at."""
+    return int.from_bytes(text, "little") << 8 * at
+
+
+@functools.cache  # built on the first write, not at import
+def _tables():
+    """(pow10, quads, zeros, keep, dots, first, lead, exps).
+
+    pow10[:, _POW10_SPAN + k] holds hi, lo and hi's two Veltkamp halves,
+    where hi + lo is 10**k to about 2**-106, relative; int true division
+    rounds exactly.  For a 4-digit group g, quads[g] holds its digits in
+    their slots of one word and zeros[g] its trailing zeros (4 for g = 0).
+    Indexed by the last digit written, keep holds the masks of words 1-4;
+    by the digit the point follows (17 for none), dots holds words 0-4 with
+    that '.'; first[d] is word 0 with the leading digit d, lead[n] with the
+    first n bytes of "0.000", and exps[x + 400] is the "e+ddd" word of the
+    decimal exponent x.
+    """
+    pow10 = []
+    for k in range(-_POW10_SPAN, _POW10_SPAN + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den
+        m, d = hi.as_integer_ratio()
+        t = _SPLIT * hi
+        half = t - (t - hi)
+        pow10.append((hi, (num * d - m * den) / (den * d), half, hi - half))
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    quads = np.zeros((10_000, 8), np.uint8)
+    quads[:, ::2] = ord("0") + digits
+    zeros = np.full(10_000, 4)
+    for c in range(4):  # the last nonzero digit decides
+        zeros[digits[:, c] != 0] = 3 - c
+    slots = np.arange(17)
+    keep = np.zeros((17, 17, 2), np.uint8)  # digit i and its '.' slot, kept up to last
+    keep[slots[:, None] >= slots] = 0xFF
+    dots = np.zeros((18, 40), np.uint8)
+    dots[slots, 7 + 2 * slots] = ord(".")
+    u8 = np.dtype("<u8")
+    return (
+        np.array(pow10).T.copy(),
+        quads.view(u8)[:, 0],
+        zeros,
+        keep.reshape(17, 34)[:, 2:].copy().view(u8),
+        dots.view(u8),
+        np.array([_word(b"%d" % d, 6) for d in range(10)], u8),
+        np.array([_word(b"0.000"[:n], 1) for n in range(6)], u8),
+        np.array([_word(b"e%+0*d" % (4 if abs(x) >= 100 else 3, x)) for x in range(-400, 401)], u8),
+    )
+
+
+def _scaled(a, X, pow10):
+    """a * 10**(16 - X) as p + c: p = fl(a * hi) and c the rest, exact to
+    about 1e-14 for p below 2**57, from Dekker's two-product."""
+    hi, lo, bh, bl = np.take(pow10, _POW10_SPAN + 16 - X, axis=1)
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    p = a * hi
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl) + a * lo
+
+
+def _decimal(x, pow10):
+    """(N, X): the 17 significant digits of each |x| as an int64 and its
+    decimal exponent, so |x| rounds to N * 10**(X - 16); (0, 0) for 0, inf
+    and NaN.
+
+    N is the product |x| * 10**(16 - X), held to about 1e-14 and rounded half
+    to even.  A cell outside [1e-280, 1e280], where a factor of that product
+    leaves the float range, or within 1e-9 of a half, where the rounding is
+    not decided, takes its digits from '%.16e', which rounds the same 17
+    digits exactly.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a = np.where(fast, a, 1.0)
+    X = np.floor(np.log10(a)).astype(np.int64)
+    p, c = _scaled(a, X, pow10)
+    # log10 may round across a power of ten: put the product in [1e16, 1e17)
+    shift = ((p - 1e17) + c >= 0).astype(np.int64) - ((p - 1e16) + c < 0)
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        X[moved] += shift[moved]
+        p[moved], c[moved] = _scaled(a[moved], X[moved], pow10)
+    r = np.rint(c)  # p is an even integer, so p + rint(c) rounds p + c half to even
+    N = p.astype(np.int64) + r.astype(np.int64)
+    top = N == 10**17
+    N[top] = 10**16
+    X += top
+    for i in np.flatnonzero(~fast | (np.abs(np.abs(c - r) - 0.5) < 1e-9)):
+        v = abs(float(x[i]))
+        if v == 0.0 or not v < math.inf:
+            N[i] = X[i] = 0
+        else:
+            s = "%.16e" % v
+            N[i], X[i] = int(s[0] + s[2:18]), int(s[19:])
+    return N, X
+
+
+_NAN, _INF = _word(b"nan", 1), _word(b"inf", 1)
+_MINUS, _NUL = np.uint64(ord("-")), np.uint64(0)
+
+
+def _float_slots(x, seps):
+    """The (rows, columns, 6) words of a (rows, columns) float64 chunk, each
+    slot ending in its column's separator word in seps."""
+    pow10, quads, zeros, keep, dots, first, lead, exps = _tables()
+    shape, x = x.shape, x.ravel()
+    N, X = _decimal(x, pow10)
+    q, g4 = np.divmod(N, 10_000)
+    q, g3 = np.divmod(q, 10_000)
+    q, g2 = np.divmod(q, 10_000)
+    d0, g1 = np.divmod(q, 10_000)
+    tz = np.take(zeros, g4)
+    for j, g in enumerate((g3, g2, g1), 1):
+        tz = np.where(tz == 4 * j, 4 * j + np.take(zeros, g), tz)
+    k = 16 - tz  # the last nonzero digit, 0 for a zero
+    fixed = (X >= -4) & (X < 17)  # '%g' writes ddd.ddd or 0.000ddd, else d.ddde+XX
+    point = np.where(fixed, X, 0)  # the digit the point follows
+    words = np.empty((x.size, 6), np.dtype("<u8"))
+    words[:, :5] = np.take(dots, np.where((k > point) & (point >= 0), point, 17), axis=0)
+    sign = np.where(np.signbit(x) & (x == x), _MINUS, _NUL)  # '%g' writes NaN unsigned
+    words[:, 0] |= np.take(lead, np.where(fixed & (X < 0), 1 - X, 0)) | np.take(first, d0) | sign
+    words[:, 1:5] |= np.take(quads, np.stack((g1, g2, g3, g4), axis=1))
+    words[:, 1:5] &= np.take(keep, np.maximum(k, point), axis=0)
+    words[:, 5] = np.where(fixed, 0, np.take(exps, X + 400))
+    odd = np.flatnonzero(~np.isfinite(x))  # laid out as 0: keep the sign, replace the "0"
+    words[odd, 0] = (words[odd, 0] & 0xFF) | np.where(np.isnan(x[odd]), _NAN, _INF).astype(np.uint64)
+    words = words.reshape(*shape, 6)
+    words[..., 5] |= seps
+    return words
+
+
+def _csv_rows(columns) -> bytes:
+    """The CSV lines of equal-length columns, float64 or 'S' labels."""
+    seps = [b","] * (len(columns) - 1) + [b"\n"]
+    floats = [j for j, c in enumerate(columns) if c.dtype.kind != "S"]
+    slots = [None] * len(columns)
+    if floats:
+        words = np.array([_word(seps[j], 5) for j in floats], np.dtype("<u8"))
+        cells = _float_slots(np.stack([columns[j] for j in floats], axis=1), words).view(np.uint8)
+        if len(floats) == len(columns):
+            return cells.tobytes().translate(None, b"\0")
+        for i, j in enumerate(floats):
+            slots[j] = cells[:, i]
+    for j, c in enumerate(columns):
+        if slots[j] is None:  # a label: its NUL-padded bytes, then the separator
+            slots[j] = np.char.add(c, seps[j]).view(np.uint8).reshape(len(c), -1)
+    return np.concatenate(slots, axis=1).tobytes().translate(None, b"\0")
+
+
+def _solution_columns(sol):
     recon = sol.recon
     profile = recon.profile
-    return _rows(
+    return (
         profile.grid, recon.w, recon.p, profile.r, profile.rp, profile.f, profile.fp,
         recon.res_rr, recon.res_tt,
     )
@@ -260,7 +416,7 @@ def _cmd_solve(cfg: ProblemConfig) -> int:
         t_lo=cfg.t_lo,
         constraint_tol=cfg.constraint_tol,
     )
-    write_csv(_output(cfg, "_solution.csv"), SOLUTION_HEADER, _solution_rows(sol))
+    write_csv(_output(cfg, "_solution.csv"), SOLUTION_HEADER, [_solution_columns(sol)])
     _output(cfg, "_report.txt").write_text(solution_summary(sol))
     return 0
 
@@ -286,7 +442,7 @@ def _cmd_analyze(cfg: ProblemConfig) -> int:
     fold = _fold_points(T, cfg)
     # both outputs are computed before either is written, so a failure leaves neither
     _output(cfg, "_analysis.txt").write_text("\n".join(lines) + "\n")
-    write_csv(_output(cfg, "_fold.csv"), ("t", "w_lower", "w_upper"), _rows(*fold))
+    write_csv(_output(cfg, "_fold.csv"), ("t", "w_lower", "w_upper"), [fold])
     return 0
 
 
@@ -310,16 +466,13 @@ def _cmd_portrait(cfg: ProblemConfig) -> int:
     t_fold, lower, upper = _fold_points(T, cfg)
     (phi, dphi), (psi, dpsi) = sample(t_fold, T.phi.first_order, T.psi.first_order)
     ws = np.stack((lower, upper))
-    F_lower, F_upper = potential.surface_terms(T.n, t_fold, ws, 0.0, phi, dphi, psi, dpsi)[0]
-
-    def rows():
-        for row in _rows(curve.t, curve.w, curve.p, F_sep):
-            yield ("separatrix", *row)
-        for t, w_lower, w_upper, F_l, F_u in _rows(t_fold, lower, upper, F_lower, F_upper):
-            yield ("fold_lower", t, w_lower, 0.0, F_l)
-            yield ("fold_upper", t, w_upper, 0.0, F_u)
-
-    write_csv(_output(cfg, "_portrait.csv"), ("branch", "t", "w", "p", "F"), rows())
+    F_fold = potential.surface_terms(T.n, t_fold, ws, 0.0, phi, dphi, psi, dpsi)[0]
+    # the separatrix rows, then a fold_lower and a fold_upper row at each fold t
+    separatrix = (np.broadcast_to(np.array(b"separatrix"), curve.t.shape), curve.t, curve.w,
+                  curve.p, F_sep)
+    fold = (np.tile(np.array([b"fold_lower", b"fold_upper"]), t_fold.size), np.repeat(t_fold, 2),
+            ws.T.ravel(), np.zeros(2 * t_fold.size), F_fold.T.ravel())
+    write_csv(_output(cfg, "_portrait.csv"), ("branch", "t", "w", "p", "F"), (separatrix, fold))
     return 0
 
 
@@ -333,7 +486,7 @@ def _cmd_hypersurface(cfg: ProblemConfig) -> int:
     write_csv(
         _output(cfg, "_hypersurface.csv"),
         ("r", "f", "ric_rr", "ric_tt_unit", "h1", "h2", "scalar"),
-        _rows(*table.T),
+        [table.T],
     )
     return 0
 

@@ -383,7 +383,7 @@ def _sampled_columns(T: RotSymTensor, xs: np.ndarray):
     return jets[:, 0], [c.tolist() for c in columns]
 
 
-def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float):
+def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, start=None):
     """The _coeffs rows that uniform steps read on their way through targets,
     and where those steps run.
 
@@ -397,10 +397,12 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float):
     if none).
 
     The rows come from one first-order sample over P, and values holds its
-    phi and psi values, shape (2, len(P)).  The block looks ahead, so it
-    must not raise at a t the solve may never reach: where sample raises,
-    values is None, rows is empty and no step is uniform (runs[k] == k), so
-    the general path takes every target of the block.
+    phi and psi values, shape (2, len(P)); start, the (row, values) of the
+    block before it at its last target, gives those at P[0] without
+    sampling it again.  The block looks ahead, so it must not raise at a t
+    the solve may never reach: where sample raises, values is None, rows is
+    empty and no step is uniform (runs[k] == k), so the general path takes
+    every target of the block.
     """
     m = len(targets)
     P = np.empty(2 * m + 1)
@@ -411,10 +413,13 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float):
     P[1::2] = t + h / 2
     pts = P.tolist()
     try:
-        values, columns = _sampled_columns(T, P)
+        values, columns = _sampled_columns(T, P if start is None else P[1:])
     except EvalError:
         return pts, None, [], list(range(m))
     rows = list(zip(*columns))
+    if start is not None:
+        rows.insert(0, start[0])
+        values = np.concatenate((start[1][:, None], values), axis=1)
     # _capped_step's rule, over the whole block
     uniform = (
         (h <= np.maximum(0.25 * t, 1e-3 * step))
@@ -651,10 +656,13 @@ def integrate_separatrix(
     halt_reason, halt_detail = "t_end", ""
     t, w, p = t0, w0, p0
     try:
+        start = None
         for b in range(0, len(targets), _GRID_BLOCK):
             P, values, rows, runs = _grid_block(
-                T, targets[b - 1] if b else t0, targets[b : b + _GRID_BLOCK], step
+                T, targets[b - 1] if b else t0, targets[b : b + _GRID_BLOCK], step, start
             )
+            # the next block starts at this block's last target
+            start = None if values is None else (rows[-1], values[:, -1])
             base, strays = len(ts) - 1, {}
             k = 0
             while k < len(runs):

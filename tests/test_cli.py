@@ -5,6 +5,9 @@ import sys
 import numpy as np
 import pytest
 from conftest import traced_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from riccisym import cli, pipeline, potential, reconstruct, rotsym
 from riccisym.cli import main, parse_config, run_single
@@ -528,15 +531,15 @@ def test_write_csv_replaces_the_file_only_on_success(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("old\n")
 
-    def rows():
-        yield (1.0, 2.0)
+    def blocks():
+        yield (np.array([1.0]), np.array([2.0]))
         raise RuntimeError("rows failed")
 
     with pytest.raises(RuntimeError, match="rows failed"):
-        cli.write_csv(path, ("a", "b"), rows())
+        cli.write_csv(path, ("a", "b"), blocks())
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
-    cli.write_csv(path, ("a", "b"), [(1.0, 2.0)])
+    cli.write_csv(path, ("a", "b"), [(np.array([1.0]), np.array([2.0]))])
     assert path.read_text() == "a,b\n1,2\n"
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
@@ -565,7 +568,7 @@ def _reference_csv(header, rows) -> bytes:
 
 @pytest.mark.parametrize(
     "n, phi, psi, t_max",
-    # 8.191 gives 8,192 rows, two full chunks of _rows
+    # 8.191 gives 8,192 rows, eight full chunks
     [(4, "12", "12 - 8*t^2", 0.5), (3, "-1", "-1", 10.0), (3, "-1", "-1", 8.191)],
 )
 def test_write_csv_writes_the_reference_bytes(tmp_path, n, phi, psi, t_max):
@@ -576,7 +579,7 @@ def test_write_csv_writes_the_reference_bytes(tmp_path, n, phi, psi, t_max):
         recon.res_rr, recon.res_tt,
     )
     path = tmp_path / "s.csv"
-    cli.write_csv(path, cli.SOLUTION_HEADER, cli._solution_rows(sol))
+    cli.write_csv(path, cli.SOLUTION_HEADER, [cli._solution_columns(sol)])
     assert path.read_bytes() == _reference_csv(cli.SOLUTION_HEADER, zip(*columns))
 
 
@@ -589,7 +592,7 @@ def test_write_csv_formats_edge_values_like_format_17g(tmp_path):
         ("100%s", 0.0, -5e-324, 1e16, 2.5, np.float64(-0.0), 1e-7, -sys.float_info.max),
     ]
     path = tmp_path / "edge.csv"
-    cli.write_csv(path, header, iter(rows))
+    cli.write_csv(path, header, [_columns(rows)])
     assert path.read_bytes() == _reference_csv(header, rows)
     assert path.read_text().splitlines()[1] == (
         "zero,-0,inf,-inf,nan,4.9406564584124654e-324,1.152921504606847e+18,"
@@ -599,8 +602,68 @@ def test_write_csv_formats_edge_values_like_format_17g(tmp_path):
 
 def test_write_csv_writes_the_header_of_an_empty_table(tmp_path):
     path = tmp_path / "empty.csv"
-    cli.write_csv(path, ("a", "b"), iter(()))
+    cli.write_csv(path, ("a", "b"), [(np.empty(0), np.empty(0))])
     assert path.read_text() == "a,b\n"
+
+
+def _columns(rows):
+    """The columns of rows: a str column as an 'S' label column, any other as float64."""
+    return [np.array(col, dtype="S" if isinstance(col[0], str) else np.float64)
+            for col in zip(*rows)]
+
+
+def _write_and_compare(path, columns):
+    header = [f"c{j}" for j in range(len(columns))]
+    cli.write_csv(path, header, [columns])
+    cells = [c.astype(str).tolist() if c.dtype.kind == "S" else c.tolist() for c in columns]
+    assert path.read_bytes() == _reference_csv(header, zip(*cells))
+
+
+# every power of ten the kernel's table spans and its two neighbours; ties;
+# two doubles x whose x * 10**(16 - X) lies 2.8e-17 and 2.2e-16 off a half,
+# closer than the kernel's product resolves, so '%.16e' must round them;
+# the edges of 17 digits and of the float range
+POWERS = np.array([float(f"1e{k}") for k in range(-300, 301)])
+EDGES = np.concatenate([
+    POWERS, np.nextafter(POWERS, 0.0), np.nextafter(POWERS, np.inf),
+    [1000000000000000.25, 1000000000000000.75, 4.974148370910348e-09, 2.2422607587866907e-07,
+     2.0**53 + 1, 2.0**53 - 1, 2.0**53 + 2, 9.999999999999999e16, 1e16, 1e17, 5e-324,
+     sys.float_info.max, -sys.float_info.max],
+])
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_write_csv_formats_powers_of_ten_and_ties_like_format_17g(tmp_path, width):
+    # one column crosses the chunk edge
+    x = np.concatenate([EDGES, -EDGES])
+    x = x[: x.size // width * width].reshape(-1, width)
+    assert width > 1 or x.shape[0] > cli.CHUNK_ROWS
+    _write_and_compare(tmp_path / "edges.csv", list(x.T))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(0, 3000),
+    width=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    label_at=st.none() | st.integers(0, 9),
+    labels=st.lists(st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=12),
+                    min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_write_csv_formats_any_float64_bits_like_format_17g(
+    tmp_path_factory, rows, width, seed, label_at, labels, data
+):
+    # raw bit patterns: NaN payloads, subnormals, +-0 and +-inf among them
+    drawn = data.draw(hnp.arrays(np.uint64, (rows, width), elements=st.integers(0, 2**64 - 1)))
+    rng = np.random.default_rng(seed)
+    noise = rng.integers(0, 2**64, (rows, width), dtype=np.uint64)
+    x = np.where(rng.random((rows, width)) < 0.5, noise, drawn).view(np.float64)
+    columns = list(x.T)
+    if label_at is not None:
+        names = np.array(labels, dtype="S")
+        columns.insert(min(label_at, width), names[rng.integers(len(names), size=rows)])
+    _write_and_compare(tmp_path_factory.mktemp("bits") / "bits.csv", columns)
 
 
 @pytest.fixture(scope="module")
@@ -609,7 +672,7 @@ def long_solution(tmp_path_factory):
     sol = pipeline.solve(rotsym.RotSymTensor(3, parse("1"), parse("1"), 1.0), step=1e-5)
     assert sol.recon.profile.grid.size == 100_001
     path = tmp_path_factory.mktemp("long") / "s.csv"
-    cli.write_csv(path, cli.SOLUTION_HEADER, cli._solution_rows(sol))
+    cli.write_csv(path, cli.SOLUTION_HEADER, [cli._solution_columns(sol)])
     return sol, path
 
 
@@ -617,7 +680,8 @@ def test_solution_csv_write_memory_is_bounded_per_row(tmp_path, long_solution):
     # one Python float per cell of the whole table would take 288 bytes a row
     sol, _ = long_solution
     path = tmp_path / "s.csv"
-    _, peak = traced_peak(lambda: cli.write_csv(path, cli.SOLUTION_HEADER, cli._solution_rows(sol)))
+    columns = cli._solution_columns(sol)
+    _, peak = traced_peak(lambda: cli.write_csv(path, cli.SOLUTION_HEADER, [columns]))
     assert peak <= 64 * sol.recon.profile.grid.size
 
 

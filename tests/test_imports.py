@@ -164,20 +164,26 @@ def test_no_module_starts_a_process_pool():
 
 
 IMPORT_SET_PROBE = """
-import json, sys
+import json, pathlib, sys, tempfile
 import numpy as np
 import riccisym, riccisym.cli
 
 cold = sorted(name for name in sys.modules
-              if name.split(".")[0] == "scipy" or name == "concurrent.futures.process")
+              if name.split(".")[0] == "scipy" or name == "concurrent.futures.process"
+              or name in ("fractions", "decimal"))
+tables_at_import = riccisym.cli._tables.cache_info().currsize
+with tempfile.TemporaryDirectory() as tmp:
+    riccisym.cli.write_csv(pathlib.Path(tmp, "x.csv"), ("x",), [(np.ones(1),)])
+tables_after_write = riccisym.cli._tables.cache_info().currsize
 riccisym.tensorlab.invert_spd(np.eye(3))
-print(json.dumps([cold, "scipy.linalg" in sys.modules]))
+print(json.dumps([cold, tables_at_import, tables_after_write, "scipy.linalg" in sys.modules]))
 """
 
 
 def test_a_cold_import_loads_numpy_and_nothing_heavier():
-    # the solve, verify and CLI path reads no scipy and loads no process
-    # pool; the numeric oracle loads scipy.linalg on first use
+    # the solve, verify and CLI path reads no scipy, loads no process pool
+    # and no exact-arithmetic module, and builds the CSV writer's tables on
+    # its first write; the numeric oracle loads scipy.linalg on first use
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -185,6 +191,8 @@ def test_a_cold_import_loads_numpy_and_nothing_heavier():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    cold, oracle_loads_linalg = json.loads(proc.stdout)
+    cold, tables_at_import, tables_after_write, oracle_loads_linalg = json.loads(proc.stdout)
     assert cold == []
+    assert not tables_at_import
+    assert tables_after_write
     assert oracle_loads_linalg

@@ -163,21 +163,19 @@ def test_a_solve_samples_each_abscissa_once(monkeypatch):
     T = RotSymTensor(4, parse("3*exp(-t^2)"), parse("3*cos(t)^2 + t^4/(1+t^2)"), 2.0)
     sol = solve(T, step=1e-3)
     assert sol.curve.t.size == 2001
-    # 2000 targets: blocks of 256 targets and their midpoints, after the
-    # block's start; the first four targets are reached by capped sub-steps
-    # from the seed at 2e-4, whose rows the first block does not hold
-    block = ("potential", 2 * 256 + 1)
+    # 2000 targets: blocks of 256 targets and their midpoints, the first
+    # after the seed at 2e-4, each later one after the last target of the
+    # block before it, whose row it takes from that block; the first four
+    # targets are reached by capped sub-steps, whose rows the first block
+    # does not hold
     capped = [("potential", m) for m in (15, 7, 2, 3)]
-    blocks = [block] + capped + [block] * 6 + [("potential", 2 * 208 + 1)]
+    later = [("potential", 2 * 256)] * 6 + [("potential", 2 * 208)]
+    blocks = [("potential", 2 * 256 + 1)] + capped + later
     grids = [("potential", potential.GLOBAL_GRID)] * 2
     assert calls == [("rotsym", rotsym.DEFINITENESS_GRID)] * 2 + blocks + grids
     assert sol.curve.work["scalar_rows"] == 0
-    # no abscissa is sampled twice by the integrator, but for each block's
-    # start, which is the last target of the block before it
-    first, rows, later = abscissae[2], abscissae[3:7], abscissae[7:-2]
-    starts = [first] + later
-    assert all(xs[0] == before[-1] for before, xs in zip(starts, later))
-    integrator = first + sum(rows, []) + [x for xs in later for x in xs[1:]]
+    # no abscissa is sampled twice by the integrator
+    integrator = sum(abscissae[2:-2], [])
     assert len(set(integrator)) == len(integrator)
 
 
