@@ -439,18 +439,21 @@ def _cmd_analyze(cfg: ProblemConfig) -> int:
         f"verdict: {glob.verdict}",
     ]
     lines.extend(f"note: {note}" for note in glob.notes)
-    fold = _fold_points(T, cfg)
+    fold = _fold_points(T, cfg)[:3]
     # both outputs are computed before either is written, so a failure leaves neither
     _output(cfg, "_analysis.txt").write_text("\n".join(lines) + "\n")
     write_csv(_output(cfg, "_fold.csv"), ("t", "w_lower", "w_upper"), [fold])
     return 0
 
 
-def _fold_points(T: RotSymTensor, cfg: ProblemConfig):
-    """(t, w_lower, w_upper) arrays where the fold is real, over `samples` abscissae."""
+def _fold_points(T: RotSymTensor, cfg: ProblemConfig, *exprs):
+    """(t, w_lower, w_upper) arrays where the fold is real, over `samples`
+    abscissae, then the values there of each of exprs and of psi, from one
+    sample."""
     ts = np.linspace(0.0, cfg.t_max, cfg.samples)
-    real, lower, upper = potential.fold_branches(T.n, ts, sample(ts, T.psi.first_order)[0, 0])
-    return ts[real], lower[real], upper[real]
+    values = sample(ts, *(e.first_order for e in exprs), T.psi.first_order)[:, 0]
+    real, lower, upper = potential.fold_branches(T.n, ts, values[-1])
+    return ts[real], lower[real], upper[real], *values[:, real]
 
 
 def _cmd_portrait(cfg: ProblemConfig) -> int:
@@ -461,12 +464,15 @@ def _cmd_portrait(cfg: ProblemConfig) -> int:
     _, curve = potential.solve_branch(
         T, step=cfg.step, delta=cfg.delta, projection_tol=cfg.constraint_tol
     )
-    (phi, dphi), (psi, dpsi) = sample(curve.t, T.phi.first_order, T.psi.first_order)
-    F_sep = potential.surface_terms(T.n, curve.t, curve.w, curve.p, phi, dphi, psi, dpsi)[0]
-    t_fold, lower, upper = _fold_points(T, cfg)
-    (phi, dphi), (psi, dpsi) = sample(t_fold, T.phi.first_order, T.psi.first_order)
+    # F reads phi and psi but no derivative (NaN here): the curve carries
+    # them, and the fold rows take them from the sample that finds the fold
+    nan = math.nan
+    F_sep = potential.surface_terms(
+        T.n, curve.t, curve.w, curve.p, curve.phi, nan, curve.psi, nan
+    )[0]
+    t_fold, lower, upper, phi, psi = _fold_points(T, cfg, T.phi)
     ws = np.stack((lower, upper))
-    F_fold = potential.surface_terms(T.n, t_fold, ws, 0.0, phi, dphi, psi, dpsi)[0]
+    F_fold = potential.surface_terms(T.n, t_fold, ws, 0.0, phi, nan, psi, nan)[0]
     # the separatrix rows, then a fold_lower and a fold_upper row at each fold t
     separatrix = (np.broadcast_to(np.array(b"separatrix"), curve.t.shape), curve.t, curve.w,
                   curve.p, F_sep)

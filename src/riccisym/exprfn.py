@@ -32,9 +32,10 @@ eval_jet2 at each t, and raises the EvalError eval_jet2 would raise at the
 first failing abscissa.  Underneath, it runs the same kernels over a 1-d
 ndarray of abscissae: the jet arithmetic is numpy operations, and only the
 calls into math (sin, cos, exp, log, sqrt, pow) go element by element.
-Where a kernel cannot promise scalar results, sample goes point by point,
-and the EvalError it then raises carries the jets of the abscissae before
-the failing one, so a caller that scans for the first failure need not
+A kernel over an array raises exactly where eval_jet2 raises at one of its
+abscissae, and only then does sample go point by point, to raise the
+scalar EvalError; that error carries the jets of the abscissae before the
+failing one, so a caller that scans for the first failure need not
 evaluate them again.
 """
 
@@ -75,7 +76,7 @@ class EvalError(ValueError):
 @dataclass(frozen=True)
 class Expr:
     def __call__(self, t: float) -> float:
-        return eval_jet2(self, t).v
+        return eval_jet2(self.first_order, t).v
 
     def __str__(self) -> str:
         return unparse(self)
@@ -164,6 +165,19 @@ class FirstOrder:
         self._kernel = _compile(e, 1)
 
 
+# Precedence, loosest first, and the one table of binary operators: node,
+# precedence and the text unparse writes between the operands.  The parser
+# reads each of their precedences as one left-associative level.
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+_INFIX = {
+    Add: (_PREC_ADD, " + "),
+    Sub: (_PREC_ADD, " - "),
+    Mul: (_PREC_MUL, "*"),
+    Div: (_PREC_MUL, "/"),
+}
+_PREC = {Neg: _PREC_NEG, Pow: _PREC_POW} | {node: prec for node, (prec, _) in _INFIX.items()}
+_BINARY = {text.strip(): node for node, (_, text) in _INFIX.items()}  # by token
+
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
@@ -227,20 +241,14 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {text!r}", at)
         return e
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            rhs = self.factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+    def expr(self, prec: int = _PREC_ADD) -> Expr:
+        """The left-associative chain of the binary operators of precedence
+        prec, over operands that bind tighter."""
+        operand = self.factor if prec == _PREC_MUL else lambda: self.expr(prec + 1)
+        node = operand()
+        while (op := _BINARY.get(self.peek()[0])) and _PREC[op] == prec:
+            self.advance()
+            node = op(node, operand())
         return node
 
     def factor(self) -> Expr:
@@ -309,25 +317,10 @@ def parse(src: str) -> Expr:
 # ---------------------------------------------------------------------------
 # Unparsing (used for error messages and the reparse round trip)
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
-
-
 def unparse(e: Expr) -> str:
     def wrap(child: Expr, minimum: int) -> str:
         text = unparse(child)
-        return f"({text})" if _prec(child) < minimum else text
+        return f"({text})" if _PREC.get(type(child), _PREC_ATOM) < minimum else text
 
     if isinstance(e, Num):
         return format(e.value, ".17g")
@@ -337,14 +330,9 @@ def unparse(e: Expr) -> str:
         return "t"
     if isinstance(e, Neg):
         return "-" + wrap(e.arg, _PREC_NEG)
-    if isinstance(e, Add):
-        return f"{wrap(e.lhs, _PREC_ADD)} + {wrap(e.rhs, _PREC_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{wrap(e.lhs, _PREC_ADD)} - {wrap(e.rhs, _PREC_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{wrap(e.lhs, _PREC_MUL)}*{wrap(e.rhs, _PREC_MUL + 1)}"
-    if isinstance(e, Div):
-        return f"{wrap(e.lhs, _PREC_MUL)}/{wrap(e.rhs, _PREC_MUL + 1)}"
+    if type(e) in _INFIX:
+        prec, text = _INFIX[type(e)]
+        return f"{wrap(e.lhs, prec)}{text}{wrap(e.rhs, prec + 1)}"
     if isinstance(e, Pow):
         return f"{wrap(e.base, _PREC_ATOM)}^{e.exponent}"
     if isinstance(e, Call):
@@ -479,12 +467,11 @@ def _compile(e: Expr, order: int):
     if isinstance(e, Neg):
         arg = _compile(e.arg, order)
         return lambda t: tuple(map(operator.neg, arg(t)))
-    if isinstance(e, (Add, Sub, Mul, Div)):
+    if type(e) in _INFIX:
         lhs, rhs = _compile(e.lhs, order), _compile(e.rhs, order)
-    if isinstance(e, Add):
-        return lambda t: tuple(map(operator.add, lhs(t), rhs(t)))
-    if isinstance(e, Sub):
-        return lambda t: tuple(map(operator.sub, lhs(t), rhs(t)))
+    if isinstance(e, (Add, Sub)):
+        op = operator.add if isinstance(e, Add) else operator.sub
+        return lambda t: tuple(map(op, lhs(t), rhs(t)))
     if isinstance(e, Mul):
 
         def mul(t):
@@ -525,7 +512,7 @@ def _compile(e: Expr, order: int):
         return power
     if isinstance(e, Call):
         arg = _compile(e.arg, order)
-        fn = _CALLS.get(e.name) or _unknown_function(e.name)
+        fn = _CALLS[e.name]
 
         def call(t):
             try:
@@ -539,13 +526,6 @@ def _compile(e: Expr, order: int):
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-def _unknown_function(name: str):
-    def fn(v, d1, d2=None):
-        raise ValueError(f"unknown function {name!r}")
-
-    return fn
-
-
 def eval_jet2(e: Expr | FirstOrder, t: float) -> Jet2:
     """Evaluate e and its first two derivatives at t (exact jet arithmetic),
     or only the first one for e.first_order.
@@ -557,17 +537,18 @@ def eval_jet2(e: Expr | FirstOrder, t: float) -> Jet2:
 
 
 def _jets_into(out: np.ndarray, exprs, ts: np.ndarray) -> bool:
-    """Write the jet arrays of each of exprs over ts into out[i], running every
-    kernel under one errstate, or return False as soon as one declines: where
-    some t raises in eval_jet2, or where the kernel meets a zero divisor or a
-    floating-point exception (overflow, underflow, invalid) that it does not
-    try to reproduce over arrays.  sample then goes point by point."""
+    """Write the jet arrays of each of exprs over ts into out[i], or return
+    False as soon as one kernel raises, which it does exactly where eval_jet2
+    raises at some t of ts: every raising case is an explicit check or a
+    math call, and numpy runs the rest as Python floats do, raising on no
+    overflow, underflow or invalid operation.  sample then goes point by
+    point."""
     try:
-        with np.errstate(all="raise"):
+        with np.errstate(all="ignore"):
             for i, e in enumerate(exprs):
                 for j, x in enumerate(e._kernel(ts)):
                     out[i, j] = x  # a constant component broadcasts
-    except (ArithmeticError, ValueError):
+    except EvalError:
         return False
     return True
 
@@ -578,11 +559,12 @@ def sample(ts, *exprs) -> np.ndarray:
 
     Entry [i] holds the jet arrays of exprs[i], bit-identical to eval_jet2
     at each t; a first_order among second-order expressions has a NaN d2.
-    Every kernel runs over ts into one array; if any declines, all are
-    evaluated to their own order as eval_jet2 does, abscissa by abscissa and
-    in argument order, so the first failing (t, expression) raises its
-    EvalError with the scalar text, its jets holding the result for the
-    abscissae before t.  A ts that is not 1-d raises ValueError.
+    Every kernel runs over ts into one array; if one raises, as it does
+    only where eval_jet2 raises at some t, all are evaluated to their own
+    order as eval_jet2 does, abscissa by abscissa and in argument order, so
+    the first failing (t, expression) raises its EvalError with the scalar
+    text, its jets holding the result for the abscissae before t.  A ts
+    that is not 1-d raises ValueError.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:

@@ -30,9 +30,10 @@ per abscissa.  One RK4 kernel holds the stage formula and reads rows by
 index: it runs the uniform steps of a block of targets in one loop over the
 block's rows, sampled as arrays, and the general path (the capped steps
 near the origin, halvings, halts, and every step of a block whose sample
-raises) runs it one sub-step at a time over one row memo per target, keyed
-by abscissa: the block's rows of that target, then one more sample for
-the other sub-steps, then point-by-point rows for what is still missing.
+raises) runs it one sub-step at a time over one row memo per block, keyed
+by abscissa: the block's rows, whose one sample also covers the capped
+sub-steps, or, where that sample raises, the row the block before it
+carries; then point-by-point rows for what is still missing.
 The target is evaluated to first order only, as no row reads a second
 derivative.  The curve records the work done, and phi and psi at its
 samples from those same rows, so the continuation check and the
@@ -257,8 +258,8 @@ class PotentialCurve:
     # one loop), other_steps (general sub-steps), halvings,
     # newton_projections (those needing a Newton iteration) and scalar_rows
     # (_coeffs rows it evaluates point by point: rows of halved sub-steps and
-    # halts, and rows of a target's sub-steps whose sample raised, not
-    # sample's own fallback); None for direct quadrature
+    # halts, and the rows of a block whose sample raised, not sample's own
+    # fallback); None for direct quadrature
     work: dict | None = None
 
 
@@ -372,20 +373,9 @@ def _substep_abscissae(t: float, target: float, step: float) -> list:
     return xs
 
 
-def _sampled_columns(T: RotSymTensor, xs: np.ndarray):
-    """(values, columns) at the abscissae xs from one first-order sample:
-    values holds phi and psi, shape (2, len(xs)), and columns the A, B, C
-    and D of _coeffs as lists of floats.  Raises EvalError where sample does."""
-    jets = sample(xs, T.phi.first_order, T.psi.first_order)
-    phi, psi = jets
-    with np.errstate(over="ignore", invalid="ignore"):  # like Python floats
-        columns = _coeffs(T.n, xs, phi[0], phi[1], psi[0], psi[1])
-    return jets[:, 0], [c.tolist() for c in columns]
-
-
 def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, start=None):
-    """The _coeffs rows that uniform steps read on their way through targets,
-    and where those steps run.
+    """The _coeffs rows that the steps through targets read, and where
+    uniform steps run.
 
     Returns (P, values, rows, runs).  P holds the abscissae as floats: P[0] = prev,
     then target k's midpoint prev_k + (target_k - prev_k)/2 at 2k+1 and
@@ -394,11 +384,13 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, 
     takes it as the one sub-step h = target_k - prev_k (not capped near the
     origin, no underflow) and t + h lands exactly on target_k; runs[k] is
     the first target at or after k whose step is not uniform (len(targets)
-    if none).
+    if none).  Past P[2 len(targets)], P and rows go on with the other
+    abscissae the general path reads on its way to the targets it takes,
+    if it halves no sub-step (those of the capped sub-steps).
 
     The rows come from one first-order sample over P, and values holds its
-    phi and psi values, shape (2, len(P)); start, the (row, values) of the
-    block before it at its last target, gives those at P[0] without
+    phi and psi values, shape (2, len(P)); start, the (row, phi, psi) of
+    the block before it at its last target, gives those at P[0] without
     sampling it again.  The block looks ahead, so it must not raise at a t
     the solve may never reach: where sample raises, values is None, rows is
     empty and no step is uniform (runs[k] == k), so the general path takes
@@ -412,14 +404,6 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, 
     h = targets - t
     P[1::2] = t + h / 2
     pts = P.tolist()
-    try:
-        values, columns = _sampled_columns(T, P if start is None else P[1:])
-    except EvalError:
-        return pts, None, [], list(range(m))
-    rows = list(zip(*columns))
-    if start is not None:
-        rows.insert(0, start[0])
-        values = np.concatenate((start[1][:, None], values), axis=1)
     # _capped_step's rule, over the whole block
     uniform = (
         (h <= np.maximum(0.25 * t, 1e-3 * step))
@@ -427,8 +411,34 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, 
         & (t < targets - 1e-12 * step)
         & (t + h == targets)
     )
-    runs = np.minimum.accumulate(np.where(uniform, m, np.arange(m))[::-1])[::-1]
-    return pts, values, rows, runs.tolist()
+    runs = np.minimum.accumulate(np.where(uniform, m, np.arange(m))[::-1])[::-1].tolist()
+    # integrate_separatrix's walk through the block, without halvings
+    x, k, other = prev, 0, []
+    while k < m:
+        if runs[k] > k and x == pts[2 * k]:
+            k = runs[k]
+            x = pts[2 * k]
+            continue
+        other += _substep_abscissae(x, pts[2 * k + 2], step)
+        x = other[-1]
+        k += 1
+    if other:
+        held = set(pts)
+        pts += [x for x in dict.fromkeys(other) if x not in held]
+        P = np.array(pts)
+    xs = P if start is None else P[1:]
+    try:
+        phi, psi = jets = sample(xs, T.phi.first_order, T.psi.first_order)
+    except EvalError:
+        return pts, None, [], list(range(m))
+    with np.errstate(over="ignore", invalid="ignore"):  # like Python floats
+        columns = _coeffs(T.n, xs, phi[0], phi[1], psi[0], psi[1])
+    rows = list(zip(*(c.tolist() for c in columns)))
+    values = jets[:, 0]
+    if start is not None:
+        rows.insert(0, start[0])
+        values = np.column_stack((start[1:], values))
+    return pts, values, rows, runs
 
 
 def integrate_separatrix(
@@ -469,9 +479,9 @@ def integrate_separatrix(
     # or a midpoint of the block (see _grid_block), and rk4 runs a block's
     # consecutive uniform steps in one loop.  Every other step (capped near
     # the origin, halved, halting, or in a block whose sample raised) runs
-    # rk4 over its three rows, read lazily from the target's memo off (see
-    # prefetch): a fold halt at an earlier stage wins over an EvalError at
-    # a later row.
+    # rk4 over its three rows, read lazily from the block's memo, which
+    # evaluates a row it lacks by scalar_row: a fold halt at an earlier
+    # stage wins over an EvalError at a later row.
     work = dict.fromkeys(
         ("uniform_steps", "other_steps", "halvings", "newton_projections", "scalar_rows"), 0
     )
@@ -586,27 +596,10 @@ def integrate_separatrix(
         psis.frombytes(new[1].tobytes())
 
     def scalar_row(x):
-        """The _coeffs row at x, then phi and psi there, sampled point by point."""
+        """(row, phi, psi) at x, sampled point by point."""
         work["scalar_rows"] += 1
         phi, dphi, psi, dpsi = _target_row(T, x)
-        return (*_coeffs(n, x, phi, dphi, psi, dpsi), phi, psi)
-
-    def prefetch(t, target, k):
-        """The rows of the sub-steps from t to target k of the block, keyed
-        by abscissa: the block's rows at P[2k..2k+2], then the rest from one
-        sample.  A row missing there (that sample raised, or a sub-step was
-        halved) is read by scalar_row, and kept until the next target.  The
-        rows not from the block end in phi and psi, for record_values."""
-        off = _Memo(scalar_row)
-        off.update(zip(P[2 * k : 2 * k + 3], rows[2 * k : 2 * k + 3]))
-        xs = [x for x in _substep_abscissae(t, target, step) if x not in off]
-        if xs:
-            try:
-                phi_psi, columns = _sampled_columns(T, np.array(xs))
-                off.update(zip(xs, zip(*columns, *phi_psi.tolist())))
-            except EvalError:
-                pass
-        return off
+        return _coeffs(n, x, phi, dphi, psi, dpsi), phi, psi
 
     def substep(t, w, p, h, drift):
         """One projected RK4 sub-step of at most h from t, halved near the
@@ -615,7 +608,7 @@ def integrate_separatrix(
         while True:
             P3 = (t, t + h / 2, t + h)
             i, t1, w1, p1, drift, trial = rk4(
-                P3, _Memo(lambda j: off[P3[j]][:4]), 0, 2, t, w, p, h, drift, False
+                P3, _Memo(lambda j: memo[P3[j]][0]), 0, 2, t, w, p, h, drift, False
             )
             if i:
                 return t1, w1, p1, drift
@@ -661,9 +654,7 @@ def integrate_separatrix(
             P, values, rows, runs = _grid_block(
                 T, targets[b - 1] if b else t0, targets[b : b + _GRID_BLOCK], step, start
             )
-            # the next block starts at this block's last target
-            start = None if values is None else (rows[-1], values[:, -1])
-            base, strays = len(ts) - 1, {}
+            base, strays, memo = len(ts) - 1, {}, None
             k = 0
             while k < len(runs):
                 if runs[k] > k and t == P[2 * k]:
@@ -676,9 +667,14 @@ def integrate_separatrix(
                         if k == len(runs):
                             break
                 target = P[2 * k + 2]
-                off = prefetch(t, target, k)
+                if memo is None:  # (row, phi, psi) by abscissa: the block's, or its start
+                    memo = _Memo(scalar_row)
+                    if rows:
+                        memo.update(zip(P, zip(rows, *values.tolist())))
+                    elif start:
+                        memo[P[0]] = start
                 if values is None and not (phis or k):  # the seed, whose row is read first
-                    strays[0] = off[t][4:]
+                    strays[0] = memo[t][1:]
                 # only the targets are recorded
                 while (h := _capped_step(t, target, step)) is not None:
                     t, w, p, drift = substep(t, w, p, h, drift)
@@ -687,9 +683,12 @@ def integrate_separatrix(
                 ws.append(w)
                 ps.append(p)
                 if t != target or values is None:  # from the last sub-step's row
-                    strays[k + 1] = off[t][4:]
+                    strays[k + 1] = memo[t][1:]
                 k += 1
             record_values(values, base, strays)
+            # the next block starts at this block's last target
+            last = 2 * len(runs)
+            start = (rows[last], *values[:, last].tolist()) if rows else memo.get(P[last])
     except _Halt as halt:
         halt_reason, halt_detail = halt.args
         record_values(values, base, strays)

@@ -28,8 +28,6 @@ from typing import Callable
 
 import numpy as np
 
-from .exprfn import Expr, eval_jet2
-
 DEFAULT_STEP = 1e-3
 MAX_DIM = 8  # desk-scale O(n^4) oracle
 
@@ -166,9 +164,7 @@ def riemann_symmetry_violations(R4: np.ndarray) -> dict:
 
 
 def _as_value_fn(fn):
-    if isinstance(fn, Expr):
-        return lambda t: eval_jet2(fn, t).v
-    if callable(fn):
+    if callable(fn):  # an Expr gives its value
         return fn
     raise TypeError(f"expected Expr or callable, got {type(fn)!r}")
 

@@ -708,6 +708,21 @@ def test_portrait_F_is_the_surface_value_of_each_row(tmp_path, n, phi, psi, t_ma
         assert F == potential.surface_eval(T, t, w, p)[0], row
 
 
+def test_portrait_samples_the_target_once_at_the_fold_abscissae(tmp_path, monkeypatch):
+    # the separatrix rows take phi and psi from the curve, and the fold rows
+    # from one sample of both at the 101 `samples` abscissae
+    calls = []
+
+    def counting(ts, *exprs, real=cli.sample):
+        calls.append((len(ts), len(exprs)))
+        return real(ts, *exprs)
+
+    monkeypatch.setattr(cli, "sample", counting)
+    path = _write(tmp_path, "p.cfg", GOLD4_CFG + f'out = "{tmp_path}/p"\n')
+    assert main(["portrait", "--config", str(path)]) == 0
+    assert calls == [(101, 2)]
+
+
 # ---------------------------------------------------------------------------
 # verify on profiles it cannot read
 

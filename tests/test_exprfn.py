@@ -416,6 +416,17 @@ def test_a_failure_only_in_d2_does_not_stop_a_first_order_jet():
     assert _array_jets(e, [1e-160]) is None
 
 
+def test_the_value_of_an_expression_needs_no_d2():
+    # e(t) is the value of the first-order jet: the d2 term of
+    # (1e160*t)^3 squares d1 = 3e160 and overflows, the value does not
+    e = parse("(1e160*t)^3")
+    assert e(1e-160) == eval_jet2(e.first_order, 1e-160).v == 1.0
+    with pytest.raises(EvalError, match=r"^overflow in '\(1e\+160\*t\)\^3' at t=1e-160$"):
+        eval_jet2(e, 1e-160)
+    with pytest.raises(EvalError, match=r"^log of non-positive value"):  # a value's failure still raises
+        parse("log(t)")(0.0)
+
+
 def test_evaluated_expr_pickles_copies_and_hashes_like_a_fresh_parse():
     for src in ("3*cos(t)^2 + t^4/(1+t^2)", "t", "1e999"):
         used, fresh = parse(src), parse(src)
@@ -648,16 +659,38 @@ def test_a_raising_sample_keeps_the_jets_of_one_and_of_two_expressions():
     assert EvalError("text").jets is None
 
 
-@pytest.mark.parametrize("ts", [[0.5, 1.0], [0.5, 1e-200]], ids=["arrays", "point by point"])
+@pytest.mark.parametrize("ts", [[0.5, 1.0], [0.5, 1.0, 0.0]], ids=["arrays", "point by point"])
 def test_a_first_order_among_second_order_expressions_has_a_nan_d2(ts):
-    e, f = parse("1e-200*t^2"), parse("sin(t)")
-    assert (_array_jets(e, ts) is None) == (ts[1] == 1e-200)  # t^2 underflows
-    got = sample(ts, e, f.first_order)
+    # 1/t raises at t = 0, so there sample goes point by point, and its
+    # EvalError carries the jets of the two abscissae before
+    e, f = parse("1e-200*t^2 + 1/t"), parse("sin(t)")
+    assert (_array_jets(e, ts) is None) == (0.0 in ts)
+    if 0.0 in ts:
+        with pytest.raises(EvalError, match=r"^division by zero in '1/t' at t=0.0$") as err:
+            sample(ts, e, f.first_order)
+        got = err.value.jets
+    else:
+        got = sample(ts, e, f.first_order)
     assert got.shape == (2, 3, 2)
-    for k, t in enumerate(ts):
+    for k, t in enumerate(ts[:2]):
         j, jf = eval_jet2(e, t), eval_jet2(f.first_order, t)
         assert got[0, :, k].tolist() == [j.v, j.d1, j.d2]
         assert got[1, :2, k].tolist() == [jf.v, jf.d1] and math.isnan(got[1, 2, k])
+
+
+@pytest.mark.parametrize(
+    "src, ts",
+    [("1e-200*t^2", [0.5, 1e-200]), ("1 + exp(-t^4)", [1.0, 5.2, 6.0, 30.0])],
+)
+def test_an_underflow_stays_on_the_array_path(src, ts):
+    # a subnormal or zero result raises nothing with Python floats, so the
+    # array kernel does not decline there either, and its jets are eval_jet2's
+    e = parse(src)
+    jet = _array_jets(e, ts)
+    assert jet is not None
+    for k, t in enumerate(ts):
+        j = eval_jet2(e, t)
+        assert tuple(_bits(float(x[k])) for x in jet) == tuple(map(_bits, (j.v, j.d1, j.d2)))
 
 
 @pytest.mark.parametrize(

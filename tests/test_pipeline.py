@@ -148,9 +148,8 @@ def test_ricci_residual_bytes_are_pinned(n, phi, psi, t_max, digest):
 
 
 def test_a_solve_samples_each_abscissa_once(monkeypatch):
-    # the definiteness scans, check_global's two grids, the integrator's
-    # blocks and one sample a target for the rows of the capped sub-steps
-    # near the origin are the only samples; the continuation check and the
+    # the definiteness scans, check_global's two grids and the integrator's
+    # blocks are the only samples; the continuation check and the
     # reconstruction read the target values the curve carries
     calls, abscissae = [], []
     for module in (rotsym, potential, reconstruct):
@@ -160,23 +159,30 @@ def test_a_solve_samples_each_abscissa_once(monkeypatch):
             return real(ts, *exprs)
 
         monkeypatch.setattr(module, "sample", counting)
+    rows = []
+
+    def row(T, t, real=potential._target_row):
+        rows.append(t)
+        return real(T, t)
+
+    monkeypatch.setattr(potential, "_target_row", row)
     T = RotSymTensor(4, parse("3*exp(-t^2)"), parse("3*cos(t)^2 + t^4/(1+t^2)"), 2.0)
     sol = solve(T, step=1e-3)
     assert sol.curve.t.size == 2001
     # 2000 targets: blocks of 256 targets and their midpoints, the first
     # after the seed at 2e-4, each later one after the last target of the
     # block before it, whose row it takes from that block; the first four
-    # targets are reached by capped sub-steps, whose rows the first block
-    # does not hold
-    capped = [("potential", m) for m in (15, 7, 2, 3)]
+    # targets are reached by capped sub-steps, and the first block's sample
+    # also holds the 15, 7, 2 and 3 abscissae they read that it does not
     later = [("potential", 2 * 256)] * 6 + [("potential", 2 * 208)]
-    blocks = [("potential", 2 * 256 + 1)] + capped + later
+    blocks = [("potential", 2 * 256 + 1 + 15 + 7 + 2 + 3)] + later
     grids = [("potential", potential.GLOBAL_GRID)] * 2
     assert calls == [("rotsym", rotsym.DEFINITENESS_GRID)] * 2 + blocks + grids
     assert sol.curve.work["scalar_rows"] == 0
-    # no abscissa is sampled twice by the integrator
+    # no abscissa is evaluated twice by the integrator, as an array or a
+    # point-by-point row (the one row is the seed's, read before it starts)
     integrator = sum(abscissae[2:-2], [])
-    assert len(set(integrator)) == len(integrator)
+    assert rows == [2e-4] and len(set(integrator)) == len(integrator)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1,4 +1,5 @@
 import ast
+import collections
 import hashlib
 import math
 from pathlib import Path
@@ -830,9 +831,10 @@ _CAPPED_X = 0.017578125
     ids=["error", "halt"],
 )
 def test_a_capped_sub_step_sample_that_raises_leaves_the_rows_lazy(monkeypatch, seed, outcome):
-    # psi is singular at X, which only the capped sub-steps read: their one
-    # sample raises, so their rows are read point by point, and the solve
-    # meets the scalar error at X, or halts at the fold before it gets there
+    # psi is singular at X, which only the capped sub-steps read: the
+    # block's one sample, which holds their abscissae too, raises, so the
+    # rows are read point by point, and the solve meets the scalar error at
+    # X, or halts at the fold before it gets there
     S = _surface(3, "1", f"1 + sqrt((t - {_CAPPED_X!r})^2)", 1.0)
     assert _CAPPED_X in potential._substep_abscissae(0.01, 0.1, 0.1)
     raised = []
@@ -854,7 +856,9 @@ def test_a_capped_sub_step_sample_that_raises_leaves_the_rows_lazy(monkeypatch, 
         curve = integrate_separatrix(S, seed, 0.1, 1.0)
         assert (curve.halt_reason, curve.halt_detail) == outcome
         assert curve.t.size == 1
-    assert raised == [21]  # the 23 abscissae of the sub-steps, less the block's 2
+    # the block's 21 abscissae, the 21 more of the sub-steps to 0.1 and the
+    # 12 of those to 0.2, 0.3 and 0.4, which are capped too
+    assert raised == [21 + 21 + 12]
 
 
 def _takes_one_exact_sub_step(prev, target, step):
@@ -925,9 +929,9 @@ def test_long_span_runs_in_the_uniform_kernel(a):
 
 
 def test_a_subnormal_product_stays_in_the_uniform_kernel():
-    # from t ~ 5.12 on, exp(-t^4) underflows in the array jets, so sample
-    # falls back to point-by-point jets inside each block; the rows are
-    # still one list and the uniform steps still run in the kernel
+    # from t ~ 5.12 on, exp(-t^4) underflows, which raises nothing with
+    # Python floats, so the array jets serve those blocks as well and the
+    # uniform steps still run in the kernel
     _, curve = solve_branch(_surface(3, "1 + exp(-t^4)", "1 + exp(-t^4)", 10.0), 1e-3)
     assert curve.halt_reason == "t_end"
     assert curve.work["uniform_steps"] >= 9_990
@@ -938,10 +942,10 @@ def test_a_subnormal_product_stays_in_the_uniform_kernel():
 
 def test_a_block_whose_sample_raises_is_read_lazily(monkeypatch):
     # sample raises for the one block that holds t = 3: none of its 256
-    # steps is uniform, so each target's rows come from one sample of its
-    # three abscissae, which raises for the two targets whose step reads
-    # t = 3; only their 6 rows are evaluated point by point, as the kernel
-    # reads them, and the next block is sampled as arrays again
+    # steps is uniform, and the general path reads the rows of its 256
+    # targets and their midpoints point by point, as the kernel reads them
+    # (its first row, the last target of the block before, comes with it);
+    # the next block is sampled as arrays again
     S = _surface(3, "1", "1", 10.0)
     _, ref = solve_branch(S, 1e-3)
     real = potential.sample
@@ -961,21 +965,23 @@ def test_a_block_whose_sample_raises_is_read_lazily(monkeypatch):
     assert ref.work["scalar_rows"] == 0
     # the block's 256 steps move from the uniform loop to the general path
     assert (curve.work["uniform_steps"], curve.work["other_steps"]) == (9_740, 268)
-    assert curve.work["scalar_rows"] == 6
+    assert curve.work["scalar_rows"] == 2 * 256
 
 
 def test_a_declined_block_evaluates_no_sample_again(monkeypatch):
-    # with sample raising for the block that holds t = 3, the samples of
-    # that block take phi and psi from the rows their sub-steps read, so
-    # the only point-by-point evaluations are the counted scalar rows
+    # with sample raising for the block that holds t = 3, its rows are read
+    # point by point, each once: its first row comes from the block before
+    # it, the block after it starts from its last row, and the samples of
+    # the block take phi and psi from the rows their sub-steps read
     S = _surface(3, "1", "1", 10.0)
     step = 1e-3
     seed = seed_separatrix(S, saddle_report(S), seed_offset(10.0, step))
-    real, row, calls = potential.sample, potential._target_row, []
+    real, row, sampled, calls = potential.sample, potential._target_row, [], []
 
     def raising(ts, *exprs):
         if ts[0] <= 3.0 <= ts[-1]:
             raise EvalError("declined")
+        sampled.extend(np.asarray(ts).tolist())
         return real(ts, *exprs)
 
     def counting(T, t):
@@ -986,8 +992,44 @@ def test_a_declined_block_evaluates_no_sample_again(monkeypatch):
     monkeypatch.setattr(potential, "_target_row", counting)
     curve = integrate_separatrix(S, seed, step, 10.0)
     assert curve.halt_reason == "t_end" and curve.work["other_steps"] == 268
-    assert len(calls) == curve.work["scalar_rows"] == 6
+    assert len(calls) == curve.work["scalar_rows"] == 2 * 256
+    assert min(calls) > 2.816 and max(calls) == curve.t[3072]  # the block's targets 2.817 to 3.072
+    evaluated = sampled + calls
+    assert len(set(evaluated)) == len(evaluated)
     assert_carries_target_values(S, curve)
+
+
+@pytest.mark.parametrize(
+    "n, phi, psi, t_max",
+    [(4, "12", "12 - 8*t^2", 0.5), (3, "1", "1 - 4*t^2", 0.46)],
+    ids=["gold_n4", "fold_contact_n3"],
+)
+def test_the_integrator_evaluates_each_abscissa_once(monkeypatch, n, phi, psi, t_max):
+    # as an array sample or as a point-by-point row; the one exception is a
+    # halt below the least sub-step, which evaluates its t again (that row
+    # is among the scalar_rows the fold contact's report states)
+    S = _surface(n, phi, psi, t_max)
+    seed = seed_separatrix(S, saddle_report(S), seed_offset(t_max, 1e-3))
+    real, row, evaluated = potential.sample, potential._target_row, []
+
+    def sampling(ts, *exprs):
+        evaluated.extend(np.asarray(ts).tolist())
+        return real(ts, *exprs)
+
+    def counting(T, t):
+        evaluated.append(t)
+        return row(T, t)
+
+    monkeypatch.setattr(potential, "sample", sampling)
+    monkeypatch.setattr(potential, "_target_row", counting)
+    curve = integrate_separatrix(S, seed, 1e-3, t_max)
+    repeated = [t for t, count in collections.Counter(evaluated).items() if count > 1]
+    if curve.halt_reason == "t_end":
+        assert curve.work["scalar_rows"] == 0 and repeated == []
+    else:
+        assert curve.halt_detail.startswith(f"fold reached near t = {repeated[0]:.6g} ")
+        assert len(repeated) == 1 and evaluated.count(repeated[0]) == 2
+        assert curve.work["scalar_rows"] == 94
 
 
 def test_integration_memory_is_bounded_per_sample():

@@ -167,6 +167,16 @@ def test_rotsym_to_cartesian_eigenvalues():
     assert np.allclose(vals, expected, atol=1e-12)
 
 
+def test_rotsym_to_cartesian_reads_values_only():
+    # the d2 of A overflows in (1e160)^2 while its value is about 1e300
+    A = parse("(1e160*t)^3")
+    mf = rotsym_to_cartesian(A, parse("t^2"), 3)
+    x = np.array([1e-60, 0.0, 0.0])
+    g = mf.g(x)
+    assert np.isclose(g[0, 0], A(float(np.linalg.norm(x))), rtol=1e-12, atol=0.0)
+    assert np.allclose(g[1:, 1:], np.eye(2))
+
+
 def test_rotsym_to_cartesian_origin_error():
     with pytest.raises(ValueError):
         SPHERE3.g(np.zeros(3))
