@@ -31,7 +31,9 @@ returns the jet arrays of each expression over ts, bit-identical to
 eval_jet2 at each t, and raises the EvalError eval_jet2 would raise at the
 first failing abscissa.  Underneath, it runs the same kernels over a 1-d
 ndarray of abscissae: the jet arithmetic is numpy operations, and only the
-calls into math (sin, cos, exp, log, sqrt, pow) go element by element.
+calls into math (sin, cos, exp, log, sqrt) go element by element.  An
+integer power is IEEE products by square-and-multiply, on floats and arrays
+alike, so it calls no math function.
 A kernel over an array raises exactly where eval_jet2 raises at one of its
 abscissae, and only then does sample go point by point, to raise the
 scalar EvalError; that error carries the jets of the abscissae before the
@@ -46,7 +48,6 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -358,16 +359,16 @@ class Jet2:
 # (v, d1, d2) to second.  Each rule is written once, in the operation order
 # of node-by-node jet arithmetic, so array and scalar results are
 # bit-identical to it, and it computes its d2 terms only when the jet it is
-# given carries a d2, after its v and d1.  Only the math (libm) calls go
-# element by element: numpy's exp, log and power differ from them in the
-# last bit on up to 3% of arguments, and x*x from x**2 on 0.08%.
+# given carries a d2, after its v and d1.  Only the math (libm) calls of
+# the functions go element by element: numpy's exp and log differ from them
+# in the last bit on up to 3% of arguments.  Powers are products (_ipow).
 
 
-def _libm(fn, x, *args):
-    """fn(x, *args) for a float x; fn of each element for an ndarray x."""
+def _libm(fn, x):
+    """fn(x) for a float x; fn of each element for an ndarray x."""
     if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, x.size)
-    return fn(x, *args)
+        return np.fromiter(map(fn, x.tolist()), float, x.size)
+    return fn(x)
 
 
 def _any(mask) -> bool:
@@ -376,10 +377,23 @@ def _any(mask) -> bool:
 
 
 def _ipow(x, k: int):
-    # x ** k; exponents 0 and 1 give 1.0 and x exactly without the call
-    if k == 0:
-        return 1.0
-    return x if k == 1 else _libm(math.pow, x, k)
+    """x ** k for k >= 0 by square-and-multiply, the same IEEE products for
+    a float and an ndarray: k = 2 is correctly rounded, and 3 <= k <= 8 err
+    by less than k - 1 ulp.  A finite base whose power overflows raises
+    OverflowError, as math.pow does."""
+    if k < 2:
+        return x if k else 1.0
+    p, square = None, x
+    while k:
+        if k & 1:
+            p = square if p is None else p * square
+        k >>= 1
+        if k:
+            square = square * square
+    overflow = abs(p) == math.inf
+    if _any(overflow) and _any(overflow & (abs(x) < math.inf)):
+        raise OverflowError("integer power overflow")
+    return p
 
 
 def _pow(k: int, v, d1, d2=None):
@@ -451,7 +465,7 @@ def _compile(e: Expr, order: int):
 
     t is a number or a 1-d ndarray, and only the Var leaf tells them apart:
     over an array all jet arithmetic is numpy operations in the scalar order
-    (IEEE makes them bit-equal), and only the math calls inside ** and the
+    (IEEE makes them bit-equal), and only the math calls inside the
     functions go element by element.
     """
     second = order == 2

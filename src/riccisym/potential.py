@@ -92,7 +92,11 @@ def surface_terms(n: int, t, w, p, phi, dphi, psi, dpsi):
 
     Every argument may be a float or an ndarray; arrays broadcast together.
     """
-    A, B, C, D = _coeffs(n, t, phi, dphi, psi, dpsi)
+    return _row_terms(n, w, p, *_coeffs(n, t, phi, dphi, psi, dpsi))
+
+
+def _row_terms(n: int, w, p, A, B, C, D):
+    """(F, F_t, F_w, F_p) at (w, p) from the _coeffs row (A, B, C, D) of t."""
     ww = w * w - 2.0 * w
     F = (A * ww + B) / (n - 1) - p * p
     F_t = (C * ww + D) / (n - 1)
@@ -629,10 +633,9 @@ def integrate_separatrix(
             elif h <= min_h:
                 if not math.isfinite(Q):  # NaN or -inf: the trial step overflowed
                     raise overflow(t)
-                # a halt: t is sampled again rather than its row kept;
-                # F_t and F_w do not depend on p
-                work["scalar_rows"] += 1
-                Q_here, F_t, F_w, _ = surface_terms(n, t, w, 0.0, *_target_row(T, t))
+                # a halt, from t's row, which the first stage read; F_t and
+                # F_w do not depend on p
+                Q_here, F_t, F_w, _ = _row_terms(n, w, 0.0, *memo[t][0])
                 if Q_here <= FOLD_TOL * (1.0 + abs(Q_here) + p * p):
                     raise _Halt(
                         "fold_contact",

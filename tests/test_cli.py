@@ -482,7 +482,8 @@ def test_out_without_a_file_name_is_a_config_error(tmp_path, capsys, monkeypatch
 # reads the solution just written), recorded before the commands shared
 # pipeline.branch, except p_report.txt, which gained its "integration work"
 # line later and whose scalar_rows count fell (39 to 0 and 133 to 94) when the
-# rows of the capped sub-steps came from one sample, and the
+# rows of the capped sub-steps came from one sample, and 94 to 93 when a halt
+# below the least sub-step read its row from the block's memo, and the
 # p_hypersurface.csv files, whose scalar column moved by up to 5.1e-16,
 # relative, when it came from the closed-form frame trace in place of an
 # einsum; hypersurface reads h and r_max only
@@ -507,7 +508,7 @@ PINNED_OUTPUTS = {
             "p_fold.csv": "372d01574a6a4eee185c7f48b1dcd9d4f7a001ec102ade2d84463b07b8d31949",
             "p_hypersurface.csv": "d2dd7342e451a4f5bee925f2479af99d5d129a9236f6eb72c6920c55cbef1883",
             "p_portrait.csv": "ab4396cb4de81b66506d8bab5d16d4c2b8b77e57627ddde8d2b45f0ba1ddb8e1",
-            "p_report.txt": "053001e7cf2dedbbc60e856e544400956899a1763ffd6e6a3b827d663b346f7f",
+            "p_report.txt": "d13b542a612055b957b320dfde6f1098ba9c0c6f8fc67921bb3c9d6ecf238c19",
             "p_solution.csv": "9ab39c51138a32fdaaf0d53894409023e8585d7cb7c5febb5a2e2287ff37689b",
             "p_verify.txt": "70d474ec98a7eb231902d63830105014fe1ea24a0d72a041e97f4fc81f6f4d64",
         },
