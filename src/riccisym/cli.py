@@ -75,12 +75,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @dataclass
 class ProblemConfig:
-    n: int = 0
+    n: int | None = None
     phi: Expr | None = None
     psi: Expr | None = None
     h: Expr | None = None
-    t_max: float = 0.0
-    r_max: float = 0.0
+    t_max: float | None = None
+    r_max: float | None = None
     step: float = 1e-3
     delta: float | None = None
     constraint_tol: float = potential.PROJECTION_TOL
@@ -148,7 +148,7 @@ def parse_config(path: Path) -> ProblemConfig:
             setattr(cfg, key, value)
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    if cfg.step > 0:  # a step <= 0 is refused by the checks of each command
+    if cfg.step > 0 and cfg.t_max is not None:  # else each command's checks refuse it
         try:
             potential.check_sample_count(cfg.t_max, cfg.step)
         except ValueError as err:
@@ -157,9 +157,10 @@ def parse_config(path: Path) -> ProblemConfig:
 
 
 def _require(cfg: ProblemConfig, command: str, keys):
+    """Raise ConfigError for the first of keys that the config leaves unset;
+    a value that is set but out of range is left to the command's checks."""
     for key in keys:
-        value = getattr(cfg, key)
-        if value is None or (isinstance(value, (int, float)) and value <= 0) or value == "":
+        if getattr(cfg, key) in (None, ""):
             raise ConfigError(f"command {command!r} requires config key {key!r}")
 
 
@@ -499,8 +500,7 @@ def _cmd_hypersurface(cfg: ProblemConfig) -> int:
 
 def _cmd_verify(cfg: ProblemConfig) -> int:
     T = _tensor_from(cfg, "verify")
-    if not cfg.profile:
-        raise ConfigError("command 'verify' requires config key 'profile'")
+    _require(cfg, "verify", ("profile",))
     data = _read_solution_csv(Path(cfg.profile))
     profile = MetricProfile(cfg.n, *(data[name] for name in PROFILE_COLUMNS))
     t_lo = reconstruct.window_start(cfg.t_lo, cfg.t_max)

@@ -22,9 +22,14 @@ what is evaluated: an expression gives all three, and its first_order gives
 that lies only in d2 (an overflowing square of a steep slope, say) does not
 raise.  Each expression is compiled once per order, on its first
 evaluation, into one closure per node over jet tuples, and the kernel is
-kept on the instance; values and error messages are those of node-by-node
-jet arithmetic to that order, bit for bit, and the (v, d1) of a first-order
-jet equal those of the second-order one.
+kept on the instance.  The closures share one Taylor rule per operation,
+which computes d2 only when its operands carry one, so the order is set at
+the leaves alone, and each node has one error wrap, which names the failing
+subexpression.  x^-k is 1 / x^k by the one quotient rule, the division's;
+for a finite nonzero x it raises overflow wherever its value is infinite,
+as math.pow does, and a zero base raises.  Values and error messages are
+those of node-by-node jet arithmetic to that order, bit for bit, and the
+(v, d1) of a first-order jet equal those of the second-order one.
 
 sample(ts, *exprs) is the one way to evaluate expressions over a grid: it
 returns the jet arrays of each expression over ts, bit-identical to
@@ -44,10 +49,9 @@ evaluate them again.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -355,13 +359,16 @@ class Jet2:
     d2: float = math.nan
 
 
-# Taylor arithmetic on jets of floats or ndarrays: (v, d1) to first order,
-# (v, d1, d2) to second.  Each rule is written once, in the operation order
-# of node-by-node jet arithmetic, so array and scalar results are
-# bit-identical to it, and it computes its d2 terms only when the jet it is
-# given carries a d2, after its v and d1.  Only the math (libm) calls of
-# the functions go element by element: numpy's exp and log differ from them
-# in the last bit on up to 3% of arguments.  Powers are products (_ipow).
+# Taylor arithmetic on jets of floats or ndarrays: one rule per operation,
+# each a function of jet tuples, (v, d1) to first order and (v, d1, d2) to
+# second.  The order is set at the leaves alone: a rule computes its d2
+# terms only when its operands carry one, after its v and d1.  Each rule is
+# written once, in the operation order of node-by-node jet arithmetic, so
+# array and scalar results are bit-identical to it.  A rule fails by
+# raising an ArithmeticError or a ValueError, which _compile's one wrap
+# turns into an EvalError.  Only the math (libm) calls of the functions go
+# element by element: numpy's exp and log differ from them in the last bit
+# on up to 3% of arguments.  Powers are products (_ipow).
 
 
 def _libm(fn, x):
@@ -396,148 +403,139 @@ def _ipow(x, k: int):
     return p
 
 
-def _pow(k: int, v, d1, d2=None):
-    if k == 0:
-        return (1.0, 0.0) if d2 is None else (1.0, 0.0, 0.0)
-    if k == 1:
-        return (v, d1) if d2 is None else (v, d1, d2)
+def _neg(a):
+    first = -a[0], -a[1]
+    return first if len(a) == 2 else (*first, -a[2])
+
+
+def _add(a, b):
+    first = a[0] + b[0], a[1] + b[1]
+    return first if len(a) == 2 else (*first, a[2] + b[2])
+
+
+def _sub(a, b):
+    first = a[0] - b[0], a[1] - b[1]
+    return first if len(a) == 2 else (*first, a[2] - b[2])
+
+
+def _mul(a, b):
+    av, a1, bv, b1 = a[0], a[1], b[0], b[1]
+    first = av * bv, a1 * bv + av * b1
+    return first if len(a) == 2 else (*first, a[2] * bv + 2.0 * a1 * b1 + av * b[2])
+
+
+def _div(a, b):
+    bv, b1 = b[0], b[1]
+    if _any(bv == 0.0):  # on arrays, inf / 0 and NaN / 0 raise nothing
+        raise ZeroDivisionError("division by zero")
+    q = a[0] / bv
+    q1 = (a[1] - q * b1) / bv
+    return (q, q1) if len(a) == 2 else (q, q1, (a[2] - 2.0 * q1 * b1 - q * b[2]) / bv)
+
+
+def _pow(k: int, x):
+    """x^k by the power rule, and for k < 0 the quotient 1 / x^-k, which
+    raises OverflowError for a finite nonzero x wherever it is infinite."""
     if k < 0:
-        if _any(v == 0.0):
+        if _any(x[0] == 0.0):
             raise ZeroDivisionError("zero base with negative exponent")
-        p = _pow(-k, v, d1, d2)
-        p0, p1 = p[0], p[1]
-        if _any(p0 == 0.0):
-            raise ZeroDivisionError("jet division by zero")
-        # (1, 0, 0) / p by the quotient rule; its 0.0 - x keeps the sign of a
-        # zero that -x would flip
-        q = 1.0 / p0
-        q1 = (0.0 - q * p1) / p0
-        return (q, q1) if d2 is None else (q, q1, (0.0 - 2.0 * q1 * p1 - q * p[2]) / p0)
+        p = _pow(-k, x)
+        if _any(abs(p[0]) <= 2.0**-1024):  # 1 / p[0] is infinite, p[0] = 0 included
+            raise OverflowError("integer power overflow")
+        return _div((1.0, 0.0, 0.0)[: len(x)], p)
+    if k < 2:
+        return x if k else (1.0, 0.0, 0.0)[: len(x)]
+    v, d1 = x[0], x[1]
     vk1 = _ipow(v, k - 1)
     first = _ipow(v, k), k * vk1 * d1
-    if d2 is None:
+    if len(x) == 2:
         return first
-    return *first, k * (k - 1) * _ipow(v, k - 2) * _ipow(d1, 2) + k * vk1 * d2
+    return *first, k * (k - 1) * _ipow(v, k - 2) * _ipow(d1, 2) + k * vk1 * x[2]
 
 
-def _sin(v, d1, d2=None):
+def _sin(x):
+    v, d1 = x[0], x[1]
     s, c = _libm(math.sin, v), _libm(math.cos, v)
-    return (s, c * d1) if d2 is None else (s, c * d1, -s * _ipow(d1, 2) + c * d2)
+    return (s, c * d1) if len(x) == 2 else (s, c * d1, -s * _ipow(d1, 2) + c * x[2])
 
 
-def _cos(v, d1, d2=None):
+def _cos(x):
+    v, d1 = x[0], x[1]
     s, c = _libm(math.sin, v), _libm(math.cos, v)
-    return (c, -s * d1) if d2 is None else (c, -s * d1, -c * _ipow(d1, 2) - s * d2)
+    return (c, -s * d1) if len(x) == 2 else (c, -s * d1, -c * _ipow(d1, 2) - s * x[2])
 
 
-def _exp(v, d1, d2=None):
+def _exp(x):
+    v, d1 = x[0], x[1]
     e = _libm(math.exp, v)
-    return (e, e * d1) if d2 is None else (e, e * d1, e * (_ipow(d1, 2) + d2))
+    return (e, e * d1) if len(x) == 2 else (e, e * d1, e * (_ipow(d1, 2) + x[2]))
 
 
-def _log(v, d1, d2=None):
+def _log(x):
+    v, d1 = x[0], x[1]
     if _any(v <= 0.0):  # NaN passes
         raise ValueError(f"log of non-positive value {v}")
     first = _libm(math.log, v), d1 / v
-    return first if d2 is None else (*first, d2 / v - _ipow(d1 / v, 2))
+    return first if len(x) == 2 else (*first, x[2] / v - _ipow(d1 / v, 2))
 
 
-def _sqrt(v, d1, d2=None):
+def _sqrt(x):
+    v, d1 = x[0], x[1]
     if _any(v < 0.0):
         raise ValueError(f"sqrt of negative value {v}")
     if _any(v == 0.0):
         raise ValueError("sqrt derivative singular at 0")
     s = _libm(math.sqrt, v)
     q1 = d1 / (2.0 * s)
-    return (s, q1) if d2 is None else (s, q1, (d2 - 2.0 * _ipow(q1, 2)) / (2.0 * s))
+    return (s, q1) if len(x) == 2 else (s, q1, (x[2] - 2.0 * _ipow(q1, 2)) / (2.0 * s))
 
 
-_CALLS = {"sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt}
+# the rule of each node type, and of each Call by its function's name
+_RULES = {
+    Neg: _neg, Add: _add, Sub: _sub, Mul: _mul, Div: _div, Pow: _pow,
+    "sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt,
+}
 
 
 def _compile(e: Expr, order: int):
     """One closure per node, mapping t to the jet of e at t: (v, d1) for
     order 1, (v, d1, d2) for order 2.
 
-    Children are evaluated left to right and every node keeps its own
-    error handling, so a failure raises the same EvalError text, nested
-    messages included, as evaluating the tree node by node to that order.
+    The order is set at the leaves; every other node evaluates its children
+    left to right and runs its rule from _RULES in one wrap, which turns
+    the rule's failure into an EvalError naming the node.  A Call's wrap
+    also holds its argument, whose EvalError (a ValueError) it names in
+    turn.  So a failure raises the same EvalError text, nested messages
+    included, as evaluating the tree node by node to that order.
 
     t is a number or a 1-d ndarray, and only the Var leaf tells them apart:
     over an array all jet arithmetic is numpy operations in the scalar order
     (IEEE makes them bit-equal), and only the math calls inside the
     functions go element by element.
     """
-    second = order == 2
-    if isinstance(e, Num):
-        const = (float(e.value), 0.0, 0.0)[: order + 1]
-        return lambda t: const
-    if isinstance(e, Pi):
-        const = (math.pi, 0.0, 0.0)[: order + 1]
+    if isinstance(e, (Num, Pi)):
+        const = (math.pi if isinstance(e, Pi) else float(e.value), 0.0, 0.0)[: order + 1]
         return lambda t: const
     if isinstance(e, Var):
         slope = (1.0, 0.0)[:order]
         return lambda t: (t if isinstance(t, np.ndarray) and t.ndim else float(t), *slope)
-    if isinstance(e, Neg):
-        arg = _compile(e.arg, order)
-        return lambda t: tuple(map(operator.neg, arg(t)))
-    if type(e) in _INFIX:
-        lhs, rhs = _compile(e.lhs, order), _compile(e.rhs, order)
-    if isinstance(e, (Add, Sub)):
-        op = operator.add if isinstance(e, Add) else operator.sub
-        return lambda t: tuple(map(op, lhs(t), rhs(t)))
-    if isinstance(e, Mul):
-
-        def mul(t):
-            a, b = lhs(t), rhs(t)
-            av, a1, bv, b1 = a[0], a[1], b[0], b[1]
-            first = av * bv, a1 * bv + av * b1
-            return (*first, a[2] * bv + 2.0 * a1 * b1 + av * b[2]) if second else first
-
-        return mul
-    if isinstance(e, Div):
-
-        def div(t):
-            try:
-                a, b = lhs(t), rhs(t)
-                bv, b1 = b[0], b[1]
-                if _any(bv == 0.0):  # on arrays, inf / 0 and NaN / 0 raise nothing
-                    raise ZeroDivisionError
-                q = a[0] / bv
-                q1 = (a[1] - q * b1) / bv
-                return (q, q1, (a[2] - 2.0 * q1 * b1 - q * b[2]) / bv) if second else (q, q1)
-            except ZeroDivisionError:
-                raise EvalError(f"division by zero in '{unparse(e)}' at t={t}") from None
-
-        return div
+    rule = _RULES[e.name if isinstance(e, Call) else type(e)]
     if isinstance(e, Pow):
-        base, k = _compile(e.base, order), e.exponent
+        rule, operands = partial(rule, e.exponent), (e.base,)
+    else:
+        operands = (e.lhs, e.rhs) if type(e) in _INFIX else (e.arg,)
+    caught = (ArithmeticError, ValueError) if isinstance(e, Call) else ArithmeticError
+    # the children, left to right; b is None for a node of one operand
+    a, b = (*(_compile(child, order) for child in operands), None)[:2]
 
-        def power(t):
-            try:
-                return _pow(k, *base(t))
-            except ZeroDivisionError:
-                raise EvalError(
-                    f"zero base with negative exponent in '{unparse(e)}' at t={t}"
-                ) from None
-            except OverflowError:
-                raise EvalError(f"overflow in '{unparse(e)}' at t={t}") from None
+    def node(t):
+        try:
+            return rule(a(t)) if b is None else rule(a(t), b(t))
+        except caught as err:
+            text = "overflow" if isinstance(err, OverflowError) else err
+            raise EvalError(f"{text} in '{unparse(e)}' at t={t}") from None
 
-        return power
-    if isinstance(e, Call):
-        arg = _compile(e.arg, order)
-        fn = _CALLS[e.name]
-
-        def call(t):
-            try:
-                return fn(*arg(t))
-            except ValueError as err:
-                raise EvalError(f"{err} in '{unparse(e)}' at t={t}") from None
-            except OverflowError:
-                raise EvalError(f"overflow in '{unparse(e)}' at t={t}") from None
-
-        return call
-    raise TypeError(f"not an Expr node: {e!r}")
+    return node
 
 
 def eval_jet2(e: Expr | FirstOrder, t: float) -> Jet2:

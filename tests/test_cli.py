@@ -332,6 +332,49 @@ def test_a_usage_error_is_one_code_1_line(capsys, argv, reason):
     assert err.startswith(f'riccisym: code=1 reason="{reason}')
 
 
+NO_SUCH_FILE = "[Errno 2] No such file or directory"
+
+
+@pytest.mark.parametrize(
+    "command, config, reason",
+    [
+        ("solve", None, f"cannot read config missing.cfg: {NO_SUCH_FILE}: 'missing.cfg'"),
+        ("solve", "n = 3\nphi\n", "c.cfg:2: expected 'key = value'"),
+        ("solve", GOLD_CFG + "delta = 2e-3\n", "delta must lie in (0, step]"),
+        ("verify", GOLD_CFG, "command 'verify' requires config key 'profile'"),
+        ("verify", GOLD_CFG + 'profile = "nope.csv"\n',
+         f"cannot read profile CSV nope.csv: {NO_SUCH_FILE}: 'nope.csv'"),
+        ("solve", GOLD_CFG.replace("n = 3\n", ""), "command 'solve' requires config key 'n'"),
+        ("solve", GOLD_CFG.replace("t_max = 0.5\n", ""),
+         "command 'solve' requires config key 't_max'"),
+        ("hypersurface", GOLD_CFG + 'h = "t"\n', "command 'hypersurface' requires config key 'r_max'"),
+    ],
+    ids=["unreadable config", "no equals sign", "delta above step", "verify without profile",
+         "unreadable profile", "no n", "no t_max", "no r_max"],
+)
+def test_a_config_error_is_one_exact_code_1_line(tmp_path, capsys, monkeypatch, command, config, reason):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        _write(tmp_path, "c.cfg", config)
+    assert main([command, "--config", "missing.cfg" if config is None else "c.cfg"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f'riccisym: code=1 reason="{reason}"']
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config is None else ["c.cfg"])
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize(
+    "key, command, reason",
+    [("n", "solve", "n must be >= 2"), ("t_max", "solve", "t_max must be positive"),
+     ("r_max", "hypersurface", "r_max must be positive")],
+)
+def test_a_key_out_of_range_is_not_reported_missing(tmp_path, capsys, key, command, reason, value):
+    # 0 is no unset value: a key the config sets is present, and its range
+    # check reports it
+    cfg = GOLD_CFG + f'h = "t"\n{key} = {value}\nout = "{tmp_path}/x"\n'
+    assert main([command, "--config", str(_write(tmp_path, "c.cfg", cfg))]) == 1
+    assert capsys.readouterr().err.splitlines() == [f'riccisym: code=1 reason="{reason}"']
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as stop:
         main(["--help"])

@@ -264,7 +264,10 @@ def _walk_pow(a, k):
     if k < 0:
         if a.v == 0.0:
             raise ZeroDivisionError("zero base with negative exponent")
-        return _const(1.0, a) / _walk_pow(a, -k)
+        p = _walk_pow(a, -k)
+        if p.v == 0.0 or math.isinf(1.0 / p.v):  # x^k out of range; an infinite x gives 0
+            raise OverflowError("power overflow")
+        return _const(1.0, a) / p
     v = _powi(a.v, k)
     d1 = k * _powi(a.v, k - 1) * a.d1
     if a.d2 is None:
@@ -636,12 +639,12 @@ def test_a_power_is_within_its_ulp_bound_of_the_exact_power(k):
     # 1.26, 1.85, 2.86 and 4.60 ulp for k = 3, 4, 5 and 8.
     e = parse(f"t^{k}")
     kept = []
-    for x in _power_bases():  # those whose x^|k| is zero or out of range raise
+    for x in _power_bases():  # a zero base of k < 0, and an x^|k| or x^k out of range, raise
         power = abs(Fraction(x)) ** abs(k)
-        if abs(k) >= 2 and power > _MAX:
-            text = "overflow"
-        elif k < 0 and (x == 0.0 or float(power) == 0.0):
+        if k < 0 and x == 0.0:
             text = "zero base with negative exponent"
+        elif abs(k) >= 2 and power > _MAX or k < 0 and 1 / power > _MAX:
+            text = "overflow"
         else:
             kept.append(x)
             continue
@@ -658,8 +661,6 @@ def test_a_power_is_within_its_ulp_bound_of_the_exact_power(k):
             exact = Fraction(x) ** k
             if k == 2:
                 assert got.hex() == float(exact).hex(), x
-            elif abs(exact) > _MAX:  # 1/x of a subnormal rounds to inf
-                assert got == math.copysign(math.inf, x), x
             else:
                 assert abs(Fraction(got) - exact) <= bound * Fraction(math.ulp(float(exact))), x
 
@@ -679,6 +680,28 @@ def test_a_finite_base_whose_power_overflows_raises_on_both_paths():
     # an infinite base is no overflow, as for math.pow
     assert eval_jet2(parse("1e999^2"), 0.0).v == math.inf
     assert sample([math.inf, -math.inf], parse("t^3"))[0, 0].tolist() == [math.inf, -math.inf]
+
+
+def test_a_negative_power_out_of_range_raises_overflow():
+    # x^-k of a finite nonzero x raises overflow wherever its value is
+    # infinite, as math.pow does: where x^k underflows to 0 (t^-2 at
+    # 1e-200) and where 1/x^k rounds to inf (t^-1 at 5e-324)
+    for src, x in (("t^-2", 1e-200), ("t^-1", 5e-324)):
+        e = parse(src)
+        text = f"overflow in '{src}' at t={x!r}"
+        for order in (e, e.first_order):
+            with pytest.raises(EvalError) as err:
+                eval_jet2(order, x)
+            assert str(err.value) == text
+            with pytest.raises(EvalError) as err:
+                sample([2.0, x], order)
+            assert str(err.value) == text and err.value.jets.shape[2] == 1
+    # a zero base keeps its text, and 1/t stays IEEE division
+    with pytest.raises(EvalError) as err:
+        eval_jet2(parse("t^-2"), 0.0)
+    assert str(err.value) == "zero base with negative exponent in 't^-2' at t=0.0"
+    assert eval_jet2(parse("1/t"), 5e-324).v == math.inf
+    assert sample([2.0, 5e-324], parse("1/t"))[0, 0].tolist() == [0.5, math.inf]
 
 
 # the one grid sampler

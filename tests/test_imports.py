@@ -130,6 +130,37 @@ def test_sample_is_the_only_grid_evaluator():
     assert found == ["exprfn.sample"]
 
 
+EXPR_NODES = ("Num", "Pi", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call")
+
+
+def node_readers(sources: dict[str, str]) -> list[str]:
+    """module.definition for each top-level definition (or "<module>") that
+    reads one of the Expr node classes."""
+    return sorted({f"{module}.{where}" for module, source in sources.items()
+                   for name in EXPR_NODES for where in readers(source, name)})
+
+
+def test_the_check_finds_a_second_tree_walker():
+    source = "from .exprfn import Mul, Num\n_ONE = Num(1.0)\n"
+    source += "def taylor(e, K):\n    return isinstance(e, Mul)\n"
+    source += "class Interval:\n    def walk(self, e):\n        return exprfn.Call\n"
+    source += "def width(x):\n    return x.hi - x.lo\n"
+    assert node_readers({"interval": source}) == [
+        "interval.<module>", "interval.Interval", "interval.taylor",
+    ]
+
+
+def test_compile_is_the_only_tree_walker_for_evaluation():
+    # exprfn._compile is the one walk that evaluates an expression: beside
+    # it only the tables, the parser and unparse read the node classes, so
+    # a new arithmetic (Taylor coefficients, intervals) is a set of rules
+    # for _compile, not a second dispatch on the node types
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert node_readers(sources) == [
+        "exprfn.<module>", "exprfn._Parser", "exprfn._compile", "exprfn.unparse",
+    ]
+
+
 POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
 

@@ -125,6 +125,17 @@ def test_solve_classifies_the_saddle_once(monkeypatch, n):
     assert sol.saddle.w2 == 4.0
 
 
+def test_a_seed_offset_above_the_step_leaves_a_profile_grid_that_is_refused():
+    # the CLI refuses delta > step; through the library it reaches reconstruction
+    T = RotSymTensor(3, parse("1"), parse("1"), 1.0)
+    with pytest.raises(reconstruct.ReconstructionError) as err:
+        solve(T, step=1e-3, delta=5e-3)
+    assert str(err.value) == (
+        "profile grid is not uniform; the seed offset delta must be "
+        "smaller than the step (or lie exactly on the step grid)"
+    )
+
+
 def test_definiteness_error_is_one_class():
     from riccisym import pipeline, rotsym
 
