@@ -170,8 +170,7 @@ def _validate_common(cfg: ProblemConfig):
     for key in ("step", "constraint_tol", "residual_tol"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive")
-    if cfg.delta is not None and not 0 < cfg.delta <= cfg.step:
-        raise ConfigError("delta must lie in (0, step]")
+    potential.seed_offset(cfg.t_max, cfg.step, cfg.delta)
 
 
 # ---------------------------------------------------------------------------

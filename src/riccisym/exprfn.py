@@ -29,7 +29,10 @@ subexpression.  x^-k is 1 / x^k by the one quotient rule, the division's;
 for a finite nonzero x it raises overflow wherever its value is infinite,
 as math.pow does, and a zero base raises.  Values and error messages are
 those of node-by-node jet arithmetic to that order, bit for bit, and the
-(v, d1) of a first-order jet equal those of the second-order one.
+(v, d1) of a first-order jet equal those of the second-order one.  Here and
+below, "bit for bit" and "bit-identical" leave aside the sign bit of a NaN,
+which may differ from call to call: CPython's adaptive specialisation of
+float arithmetic can change which NaN operand an operation returns.
 
 sample(ts, *exprs) is the one way to evaluate expressions over a grid: it
 returns the jet arrays of each expression over ts, bit-identical to
@@ -506,7 +509,9 @@ def _compile(e: Expr, order: int):
     the rule's failure into an EvalError naming the node.  A Call's wrap
     also holds its argument, whose EvalError (a ValueError) it names in
     turn.  So a failure raises the same EvalError text, nested messages
-    included, as evaluating the tree node by node to that order.
+    included, as evaluating the tree node by node to that order, and a
+    success returns its values, bit for bit but for a NaN's sign (see the
+    module docstring).
 
     t is a number or a 1-d ndarray, and only the Var leaf tells them apart:
     over an array all jet arithmetic is numpy operations in the scalar order
@@ -570,7 +575,8 @@ def sample(ts, *exprs) -> np.ndarray:
     or (len(exprs), 2, len(ts)) when every expression is a first_order.
 
     Entry [i] holds the jet arrays of exprs[i], bit-identical to eval_jet2
-    at each t; a first_order among second-order expressions has a NaN d2.
+    at each t but for a NaN's sign (see the module docstring); a first_order
+    among second-order expressions has a NaN d2.
     Every kernel runs over ts into one array; if one raises, as it does
     only where eval_jet2 raises at some t, all are evaluated to their own
     order as eval_jet2 does, abscissa by abscissa and in argument order, so

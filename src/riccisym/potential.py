@@ -283,9 +283,12 @@ def _project_p(t: float, Q: float, p: float, tol: float):
     )
 
 
-def seed_offset(t_max: float, step: float) -> float:
-    """Default seed abscissa: deep in the series range, below half a step."""
-    return min(1e-4 * t_max, 0.5 * step)
+def seed_offset(t_max: float, step: float, delta: float | None = None) -> float:
+    """The seed abscissa: delta, which must lie in (0, step] (ValueError
+    otherwise), or by default min(1e-4 t_max, step/2), in the series range."""
+    if delta is not None and not 0 < delta <= step:
+        raise ValueError("delta must lie in (0, step]")
+    return min(1e-4 * t_max, 0.5 * step) if delta is None else delta
 
 
 def seed_separatrix(T: RotSymTensor, rep: SaddleReport, delta: float):
@@ -304,7 +307,10 @@ class _Halt(Exception):
 
 
 def check_sample_count(t_max: float, step: float) -> None:
-    """Raise ValueError when t_max / step exceeds MAX_SAMPLES, before any work."""
+    """Raise ValueError when step is not positive or t_max / step exceeds
+    MAX_SAMPLES, before any work."""
+    if not step > 0:
+        raise ValueError("step must be positive")
     if t_max / step > MAX_SAMPLES:
         raise ValueError(
             f"t_max / step = {t_max / step:.6g} exceeds the cap of {MAX_SAMPLES:.0e} samples"
@@ -312,31 +318,33 @@ def check_sample_count(t_max: float, step: float) -> None:
 
 
 def _target_span(t0: float, t_end: float, step: float):
-    """integrate_separatrix's targets past the seed t0, as (k0, k1, end): the
-    multiples k step for k0 <= k <= k1, then t_end itself if end."""
+    """The targets past t0, as (k0, k1, end): the multiples k step for
+    k0 <= k <= k1, then t_end itself if end."""
     k0 = int(math.floor(t0 / step + 1e-9)) + 1
     k1 = int(math.floor(t_end / step + 1e-9))
     return k0, k1, k1 < k0 or k1 * step < t_end - 1e-9 * step
 
 
-def _n2_intervals(t_max: float, step: float) -> int:
-    """solve_n2's number of Simpson intervals: t_max / step rounded, made
-    even, and at least 2."""
-    m = max(2, int(round(t_max / step)))
-    return m + m % 2
+def _targets(t0: float, t_end: float, step: float) -> np.ndarray:
+    """The abscissae a curve records past t0: the multiples of step, then
+    exactly t_end (a last multiple within 1e-9 step of it is t_end)."""
+    k0, k1, end = _target_span(t0, t_end, step)
+    targets = np.arange(k0, k1 + 1) * step
+    if end:
+        targets = np.append(targets, t_end)
+    if abs(targets[-1] - t_end) <= 1e-9 * step:
+        targets[-1] = t_end
+    return targets
 
 
 def curve_samples(T: RotSymTensor, step: float, delta: float | None = None) -> int:
-    """The samples of a curve that reaches t_max: solve_n2's grid at n = 2,
-    else the seed at delta (seed_offset by default) and the targets of
-    integrate_separatrix.  A step <= 0, or a t_max / step above MAX_SAMPLES,
-    raises ValueError."""
-    if not step > 0:
-        raise ValueError("step must be positive")
+    """The samples of a curve that reaches t_max: 0 at n = 2, else the seed
+    at seed_offset(t_max, step, delta), then _targets.  A step that
+    check_sample_count refuses, or a delta outside (0, step] (at n = 2 too,
+    which does not use it), raises ValueError."""
     check_sample_count(T.t_max, step)
-    if T.n == 2:
-        return _n2_intervals(T.t_max, step) + 1
-    k0, k1, end = _target_span(seed_offset(T.t_max, step) if delta is None else delta, T.t_max, step)
+    t0 = seed_offset(T.t_max, step, delta)
+    k0, k1, end = _target_span(0.0 if T.n == 2 else t0, T.t_max, step)
     return 1 + max(0, k1 + 1 - k0) + end
 
 
@@ -460,16 +468,14 @@ def integrate_separatrix(
     variable, each step followed by a Newton projection of p onto F = 0.
     Halts at t_end, at fold contact (|F_p| below FOLD_TOL min(1, |phi(0)|)),
     when the projected region F >= 0 is exited, or when w or p overflows;
-    the reason is recorded on the curve.  A t_end / step above MAX_SAMPLES
-    raises ValueError.  phi and psi are read at the curve's abscissae from
+    the reason is recorded on the curve.  A step <= 0 or a t_end / step
+    above MAX_SAMPLES raises ValueError.  phi and psi are read at the curve's abscissae from
     the samples of the target the steps used.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    check_sample_count(t_end, step)
     t0, w0, p0 = seed
     if t_end <= t0:
         raise ValueError("t_end must exceed the seed abscissa")
-    check_sample_count(t_end, step)
 
     n = T.n
     n1 = float(n - 1)  # x / n1 is x / (n - 1): the int converts exactly
@@ -490,14 +496,7 @@ def integrate_separatrix(
         ("uniform_steps", "other_steps", "halvings", "newton_projections", "scalar_rows"), 0
     )
 
-    # aligned targets: multiples of step, then exactly t_end
-    k0, k1, end = _target_span(t0, t_end, step)
-    targets = np.arange(k0, k1 + 1) * step
-    if end:
-        targets = np.append(targets, t_end)
-    if abs(targets[-1] - t_end) <= 1e-9 * step:
-        targets[-1] = t_end
-
+    targets = _targets(t0, t_end, step)
     min_h = 1e-6 * step
     ts, ws, ps = array("d", [t0]), array("d", [w0]), array("d", [p0])
     phis, psis = array("d"), array("d")
@@ -724,11 +723,10 @@ def solve_branch(
     A degenerate origin raises DefinitenessError (see saddle_report);
     otherwise the saddle report and the integrated curve are returned.
     """
+    delta = seed_offset(T.t_max, step, delta)
     rep = saddle_report(T)
     if t_end is None:
         t_end = T.t_max
-    if delta is None:
-        delta = seed_offset(T.t_max, step)
     seed = seed_separatrix(T, rep, delta)
     return rep, integrate_separatrix(
         T, seed, step, t_end, projection_tol=projection_tol, w2=rep.w2, w3=rep.w3
@@ -768,18 +766,21 @@ def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     bit for bit: each interval but the last takes the parabola through its
     own samples and the next one (even intervals) or the previous one (odd
     intervals), the last takes the previous one, and the pieces are summed
-    in order.  x must be strictly increasing (ValueError otherwise) and
-    hold at least three samples.
+    in order.  Like scipy, it takes the trapezoid rule below three samples.
+    x must be strictly increasing (ValueError otherwise).
     """
     dx = np.diff(x)
-    if np.any(dx <= 0):
+    if y.size < 3:
+        pieces = dx * (y[1:] + y[:-1]) / 2.0
+    elif np.any(dx <= 0):
         raise ValueError("Input x must be strictly increasing.")
-    h1 = _simpson_first_halves(y, dx)
-    h2 = _simpson_first_halves(y[::-1], dx[::-1])[::-1]
-    pieces = np.empty(dx.size)
-    pieces[:-1:2] = h1[::2]
-    pieces[1::2] = h2[::2]
-    pieces[-1] = h2[-1]
+    else:
+        h1 = _simpson_first_halves(y, dx)
+        h2 = _simpson_first_halves(y[::-1], dx[::-1])[::-1]
+        pieces = np.empty(dx.size)
+        pieces[:-1:2] = h1[::2]
+        pieces[1::2] = h2[::2]
+        pieces[-1] = h2[-1]
     # scipy adds its initial value 0.0 to every sum, which turns -0.0 into 0.0
     return np.concatenate([[0.0], np.cumsum(pieces) + 0.0])
 
@@ -787,12 +788,13 @@ def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 def solve_n2(T: RotSymTensor, step: float) -> PotentialCurve:
     """w(t) = sign(phi(0)) * integral of s sqrt(phi psi) ds, by composite Simpson.
 
-    phi(0) psi(0) outside (0, inf) raises DefinitenessError, as it makes the
-    saddle of n > 2 degenerate, and a t_max / step above MAX_SAMPLES raises
-    ValueError.
+    The samples are 0, then _targets(0, t_max, step), the grid of every
+    curve.  phi(0) psi(0) outside (0, inf) raises DefinitenessError, as it
+    makes the saddle of n > 2 degenerate, and a step that check_sample_count
+    refuses raises ValueError.
     """
     check_sample_count(T.t_max, step)
-    ts = np.linspace(0.0, T.t_max, _n2_intervals(T.t_max, step) + 1)
+    ts = np.concatenate(([0.0], _targets(0.0, T.t_max, step)))
     phis, psis = sample(ts, T.phi.first_order, T.psi.first_order)[:, 0]
     with np.errstate(all="ignore"):  # like Python float products, without warnings
         prod = phis * psis

@@ -26,7 +26,7 @@ quadrature for r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,9 +52,9 @@ class CurveTooShortError(ReconstructionError):
 MIN_PROFILE_SAMPLES = 6
 
 
-def _check_sign(curve: PotentialCurve, phi0: float):
-    pos = curve.t > 0
-    early = curve.p[pos][: min(10, int(np.sum(pos)))]
+def _check_sign(t: np.ndarray, p: np.ndarray, phi0: float):
+    pos = t > 0
+    early = p[pos][: min(10, int(np.sum(pos)))]
     if early.size == 0 or np.any(early * np.sign(phi0) <= 0):
         raise ReconstructionError(
             "potential slope violates p * sign(phi(0)) > 0 near t = 0"
@@ -65,48 +65,53 @@ def _halt_text(curve: PotentialCurve) -> str:
     return curve.halt_reason + (f", {curve.halt_detail}" if curve.halt_detail else "")
 
 
-def _profile_layout(curve: PotentialCurve):
-    """Profile grid starting at 0 with a uniform tail.
+FOLD_TRIM_SAMPLES = 4
 
-    Returns (grid, start): grid[0] = 0 and grid[1:] = curve.t[start:].
-    The first sample (t = 0 for direct quadrature, the seed offset for
-    lifted-field curves) is dropped (start = 1) unless it is positive and
-    already lies on the uniform step grid (start = 0), so stencil code
-    always sees equal spacing.
+
+def _profile_layout(curve: PotentialCurve):
+    """How a curve lies on the profile grid, as (stop, cols).
+
+    The quadratures run over curve[:stop]: all of it, less the last
+    FOLD_TRIM_SAMPLES at a fold contact, where w' ~ sqrt(t* - t) makes the
+    integrands blow up beyond what the uniform grid resolves.  The grid is
+    0, then curve.t[cols]: the first sample (0 at n = 2, else the seed) only
+    if it lies on the step grid (delta = step), and no last sample off it
+    (t_end no multiple of the step), so stencils see equal spacing.  Fewer
+    than MIN_PROFILE_SAMPLES samples raise CurveTooShortError, a grid still
+    not uniform ReconstructionError.
     """
     t = curve.t
-    if t.size < MIN_PROFILE_SAMPLES:
+    trim = curve.halt_reason == "fold_contact" and t.size > FOLD_TRIM_SAMPLES
+    stop = t.size - FOLD_TRIM_SAMPLES * trim
+    if stop < MIN_PROFILE_SAMPLES:
         raise CurveTooShortError(
-            f"curve too short to reconstruct a profile: {t.size} samples, "
+            f"curve too short to reconstruct a profile: {stop} samples, "
             f"{MIN_PROFILE_SAMPLES} needed (halt: {_halt_text(curve)})"
         )
     on_step_grid = abs((t[1] - t[0]) - (t[2] - t[1])) <= 1e-9 * (t[2] - t[1])
     start = 0 if t[0] > 0.0 and on_step_grid else 1
-    grid = np.concatenate([[0.0], t[start:]])
-    steps = np.diff(grid)
-    if steps.size > 1 and abs(steps[-1] - steps[0]) > 1e-9 * abs(steps[0]):
-        # t_end was not a multiple of the step; keep the profile uniform
-        grid = grid[:-1]
-        steps = steps[:-1]
+    steps = np.diff(t[start:stop], prepend=0.0)
+    end = stop - int(abs(steps[-1] - steps[0]) > 1e-9 * abs(steps[0]))  # t_end off the grid
+    steps = steps[: end - start]
     if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
         raise ReconstructionError(
-            "profile grid is not uniform; the seed offset delta must be "
-            "smaller than the step (or lie exactly on the step grid)"
+            "profile grid is not uniform: the curve's samples past the seed "
+            "are not the multiples of one step"
         )
-    return grid, start
+    return stop, slice(start, end)
 
 
-def _cumulative_potential_integral(curve: PotentialCurve, integrand: np.ndarray, limit0: float):
-    """Cumulative integral from 0, curve-aligned.
+def _cumulative_potential_integral(t: np.ndarray, integrand: np.ndarray, limit0: float):
+    """Cumulative integral from 0, aligned with t.
 
-    integrand is aligned with curve.t; when the curve starts at t = 0 its
-    first entry must already hold the removable-singularity limit.  The
-    short [0, t[0]] piece is bridged with a trapezoid against the series
-    limit, orders of magnitude below the target tolerances since the seed
-    offset is tiny (and zero when the curve starts at t = 0).
+    integrand is aligned with t; when t starts at 0 its first entry must
+    already hold the removable-singularity limit.  The short [0, t[0]]
+    piece is bridged with a trapezoid against the series limit, orders of
+    magnitude below the target tolerances since the seed offset is tiny
+    (and zero when t starts at 0).
     """
-    vals = cumulative_simpson(integrand, curve.t)
-    return vals + 0.5 * (limit0 + integrand[0]) * curve.t[0]
+    vals = cumulative_simpson(integrand, t)
+    return vals + 0.5 * (limit0 + integrand[0]) * t[0]
 
 
 class Quadrature(NamedTuple):
@@ -120,46 +125,47 @@ class Quadrature(NamedTuple):
     phi: np.ndarray  # phi(0) at grid[0]
     w: np.ndarray
     p: np.ndarray
-    start: int  # grid[1:] is curve.t[start:], as _profile_layout lays it out
+    cols: slice  # grid[1:] is curve.t[cols], as _profile_layout lays it out
 
 
 def solve_rf(curve: PotentialCurve, phi: Expr, n: int) -> Quadrature:
     """Radius r(t) = t exp(J(t)) and conformal exponent f with f(0) = 0.
 
     J is the cumulative integral of phi/((n-1) w') - 1/s, whose singularity
-    at 0 is removable because w' ~ w2 s there.  r' is taken from the
-    defining ODE (n-1) w' r' = phi r that the quadrature integrates; the
-    stencil derivative of r is used only for residual_r in
-    reconstruct_profile.  f' = -(phi/(n-1)) (w/w') is exact on the samples,
-    so the second defining ODE holds to rounding by construction.  Every
-    profile-grid point is 0 or a curve sample, so phi is read from curve.phi
-    and evaluated only at 0, to first order.  An r' <= 0 or a non-finite r
-    or f raises ReconstructionError, so the samples meet the MetricProfile
-    invariants.
+    at 0 is removable because w' ~ w2 s there.  _profile_layout decides the
+    samples both quadratures run over and the profile grid, before any
+    quadrature.  r' is taken from the defining ODE (n-1) w' r' = phi r that
+    the quadrature integrates; the stencil derivative of r is used only for
+    residual_r in reconstruct_profile.  f' = -(phi/(n-1)) (w/w') is exact on
+    the samples, so the second defining ODE holds to rounding by
+    construction.  Every profile-grid point is 0 or a curve sample, so phi
+    is read from curve.phi and evaluated only at 0, to first order.  An
+    r' <= 0 or a non-finite r or f raises ReconstructionError, so the
+    samples meet the MetricProfile invariants.
     """
+    stop, cols = _profile_layout(curve)
+    t, w, p, phis = curve.t[:stop], curve.w[:stop], curve.p[:stop], curve.phi[:stop]
     phi0j = eval_jet2(phi.first_order, 0.0)
-    _check_sign(curve, phi0j.v)
-    t = curve.t
+    _check_sign(t, p, phi0j.v)
     # limit at s = 0 from w ~ (w2/2) s^2 + (w3/6) s^3
     limit0 = phi0j.d1 / phi0j.v - curve.w3 / (2.0 * curve.w2) if curve.w2 else 0.0
-    phis = curve.phi
     with np.errstate(all="ignore"):  # a non-finite r or f is reported below
-        integrand_r = phis / ((n - 1) * curve.p) - 1.0 / t
-        integrand_f = (phis / (n - 1)) * (curve.w / curve.p)
+        integrand_r = phis / ((n - 1) * p) - 1.0 / t
+        integrand_f = (phis / (n - 1)) * (w / p)
     if t[0] == 0.0:
         integrand_r[0] = limit0
         integrand_f[0] = 0.0  # w/w' -> 0 at s = 0
-    grid, start = _profile_layout(curve)  # a curve too short raises before any quadrature
-    J = _cumulative_potential_integral(curve, integrand_r, limit0)
-    F = _cumulative_potential_integral(curve, integrand_f, 0.0)
+    J = _cumulative_potential_integral(t, integrand_r, limit0)
+    F = _cumulative_potential_integral(t, integrand_f, 0.0)
 
     def on_grid(values, zero_value=0.0):  # curve-aligned values on the profile grid
-        return np.concatenate([[zero_value], values[start : start + grid.size - 1]])
+        return np.concatenate([[zero_value], values[cols]])
 
+    grid = on_grid(t)
     with np.errstate(over="ignore"):  # an overflow is reported below
         r = grid * np.exp(on_grid(J))
     r[0] = 0.0
-    phi_g, p_g = on_grid(phis, phi0j.v), on_grid(curve.p)
+    phi_g, p_g = on_grid(phis, phi0j.v), on_grid(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         rp = phi_g * r / ((n - 1) * p_g)
     rp[0] = 1.0  # exact by construction: r = t exp(J), J(0) = 0
@@ -174,7 +180,7 @@ def solve_rf(curve: PotentialCurve, phi: Expr, n: int) -> Quadrature:
         if not np.all(np.isfinite(x)):
             bad = grid[np.argmax(~np.isfinite(x))]
             raise ReconstructionError(f"{name} not finite at grid point t = {bad:.6g}")
-    return Quadrature(grid, r, rp, f, fp, phi_g, on_grid(curve.w), p_g, start)
+    return Quadrature(grid, r, rp, f, fp, phi_g, on_grid(w), p_g, cols)
 
 
 def _residual_window(grid: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
@@ -230,23 +236,6 @@ class ReconstructionResult:
     res_tt: np.ndarray
 
 
-FOLD_TRIM_SAMPLES = 4
-
-
-def trim_fold_tail(curve: PotentialCurve) -> PotentialCurve:
-    """Drop the last FOLD_TRIM_SAMPLES samples of a curve that ends at a fold contact.
-
-    Approaching the fold, w' ~ sqrt(t* - t), so the quadrature integrands
-    blow up like an inverse square root; the last few steps cannot be
-    resolved on the uniform grid and are excluded from reconstruction.
-    """
-    k = FOLD_TRIM_SAMPLES
-    if curve.halt_reason != "fold_contact" or curve.t.size <= k:
-        return curve
-    arrays = ("t", "w", "p", "phi", "psi")
-    return replace(curve, **{name: getattr(curve, name)[:-k] for name in arrays})
-
-
 def reconstruct_profile(
     curve: PotentialCurve, T: RotSymTensor, t_lo: float | None = None
 ) -> ReconstructionResult:
@@ -258,8 +247,7 @@ def reconstruct_profile(
     [t_lo, grid[-1]], t_lo defaulting to 0.05 t_max.
     """
     n = T.n
-    trimmed = trim_fold_tail(curve)
-    q = solve_rf(trimmed, T.phi, n)
+    q = solve_rf(curve, T.phi, n)
     grid, p = q.grid, q.p
     profile = MetricProfile(n, grid, q.f, q.r, q.rp, q.fp)
 
@@ -277,7 +265,7 @@ def reconstruct_profile(
         )
     window = _residual_window(grid, t_lo, float(grid[-1]))
     psi0 = eval_jet2(T.psi.first_order, 0.0).v
-    psi = np.concatenate([[psi0], trimmed.psi[q.start : q.start + grid.size - 1]])
+    psi = np.concatenate([[psi0], curve.psi[q.cols]])
     res_rr, res_tt = ricci_defects(profile, slice(None), q.phi, psi)
     return ReconstructionResult(
         profile=profile,

@@ -124,6 +124,31 @@ def test_a_step_that_leaves_too_few_samples_is_refused_before_any_work(
     assert [p.name for p in tmp_path.iterdir()] == ["s.cfg"]
 
 
+@pytest.mark.parametrize(
+    "command, n, phi, psi",
+    [("solve", 4, "12", "12 - 8*t^2"), ("solve", 2, "1", "1"),
+     ("analyze", 4, "12", "12 - 8*t^2"), ("portrait", 4, "12", "12 - 8*t^2")],
+    ids=["solve-n4", "solve-n2", "analyze", "portrait"],
+)
+def test_a_delta_above_the_step_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, command, n, phi, psi
+):
+    # n = 2 uses no seed offset, but validates it all the same
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before delta was checked")
+
+    for owner, name in ((pipeline, "definiteness_check"), (potential, "saddle_report"),
+                        (potential, "solve_n2")):
+        monkeypatch.setattr(owner, name, no_work)
+    cfg = f'n = {n}\nphi = "{phi}"\npsi = "{psi}"\nt_max = 0.5\nstep = 1e-3\ndelta = 2e-3\n'
+    path = _write(tmp_path, "d.cfg", cfg + f'out = "{tmp_path}/d"\n')
+    assert main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        'riccisym: code=1 reason="delta must lie in (0, step]"'
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["d.cfg"]
+
+
 def test_solve_gold_writes_outputs(tmp_path, capsys):
     path = _write(tmp_path, "gold.cfg", GOLD_CFG + f'out = "{tmp_path}/gold"\n')
     code = main(["solve", "--config", str(path)])

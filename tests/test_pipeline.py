@@ -9,6 +9,7 @@ from riccisym import (
     RotSymTensor,
     definiteness_check,
     parse,
+    pipeline,
     potential,
     reconstruct,
     rotsym,
@@ -125,15 +126,18 @@ def test_solve_classifies_the_saddle_once(monkeypatch, n):
     assert sol.saddle.w2 == 4.0
 
 
-def test_a_seed_offset_above_the_step_leaves_a_profile_grid_that_is_refused():
-    # the CLI refuses delta > step; through the library it reaches reconstruction
+def test_a_seed_offset_above_the_step_is_refused_before_any_work(monkeypatch):
+    # the library refuses delta > step as the CLI does, on or off the step grid
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before delta was checked")
+
+    monkeypatch.setattr(pipeline, "definiteness_check", no_work)
     T = RotSymTensor(3, parse("1"), parse("1"), 1.0)
-    with pytest.raises(reconstruct.ReconstructionError) as err:
-        solve(T, step=1e-3, delta=5e-3)
-    assert str(err.value) == (
-        "profile grid is not uniform; the seed offset delta must be "
-        "smaller than the step (or lie exactly on the step grid)"
-    )
+    for delta in (5e-3, 2e-3):
+        for run in (solve, pipeline.branch):
+            with pytest.raises(ValueError) as err:
+                run(T, step=1e-3, delta=delta)
+            assert str(err.value) == "delta must lie in (0, step]"
 
 
 def test_definiteness_error_is_one_class():
@@ -224,35 +228,109 @@ def test_solve_refuses_exactly_the_steps_that_leave_too_few_samples(n):
     assert refused and solved
 
 
-# A manufactured solution (n = 3): the metric with r = t exp(t^2/8) and
-# f = -t^2/2, whose potential is w = 4t^2/(4 + t^2), has these phi and psi,
-# so the solve's error is measured against the exact profile.
-_MANUFACTURED = RotSymTensor(
-    3, parse("16/(t^2 + 4)"), parse("8*(32 - t^4)/(t^6 + 12*t^4 + 48*t^2 + 64)"), 1.0
-)
+# Manufactured solutions: metrics with a closed-form r and f, whose
+# potential w is closed-form too, have these phi and psi (derived with
+# sympy), so the solve's error is measured against the exact profile.  Each
+# entry is (target, r, f, w, the continuation check's notes).
+_MANUFACTURED = {
+    # n = 3: r = t exp(t^2/8), f = -t^2/2, w = 4t^2/(4 + t^2)
+    "n3": (
+        RotSymTensor(
+            3, parse("16/(t^2 + 4)"), parse("8*(32 - t^4)/(t^6 + 12*t^4 + 48*t^2 + 64)"), 1.0
+        ),
+        lambda t: t * np.exp(t * t / 8),
+        lambda t: -t * t / 2,
+        lambda t: 4 * t * t / (4 + t * t),
+        (),
+    ),
+    # n = 4: r = t exp(t^2/5), f = t^4/10 - t^2, w = 2t^2(5 - t^2)/(5 + 2t^2);
+    # phi (t^2 psi)' has a true root at t = 0.8322, so the continuation
+    # hypothesis fails although the branch reaches t_max
+    "n4": (
+        RotSymTensor(
+            4,
+            parse("12*(-2*t^4 - 10*t^2 + 25)/(5*(2*t^2 + 5))"),
+            parse("4*(-4*t^8 + 22*t^6 - 10*t^4 - 150*t^2 + 375)/(8*t^6 + 60*t^4 + 150*t^2 + 125)"),
+            1.0,
+        ),
+        lambda t: t * np.exp(t * t / 5),
+        lambda t: t**4 / 10 - t * t,
+        lambda t: 2 * t * t * (5 - t * t) / (5 + 2 * t * t),
+        ("fold regularity fails at t = 0.8322",),
+    ),
+    # n = 3: r = t(1 + t^2/6), f = -t^2/2, w = t^2(6 + t^2)/(3(2 + t^2))
+    "n3_cubic_r": (
+        RotSymTensor(
+            3,
+            parse("4*(t^4 + 4*t^2 + 12)/(t^4 + 8*t^2 + 12)"),
+            parse("(-t^8 - 6*t^6 + 20*t^4 + 168*t^2 + 288)/(9*(t^6 + 6*t^4 + 12*t^2 + 8))"),
+            1.0,
+        ),
+        lambda t: t * (1 + t * t / 6),
+        lambda t: -t * t / 2,
+        lambda t: t * t * (6 + t * t) / (3 * (2 + t * t)),
+        (),
+    ),
+}
 
 
 @pytest.mark.parametrize(
-    "step, r_rel, f_abs, w_rel",
-    # measured: 2.142e-8 (at t = 0.001), 2.663e-12, 4.476e-9; then
-    # 5.894e-9, 1.488e-14, 1.370e-9
-    [(1e-3, 3e-8, 4e-12, 6e-9), (2.5e-4, 8e-9, 3e-14, 2e-9)],
+    "target, step, r_rel, f_abs, w_rel",
+    [
+        # measured: 2.142e-8 (at t = 0.001), 2.663e-12, 4.476e-9; then
+        # 5.894e-9, 1.488e-14, 1.370e-9
+        ("n3", 1e-3, 3e-8, 4e-12, 6e-9),
+        ("n3", 2.5e-4, 8e-9, 3e-14, 2e-9),
+        # measured: 5.12e-8, 2.087e-11, 2.275e-8; then 1.397e-8, 1.078e-13, 2.625e-9
+        ("n4", 1e-3, 7e-8, 3e-11, 3e-8),
+        ("n4", 2.5e-4, 2e-8, 2e-13, 4e-9),
+        # measured: 2.856e-8, 3.281e-12, 5.64e-9; then 7.859e-9, 1.887e-14, 1.826e-9
+        ("n3_cubic_r", 1e-3, 4e-8, 5e-12, 8e-9),
+        ("n3_cubic_r", 2.5e-4, 1e-8, 3e-14, 3e-9),
+    ],
+    # the first target keeps the ids it had as the only one
+    ids=["0.001-3e-08-4e-12-6e-09", "0.00025-8e-09-3e-14-2e-09",
+         "n4-0.001", "n4-0.00025", "n3_cubic_r-0.001", "n3_cubic_r-0.00025"],
 )
-def test_a_manufactured_solution_is_recovered(step, r_rel, f_abs, w_rel):
-    sol = solve(_MANUFACTURED, step=step)
+def test_a_manufactured_solution_is_recovered(target, step, r_rel, f_abs, w_rel):
+    T, r, f, w, notes = _MANUFACTURED[target]
+    sol = solve(T, step=step)
     profile = sol.recon.profile
     assert sol.curve.halt_reason == "t_end" and profile.grid[[0, -1]].tolist() == [0.0, 1.0]
+    assert sol.global_report.notes == notes
+    assert sol.global_report.verdict == (
+        "hypothesis_failed" if notes else "global_continuation_expected"
+    )
     assert profile.r[0] == 0.0 and sol.recon.w[0] == 0.0
     t = profile.grid[1:]  # r and w vanish at 0: relative errors from the next sample
-    assert np.max(np.abs(profile.r[1:] / (t * np.exp(t * t / 8)) - 1)) <= r_rel
-    assert np.max(np.abs(profile.f + profile.grid**2 / 2)) <= f_abs
-    assert np.max(np.abs(sol.recon.w[1:] / (4 * t * t / (4 + t * t)) - 1)) <= w_rel
+    assert np.max(np.abs(profile.r[1:] / r(t) - 1)) <= r_rel
+    assert np.max(np.abs(profile.f - f(profile.grid))) <= f_abs
+    assert np.max(np.abs(sol.recon.w[1:] / w(t) - 1)) <= w_rel
 
 
 def test_a_manufactured_solution_converges_in_the_step():
-    # f's error falls 179-fold as the step shrinks 4-fold, from 1e-3 to 2.5e-4
-    def f_error(step):
-        profile = solve(_MANUFACTURED, step=step).recon.profile
-        return np.max(np.abs(profile.f + profile.grid**2 / 2))
+    # f's error falls 179-, 194- and 174-fold as the step shrinks 4-fold,
+    # from 1e-3 to 2.5e-4
+    for T, _, f, _, _ in _MANUFACTURED.values():
+        def f_error(step):
+            profile = solve(T, step=step).recon.profile
+            return np.max(np.abs(profile.f - f(profile.grid)))
 
-    assert f_error(1e-3) >= 100 * f_error(2.5e-4)
+        assert f_error(1e-3) >= 100 * f_error(2.5e-4)
+
+
+@pytest.mark.parametrize(
+    "step, size, f_abs, w_abs",
+    # measured: 1.426e-12, 2.506e-13; 1.005e-10, 2.025e-11; 2.639e-9, 6.003e-10
+    [(1e-3, 1001, 1.5e-12, 2.6e-13), (3e-3, 334, 1.05e-10, 2.1e-11),
+     (7e-3, 143, 2.75e-9, 6.3e-10)],
+)
+def test_n2_takes_the_step_and_recovers_an_exact_family(step, size, f_abs, w_abs):
+    # phi = psi = 2 + t^2 at n = 2: r = t, f = -t^2/2 - t^4/16, w = t^2 + t^4/4;
+    # the profile grid is 0 and the multiples of step up to t_max, as for n > 2
+    sol = solve(RotSymTensor(2, parse("2 + t^2"), parse("2 + t^2"), 1.0), step=step)
+    grid = sol.recon.profile.grid
+    assert grid.size == size and np.allclose(np.diff(grid), step, rtol=1e-9, atol=0.0)
+    assert np.max(np.abs(sol.recon.profile.r - grid)) <= 1e-15
+    assert np.max(np.abs(sol.recon.profile.f + grid**2 / 2 + grid**4 / 16)) <= f_abs
+    assert np.max(np.abs(sol.recon.w - grid**2 - grid**4 / 4)) <= w_abs

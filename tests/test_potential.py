@@ -453,6 +453,17 @@ def test_n2_polynomial_case():
     assert abs(curve.w[-1] - 0.75) < 1e-10
 
 
+def test_n2_samples_the_multiples_of_the_step():
+    # 0, then the multiples of step, the last one t_max itself
+    T = RotSymTensor(2, parse("1"), parse("1"), 0.7)
+    curve = solve_n2(T, 0.1)
+    assert curve.t.tolist() == [0.0, *(np.arange(1, 7) * 0.1).tolist(), 0.7]
+    assert potential.curve_samples(T, 0.1) == 8
+    # a step past t_max leaves 0 and t_max, integrated by the trapezoid rule
+    curve = solve_n2(RotSymTensor(2, parse("1"), parse("1"), 1.0), 3.0)
+    assert curve.t.tolist() == [0.0, 1.0] and curve.w.tolist() == [0.0, 0.5]
+
+
 def test_n2_negative_product_rejected():
     with pytest.raises(ValueError):
         solve_n2(RotSymTensor(2, parse("1"), parse("-1"), 1.0), 1e-2)
@@ -525,6 +536,14 @@ def test_cumulative_simpson_turns_negative_zeros_positive():
     # the first interval's piece is -0.0 (every term of eqn (8) is -0.0 there)
     out = cumulative_simpson(np.array([-0.0, -0.0, 0.0, -0.0]), np.arange(4.0))
     assert out.tobytes() == np.zeros(4).tobytes()
+
+
+@pytest.mark.parametrize(
+    "y, x", [([2.0, -0.0], [1.0, 1.5]), ([3.0], [0.5]), ([1.0, 5.0], [1.0, 0.5])]
+)
+def test_cumulative_simpson_takes_scipys_trapezoid_below_three_samples(y, x):
+    y, x = np.array(y), np.array(x)
+    assert cumulative_simpson(y, x).tobytes() == _scipy_simpson(y, x).tobytes()
 
 
 @pytest.mark.parametrize("x", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]])
