@@ -14,13 +14,17 @@ Commands: solve, analyze, verify, hypersurface, portrait.  Configs are
 line-oriented ``key = value`` text with '#' comments; expression values are
 quoted and follow the grammar documented in :mod:`riccisym.exprfn`.
 
+Each input rule is stated once: the commands are _DISPATCH's keys, the
+config keys and their kinds ProblemConfig's fields, delta's range is
+potential.seed_offset's and the tokens are exprfn._TOKEN's.
+
 Exit codes: 0 success, 1 usage error (a missing or unknown command, an
 unknown option), config or parse error, or an output that cannot be
 written, 2 tensor validation failure (sign change, non-finite target,
 origin mismatch or degenerate saddle), 3 numerical failure (projection,
-monotonicity, sign).  Every failure prints one machine-readable line
-``riccisym: code=<N> reason="..."`` on stderr; a failing solve, analyze or
-portrait leaves no output file.
+monotonicity, sign, a non-finite hypersurface cell).  Every failure prints
+one machine-readable line ``riccisym: code=<N> reason="..."`` on stderr; a
+failing solve, analyze, portrait or hypersurface leaves no output file.
 Outputs are deterministic: CSV with a header row, 17 significant digits,
 '.' decimal separator and LF line endings.
 
@@ -39,7 +43,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
 
@@ -47,12 +51,10 @@ import numpy as np
 
 from . import hypersurface as hs
 from . import potential, reconstruct
-from .exprfn import EvalError, Expr, ParseError, parse, sample
+from .exprfn import Expr, ParseError, parse, sample
 from .exprfn import eval_jet2  # noqa: F401  unused; bench/tracer.py patches cli.eval_jet2
 from .pipeline import branch, solution_summary, solve
 from .rotsym import DefinitenessError, MetricProfile, RotSymTensor
-
-COMMANDS = ("solve", "analyze", "verify", "hypersurface", "portrait")
 
 _NUMERIC_ERRORS = (
     potential.ProjectionError,
@@ -92,19 +94,8 @@ class ProblemConfig:
     profile: str = ""
 
 
-_EXPR_KEYS = {"phi", "psi", "h"}
-_FLOAT_KEYS = {
-    "t_max",
-    "r_max",
-    "step",
-    "delta",
-    "constraint_tol",
-    "residual_tol",
-    "t_lo",
-    "t_hi",
-}
-_INT_KEYS = {"n", "samples"}
-_STR_KEYS = {"out", "profile"}
+# every config key and the kind of its value: Expr, float, int or str
+_KEY_KINDS = {f.name: f.type.partition(" ")[0] for f in fields(ProblemConfig)}
 
 
 def parse_config(path: Path) -> ProblemConfig:
@@ -122,12 +113,13 @@ def parse_config(path: Path) -> ProblemConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
             value = value[1:-1]
-        if key in _EXPR_KEYS:
+        kind = _KEY_KINDS.get(key)
+        if kind == "Expr":
             try:
                 setattr(cfg, key, parse(value))
             except ParseError as err:
                 raise ConfigError(f"{path}:{lineno}: {key}: {err}") from None
-        elif key in _FLOAT_KEYS:
+        elif kind == "float":
             try:
                 number = float(value)
             except ValueError:
@@ -135,7 +127,7 @@ def parse_config(path: Path) -> ProblemConfig:
             if not math.isfinite(number):
                 raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {value}")
             setattr(cfg, key, number)
-        elif key in _INT_KEYS:
+        elif kind == "int":
             try:
                 number = int(value)
                 float(number)  # n and samples enter float arithmetic
@@ -144,7 +136,7 @@ def parse_config(path: Path) -> ProblemConfig:
             except OverflowError:
                 raise ConfigError(f"{path}:{lineno}: {key} exceeds the float range") from None
             setattr(cfg, key, number)
-        elif key in _STR_KEYS:
+        elif kind == "str":
             setattr(cfg, key, value)
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
@@ -489,12 +481,17 @@ def _cmd_hypersurface(cfg: ProblemConfig) -> int:
     _require_samples(cfg)
     E = hs.GraphEmbedding(cfg.n, cfg.h, cfg.r_max)
     table = hs.curvature_table(E, np.linspace(0.0, cfg.r_max, cfg.samples))
-    write_csv(
-        _output(cfg, "_hypersurface.csv"),
-        ("r", "f", "ric_rr", "ric_tt_unit", "h1", "h2", "scalar"),
-        [table.T],
-    )
+    bad = np.argwhere(~np.isfinite(table))  # row by row
+    if bad.size:
+        row, column = bad[0]
+        raise reconstruct.ReconstructionError(
+            f"{HYPERSURFACE_HEADER[column]} not finite at grid point r = {table[row, 0]:.6g}"
+        )
+    write_csv(_output(cfg, "_hypersurface.csv"), HYPERSURFACE_HEADER, [table.T])
     return 0
+
+
+HYPERSURFACE_HEADER = ("r", "f", "ric_rr", "ric_tt_unit", "h1", "h2", "scalar")
 
 
 def _cmd_verify(cfg: ProblemConfig) -> int:
@@ -623,6 +620,7 @@ _DISPATCH = {
     "hypersurface": _cmd_hypersurface,
     "portrait": _cmd_portrait,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def _diag(code: int, reason: str):
@@ -637,10 +635,7 @@ def run_single(command: str, config_path: str, out_override: str | None = None) 
         if not Path(cfg.out).name:
             raise ConfigError(f"out must end in a file name, got {cfg.out!r}")
         return _DISPATCH[command](cfg)
-    except (ConfigError, ParseError, EvalError) as err:
-        _diag(1, str(err))
-        return 1
-    except DefinitenessError as err:
+    except DefinitenessError as err:  # the one ValueError of code 2
         _diag(2, str(err))
         return 2
     except _NUMERIC_ERRORS as err:
@@ -649,7 +644,7 @@ def run_single(command: str, config_path: str, out_override: str | None = None) 
     except OSError as err:  # a config or profile that cannot be read is a ConfigError
         _diag(1, f"cannot write output: {err}")
         return 1
-    except ValueError as err:
+    except ValueError as err:  # a config, parse or evaluation error among them
         _diag(1, str(err))
         return 1
 

@@ -158,9 +158,6 @@ class Call(Expr):
     arg: Expr
 
 
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
-
-
 class FirstOrder:
     """An expression evaluated to first order: eval_jet2 gives its value and
     first derivative with a NaN d2, and sample its (v, d1) arrays.  The d2
@@ -189,35 +186,28 @@ _BINARY = {text.strip(): node for node, (_, text) in _INFIX.items()}  # by token
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
-_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# One token after any whitespace: a number, a name, an operator, the end, or
+# else the one character that starts no token, so every position matches.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^()])|(?P<end>\Z)|(?P<bad>.))",
+    re.DOTALL,
+)
 
 
 def _tokenize(src: str):
+    """(kind, text, position) of each token of src, by the one pattern
+    _TOKEN; an operator's kind is its text, and the last token is
+    ("end", "", len(src))."""
     tokens = []
-    i = 0
-    while i < len(src):
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        m = _NUMBER.match(src, i)
-        if m:
-            tokens.append(("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT.match(src, i)
-        if m:
-            tokens.append(("ident", m.group(), i))
-            i = m.end()
-            continue
-        if c in "+-*/^()":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", len(src)))
-    return tokens
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        text, at = m[kind], m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", at)
+        tokens.append((text if kind == "op" else kind, text, at))
+        if kind == "end":
+            return tokens
 
 
 class _Parser:
@@ -277,14 +267,9 @@ class _Parser:
         if self.peek()[0] == "-":
             self.advance()
             sign = -1
-        kind, text, at = self.peek()
-        if kind == "end":
-            raise ParseError("unexpected end of input", at)
-        if kind != "num":
-            raise ParseError(f"expected integer exponent, got {text!r}", at)
-        self.advance()
+        _, text, at = self.expect("num", "integer exponent")
         value = float(text)
-        if value != int(value):
+        if not value.is_integer():  # inf, from a literal past the float range, included
             raise ParseError(f"exponent must be an integer, got {text!r}", at)
         return sign * int(value)
 
@@ -498,6 +483,7 @@ _RULES = {
     Neg: _neg, Add: _add, Sub: _sub, Mul: _mul, Div: _div, Pow: _pow,
     "sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt,
 }
+FUNCTIONS = tuple(name for name in _RULES if isinstance(name, str))  # the grammar's FUNC
 
 
 def _compile(e: Expr, order: int):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprfn import Expr, eval_jet2
+from .exprfn import Expr, Jet2, eval_jet2
 from . import tensorlab
 
 
@@ -48,7 +48,9 @@ class GraphEmbedding:
 
 
 def _h_jet(E: GraphEmbedding, r: float):
-    return eval_jet2(E.h, r * r)
+    """h's jet at r^2 in numpy floats, whose ** overflows to inf, not raising."""
+    hj = eval_jet2(E.h, r * r)
+    return Jet2(np.float64(hj.v), np.float64(hj.d1), np.float64(hj.d2))
 
 
 def induced_metric(E: GraphEmbedding, r: float) -> tuple[float, float, float]:
@@ -139,13 +141,15 @@ def curvature_table(E: GraphEmbedding, rs) -> np.ndarray:
 
     The scalar is the trace of the frame Ricci matrix, radial + (n-1)
     tangential, from frame_diagonal's closed form: gauss_curvatures would
-    build an n^4 Riemann tensor on every row to read it.
+    build an n^4 Riemann tensor on every row to read it.  A cell that
+    overflows holds inf or NaN, and no warning is given.
     """
     table = np.empty((len(rs), 7))
-    for i, r in enumerate(rs):
-        f, _, _ = induced_metric(E, r)
-        ric_rr, ric_tt = ricci_graph(E, r)
-        h1, h2 = principal_curvatures(E, r)
-        radial, tangential = frame_diagonal(E, r)
-        table[i] = r, f, ric_rr, ric_tt, h1, h2, radial + (E.n - 1) * tangential
+    with np.errstate(all="ignore"):
+        for i, r in enumerate(np.asarray(rs, dtype=float)):
+            f, _, _ = induced_metric(E, r)
+            ric_rr, ric_tt = ricci_graph(E, r)
+            h1, h2 = principal_curvatures(E, r)
+            radial, tangential = frame_diagonal(E, r)
+            table[i] = r, f, ric_rr, ric_tt, h1, h2, radial + (E.n - 1) * tangential
     return table

@@ -31,9 +31,9 @@ def branch(
     """(verdict, saddle, curve, global report) of a target that passes the
     definiteness scan; one that fails it raises DefinitenessError.
 
-    A delta outside (0, step] raises ValueError before any work, also at
-    n = 2, which goes through direct quadrature, with no saddle and no
-    report; n > 2 seeds and integrates the folded-saddle branch and checks
+    A delta that seed_offset refuses raises ValueError before any work,
+    also at n = 2, which goes through direct quadrature, with no saddle and
+    no report; n > 2 seeds and integrates the folded-saddle branch and checks
     that it continues globally.
     """
     potential.seed_offset(T.t_max, step, delta)
@@ -55,8 +55,8 @@ def solve(
 ) -> Solution:
     """branch, then recovery of (r, f) by quadrature with every residual.
 
-    A delta outside (0, step], or a step that leaves a curve reaching t_max
-    fewer samples than a profile needs, raises ValueError before any work.
+    A delta seed_offset refuses, or a step that leaves a curve reaching
+    t_max fewer samples than a profile needs, raises ValueError before any work.
     """
     samples = potential.curve_samples(T, step, delta)
     if samples < reconstruct.MIN_PROFILE_SAMPLES:

@@ -284,17 +284,27 @@ def _project_p(t: float, Q: float, p: float, tol: float):
 
 
 def seed_offset(t_max: float, step: float, delta: float | None = None) -> float:
-    """The seed abscissa: delta, which must lie in (0, step] (ValueError
-    otherwise), or by default min(1e-4 t_max, step/2), in the series range."""
-    if delta is not None and not 0 < delta <= step:
+    """The seed abscissa: delta, or by default min(1e-4 t_max, step/2).
+    The one check of delta's range, made before any work: outside (0, step],
+    then outside the series range, it raises ValueError naming that range."""
+    if delta is None:
+        return min(1e-4 * t_max, 0.5 * step)
+    if not 0 < delta <= step:
         raise ValueError("delta must lie in (0, step]")
-    return min(1e-4 * t_max, 0.5 * step) if delta is None else delta
+    if t_max > 0:  # else RotSymTensor refuses t_max
+        _check_series_range(t_max, delta)
+    return delta
+
+
+def _check_series_range(t_max: float, delta: float) -> None:
+    """Refuse a delta outside the series range (0, 1e-2 t_max] of the seed."""
+    if not 0 < delta <= 1e-2 * t_max:
+        raise ValueError(f"delta must lie in (0, {1e-2 * t_max:g}]")
 
 
 def seed_separatrix(T: RotSymTensor, rep: SaddleReport, delta: float):
     """Second-order series seed (delta, w2 d^2/2, w2 d), p projected onto F = 0."""
-    if not 0 < delta <= 1e-2 * T.t_max:
-        raise ValueError(f"delta must lie in (0, {1e-2 * T.t_max:g}]")
+    _check_series_range(T.t_max, delta)
     w0 = rep.w2 * delta * delta / 2.0
     p0 = rep.w2 * delta
     Q = surface_eval(T, delta, w0, 0.0)[0]
@@ -340,8 +350,8 @@ def _targets(t0: float, t_end: float, step: float) -> np.ndarray:
 def curve_samples(T: RotSymTensor, step: float, delta: float | None = None) -> int:
     """The samples of a curve that reaches t_max: 0 at n = 2, else the seed
     at seed_offset(t_max, step, delta), then _targets.  A step that
-    check_sample_count refuses, or a delta outside (0, step] (at n = 2 too,
-    which does not use it), raises ValueError."""
+    check_sample_count refuses, or a delta that seed_offset refuses (at
+    n = 2 too, which does not use it), raises ValueError."""
     check_sample_count(T.t_max, step)
     t0 = seed_offset(T.t_max, step, delta)
     k0, k1, end = _target_span(0.0 if T.n == 2 else t0, T.t_max, step)

@@ -56,7 +56,9 @@ def test_parse_config_rejects_bad_expression(tmp_path):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("key", sorted(cli._FLOAT_KEYS))
+@pytest.mark.parametrize(
+    "key", sorted(key for key, kind in cli._KEY_KINDS.items() if kind == "float")
+)
 def test_parse_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
     path = _write(tmp_path, "a.cfg", GOLD_CFG + f"{key} = {value}\nout = \"{tmp_path}/x\"\n")
     assert main(["solve", "--config", str(path)]) == 1
@@ -124,27 +126,40 @@ def test_a_step_that_leaves_too_few_samples_is_refused_before_any_work(
     assert [p.name for p in tmp_path.iterdir()] == ["s.cfg"]
 
 
+# (step, delta, the range delta leaves): above the step, or at the step but
+# above the series range (0, 1e-2 t_max] of the seed
+ABOVE_STEP = (1e-3, 2e-3, "step")
+ABOVE_SERIES = (1e-2, 1e-2, "0.005")
+GOLD4_TARGET = (4, "12", "12 - 8*t^2")
+
+
 @pytest.mark.parametrize(
-    "command, n, phi, psi",
-    [("solve", 4, "12", "12 - 8*t^2"), ("solve", 2, "1", "1"),
-     ("analyze", 4, "12", "12 - 8*t^2"), ("portrait", 4, "12", "12 - 8*t^2")],
-    ids=["solve-n4", "solve-n2", "analyze", "portrait"],
+    "command, target, ranges",
+    [("solve", GOLD4_TARGET, ABOVE_STEP), ("solve", (2, "1", "1"), ABOVE_STEP),
+     ("analyze", GOLD4_TARGET, ABOVE_STEP), ("portrait", GOLD4_TARGET, ABOVE_STEP),
+     ("solve", GOLD4_TARGET, ABOVE_SERIES), ("solve", (2, "1", "1"), ABOVE_SERIES),
+     ("analyze", GOLD4_TARGET, ABOVE_SERIES), ("portrait", GOLD4_TARGET, ABOVE_SERIES),
+     ("verify", GOLD4_TARGET, ABOVE_SERIES)],
+    ids=["solve-n4", "solve-n2", "analyze", "portrait", "series-solve-n4", "series-solve-n2",
+         "series-analyze", "series-portrait", "series-verify"],
 )
 def test_a_delta_above_the_step_is_refused_before_any_work(
-    tmp_path, capsys, monkeypatch, command, n, phi, psi
+    tmp_path, capsys, monkeypatch, command, target, ranges
 ):
-    # n = 2 uses no seed offset, but validates it all the same
+    # n = 2 uses no seed offset, but validates it all the same, and verify
+    # checks it before it looks for a profile
     def no_work(*args, **kwargs):
         raise AssertionError("work started before delta was checked")
 
     for owner, name in ((pipeline, "definiteness_check"), (potential, "saddle_report"),
                         (potential, "solve_n2")):
         monkeypatch.setattr(owner, name, no_work)
-    cfg = f'n = {n}\nphi = "{phi}"\npsi = "{psi}"\nt_max = 0.5\nstep = 1e-3\ndelta = 2e-3\n'
+    (n, phi, psi), (step, delta, bound) = target, ranges
+    cfg = f'n = {n}\nphi = "{phi}"\npsi = "{psi}"\nt_max = 0.5\nstep = {step}\ndelta = {delta}\n'
     path = _write(tmp_path, "d.cfg", cfg + f'out = "{tmp_path}/d"\n')
     assert main([command, "--config", str(path)]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        'riccisym: code=1 reason="delta must lie in (0, step]"'
+        f'riccisym: code=1 reason="delta must lie in (0, {bound}]"'
     ]
     assert [p.name for p in tmp_path.iterdir()] == ["d.cfg"]
 
@@ -303,6 +318,23 @@ def test_hypersurface_output(tmp_path):
     assert abs(last["scalar"] - 2.24) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "h, r_max, r", [("t^2", 1e160, "1e+158"), ("t^2", 1e308, "1e+306"), ("(1e-200)^-1*t", 1, "0")]
+)
+def test_a_hypersurface_cell_past_the_float_range_is_one_code_3_line(
+    tmp_path, capsys, recwarn, h, r_max, r
+):
+    # r^2 overflows past r = 1.3e154 and used to leave inf and NaN rows after
+    # numpy RuntimeWarnings; h' = 1e200 used to raise OverflowError in f
+    cfg = f'n = 3\nh = "{h}"\nr_max = {r_max}\nout = "{tmp_path}/hy"\n'
+    assert main(["hypersurface", "--config", str(_write(tmp_path, "h.cfg", cfg))]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f'riccisym: code=3 reason="f not finite at grid point r = {r}"'
+    ]
+    assert not recwarn.list
+    assert [p.name for p in tmp_path.iterdir()] == ["h.cfg"]
+
+
 def test_verify_roundtrip(tmp_path):
     src = _write(tmp_path, "g.cfg", GOLD_CFG + f'out = "{tmp_path}/g"\n')
     assert main(["solve", "--config", str(src)]) == 0
@@ -373,9 +405,15 @@ NO_SUCH_FILE = "[Errno 2] No such file or directory"
         ("solve", GOLD_CFG.replace("t_max = 0.5\n", ""),
          "command 'solve' requires config key 't_max'"),
         ("hypersurface", GOLD_CFG + 'h = "t"\n', "command 'hypersurface' requires config key 'r_max'"),
+        # an exponent past the float range reads as inf, no integer
+        ("solve", GOLD_CFG.replace('"8"', '"t^1e400"'),
+         "c.cfg:3: phi: exponent must be an integer, got '1e400' (at position 2)"),
+        ("hypersurface", GOLD_CFG + 'h = "t^-1e400"\nr_max = 1\n',
+         "c.cfg:7: h: exponent must be an integer, got '1e400' (at position 3)"),
     ],
     ids=["unreadable config", "no equals sign", "delta above step", "verify without profile",
-         "unreadable profile", "no n", "no t_max", "no r_max"],
+         "unreadable profile", "no n", "no t_max", "no r_max", "exponent overflow",
+         "negative exponent overflow"],
 )
 def test_a_config_error_is_one_exact_code_1_line(tmp_path, capsys, monkeypatch, command, config, reason):
     monkeypatch.chdir(tmp_path)

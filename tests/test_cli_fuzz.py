@@ -1,13 +1,14 @@
 """Random targets, mutated configs and mutated profiles through the command line.
 
-Every run of solve, analyze and portrait ends in a documented exit code:
-silent on success, exactly one ``riccisym: code=<N> reason="..."`` line on
-stderr otherwise, never a traceback or a Python warning, and a failure
-leaves no output file.  The grammar reaches the float edge cases on
-purpose: underflow (1e-200), overflow (1e999, 1e308*1e308) and the NaN of
-their differences.  A config text that parse_config refuses exits 1.
-verify holds to the same contract, bar the file rule (a failed gate still
-writes its report), on a gold solution CSV with one mutation applied.
+Every run of solve, analyze, portrait and hypersurface ends in a
+documented exit code: silent on success, exactly one
+``riccisym: code=<N> reason="..."`` line on stderr otherwise, never a
+traceback or a Python warning, and a failure leaves no output file.  The
+grammar reaches the float edge cases on purpose: underflow (1e-200),
+overflow (1e999, 1e308*1e308) and the NaN of their differences.  A
+config text that parse_config refuses exits 1.  verify holds to the same
+contract, bar the file rule (a failed gate still writes its report), on a
+gold solution CSV with one mutation applied.
 """
 
 import contextlib
@@ -22,9 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riccisym.cli import ConfigError, main, parse_config
+from riccisym.exprfn import FUNCTIONS
 
 ATOMS = ("0", "1", "-1", "8", "1e-200", "1e999", "1e308*1e308", "t", "t^2", "pi")
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 DIAGNOSTIC = re.compile(r'riccisym: code=(\d) reason=".*"')
 
 
@@ -74,6 +75,20 @@ def test_commands_end_in_one_documented_outcome(n, phi, psi, t_max, step):
         code, lines, caught, left = _run(command, cfg_text)
         _assert_one_outcome(command, code, lines, caught, codes=(0, 1, 2, 3))
         assert code == 0 or not left, (command, left)  # a failure writes no file
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    h=expressions(3),
+    r_max=st.sampled_from((0.5, 2, 1e160, 1e300)),
+)
+def test_hypersurface_ends_in_one_documented_outcome(n, h, r_max):
+    # r_max = 1e160 with h = t^2 used to write 100 rows of inf and NaN
+    # after 8 RuntimeWarnings; a non-finite cell is a numerical failure
+    code, lines, caught, left = _run("hypersurface", f'n = {n}\nh = "{h}"\nr_max = {r_max}\n')
+    _assert_one_outcome("hypersurface", code, lines, caught, codes=(0, 1, 3))
+    assert code == 0 or not left, left
 
 
 def _assert_one_outcome(command, code, lines, caught, codes):

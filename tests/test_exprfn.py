@@ -58,6 +58,12 @@ def test_parse_errors_report_position():
         parse("")
     with pytest.raises(ParseError, match="integer"):
         parse("t^0.5")
+    # a literal past the float range reads as inf, no integer
+    for src, at in (("t^1e400", 2), ("t^-1e400", 3), ("2*t^ 1e999", 5)):
+        with pytest.raises(ParseError) as err:
+            parse(src)
+        assert str(err.value) == f"exponent must be an integer, got '{src[at:]}' (at position {at})"
+    assert parse("t^1e308") == Pow(Var(), int(1e308))
 
 
 def test_pi_is_reserved():
@@ -186,6 +192,34 @@ def test_unparse_reparse_roundtrip():
     for src in ("1 + t^2", "sin(t)*exp(t)", "-(1 - t)/(2 + t)", "t^-3", "(t^2)^2"):
         e = parse(src)
         assert parse(unparse(e)) == e
+
+
+# random text from the grammar's characters and names, whitespace the
+# tokenizer skips (a no-break space among it) and numbers and exponents at
+# and past the float range
+_TEXT = st.lists(
+    st.sampled_from(
+        (*"0123456789.eE+-*/^()t", *FUNCTIONS, "pi", " ", "\t", "\n", "\xa0",
+         "1e400", "1e308", "^1e400", "^-1e400", "^1e308")
+    ),
+    max_size=24,
+).map("".join)
+
+
+@settings(max_examples=1000)
+@given(_TEXT)
+def test_parse_raises_nothing_but_parse_error(src):
+    # t^1e400 used to raise OverflowError from int(float('1e400'))
+    try:
+        e = parse(src)
+    except ParseError:
+        return
+    text = unparse(e)
+    if "inf" in text:  # a literal past the float range reads as inf, which has no literal
+        with pytest.raises(ParseError, match="unknown identifier 'inf'"):
+            parse(text)
+    else:
+        assert parse(text) == e
 
 
 def test_deterministic_evaluation():

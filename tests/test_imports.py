@@ -13,24 +13,26 @@ import pytest
 import riccisym
 
 PACKAGE = Path(riccisym.__file__).parent
-# bench/tracer.py counts the eval_jet2 calls of each module by patching its
-# binding, so cli keeps one it does not call
-ALLOWED = {("cli", "eval_jet2")}
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names that the module's import statements bind and its code never reads.
+    """Names that the module's import statements bind and its code never
+    reads, bar those imported on a line marked ``# noqa: F401``.
 
     An attribute chain such as np.linspace starts with a Name node, so it
     counts as a use of np; __future__ imports are not names.
     """
     tree = ast.parse(source)
+    lines = source.splitlines()
     bound = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            names = [(alias, alias.asname or alias.name.split(".")[0]) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound.update(alias.asname or alias.name for alias in node.names)
+            names = [(alias, alias.asname or alias.name) for alias in node.names]
+        else:
+            continue
+        bound.update(name for alias, name in names if "# noqa: F401" not in lines[alias.lineno - 1])
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(bound - read)
 
@@ -42,12 +44,20 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["definiteness_check"]
 
 
+def test_the_check_exempts_only_a_line_marked_noqa():
+    # a name kept for a patch, such as cli's eval_jet2, is marked at its import
+    source = "from .exprfn import EvalError, Expr, parse\n"
+    source += "from .exprfn import eval_jet2  # noqa: F401  patched by a tracer\n"
+    source += "from .pipeline import (\n    branch,  # noqa: F401\n    solve,\n)\n"
+    source += "def f(text) -> Expr:\n    import math\n    return parse(text)\n"
+    assert unused_imports(source) == ["EvalError", "math", "solve"]
+
+
 @pytest.mark.parametrize(
     "module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 )
 def test_every_import_is_used(module):
-    unused = unused_imports((PACKAGE / f"{module}.py").read_text())
-    assert [name for name in unused if (module, name) not in ALLOWED] == []
+    assert unused_imports((PACKAGE / f"{module}.py").read_text()) == []
 
 
 def private_definitions(source: str) -> set[str]:

@@ -127,7 +127,8 @@ def test_solve_classifies_the_saddle_once(monkeypatch, n):
 
 
 def test_a_seed_offset_above_the_step_is_refused_before_any_work(monkeypatch):
-    # the library refuses delta > step as the CLI does, on or off the step grid
+    # the library refuses delta > step as the CLI does, on or off the step
+    # grid, and delta > 1e-2 t_max too
     def no_work(*args, **kwargs):
         raise AssertionError("work started before delta was checked")
 
@@ -138,6 +139,12 @@ def test_a_seed_offset_above_the_step_is_refused_before_any_work(monkeypatch):
             with pytest.raises(ValueError) as err:
                 run(T, step=1e-3, delta=delta)
             assert str(err.value) == "delta must lie in (0, step]"
+    # within the step but above the series range (0, 1e-2 t_max] of the seed
+    T = RotSymTensor(4, parse("12"), parse("12 - 8*t^2"), 0.5)
+    for run in (solve, pipeline.branch):
+        with pytest.raises(ValueError) as err:
+            run(T, step=1e-2, delta=6e-3)
+        assert str(err.value) == "delta must lie in (0, 0.005]"
 
 
 def test_definiteness_error_is_one_class():
