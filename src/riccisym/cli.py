@@ -425,7 +425,6 @@ def _cmd_analyze(cfg: ProblemConfig) -> int:
         f"eigenvalues: lam1 = {rep.lam1:.12g}, lam2 = {rep.lam2:.12g}",
         f"w2 = {rep.w2:.12g}, w3 = {rep.w3:.12g}",
         f"halt: {curve.halt_reason}",
-        f"grad margin: {glob.grad_margin:.6e}",
         f"fold margin: {glob.fold_margin:.6e}",
         f"fold roots: {', '.join(f'{r:.6g}' for r in glob.fold_roots) or 'none'}",
         f"verdict: {glob.verdict}",

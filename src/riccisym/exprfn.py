@@ -315,8 +315,8 @@ def unparse(e: Expr) -> str:
         text = unparse(child)
         return f"({text})" if _PREC.get(type(child), _PREC_ATOM) < minimum else text
 
-    if isinstance(e, Num):
-        return format(e.value, ".17g")
+    if isinstance(e, Num):  # a literal past the float range is inf, and 1e999 reads back as inf
+        return format(e.value, ".17g").replace("inf", "1e999")
     if isinstance(e, Pi):
         return "pi"
     if isinstance(e, Var):

@@ -100,17 +100,14 @@ def solution_summary(sol: Solution) -> str:
     )
     if sol.global_report is not None:
         g = sol.global_report
-        lines.append(
-            f"continuation margins: |grad F| >= {g.grad_margin:.3e}, "
-            f"fold margin {g.fold_margin:.3e}"
-        )
+        lines.append(f"fold margin: {g.fold_margin:.3e}")
         if g.fold_roots:
             lines.append(
                 "fold regularity roots: "
                 + ", ".join(f"{r:.6g}" for r in g.fold_roots)
             )
-        if not math.isnan(g.curve_fold_distance):
-            lines.append(f"min curve-to-fold distance: {g.curve_fold_distance:.3e}")
+        if not math.isnan(g.fold_gap):
+            lines.append(f"least relative fold gap: {g.fold_gap:.3e} at t = {g.fold_gap_t:.6g}")
         lines.append(f"verdict: {g.verdict}")
         for note in g.notes:
             lines.append(f"note: {note}")

@@ -58,7 +58,7 @@ from .rotsym import DefinitenessError, DefinitenessVerdict, RotSymTensor, bisect
 FOLD_TOL = 1e-8
 EXIT_TOL = 1e-12
 PROJECTION_TOL = 1e-13
-GLOBAL_GRID = 129  # check_global's scan resolution
+GLOBAL_GRID = 129  # check_global's fold-margin grid
 _GRID_BLOCK = 256  # integration targets per sample of the target
 MAX_SAMPLES = 10**7  # largest t_max / step a solve accepts
 _EPS = float(np.finfo(float).eps)
@@ -830,17 +830,29 @@ def solve_n2(T: RotSymTensor, step: float) -> PotentialCurve:
 
 @dataclass(frozen=True)
 class GlobalReport:
-    """Margins behind the global continuation criterion.
+    """The global continuation check of a computed branch, n > 2.
 
-    The branch continues to every t once the surface stays regular and the
-    fold stays a regular curve, i.e. d/dt(t^2 psi) phi does not vanish on
-    (0, t_max].
+    The branch continues to every t once the surface F = 0 stays regular and
+    the fold stays a regular curve, i.e. m(t) = phi d/dt(t^2 psi) does not
+    vanish on (0, t_max].  The second condition implies the first.  Take a
+    point of F = 0 where grad F = 0, with phi != 0:
+      1. F_p = -2p = 0 gives p = 0;
+      2. F_w = A(2w - 2)/(n-1) = 0 gives w = 1;
+      3. F = 0 then gives B = A, that is t^2 psi = n - 2;
+      4. F_t = 0 then gives D = C, which at that t reads m(t) = 0;
+      5. at t = 0, t^2 psi = 0 != n - 2.
+    So a positive fold margin leaves no singular point of the surface with t
+    in [0, t_max], and the fold margin is the whole a priori test.
+
+    fold_gap is the least relative gap |w - w_fold| / |w| from the curve to
+    the nearer fold branch, at the sample t = fold_gap_t; both are NaN when
+    the fold is never real over the curve.
     """
 
-    grad_margin: float
     fold_margin: float
     fold_roots: tuple
-    curve_fold_distance: float
+    fold_gap: float
+    fold_gap_t: float
     verdict: str  # "global_continuation_expected" | "hypothesis_failed"
     notes: tuple = ()
 
@@ -850,72 +862,20 @@ def _jet_columns(T: RotSymTensor, ts: np.ndarray) -> np.ndarray:
     return sample(ts, T.phi.first_order, T.psi.first_order).reshape(4, -1)
 
 
-def _least_gradient(n: int, ts: np.ndarray, ws: np.ndarray, jets: np.ndarray) -> float:
-    """The least |grad F| over the grid ts x ws of (t, w), each point lifted to
-    p = sqrt(F(t, w, 0)), skipping NaN (so F < 0); inf if every point is NaN.
-
-    Bit-identical to surface_terms over the broadcast grid, built in place
-    from the _coeffs columns: F(t, w, 0) is F - 0.0 * 0.0, which is F, and
-    the one sqrt is of the least squared norm, as sqrt is monotone.
-    """
-    A, B, C, D = (c[:, None] for c in _coeffs(n, ts, *jets))
-    ww = ws * ws - 2.0 * ws
-    F = A * ww  # rows: t, columns: w
-    F += B
-    F /= n - 1
-    F_t = C * ww
-    F_t += D
-    F_t /= n - 1
-    F_w = A * (2.0 * ws - 2.0)
-    F_w /= n - 1
-    # |grad F|^2 = F_t^2 + F_w^2 + (4 p) p, summed in that order into F_t
-    F_t *= F_t
-    F_w *= F_w
-    F_t += F_w
-    p = np.sqrt(F, out=F)
-    np.multiply(p, 4.0, out=F_w)
-    F_w *= p
-    F_t += F_w
-    return math.sqrt(np.fmin.reduce(F_t, axis=None, initial=math.inf))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # the scans meet inf and NaN like Python floats
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf and NaN pass through
 def check_global(T: RotSymTensor, curve: PotentialCurve) -> GlobalReport:
-    """Margins of the global continuation criterion for a computed branch.
+    """The GlobalReport of a computed branch; n = 2 raises ValueError.
 
-    (a) grad_margin: the least |grad F| on the surface over a 129 x 129
-        scan of (t, w), t in [0, t_max] and w spanning the curve and the
-        fold with a 25% pad; each point with F(t, w, 0) = Q >= 0 is lifted
-        to p = sqrt(Q), and points where |grad F| is NaN are skipped.
-    (b) fold_margin: the least |phi d/dt(t^2 psi)| over 129 samples of
-        (0, t_max]; sign changes are bisected into fold_roots and make the
-        margin 0.
-    (c) curve_fold_distance: the least |w - fold| along the curve, from
-        the psi values the curve carries; NaN when the fold never exists
-        over it.
-
-    phi and psi are evaluated once per abscissa of the two 129-point scans,
-    to first order, and at no curve abscissa; the scans are broadcasts.
+    fold_margin is the least |m| over 129 samples of (0, t_max]; sign changes
+    are bisected into fold_roots and make the margin 0.  phi and psi are
+    evaluated once per abscissa of that grid, to first order, and at no
+    curve abscissa: fold_gap reads the psi values the curve carries.
     """
-    notes = []
     n = T.n
-    # (a) regularity of F^{-1}(0): min |grad F| over an on-surface scan
-    ts_scan = np.linspace(0.0, T.t_max, GLOBAL_GRID)
-    jets = _jet_columns(T, ts_scan)
-    folds_all = []
-    if n > 2:
-        real, lower, upper = fold_branches(n, ts_scan, jets[2])
-        folds_all = np.column_stack((lower, upper))[real].ravel().tolist()
-    w_lo = min(float(np.min(curve.w)), min(folds_all, default=0.0), 0.0)
-    w_hi = max(float(np.max(curve.w)), max(folds_all, default=2.0), 2.0)
-    pad = 0.25 * (w_hi - w_lo + 1.0)
-    ws = np.linspace(w_lo - pad, w_hi + pad, GLOBAL_GRID)
-    grad_margin = _least_gradient(n, ts_scan, ws, jets)
-    if not math.isfinite(grad_margin):
-        grad_margin = 0.0
-        notes.append("surface scan found no points with F >= 0")
+    if n == 2:
+        raise ValueError("continuation check is defined for n > 2")
+    notes = []
 
-    # (b) fold regularity margin m(t) = phi(t) d/dt(t^2 psi(t)) on (0, t_max]
     def fold_margin_at(t, phi, psi, dpsi):
         return phi * (2.0 * t * psi + t * t * dpsi)
 
@@ -942,23 +902,22 @@ def check_global(T: RotSymTensor, curve: PotentialCurve) -> GlobalReport:
                 + ", ".join(f"{r:.6g}" for r in roots)
             )
 
-    # (c) distance from the computed branch to the fold branches
-    dist = math.inf
-    if n > 2:
-        _, lower, upper = fold_branches(n, curve.t, curve.psi)
-        gap = np.minimum(np.abs(lower - curve.w), np.abs(upper - curve.w))
-        dist = float(np.fmin.reduce(gap, initial=math.inf))
-    if not math.isfinite(dist):
-        dist = math.nan
+    _, lower, upper = fold_branches(n, curve.t, curve.psi)
+    gap = np.minimum(np.abs(lower - curve.w), np.abs(upper - curve.w)) / np.abs(curve.w)
+    gap[np.isnan(gap)] = math.inf  # no real fold there, or 0/0
+    i = int(np.argmin(gap))
+    fold_gap = fold_gap_t = math.nan
+    if gap[i] < math.inf:
+        fold_gap, fold_gap_t = float(gap[i]), float(curve.t[i])
 
-    ok = grad_margin > 1e-10 and fold_margin > 0 and curve.halt_reason == "t_end"
+    ok = fold_margin > 0 and curve.halt_reason == "t_end"
     if curve.halt_reason != "t_end":
         notes.append(f"integration halted early: {curve.halt_reason}")
     return GlobalReport(
-        grad_margin=grad_margin,
         fold_margin=fold_margin,
         fold_roots=tuple(roots),
-        curve_fold_distance=dist,
+        fold_gap=fold_gap,
+        fold_gap_t=fold_gap_t,
         verdict="global_continuation_expected" if ok else "hypothesis_failed",
         notes=tuple(notes),
     )

@@ -592,16 +592,18 @@ def test_out_without_a_file_name_is_a_config_error(tmp_path, capsys, monkeypatch
 # below the least sub-step read its row from the block's memo, and the
 # p_hypersurface.csv files, whose scalar column moved by up to 5.1e-16,
 # relative, when it came from the closed-form frame trace in place of an
-# einsum; hypersurface reads h and r_max only
+# einsum, and p_analysis.txt and p_report.txt, which lost the |grad F| scan's
+# margin and report the least relative fold gap along the curve in place of
+# the fold distance at the seed; hypersurface reads h and r_max only
 PINNED_OUTPUTS = {
     'n = 4\nphi = "12"\npsi = "12 - 8*t^2"\nt_max = 0.5\n': (
         {"solve": 0, "analyze": 0, "verify": 0, "hypersurface": 0, "portrait": 0},
         {
-            "p_analysis.txt": "47a6671d60ddb80ccd72b42911ae37ee74ce558026bba22cd4d1aca3747028f1",
+            "p_analysis.txt": "3b5a1786e602342d95c7788e806e6b9daf70abf1f6168ae741ddd1ce3a52f938",
             "p_fold.csv": "03a9d0a5224b30f85f415eeb66a52063e3c7089897b983b61ce9fea761b88886",
             "p_hypersurface.csv": "e2fffa7c7799318211599575226672fba9172466596309348e5e292e7ff30104",
             "p_portrait.csv": "e68a52a05a1e983db3a7dc441ef60b0933f679192966fc78ccd8c434e0d688ae",
-            "p_report.txt": "45681332dd3fe4944f5771a97211459704b25a6365cdb68968e17c5c3a040c8f",
+            "p_report.txt": "840c9fb589a243e5d2bd78ea48695f0e0b7e5d3879b9037e18d4f4979d9fc946",
             "p_solution.csv": "1874d88e62d95476fbd920959441aa5626d94c71fdba6d2c68b534bbc845c021",
             "p_verify.txt": "835a64b13110df6ff6856abb6224e926cb0bea4f1d9214a6f89ba94c84262be3",
         },
@@ -610,11 +612,11 @@ PINNED_OUTPUTS = {
     'n = 3\nphi = "1"\npsi = "1 - 4*t^2"\nt_max = 0.46\n': (
         {"solve": 0, "analyze": 0, "verify": 3, "hypersurface": 0, "portrait": 0},
         {
-            "p_analysis.txt": "d2720a99acf3db48cec07a8ada4f5bd6dc9b2bc775d7f2a1ed803c0ecaa0bee8",
+            "p_analysis.txt": "a25a8bef0a9030a57cf901eda97e36872f2dcb92e290a174c03687918ce875a8",
             "p_fold.csv": "372d01574a6a4eee185c7f48b1dcd9d4f7a001ec102ade2d84463b07b8d31949",
             "p_hypersurface.csv": "d2dd7342e451a4f5bee925f2479af99d5d129a9236f6eb72c6920c55cbef1883",
             "p_portrait.csv": "ab4396cb4de81b66506d8bab5d16d4c2b8b77e57627ddde8d2b45f0ba1ddb8e1",
-            "p_report.txt": "d13b542a612055b957b320dfde6f1098ba9c0c6f8fc67921bb3c9d6ecf238c19",
+            "p_report.txt": "d357539b069d4e105fc9384b23224642eb605455de7d9da3bd38bf22c9351cfc",
             "p_solution.csv": "9ab39c51138a32fdaaf0d53894409023e8585d7cb7c5febb5a2e2287ff37689b",
             "p_verify.txt": "70d474ec98a7eb231902d63830105014fe1ea24a0d72a041e97f4fc81f6f4d64",
         },

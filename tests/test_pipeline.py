@@ -170,7 +170,7 @@ def test_ricci_residual_bytes_are_pinned(n, phi, psi, t_max, digest):
 
 
 def test_a_solve_samples_each_abscissa_once(monkeypatch):
-    # the definiteness scans, check_global's two grids and the integrator's
+    # the definiteness scans, check_global's grid and the integrator's
     # blocks are the only samples; the continuation check and the
     # reconstruction read the target values the curve carries
     calls, abscissae = [], []
@@ -198,12 +198,12 @@ def test_a_solve_samples_each_abscissa_once(monkeypatch):
     # also holds the 15, 7, 2 and 3 abscissae they read that it does not
     later = [("potential", 2 * 256)] * 6 + [("potential", 2 * 208)]
     blocks = [("potential", 2 * 256 + 1 + 15 + 7 + 2 + 3)] + later
-    grids = [("potential", potential.GLOBAL_GRID)] * 2
-    assert calls == [("rotsym", rotsym.DEFINITENESS_GRID)] * 2 + blocks + grids
+    grid = [("potential", potential.GLOBAL_GRID)]
+    assert calls == [("rotsym", rotsym.DEFINITENESS_GRID)] * 2 + blocks + grid
     assert sol.curve.work["scalar_rows"] == 0
     # no abscissa is evaluated twice by the integrator, as an array or a
     # point-by-point row (the one row is the seed's, read before it starts)
-    integrator = sum(abscissae[2:-2], [])
+    integrator = sum(abscissae[2:-1], [])
     assert rows == [2e-4] and len(set(integrator)) == len(integrator)
 
 

@@ -585,7 +585,6 @@ def test_check_global_positive():
     _, curve = solve_branch(S, step=1e-3)
     rep = check_global(S, curve)
     assert rep.verdict == "global_continuation_expected"
-    assert rep.grad_margin > 0
     assert rep.fold_margin > 0
     assert not rep.fold_roots
 
@@ -616,29 +615,45 @@ def test_check_global_zero_psi():
     assert rep.verdict == "hypothesis_failed"
 
 
+def test_check_global_refuses_n2():
+    S = _surface(2, "1", "1")
+    with pytest.raises(ValueError, match="defined for n > 2"):
+        check_global(S, solve_n2(S, 1e-3))
+
+
+def test_check_global_reports_the_singular_point_as_a_fold_root():
+    # F = 0 is singular at (t, w, p) = (1, 1, 0): t^2 psi = 1 = n - 2 and
+    # phi (t^2 psi)' = 8 t (1 - t^2) vanishes there
+    S = _surface(3, "2", "2 - t^2", t_max=1.3)
+    _, curve = solve_branch(S, step=1e-3)
+    rep = check_global(S, curve)
+    assert any(abs(r - 1.0) < 1e-6 for r in rep.fold_roots)
+    assert rep.verdict == "hypothesis_failed"
+    # past it the branch runs into the fold, where its relative gap is least
+    assert curve.halt_reason == "fold_contact" and rep.fold_gap_t == curve.t[-1]
+
+
+def test_fold_gap_closes_at_fold_contact():
+    step = 1e-3
+    S = _surface(3, "1", "1 - 4*t^2", t_max=0.46)
+    _, curve = solve_branch(S, step=step)
+    rep = check_global(S, curve)
+    assert curve.halt_reason == "fold_contact"
+    assert rep.fold_gap <= 1e-2
+    assert abs(rep.fold_gap_t - curve.t[-1]) <= step
+
+
+def test_fold_gap_is_measured_along_the_curve():
+    # not at the seed, where the curve and the lower fold branch are both ~ t^2
+    S = _surface(4, "3*exp(-t^2)", "3*cos(t)^2 + t^4/(1+t^2)", t_max=2.0)
+    rep = check_global(S, solve_branch(S, step=1e-3)[1])
+    assert rep.fold_gap == pytest.approx(0.436, abs=1e-3)
+    assert rep.fold_gap_t == pytest.approx(0.865, abs=1e-3)
+
+
 def _scalar_check_global(S, curve, grid=129):
     """Reference: the point-by-point scan that check_global broadcasts."""
     notes = []
-    folds_all = []
-    ts_scan = np.linspace(0.0, S.t_max, grid)
-    if S.n > 2:
-        for t in ts_scan:
-            folds_all.extend(fold_curve(S, t))
-    w_lo = min(float(np.min(curve.w)), min(folds_all, default=0.0), 0.0)
-    w_hi = max(float(np.max(curve.w)), max(folds_all, default=2.0), 2.0)
-    pad = 0.25 * (w_hi - w_lo + 1.0)
-    grad_margin = math.inf
-    for t in ts_scan:
-        for w in np.linspace(w_lo - pad, w_hi + pad, grid):
-            F, F_t, F_w, _ = surface_eval(S, t, w, 0.0)
-            if F < 0:
-                continue
-            p = math.sqrt(F)
-            norm = math.sqrt(F_t * F_t + F_w * F_w + 4.0 * p * p)
-            grad_margin = min(grad_margin, norm)
-    if not math.isfinite(grad_margin):
-        grad_margin = 0.0
-        notes.append("surface scan found no points with F >= 0")
 
     def fold_fn(t):
         phi = eval_jet2(S.phi, t)
@@ -660,23 +675,24 @@ def _scalar_check_global(S, curve, grid=129):
         if roots:
             notes.append("fold regularity fails at t = " + ", ".join(f"{r:.6g}" for r in roots))
 
-    dist = math.inf
-    if S.n > 2:
-        for t, w in zip(curve.t, curve.w):
-            branches = fold_curve(S, t)
-            if branches.size:
-                dist = min(dist, float(np.min(np.abs(branches - w))))
-    if not math.isfinite(dist):
-        dist = math.nan
+    fold_gap, fold_gap_t = math.inf, math.nan
+    for t, w in zip(curve.t, curve.w):
+        branches = fold_curve(S, t)
+        if branches.size:
+            gap = float(np.min(np.abs(branches - w))) / abs(w)
+            if gap < fold_gap:
+                fold_gap, fold_gap_t = gap, float(t)
+    if not math.isfinite(fold_gap):
+        fold_gap = math.nan
 
-    ok = grad_margin > 1e-10 and fold_margin > 0 and curve.halt_reason == "t_end"
+    ok = fold_margin > 0 and curve.halt_reason == "t_end"
     if curve.halt_reason != "t_end":
         notes.append(f"integration halted early: {curve.halt_reason}")
     return GlobalReport(
-        grad_margin=grad_margin,
         fold_margin=fold_margin,
         fold_roots=tuple(roots),
-        curve_fold_distance=dist,
+        fold_gap=fold_gap,
+        fold_gap_t=fold_gap_t,
         verdict="global_continuation_expected" if ok else "hypothesis_failed",
         notes=tuple(notes),
     )
@@ -704,8 +720,9 @@ def _hand_curve(S, t, w):
         (3, "-1", "-1", 2.0, None),
         (4, "3*exp(-t^2)", "3*cos(t)^2 + t^4/(1+t^2)", 2.0, None),
         (3, "1", "0", 1.0, ([0.1, 0.2], [0.0, 0.0])),
-        # psi vanishes on the third scan row, where t^2 overflows: F = inf * 0 is
-        # NaN on that row (and so is a fold discriminant), finite on the first two
+        # t^2 overflows from the second fold-margin sample on, so m is inf there
+        # and finite, of the other sign, at the first; the curve at w = 0 has
+        # only an infinite relative fold gap, so none is reported
         (3, "1e-160", f"1e-160*(t - {_NAN_ROW!r})", 1.28e156, ([0.1, 0.2], [0.0, 0.0])),
     ],
 )
@@ -713,13 +730,12 @@ def test_check_global_matches_scalar_scan(n, phi, psi, t_max, curve):
     S = _surface(n, phi, psi, t_max)
     curve = solve_branch(S, step=1e-3)[1] if curve is None else _hand_curve(S, *curve)
     got = check_global(S, curve)
-    with np.errstate(over="ignore", invalid="ignore"):  # numpy scalars warn, Python floats do not
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # numpy scalars warn
         ref = _scalar_check_global(S, curve)
-    assert got.grad_margin == ref.grad_margin
     assert got.fold_margin == ref.fold_margin
     assert got.fold_roots == ref.fold_roots
-    d, d_ref = got.curve_fold_distance, ref.curve_fold_distance
-    assert d == d_ref or (math.isnan(d) and math.isnan(d_ref))
+    for x, x_ref in ((got.fold_gap, ref.fold_gap), (got.fold_gap_t, ref.fold_gap_t)):
+        assert x == x_ref or (math.isnan(x) and math.isnan(x_ref))
     assert got.verdict == ref.verdict
     assert got.notes == ref.notes
 
