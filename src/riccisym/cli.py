@@ -33,7 +33,9 @@ CHUNK_ROWS rows at a time, each float cell byte for byte as
 format(x, '.17g') and each label as its bytes, so what a file's writing
 holds does not grow with its row count; verify counts a profile's fields
 in READ_CHARS reads.  What stays in memory is the arrays a command computes
-and, for verify, the parsed columns it checks.
+and, for verify, the parsed columns it checks; hypersurface computes its
+table a chunk at a time into the open file, so past CHUNK_ROWS rows an
+output that cannot be written is found before a failure in a later chunk.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +56,7 @@ from . import potential, reconstruct
 from .exprfn import Expr, ParseError, parse, sample
 from .exprfn import eval_jet2  # noqa: F401  unused; bench/tracer.py patches cli.eval_jet2
 from .pipeline import branch, solution_summary, solve
-from .rotsym import DefinitenessError, MetricProfile, RotSymTensor
+from .rotsym import DefinitenessError, MetricProfile, RotSymTensor, check_dimension
 
 _NUMERIC_ERRORS = (
     potential.ProjectionError,
@@ -157,8 +159,7 @@ def _require(cfg: ProblemConfig, command: str, keys):
 
 
 def _validate_common(cfg: ProblemConfig):
-    if cfg.n < 2:
-        raise ConfigError("n must be >= 2")
+    check_dimension(cfg.n)
     for key in ("step", "constraint_tol", "residual_tol"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive")
@@ -475,19 +476,29 @@ def _cmd_portrait(cfg: ProblemConfig) -> int:
 
 def _cmd_hypersurface(cfg: ProblemConfig) -> int:
     _require(cfg, "hypersurface", ("n", "h", "r_max"))
-    if cfg.n < 2:
-        raise ConfigError("n must be >= 2")
+    check_dimension(cfg.n)
     _require_samples(cfg)
     E = hs.GraphEmbedding(cfg.n, cfg.h, cfg.r_max)
-    table = hs.curvature_table(E, np.linspace(0.0, cfg.r_max, cfg.samples))
-    bad = np.argwhere(~np.isfinite(table))  # row by row
-    if bad.size:
-        row, column = bad[0]
-        raise reconstruct.ReconstructionError(
-            f"{HYPERSURFACE_HEADER[column]} not finite at grid point r = {table[row, 0]:.6g}"
-        )
-    write_csv(_output(cfg, "_hypersurface.csv"), HYPERSURFACE_HEADER, [table.T])
+    blocks = _curvature_blocks(E, np.linspace(0.0, cfg.r_max, cfg.samples))
+    first = next(blocks)  # a table of one chunk fails here, before the output is made
+    write_csv(_output(cfg, "_hypersurface.csv"), HYPERSURFACE_HEADER, chain([first], blocks))
     return 0
+
+
+def _curvature_blocks(E: hs.GraphEmbedding, rs):
+    """The columns of one curvature_table per CHUNK_ROWS of rs; the first
+    non-finite cell, row by row, raises ReconstructionError once the last
+    block is computed, so an evaluation error in any block wins."""
+    bad = None
+    for start in range(0, rs.size, CHUNK_ROWS):
+        table = hs.curvature_table(E, rs[start:start + CHUNK_ROWS])
+        cells = np.argwhere(~np.isfinite(table))
+        if bad is None and cells.size:
+            row, column = cells[0]
+            bad = f"{HYPERSURFACE_HEADER[column]} not finite at grid point r = {table[row, 0]:.6g}"
+        if bad is not None and start + CHUNK_ROWS >= rs.size:
+            raise reconstruct.ReconstructionError(bad)
+        yield table.T
 
 
 HYPERSURFACE_HEADER = ("r", "f", "ric_rr", "ric_tt_unit", "h1", "h2", "scalar")

@@ -20,6 +20,10 @@ regression is documented by tests.
 Chart factors: in the spherical chart the theta_i coordinate rows carry
 cumulative cos^2 weights; components here are reported per unit-length
 sphere direction, where those weights drop out.
+
+Each formula is written once, in graph_terms, for floats and ndarrays
+alike; the functions of one radius call it on h's jet at r^2, and
+curvature_table on one sample of h over its whole grid.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprfn import Expr, Jet2, eval_jet2
+from .exprfn import Expr, eval_jet2, sample
+from .rotsym import check_dimension
 from . import tensorlab
 
 
@@ -41,57 +46,57 @@ class GraphEmbedding:
     r_max: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("dimension must be >= 2")
+        check_dimension(self.n)
         if self.r_max <= 0:
             raise ValueError("r_max must be positive")
 
 
-def _h_jet(E: GraphEmbedding, r: float):
-    """h's jet at r^2 in numpy floats, whose ** overflows to inf, not raising."""
+def graph_terms(n: int, r, d1, d2, legacy_coefficient: bool = False):
+    """(f, Ric_rr, Ric_tt_unit, h1, h2, radial, tangential) at radius r from
+    d1 = h'(r^2) and d2 = h''(r^2), floats or broadcast ndarrays; powers are
+    IEEE products and square roots, which round the same in both.
+
+    h1 = (2h' + 4r^2 h'') / f^{3/2} and h2 = 2h' / f^{1/2} (upward normal);
+    radial and tangential are the frame Ricci eigenvalues h_i sum(h) - h_i^2.
+    legacy_coefficient puts -(n+2)/f for -(n-2)/f (module docstring).
+    """
+    d1d1 = d1 * d1
+    f = 1.0 + 4.0 * r * r * d1d1
+    fprime = 8.0 * r * d1d1 + 16.0 * (r * r * r) * d1 * d2
+    coef = n + 2 if legacy_coefficient else n - 2
+    # the r = 0 limits: f'/r -> 8 h'^2, and the tangential term r f' vanishes;
+    # the masked quotient divides by 1 there, and [()] makes a 0-d result a scalar
+    origin = r == 0
+    ric_rr = np.where(origin, (n - 1) * 8.0 * d1d1 / 2.0,
+                      (n - 1) * fprime / (2.0 * np.where(origin, 1.0, r) * f))[()]
+    ric_tt = np.where(origin, n - 2 - coef, r * fprime / (2.0 * f * f) - coef / f + (n - 2))[()]
+    root = np.sqrt(f)
+    h1 = (2.0 * d1 + 4.0 * r * r * d2) / (f * root)
+    h2 = 2.0 * d1 / root
+    total = h1 + (n - 1) * h2
+    return f, ric_rr, ric_tt, h1, h2, h1 * total - h1 * h1, h2 * total - h2 * h2
+
+
+def _terms_at(E: GraphEmbedding, r: float, legacy_coefficient: bool = False):
     hj = eval_jet2(E.h, r * r)
-    return Jet2(np.float64(hj.v), np.float64(hj.d1), np.float64(hj.d2))
+    return graph_terms(E.n, r, hj.d1, hj.d2, legacy_coefficient)
 
 
 def induced_metric(E: GraphEmbedding, r: float) -> tuple[float, float, float]:
     """(f, g_rr, g_ThetaTheta) of the first fundamental form at radius r."""
-    hj = _h_jet(E, r)
-    f = 1.0 + 4.0 * r * r * hj.d1**2
+    f = _terms_at(E, r)[0]
     return f, f, r * r
 
 
 def ricci_graph(E: GraphEmbedding, r: float, legacy_coefficient: bool = False):
-    """(Ric_rr, Ric_ThetaTheta per unit direction) of the induced metric.
-
-    legacy_coefficient swaps the corrected -(n-2)/f term for the -(n+2)/f
-    variant; see the module docstring.
-    """
-    n = E.n
-    hj = _h_jet(E, r)
-    f = 1.0 + 4.0 * r * r * hj.d1**2
-    fprime = 8.0 * r * hj.d1**2 + 16.0 * r**3 * hj.d1 * hj.d2
-    coef = float(n + 2) if legacy_coefficient else float(n - 2)
-    if r == 0.0:
-        # limits: f' / r -> 8 h'(0)^2, the tangential coefficient vanishes
-        ric_rr = (n - 1) * 8.0 * hj.d1**2 / 2.0
-        ric_tt = 0.0 if not legacy_coefficient else float(n - 2) - coef
-        return ric_rr, ric_tt
-    ric_rr = (n - 1) * fprime / (2.0 * r * f)
-    ric_tt = r * fprime / (2.0 * f * f) - coef / f + (n - 2)
-    return ric_rr, ric_tt
+    """(Ric_rr, Ric_ThetaTheta per unit direction) of the induced metric;
+    legacy_coefficient as in graph_terms."""
+    return _terms_at(E, r, legacy_coefficient)[1:3]
 
 
 def principal_curvatures(E: GraphEmbedding, r: float) -> tuple[float, float]:
-    """(h1, h2) with h2 the common value of the n-1 tangential curvatures.
-
-    h1 = (2h' + 4r^2 h'') / f^{3/2},  h2 = 2h' / f^{1/2}; signs follow the
-    upward normal.
-    """
-    hj = _h_jet(E, r)
-    f = 1.0 + 4.0 * r * r * hj.d1**2
-    h1 = (2.0 * hj.d1 + 4.0 * r * r * hj.d2) / f**1.5
-    h2 = 2.0 * hj.d1 / f**0.5
-    return h1, h2
+    """(h1, h2) with h2 the common value of the n-1 tangential curvatures."""
+    return _terms_at(E, r)[3:5]
 
 
 def gauss_curvatures(principal) -> tuple[np.ndarray, np.ndarray, float]:
@@ -107,9 +112,8 @@ def gauss_curvatures(principal) -> tuple[np.ndarray, np.ndarray, float]:
     if n < 2:
         raise ValueError("need at least 2 principal curvatures")
     eye = np.eye(n)
-    R4 = np.einsum("i,j,ik,jl->ijkl", h, h, eye, eye) - np.einsum(
-        "i,j,jk,il->ijkl", h, h, eye, eye
-    )
+    R4 = np.einsum("i,j,ik,jl->ijkl", h, h, eye, eye)
+    R4 = R4 - np.swapaxes(R4, 2, 3)
     ricci = np.einsum("ijkj->ik", R4)
     closed = np.diag(h * np.sum(h) - h * h)
     if not np.allclose(ricci, closed, atol=1e-12 * max(1.0, float(np.max(np.abs(h)))) ** 2):
@@ -120,36 +124,22 @@ def gauss_curvatures(principal) -> tuple[np.ndarray, np.ndarray, float]:
 
 def frame_diagonal(E: GraphEmbedding, r: float) -> tuple[float, float]:
     """Ricci eigenvalues in the orthonormal frame: (radial, tangential)."""
-    h1, h2 = principal_curvatures(E, r)
-    total = h1 + (E.n - 1) * h2
-    return h1 * total - h1 * h1, h2 * total - h2 * h2
+    return _terms_at(E, r)[5:]
 
 
 def cartesian_field(E: GraphEmbedding) -> tensorlab.MetricField:
     """Induced metric as a Cartesian chart field for the numeric oracle."""
-
-    def A(t):
-        hj = _h_jet(E, t)
-        return 1.0 + 4.0 * t * t * hj.d1**2
-
-    return tensorlab.rotsym_to_cartesian(A, lambda t: t * t, E.n)
+    return tensorlab.rotsym_to_cartesian(lambda t: induced_metric(E, t)[0], lambda t: t * t, E.n)
 
 
 def curvature_table(E: GraphEmbedding, rs) -> np.ndarray:
-    """Rows (r, f, Ric_rr, Ric_tt_unit, h1, h2, scalar) for CSV emission, as
-    one (len(rs), 7) float array filled row by row.
-
-    The scalar is the trace of the frame Ricci matrix, radial + (n-1)
-    tangential, from frame_diagonal's closed form: gauss_curvatures would
-    build an n^4 Riemann tensor on every row to read it.  A cell that
-    overflows holds inf or NaN, and no warning is given.
+    """Rows (r, f, Ric_rr, Ric_tt_unit, h1, h2, scalar) as one (len(rs), 7)
+    float array, from one second-order sample of h at rs^2.  The scalar is
+    the frame Ricci trace, radial + (n-1) tangential, with no n^4 Riemann
+    tensor.  A cell that overflows holds inf or NaN, and no warning is given.
     """
-    table = np.empty((len(rs), 7))
+    rs = np.asarray(rs, dtype=float)
     with np.errstate(all="ignore"):
-        for i, r in enumerate(np.asarray(rs, dtype=float)):
-            f, _, _ = induced_metric(E, r)
-            ric_rr, ric_tt = ricci_graph(E, r)
-            h1, h2 = principal_curvatures(E, r)
-            radial, tangential = frame_diagonal(E, r)
-            table[i] = r, f, ric_rr, ric_tt, h1, h2, radial + (E.n - 1) * tangential
-    return table
+        _, d1, d2 = sample(rs * rs, E.h)[0]
+        f, ric_rr, ric_tt, h1, h2, radial, tangential = graph_terms(E.n, rs, d1, d2)
+        return np.stack((rs, f, ric_rr, ric_tt, h1, h2, radial + (E.n - 1) * tangential), axis=1)

@@ -57,6 +57,12 @@ def _uniform_step(grid: np.ndarray) -> float:
 # tensor type and definiteness validation
 
 
+def check_dimension(n: int):
+    """Raise ValueError unless the dimension n is at least 2."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+
+
 @dataclass(frozen=True)
 class RotSymTensor:
     """T = phi(t) dt^2 + t^2 psi(t) dTheta^2 on R^n, defined for t in [0, t_max]."""
@@ -67,8 +73,7 @@ class RotSymTensor:
     t_max: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("dimension must be >= 2")
+        check_dimension(self.n)
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
 

@@ -85,17 +85,10 @@ def christoffel(mf: MetricField, x, h: float = DEFAULT_STEP) -> np.ndarray:
     n = mf.n
     g0 = metric_at(mf, x)
     ginv = invert_spd(g0)
-    dg = np.empty((n, n, n))  # dg[k] = d_k g_ij
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        dg[k] = (metric_at(mf, x + e) - metric_at(mf, x - e)) / (2.0 * h)
+    # dg[k] = d_k g_ij
+    dg = np.array([metric_at(mf, x + e) - metric_at(mf, x - e) for e in h * np.eye(n)]) / (2.0 * h)
     # T[i, j, k] = d_i g_jk + d_j g_ik - d_k g_ij
-    T = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                T[i, j, k] = dg[i][j, k] + dg[j][i, k] - dg[k][i, j]
+    T = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
     return 0.5 * np.einsum("lk,ijk->lij", ginv, T)
 
 
@@ -108,11 +101,10 @@ def ricci_numeric(mf: MetricField, x, h: float = DEFAULT_STEP, with_asymmetry: b
     x = np.asarray(x, dtype=float)
     n = mf.n
     gamma0 = christoffel(mf, x, h)
-    dgamma = np.empty((n, n, n, n))  # dgamma[m] = d_m Gamma^k_ij
-    for m in range(n):
-        e = np.zeros(n)
-        e[m] = h
-        dgamma[m] = (christoffel(mf, x + e, h) - christoffel(mf, x - e, h)) / (2.0 * h)
+    # dgamma[m] = d_m Gamma^k_ij
+    dgamma = np.array(
+        [christoffel(mf, x + e, h) - christoffel(mf, x - e, h) for e in h * np.eye(n)]
+    ) / (2.0 * h)
     term1 = np.einsum("ssij->ij", dgamma)
     term2 = np.einsum("jsis->ij", dgamma)
     term3 = np.einsum("sij,tst->ij", gamma0, gamma0)

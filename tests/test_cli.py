@@ -584,6 +584,18 @@ def test_out_without_a_file_name_is_a_config_error(tmp_path, capsys, monkeypatch
     assert [p.name for p in tmp_path.iterdir()] == ["o.cfg"]
 
 
+@pytest.mark.parametrize(
+    "command, fault", [("solve", ""), ("solve", "step = 0\n"), ("hypersurface", ""),
+                       ("hypersurface", "samples = 1\n")],
+)
+def test_dimension_1_is_one_code_1_line_before_any_other_fault(tmp_path, capsys, command, fault):
+    # n is checked first, so a second fault in the config does not change the line
+    cfg = GOLD_CFG.replace("n = 3", "n = 1") + f'h = "t"\nr_max = 1\n{fault}out = "{tmp_path}/x"\n'
+    assert main([command, "--config", str(_write(tmp_path, "c.cfg", cfg))]) == 1
+    assert capsys.readouterr().err.splitlines() == ['riccisym: code=1 reason="n must be >= 2"']
+    assert [p.name for p in tmp_path.iterdir()] == ["c.cfg"]
+
+
 # sha256 of every file the five commands write (in COMMANDS order, so verify
 # reads the solution just written), recorded before the commands shared
 # pipeline.branch, except p_report.txt, which gained its "integration work"
@@ -592,16 +604,19 @@ def test_out_without_a_file_name_is_a_config_error(tmp_path, capsys, monkeypatch
 # below the least sub-step read its row from the block's memo, and the
 # p_hypersurface.csv files, whose scalar column moved by up to 5.1e-16,
 # relative, when it came from the closed-form frame trace in place of an
-# einsum, and p_analysis.txt and p_report.txt, which lost the |grad F| scan's
-# margin and report the least relative fold gap along the curve in place of
-# the fold distance at the seed; hypersurface reads h and r_max only
+# einsum, and again in 45 and 42 of 707 cells, by at most 1.65 eps times
+# the column's largest |value| (7.1e-15), when the table came from one
+# array formula, with products for r**3 and h'**2 and f sqrt(f) for f**1.5,
+# and p_analysis.txt and p_report.txt, which lost the |grad F| scan's margin
+# and report the least relative fold gap along the curve in place of the
+# fold distance at the seed; hypersurface reads h and r_max only
 PINNED_OUTPUTS = {
     'n = 4\nphi = "12"\npsi = "12 - 8*t^2"\nt_max = 0.5\n': (
         {"solve": 0, "analyze": 0, "verify": 0, "hypersurface": 0, "portrait": 0},
         {
             "p_analysis.txt": "3b5a1786e602342d95c7788e806e6b9daf70abf1f6168ae741ddd1ce3a52f938",
             "p_fold.csv": "03a9d0a5224b30f85f415eeb66a52063e3c7089897b983b61ce9fea761b88886",
-            "p_hypersurface.csv": "e2fffa7c7799318211599575226672fba9172466596309348e5e292e7ff30104",
+            "p_hypersurface.csv": "ebaaa51d5f17843a3e0597ac45893a275f03633f22e2ad8ec96096657c28c72e",
             "p_portrait.csv": "e68a52a05a1e983db3a7dc441ef60b0933f679192966fc78ccd8c434e0d688ae",
             "p_report.txt": "840c9fb589a243e5d2bd78ea48695f0e0b7e5d3879b9037e18d4f4979d9fc946",
             "p_solution.csv": "1874d88e62d95476fbd920959441aa5626d94c71fdba6d2c68b534bbc845c021",
@@ -614,7 +629,7 @@ PINNED_OUTPUTS = {
         {
             "p_analysis.txt": "a25a8bef0a9030a57cf901eda97e36872f2dcb92e290a174c03687918ce875a8",
             "p_fold.csv": "372d01574a6a4eee185c7f48b1dcd9d4f7a001ec102ade2d84463b07b8d31949",
-            "p_hypersurface.csv": "d2dd7342e451a4f5bee925f2479af99d5d129a9236f6eb72c6920c55cbef1883",
+            "p_hypersurface.csv": "46cb35b2b544957bfc13faf04c39cc40b20c378de548106569b710dd9e0d462b",
             "p_portrait.csv": "ab4396cb4de81b66506d8bab5d16d4c2b8b77e57627ddde8d2b45f0ba1ddb8e1",
             "p_report.txt": "d357539b069d4e105fc9384b23224642eb605455de7d9da3bd38bf22c9351cfc",
             "p_solution.csv": "9ab39c51138a32fdaaf0d53894409023e8585d7cb7c5febb5a2e2287ff37689b",

@@ -184,6 +184,11 @@ def test_chain_rule_composition():
             assert abs(direct.d2 - composed.d2) < 1e-11 * max(1, abs(composed.d2))
 
 
+def test_unparse_refuses_what_is_not_a_node():
+    with pytest.raises(TypeError, match=r"^not an Expr node: 't\^2'$"):
+        unparse(Add(Num(1.0), "t^2"))
+
+
 def test_unparse_reparse_roundtrip():
     rng = np.random.default_rng(99)
     for _ in range(150):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
-from riccisym import tensorlab
-from riccisym.exprfn import parse
+from riccisym import cli, tensorlab
+from riccisym import hypersurface as hs
+from riccisym.exprfn import eval_jet2, parse
 from riccisym.hypersurface import (
     GraphEmbedding,
     cartesian_field,
@@ -163,3 +164,136 @@ def test_embedding_validation():
         GraphEmbedding(1, parse("t"), 1.0)
     with pytest.raises(ValueError):
         GraphEmbedding(3, parse("t"), -1.0)
+
+
+def test_an_embedding_below_dimension_2_is_refused():
+    with pytest.raises(ValueError, match=r"^n must be >= 2$"):
+        GraphEmbedding(1, parse("t"), 1.0)
+
+
+def test_gauss_curvatures_needs_two_principal_curvatures():
+    with pytest.raises(ValueError, match=r"^need at least 2 principal curvatures$"):
+        gauss_curvatures([1.0])
+
+
+def _row_by_row(E, rs, legacy_coefficient=False):
+    """A reference curvature table, row by row from h's scalar jet, in the
+    formulas used before graph_terms: f' with its r = 0 limits, ** powers."""
+    n = E.n
+    rows = []
+    with np.errstate(all="ignore"):
+        for r in np.asarray(rs, dtype=float):
+            hj = eval_jet2(E.h, r * r)
+            d1, d2 = np.float64(hj.d1), np.float64(hj.d2)
+            f = 1.0 + 4.0 * r * r * d1**2
+            fprime = 8.0 * r * d1**2 + 16.0 * r**3 * d1 * d2
+            coef = float(n + 2) if legacy_coefficient else float(n - 2)
+            if r == 0.0:
+                ric_rr = (n - 1) * 8.0 * d1**2 / 2.0
+                ric_tt = 0.0 if not legacy_coefficient else float(n - 2) - coef
+            else:
+                ric_rr = (n - 1) * fprime / (2.0 * r * f)
+                ric_tt = r * fprime / (2.0 * f * f) - coef / f + (n - 2)
+            h1 = (2.0 * d1 + 4.0 * r * r * d2) / f**1.5
+            h2 = 2.0 * d1 / f**0.5
+            total = h1 + (n - 1) * h2
+            scalar = (h1 * total - h1 * h1) + (n - 1) * (h2 * total - h2 * h2)
+            rows.append((r, f, ric_rr, ric_tt, h1, h2, scalar))
+    return np.array(rows)
+
+
+def _assert_same_table(new, old, n):
+    """new equals old to 2 eps times each column's largest finite |value|
+    (for the scalar, a sum of curvature products, the largest
+    (|h1| + (n-1)|h2|)^2), and its first non-finite cell is old's."""
+    def first_bad(table):
+        return np.argwhere(~np.isfinite(table))[:1].tolist()
+
+    assert first_bad(new) == first_bad(old)
+    both = np.isfinite(new) & np.isfinite(old)
+    new, old = np.where(both, new, 0.0), np.where(both, old, 0.0)
+    scale = np.max(np.abs(old), axis=0)
+    scale[6] = np.max((np.abs(old[:, 4]) + (n - 1) * np.abs(old[:, 5])) ** 2)
+    assert np.all(np.abs(new - old) <= 2 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize(
+    "n, h, r_max",
+    [(3, "t^2", 1.0), (4, "t^2", 1.0), (3, "sqrt(1 - t)", 0.9), (5, "t - 0.3*t^2", 1.0),
+     (4, "exp(t)*sin(3*t)", 1.5), (2, "cos(t)", 3.0), (6, "log(1 + t)^3", 2.0),
+     (3, "t^2", 1e160), (3, "(1e-200)^-1*t", 1.0), (3, "sqrt(t + 1e-250)", 1.0)],
+)
+def test_curvature_table_matches_the_row_by_row_formulas(n, h, r_max):
+    # r = 0 is each grid's first row; the last three overflow: r^2, h'^2
+    # and h''(0)
+    E = GraphEmbedding(n, parse(h), r_max)
+    rs = np.linspace(0.0, r_max, 101)
+    _assert_same_table(curvature_table(E, rs), _row_by_row(E, rs), n)
+
+
+def test_ricci_graph_legacy_coefficient_matches_the_row_formula():
+    for n in (2, 3, 5):
+        E = GraphEmbedding(n, parse("t - 0.3*t^2"), 1.0)
+        rs = np.linspace(0.0, 1.0, 11)
+        old = _row_by_row(E, rs, legacy_coefficient=True)
+        new = np.array([ricci_graph(E, r, legacy_coefficient=True) for r in rs])
+        assert new[0, 1] == old[0, 3] == -4.0  # the r = 0 limit
+        scale = np.max(np.abs(old[:, 2:4]), axis=0)
+        assert np.all(np.abs(new - old[:, 2:4]) <= 2 * np.finfo(float).eps * scale)
+
+
+def test_hypersurface_samples_h_once_per_chunk(tmp_path, monkeypatch):
+    # 3 full chunks and 5 rows: one sample of h per chunk, no scalar jet
+    calls = []
+
+    def counting(ts, *exprs):
+        calls.append(len(ts))
+        return sample(ts, *exprs)
+
+    def no_scalar_jets(*args):
+        raise AssertionError("eval_jet2 called")
+
+    sample = hs.sample
+    monkeypatch.setattr(hs, "sample", counting)
+    for module in (hs, cli):
+        monkeypatch.setattr(module, "eval_jet2", no_scalar_jets)
+    rows = 3 * cli.CHUNK_ROWS + 5
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text(f'n = 4\nh = "t - 0.3*t^2"\nr_max = 2\nsamples = {rows}\nout = "{tmp_path}/hy"\n')
+    assert cli.main(["hypersurface", "--config", str(cfg)]) == 0
+    assert calls == [cli.CHUNK_ROWS] * 3 + [5]
+    monkeypatch.undo()
+    table = np.loadtxt(tmp_path / "hy_hypersurface.csv", delimiter=",", skiprows=1)
+    E = GraphEmbedding(4, parse("t - 0.3*t^2"), 2.0)
+    _assert_same_table(table, _row_by_row(E, np.linspace(0.0, 2.0, rows)), 4)
+
+
+@pytest.mark.parametrize(
+    "h, r_max, code, reason",
+    [("t^2", 2e51, 3, "ric_tt_unit not finite at grid point r = 1.11035e+51"),
+     ("(1e-200)^-1*t + log(2 - t)", 2, 1,
+      "log of non-positive value -0.0023355484008789062 in 'log(2 - t)' at t=2.002335548400879")],
+    ids=["bad cell in the second chunk", "bad cell in the first, error in the second"],
+)
+def test_a_failing_hypersurface_reports_as_the_whole_table_did(tmp_path, capsys, h, r_max, code, reason):
+    # 2 chunks and a row; the first non-finite cell of the table is raised
+    # only after the last chunk, so an evaluation error in a later chunk wins
+    rows = 2 * cli.CHUNK_ROWS + 1
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text(f'n = 3\nh = "{h}"\nr_max = {r_max}\nsamples = {rows}\nout = "{tmp_path}/hy"\n')
+    assert cli.main(["hypersurface", "--config", str(cfg)]) == code
+    assert capsys.readouterr().err.splitlines() == [f'riccisym: code={code} reason="{reason}"']
+    assert [p.name for p in tmp_path.iterdir()] == ["h.cfg"]
+
+
+@pytest.mark.parametrize("h, code", [("t^2", 3), ("log(t - 2)", 1)])
+def test_a_table_of_one_chunk_fails_before_its_output_is_made(tmp_path, capsys, h, code):
+    # 101 rows: the failure comes before out's directory is made or its
+    # file opened, so it also wins over an output that cannot be written
+    cfg = tmp_path / "h.cfg"
+    (tmp_path / "file").write_text("")
+    for out in ("new/hy", "file/hy"):
+        cfg.write_text(f'n = 3\nh = "{h}"\nr_max = 1e160\nout = "{tmp_path}/{out}"\n')
+        assert cli.main(["hypersurface", "--config", str(cfg)]) == code
+        assert capsys.readouterr().err.startswith(f"riccisym: code={code} reason=")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "h.cfg"]

@@ -163,6 +163,15 @@ def test_slope_turning_negative_is_refused():
         reconstruct_profile(curve, T)
 
 
+def test_a_curve_off_one_step_grid_is_refused():
+    # an inner sample moved off the multiples of the step
+    curve, T = _hand_built_curve(lambda t: t)
+    curve.t[10] += 0.01
+    with pytest.raises(ReconstructionError, match=r"^profile grid is not uniform: the curve's samples "
+                       r"past the seed are not the multiples of one step$"):
+        reconstruct_profile(curve, T)
+
+
 def test_verify_ricci_gold_pipeline():
     curve = _gold_curve()
     result = reconstruct_profile(curve, _gold_tensor())

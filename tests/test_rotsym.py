@@ -234,6 +234,16 @@ def test_fourth_order_derivative_accuracy():
     assert np.max(np.abs(d - 3 * np.cos(3 * t))) < 1e-9
 
 
+def test_fourth_order_derivative_needs_five_samples():
+    with pytest.raises(ValueError, match=r"^need at least 5 samples for fourth-order stencils$"):
+        fourth_order_derivative(np.zeros(4), 0.1)
+
+
+def test_a_tensor_below_dimension_2_is_refused():
+    with pytest.raises(ValueError, match=r"^n must be >= 2$"):
+        _tensor(1, "1", "1")
+
+
 def test_forward_oracle_consistency():
     # the forward map coincides with the numeric Ricci of the conformal
     # metric e^{2f} [r'^2 dt^2 + r^2 dTheta^2]; the bracket-as-printed
@@ -243,6 +253,13 @@ def test_forward_oracle_consistency():
     assert np.max(np.abs(rep.conformal[:, 1] - 1.0)) < 1e-4
     assert np.max(np.abs(rep.conformal[:, 2] - 1.0)) < 1e-4
     assert np.min(np.abs(rep.verbatim[:, 1] - 1.0)) > 1e-2
+
+
+def test_forward_oracle_refuses_a_sampled_profile():
+    p = _profile(3, "-t^2", "t")
+    sampled = MetricProfile(3, p.grid, p.f, p.r, p.rp, p.fp)
+    with pytest.raises(ValueError, match=r"^oracle comparison needs a closed-form profile$"):
+        forward_oracle_report(sampled, ts=[0.4])
 
 
 @pytest.mark.parametrize(

@@ -177,6 +177,25 @@ def test_rotsym_to_cartesian_reads_values_only():
     assert np.allclose(g[1:, 1:], np.eye(2))
 
 
+def test_rotsym_to_cartesian_refuses_a_value_that_is_not_callable():
+    with pytest.raises(TypeError, match=r"^expected Expr or callable, got <class 'float'>$"):
+        rotsym_to_cartesian(1.0, parse("t^2"), 3)
+
+
+def test_metric_at_refuses_a_wrong_shape_and_an_asymmetric_matrix():
+    with pytest.raises(ValueError, match=r"^metric returned shape \(2, 2\), expected \(3, 3\)$"):
+        metric_at(MetricField(3, lambda x: np.eye(2)), np.zeros(3))
+    skew = MetricField(2, lambda x: np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"^metric not symmetric at \[0\. 0\.\] \(asymmetry 5\.000e-01\)$"):
+        metric_at(skew, np.zeros(2))
+
+
+def test_christoffel_refuses_a_step_that_is_not_positive():
+    for h in (0.0, -1e-3):
+        with pytest.raises(ValueError, match=r"^step h must be positive$"):
+            christoffel(EUCLID3, np.ones(3), h)
+
+
 def test_rotsym_to_cartesian_origin_error():
     with pytest.raises(ValueError):
         SPHERE3.g(np.zeros(3))
