@@ -1,9 +1,9 @@
 """Batch driver: config ingestion and file emission around the pipeline.
 
 solve runs pipeline.solve; analyze runs its front half, pipeline.branch,
-so both share one definiteness scan, integration and continuation check.
-portrait integrates the branch without the scan.  analyze, portrait and
-hypersurface sample `samples` (at least 2) abscissae.
+and writes pipeline.branch_record, the lines solve's report opens with.
+portrait integrates the branch without the scan.  analyze and portrait
+need n > 2; they and hypersurface sample `samples` (2 to 10^7) abscissae.
 
 Invocation:
 
@@ -55,7 +55,7 @@ from . import hypersurface as hs
 from . import potential, reconstruct
 from .exprfn import Expr, ParseError, parse, sample
 from .exprfn import eval_jet2  # noqa: F401  unused; bench/tracer.py patches cli.eval_jet2
-from .pipeline import branch, solution_summary, solve
+from .pipeline import branch, branch_record, solution_summary, solve
 from .rotsym import DefinitenessError, MetricProfile, RotSymTensor, check_dimension
 
 _NUMERIC_ERRORS = (
@@ -87,7 +87,6 @@ class ProblemConfig:
     r_max: float | None = None
     step: float = 1e-3
     delta: float | None = None
-    constraint_tol: float = potential.PROJECTION_TOL
     residual_tol: float = 1e-5
     t_lo: float | None = None
     t_hi: float | None = None
@@ -160,7 +159,7 @@ def _require(cfg: ProblemConfig, command: str, keys):
 
 def _validate_common(cfg: ProblemConfig):
     check_dimension(cfg.n)
-    for key in ("step", "constraint_tol", "residual_tol"):
+    for key in ("step", "residual_tol"):
         if getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive")
     potential.seed_offset(cfg.t_max, cfg.step, cfg.delta)
@@ -176,9 +175,27 @@ CHUNK_ROWS = 1024
 READ_CHARS = 1 << 16
 
 
+def _write_all_or_none(writes: dict):
+    """Make each file of writes, a dict path -> write(tmp), by its write on
+    the temporary name <path>.tmp, then rename each into place once all are
+    made; a failure removes the temporary files and those already renamed."""
+    tmps = [path.with_name(path.name + ".tmp") for path in writes]
+    placed = []
+    try:
+        for tmp, write in zip(tmps, writes.values()):
+            write(tmp)
+        for tmp, path in zip(tmps, writes):
+            os.replace(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for path in tmps + placed:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path: Path, header, blocks):
-    """Write the CSV under a temporary name and rename it into place, so a
-    failure while blocks are produced leaves no partial file at path.
+    """Write the CSV by _write_all_or_none, so a failure while blocks are
+    produced leaves no partial file at path.
 
     blocks is an iterable of column tuples, consumed once; the rows of each
     block follow those of the block before it.  A block holds equal-length
@@ -186,8 +203,7 @@ def write_csv(path: Path, header, blocks):
     and any other is read as float64 and written as format(float(x), '.17g').
     Each block is formatted CHUNK_ROWS rows at a time by _csv_rows.
     """
-    tmp = path.with_name(path.name + ".tmp")
-    try:
+    def write(tmp):
         with open(tmp, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
             for block in blocks:
@@ -195,10 +211,8 @@ def write_csv(path: Path, header, blocks):
                            for c in map(np.asarray, block)]
                 for start in range(0, len(columns[0]), CHUNK_ROWS):
                     fh.write(_csv_rows([c[start:start + CHUNK_ROWS] for c in columns]))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+
+    _write_all_or_none({path: write})
 
 
 # Each float cell is formatted into a 48-byte slot of six little-endian
@@ -393,6 +407,15 @@ def _require_samples(cfg: ProblemConfig):
         raise ConfigError(f"samples must be <= {potential.MAX_SAMPLES}, got {cfg.samples}")
 
 
+def _fold_target(cfg: ProblemConfig, command: str) -> RotSymTensor:
+    """The target of analyze or portrait: n > 2, and `samples` fold abscissae."""
+    T = _tensor_from(cfg, command)
+    if cfg.n == 2:
+        raise ConfigError(f"{command} needs n > 2 (n = 2 has no fold structure)")
+    _require_samples(cfg)
+    return T
+
+
 def _output(cfg: ProblemConfig, suffix: str) -> Path:
     """The path <out><suffix>, its directory created."""
     out = Path(cfg.out)
@@ -402,39 +425,23 @@ def _output(cfg: ProblemConfig, suffix: str) -> Path:
 
 
 def _cmd_solve(cfg: ProblemConfig) -> int:
-    sol = solve(
-        _tensor_from(cfg, "solve"),
-        step=cfg.step,
-        delta=cfg.delta,
-        t_lo=cfg.t_lo,
-        constraint_tol=cfg.constraint_tol,
-    )
-    write_csv(_output(cfg, "_solution.csv"), SOLUTION_HEADER, [_solution_columns(sol)])
-    _output(cfg, "_report.txt").write_text(solution_summary(sol))
+    sol = solve(_tensor_from(cfg, "solve"), step=cfg.step, delta=cfg.delta, t_lo=cfg.t_lo)
+    _write_all_or_none({
+        _output(cfg, "_solution.csv"): lambda tmp: write_csv(tmp, SOLUTION_HEADER,
+                                                             [_solution_columns(sol)]),
+        _output(cfg, "_report.txt"): lambda tmp: tmp.write_text(solution_summary(sol)),
+    })
     return 0
 
 
 def _cmd_analyze(cfg: ProblemConfig) -> int:
-    T = _tensor_from(cfg, "analyze")
-    if cfg.n == 2:
-        raise ConfigError("analyze needs n > 2 (n = 2 has no fold structure)")
-    _require_samples(cfg)
-    verdict, rep, curve, glob = branch(T, cfg.step, cfg.delta, cfg.constraint_tol)
-    lines = [
-        f"definiteness: {verdict.kind}",
-        "classification: folded_saddle",
-        f"eigenvalues: lam1 = {rep.lam1:.12g}, lam2 = {rep.lam2:.12g}",
-        f"w2 = {rep.w2:.12g}, w3 = {rep.w3:.12g}",
-        f"halt: {curve.halt_reason}",
-        f"fold margin: {glob.fold_margin:.6e}",
-        f"fold roots: {', '.join(f'{r:.6g}' for r in glob.fold_roots) or 'none'}",
-        f"verdict: {glob.verdict}",
-    ]
-    lines.extend(f"note: {note}" for note in glob.notes)
+    T = _fold_target(cfg, "analyze")
+    report = branch_record(*branch(T, cfg.step, cfg.delta))
     fold = _fold_points(T, cfg)[:3]
-    # both outputs are computed before either is written, so a failure leaves neither
-    _output(cfg, "_analysis.txt").write_text("\n".join(lines) + "\n")
-    write_csv(_output(cfg, "_fold.csv"), ("t", "w_lower", "w_upper"), [fold])
+    _write_all_or_none({
+        _output(cfg, "_analysis.txt"): lambda tmp: tmp.write_text(report),
+        _output(cfg, "_fold.csv"): lambda tmp: write_csv(tmp, ("t", "w_lower", "w_upper"), [fold]),
+    })
     return 0
 
 
@@ -449,13 +456,8 @@ def _fold_points(T: RotSymTensor, cfg: ProblemConfig, *exprs):
 
 
 def _cmd_portrait(cfg: ProblemConfig) -> int:
-    T = _tensor_from(cfg, "portrait")
-    if cfg.n == 2:
-        raise ConfigError("portrait needs n > 2 (n = 2 has no fold structure)")
-    _require_samples(cfg)
-    _, curve = potential.solve_branch(
-        T, step=cfg.step, delta=cfg.delta, projection_tol=cfg.constraint_tol
-    )
+    T = _fold_target(cfg, "portrait")
+    _, curve = potential.solve_branch(T, step=cfg.step, delta=cfg.delta)
     # F reads phi and psi but no derivative (NaN here): the curve carries
     # them, and the fold rows take them from the sample that finds the fold
     nan = math.nan
@@ -479,24 +481,32 @@ def _cmd_hypersurface(cfg: ProblemConfig) -> int:
     check_dimension(cfg.n)
     _require_samples(cfg)
     E = hs.GraphEmbedding(cfg.n, cfg.h, cfg.r_max)
-    blocks = _curvature_blocks(E, np.linspace(0.0, cfg.r_max, cfg.samples))
+    blocks = _curvature_blocks(E, cfg.samples)
     first = next(blocks)  # a table of one chunk fails here, before the output is made
     write_csv(_output(cfg, "_hypersurface.csv"), HYPERSURFACE_HEADER, chain([first], blocks))
     return 0
 
 
-def _curvature_blocks(E: hs.GraphEmbedding, rs):
-    """The columns of one curvature_table per CHUNK_ROWS of rs; the first
-    non-finite cell, row by row, raises ReconstructionError once the last
-    block is computed, so an evaluation error in any block wins."""
+def _curvature_blocks(E: hs.GraphEmbedding, samples: int):
+    """The columns of one curvature_table per CHUNK_ROWS of the abscissae
+    np.linspace(0, r_max, samples), made a chunk at a time by linspace's own
+    rule, so byte for byte; the first non-finite cell, row by row, raises
+    ReconstructionError once the last block is computed, so an evaluation
+    error in any block wins."""
+    step = E.r_max / (samples - 1)
     bad = None
-    for start in range(0, rs.size, CHUNK_ROWS):
-        table = hs.curvature_table(E, rs[start:start + CHUNK_ROWS])
+    for start in range(0, samples, CHUNK_ROWS):
+        i = np.arange(start, min(start + CHUNK_ROWS, samples), dtype=float)
+        rs = (i * step if step else i / (samples - 1) * E.r_max) + 0.0
+        last = start + CHUNK_ROWS >= samples
+        if last:
+            rs[-1] = E.r_max
+        table = hs.curvature_table(E, rs)
         cells = np.argwhere(~np.isfinite(table))
         if bad is None and cells.size:
             row, column = cells[0]
             bad = f"{HYPERSURFACE_HEADER[column]} not finite at grid point r = {table[row, 0]:.6g}"
-        if bad is not None and start + CHUNK_ROWS >= rs.size:
+        if bad is not None and last:
             raise reconstruct.ReconstructionError(bad)
         yield table.T
 

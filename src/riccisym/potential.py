@@ -267,10 +267,10 @@ class PotentialCurve:
     work: dict | None = None
 
 
-def _project_p(t: float, Q: float, p: float, tol: float):
+def _project_p(t: float, Q: float, p: float):
     """Newton iteration on p alone for Q - p^2 = 0, Q = F(t, w, 0) (Babylonian sqrt)."""
     scale = abs(Q) + p * p + 1e-300
-    target = max(tol, 8.0 * _EPS * scale)
+    target = max(PROJECTION_TOL, 8.0 * _EPS * scale)
     for _ in range(20):
         F = Q - p * p
         if abs(F) <= target:
@@ -308,7 +308,7 @@ def seed_separatrix(T: RotSymTensor, rep: SaddleReport, delta: float):
     w0 = rep.w2 * delta * delta / 2.0
     p0 = rep.w2 * delta
     Q = surface_eval(T, delta, w0, 0.0)[0]
-    p_proj, _ = _project_p(delta, Q, p0, PROJECTION_TOL)
+    p_proj, _ = _project_p(delta, Q, p0)
     return delta, w0, p_proj
 
 
@@ -468,7 +468,6 @@ def integrate_separatrix(
     seed,
     step: float,
     t_end: float,
-    projection_tol: float = PROJECTION_TOL,
     w2: float = math.nan,
     w3: float = math.nan,
 ) -> PotentialCurve:
@@ -489,7 +488,6 @@ def integrate_separatrix(
 
     n = T.n
     n1 = float(n - 1)  # x / n1 is x / (n - 1): the int converts exactly
-    tol = projection_tol
     # p, and so F_p = -2p, scales with phi(0): a small target is not the fold
     fold_tol = FOLD_TOL * min(1.0, abs(eval_jet2(T.phi.first_order, 0.0).v))
     neg_fold_tol = -fold_tol  # -fold_tol < F_p < fold_tol is |F_p| < fold_tol
@@ -573,11 +571,11 @@ def integrate_separatrix(
             # _project_p's accept test, inlined: nearly every trial passes it
             pp = p_try * p_try
             resid = abs(Q - pp)
-            if not (resid <= tol or resid <= 8.0 * _EPS * (abs(Q) + pp + 1e-300)):
+            if not (resid <= PROJECTION_TOL or resid <= 8.0 * _EPS * (abs(Q) + pp + 1e-300)):
                 if resid != resid:  # inf - inf: an overflowed trial, as below
                     return i, t, w, p, drift, (p_try, Q)
                 work["newton_projections"] += 1
-                p_try, resid = _project_p(P[i + 2], Q, p_try, tol)
+                p_try, resid = _project_p(P[i + 2], Q, p_try)
             if not p_try * p > 0.0:
                 return i, t, w, p, drift, (p_try, Q)
             if resid > drift:  # rare once drift settles, so test inf only here
@@ -726,7 +724,6 @@ def solve_branch(
     step: float,
     t_end: float | None = None,
     delta: float | None = None,
-    projection_tol: float = PROJECTION_TOL,
 ) -> tuple[SaddleReport, PotentialCurve]:
     """Classify the saddle, seed the branch and integrate it in one call.
 
@@ -738,9 +735,7 @@ def solve_branch(
     if t_end is None:
         t_end = T.t_max
     seed = seed_separatrix(T, rep, delta)
-    return rep, integrate_separatrix(
-        T, seed, step, t_end, projection_tol=projection_tol, w2=rep.w2, w3=rep.w3
-    )
+    return rep, integrate_separatrix(T, seed, step, t_end, w2=rep.w2, w3=rep.w3)
 
 
 # ---------------------------------------------------------------------------

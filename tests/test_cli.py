@@ -1,6 +1,8 @@
 import hashlib
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,7 +234,7 @@ def test_analyze_outputs(tmp_path):
     path = _write(tmp_path, "an.cfg", cfg)
     assert main(["analyze", "--config", str(path)]) == 0
     text = (tmp_path / "an_analysis.txt").read_text()
-    assert "folded_saddle" in text
+    assert "saddle eigenvalues: lam1 = 2, lam2 = -1" in text
     assert "verdict: global_continuation_expected" in text
     header, rows = _read_csv(tmp_path / "an_fold.csv")
     assert header == ["t", "w_lower", "w_upper"]
@@ -254,28 +256,22 @@ def test_portrait_output(tmp_path):
 GOLD4_CFG = 'n = 4\nphi = "12"\npsi = "12 - 8*t^2"\nt_max = 0.5\n'
 
 
-def test_analyze_and_portrait_honour_constraint_tol(tmp_path, monkeypatch):
-    # step 1e-2 leaves RK4 defects between 1e-13 and 1e-6, so the tolerance
-    # decides whether the projection iterates
-    cfg = GOLD4_CFG + f'step = 1e-2\nconstraint_tol = 1e-6\nout = "{tmp_path}/c"\n'
-    path = _write(tmp_path, "c.cfg", cfg)
-    seen = []
-    integrate = potential.integrate_separatrix
+def test_a_removed_key_is_refused_like_any_unknown_key(tmp_path, capsys):
+    # constraint_tol was the projection tolerance, now potential.PROJECTION_TOL
+    path = _write(tmp_path, "c.cfg", GOLD4_CFG + f'constraint_tol = 1e-6\nout = "{tmp_path}/c"\n')
+    assert main(["solve", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f'riccisym: code=1 reason="{path}:5: unknown key \'constraint_tol\'"'
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["c.cfg"]
 
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("projection_tol"))
-        return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(potential, "integrate_separatrix", spy)
-    assert main(["analyze", "--config", str(path)]) == 0
-    assert main(["portrait", "--config", str(path)]) == 0
-    assert seen == [1e-6, 1e-6]
-
-    _, rows = _read_csv(tmp_path / "c_portrait.csv")
-    sep = np.array([[float(x) for x in row[1:4]] for row in rows if row[0] == "separatrix"])
-    T = rotsym.RotSymTensor(4, parse("12"), parse("12 - 8*t^2"), 0.5)
-    curve = pipeline.solve(T, step=1e-2, constraint_tol=1e-6).curve
-    assert np.array_equal(sep, np.column_stack((curve.t, curve.w, curve.p)))
+def test_readme_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme.split("\nKeys: ", 1)[1].split(".  ", 1)[0]
+    names = [name for group in re.findall(r"`([^`]+)`", sentence) for name in re.split(r",\s+", group)]
+    keys = [name for name in names if name not in cli.COMMANDS]
+    assert sorted(keys) == sorted(cli._KEY_KINDS)
 
 
 def test_solve_computes_ricci_residuals_once(tmp_path, monkeypatch):
@@ -550,6 +546,17 @@ def test_an_unwritable_out_is_one_code_1_line(tmp_path, capsys, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["analyze", "portrait"])
+def test_n2_is_refused_by_the_fold_commands_before_any_work(tmp_path, capsys, command):
+    # n = 2 is refused before the samples check, which samples = 1 would fail
+    cfg = f'n = 2\nphi = "1"\npsi = "1"\nt_max = 1\nsamples = 1\nout = "{tmp_path}/n2"\n'
+    assert main([command, "--config", str(_write(tmp_path, "n2.cfg", cfg))]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f'riccisym: code=1 reason="{command} needs n > 2 (n = 2 has no fold structure)"'
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["n2.cfg"]
+
+
 @pytest.mark.parametrize("samples", [-3, 0, 1, 10**9])
 @pytest.mark.parametrize("command", ["analyze", "portrait", "hypersurface"])
 def test_fewer_than_two_samples_is_a_config_error(tmp_path, capsys, monkeypatch, command, samples):
@@ -609,16 +616,18 @@ def test_dimension_1_is_one_code_1_line_before_any_other_fault(tmp_path, capsys,
 # array formula, with products for r**3 and h'**2 and f sqrt(f) for f**1.5,
 # and p_analysis.txt and p_report.txt, which lost the |grad F| scan's margin
 # and report the least relative fold gap along the curve in place of the
-# fold distance at the seed; hypersurface reads h and r_max only
+# fold distance at the seed, and again when both came from one writer of
+# the branch's lines, the analysis being the report less its residual
+# lines, which moved to the end; hypersurface reads h and r_max only
 PINNED_OUTPUTS = {
     'n = 4\nphi = "12"\npsi = "12 - 8*t^2"\nt_max = 0.5\n': (
         {"solve": 0, "analyze": 0, "verify": 0, "hypersurface": 0, "portrait": 0},
         {
-            "p_analysis.txt": "3b5a1786e602342d95c7788e806e6b9daf70abf1f6168ae741ddd1ce3a52f938",
+            "p_analysis.txt": "fe9be2bd2e1ce7501aabbfad42d97d30daa6aa05a7f12bc400eaec18032af9a7",
             "p_fold.csv": "03a9d0a5224b30f85f415eeb66a52063e3c7089897b983b61ce9fea761b88886",
             "p_hypersurface.csv": "ebaaa51d5f17843a3e0597ac45893a275f03633f22e2ad8ec96096657c28c72e",
             "p_portrait.csv": "e68a52a05a1e983db3a7dc441ef60b0933f679192966fc78ccd8c434e0d688ae",
-            "p_report.txt": "840c9fb589a243e5d2bd78ea48695f0e0b7e5d3879b9037e18d4f4979d9fc946",
+            "p_report.txt": "cfb76df482e3500f681de5007d494bc8bf1e6e648c894cd075a4a3543d82f7b8",
             "p_solution.csv": "1874d88e62d95476fbd920959441aa5626d94c71fdba6d2c68b534bbc845c021",
             "p_verify.txt": "835a64b13110df6ff6856abb6224e926cb0bea4f1d9214a6f89ba94c84262be3",
         },
@@ -627,11 +636,11 @@ PINNED_OUTPUTS = {
     'n = 3\nphi = "1"\npsi = "1 - 4*t^2"\nt_max = 0.46\n': (
         {"solve": 0, "analyze": 0, "verify": 3, "hypersurface": 0, "portrait": 0},
         {
-            "p_analysis.txt": "a25a8bef0a9030a57cf901eda97e36872f2dcb92e290a174c03687918ce875a8",
+            "p_analysis.txt": "c86ddf339a219139187f3659da5a2217eb6c16bb07326d0233e4ca3c31e0ba85",
             "p_fold.csv": "372d01574a6a4eee185c7f48b1dcd9d4f7a001ec102ade2d84463b07b8d31949",
             "p_hypersurface.csv": "46cb35b2b544957bfc13faf04c39cc40b20c378de548106569b710dd9e0d462b",
             "p_portrait.csv": "ab4396cb4de81b66506d8bab5d16d4c2b8b77e57627ddde8d2b45f0ba1ddb8e1",
-            "p_report.txt": "d357539b069d4e105fc9384b23224642eb605455de7d9da3bd38bf22c9351cfc",
+            "p_report.txt": "9d7a7c79858344c66a98628f48b4f61bee2c0c5b09bb72caa926947a1393c0f5",
             "p_solution.csv": "9ab39c51138a32fdaaf0d53894409023e8585d7cb7c5febb5a2e2287ff37689b",
             "p_verify.txt": "70d474ec98a7eb231902d63830105014fe1ea24a0d72a041e97f4fc81f6f4d64",
         },
@@ -649,6 +658,35 @@ def test_command_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, target):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.glob("p_*"))
     }
     assert (codes, digests) == PINNED_OUTPUTS[target]
+
+
+@pytest.mark.parametrize("target", PINNED_OUTPUTS, ids=["gold_n4", "fold_contact_n3"])
+def test_analysis_is_the_branch_record_of_the_report(tmp_path, target):
+    path = _write(tmp_path, "p.cfg", target + f'out = "{tmp_path}/p"\n')
+    assert main(["solve", "--config", str(path)]) == 0
+    assert main(["analyze", "--config", str(path)]) == 0
+    report = (tmp_path / "p_report.txt").read_text().splitlines()
+    analysis = (tmp_path / "p_analysis.txt").read_text().splitlines()
+    assert report[:-3] == analysis
+    assert [line.partition(":")[0] for line in report[-3:]] == [
+        "residual (n-1) w' r' - phi r ", "residual (n-1) w' f' + w phi ", "ricci residuals"
+    ]
+
+
+@pytest.mark.parametrize("command, blocked", [("solve", "p_report.txt"), ("analyze", "p_fold.csv")])
+def test_an_output_that_cannot_be_placed_leaves_no_file(tmp_path, monkeypatch, capsys, command,
+                                                        blocked):
+    # a directory at the second output: the first is renamed into place,
+    # then removed when the second rename fails
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "p.cfg", GOLD4_CFG + 'out = "p"\n')
+    (tmp_path / blocked).mkdir()
+    assert main([command, "--config", "p.cfg"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"riccisym: code=1 reason=\"cannot write output: [Errno 21] Is a directory: "
+        f"'{blocked}.tmp' -> '{blocked}'\""
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["p.cfg", blocked])
 
 
 def test_write_csv_replaces_the_file_only_on_success(tmp_path):

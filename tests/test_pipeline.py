@@ -278,6 +278,23 @@ _MANUFACTURED = {
         lambda t: t * t * (6 + t * t) / (3 * (2 + t * t)),
         (),
     ),
+    # n = 3, negative definite: r = t, f = t^2, w = -2t^2, from
+    # phi = -4(n-1), psi = -4(n-1) - 4(n-2)t^2
+    "n3_negative": (
+        RotSymTensor(3, parse("-8"), parse("-8 - 4*t^2"), 1.0),
+        lambda t: t,
+        lambda t: t * t,
+        lambda t: -2 * t * t,
+        (),
+    ),
+    # n = 5: r = t exp(t^2/8), f = -t^2/2, w = 4t^2/(4 + t^2), the n3 profile
+    "n5": (
+        RotSymTensor(5, parse("32/(t^2 + 4)"), parse("8*(64 - 3*t^4)/(t^2 + 4)^3"), 1.0),
+        lambda t: t * np.exp(t * t / 8),
+        lambda t: -t * t / 2,
+        lambda t: 4 * t * t / (4 + t * t),
+        (),
+    ),
 }
 
 
@@ -294,10 +311,19 @@ _MANUFACTURED = {
         # measured: 2.856e-8, 3.281e-12, 5.64e-9; then 7.859e-9, 1.887e-14, 1.826e-9
         ("n3_cubic_r", 1e-3, 4e-8, 5e-12, 8e-9),
         ("n3_cubic_r", 2.5e-4, 1e-8, 3e-14, 3e-9),
+        # measured (at t): 1.333e-9 (1), 2.454e-12 (1), 1.968e-9 (0.006);
+        # then 8.37e-11 (0.6108), 1.11e-14 (0.5815), 1.23e-10 (0.0015)
+        ("n3_negative", 1e-3, 1.8e-9, 3.3e-12, 2.6e-9),
+        ("n3_negative", 2.5e-4, 1.1e-10, 2e-14, 1.6e-10),
+        # measured (at t): 2.117e-8 (0.001), 7.397e-12 (1), 1.68e-8 (0.005);
+        # then 5.782e-9 (0.00025), 3.753e-14 (1), 1.087e-9 (0.00125)
+        ("n5", 1e-3, 2.8e-8, 1e-11, 2.2e-8),
+        ("n5", 2.5e-4, 7.5e-9, 5e-14, 1.5e-9),
     ],
     # the first target keeps the ids it had as the only one
     ids=["0.001-3e-08-4e-12-6e-09", "0.00025-8e-09-3e-14-2e-09",
-         "n4-0.001", "n4-0.00025", "n3_cubic_r-0.001", "n3_cubic_r-0.00025"],
+         "n4-0.001", "n4-0.00025", "n3_cubic_r-0.001", "n3_cubic_r-0.00025",
+         "n3_negative-0.001", "n3_negative-0.00025", "n5-0.001", "n5-0.00025"],
 )
 def test_a_manufactured_solution_is_recovered(target, step, r_rel, f_abs, w_rel):
     T, r, f, w, notes = _MANUFACTURED[target]
@@ -316,8 +342,8 @@ def test_a_manufactured_solution_is_recovered(target, step, r_rel, f_abs, w_rel)
 
 
 def test_a_manufactured_solution_converges_in_the_step():
-    # f's error falls 179-, 194- and 174-fold as the step shrinks 4-fold,
-    # from 1e-3 to 2.5e-4
+    # f's error falls 179-, 194-, 174-, 221- and 197-fold as the step
+    # shrinks 4-fold, from 1e-3 to 2.5e-4
     for T, _, f, _, _ in _MANUFACTURED.values():
         def f_error(step):
             profile = solve(T, step=step).recon.profile

@@ -1121,8 +1121,7 @@ def _ref_grid_block(T, prev, targets):
     return dict(zip(pts, zip(*(c.tolist() for c in rows))))
 
 
-def _reference_integrate(T, seed, step, t_end, projection_tol=potential.PROJECTION_TOL,
-                         budget=math.inf):
+def _reference_integrate(T, seed, step, t_end, budget=math.inf):
     """(ts, ws, ps, halt_reason, halt_detail, drift) as integrate_separatrix gave them.
 
     The one addition: raises _OverBudget once more than budget RK4 steps
@@ -1191,7 +1190,7 @@ def _reference_integrate(T, seed, step, t_end, projection_tol=potential.PROJECTI
             p_try = p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
             Q = (A * (w_try * w_try - 2.0 * w_try) + B) / (n - 1)
             if Q > 0.0:
-                p_try, resid = _project_p(t + h, Q, p_try, projection_tol)
+                p_try, resid = _project_p(t + h, Q, p_try)
                 if p_try * p > 0.0:
                     return h, w_try, p_try, resid
                 if h <= min_h:
