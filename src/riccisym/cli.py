@@ -33,9 +33,11 @@ CHUNK_ROWS rows at a time, each float cell byte for byte as
 format(x, '.17g') and each label as its bytes, so what a file's writing
 holds does not grow with its row count; verify counts a profile's fields
 in READ_CHARS reads.  What stays in memory is the arrays a command computes
-and, for verify, the parsed columns it checks; hypersurface computes its
-table a chunk at a time into the open file, so past CHUNK_ROWS rows an
-output that cannot be written is found before a failure in a later chunk.
+and, for verify, the parsed columns it checks.  The `samples` rows of
+hypersurface, and the fold rows of analyze and portrait, are computed a
+chunk at a time into the open file from one grid rule, _abscissae, so past
+CHUNK_ROWS rows an output that cannot be written is found before a
+failure in a later chunk.
 """
 
 from __future__ import annotations
@@ -293,13 +295,14 @@ def _decimal(x, pow10):
     and NaN.
 
     N is the product |x| * 10**(16 - X), held to about 1e-14 and rounded half
-    to even.  A cell outside [1e-280, 1e280], where a factor of that product
-    leaves the float range, or within 1e-9 of a half, where the rounding is
-    not decided, takes its digits from '%.16e', which rounds the same 17
-    digits exactly.
+    to even.  A finite nonzero cell outside [1e-280, 1e280], where a factor
+    of that product leaves the float range, or within 1e-9 of a half, where
+    the rounding is not decided, takes its digits from '%.16e', which rounds
+    the same 17 digits exactly.
     """
     a = np.abs(x)
     fast = (a >= 1e-280) & (a <= 1e280)
+    blank = ~(a > 0) | (a == math.inf)  # 0, inf and NaN
     a = np.where(fast, a, 1.0)
     X = np.floor(np.log10(a)).astype(np.int64)
     p, c = _scaled(a, X, pow10)
@@ -314,13 +317,10 @@ def _decimal(x, pow10):
     top = N == 10**17
     N[top] = 10**16
     X += top
-    for i in np.flatnonzero(~fast | (np.abs(np.abs(c - r) - 0.5) < 1e-9)):
-        v = abs(float(x[i]))
-        if v == 0.0 or not v < math.inf:
-            N[i] = X[i] = 0
-        else:
-            s = "%.16e" % v
-            N[i], X[i] = int(s[0] + s[2:18]), int(s[19:])
+    N[blank] = X[blank] = 0
+    for i in np.flatnonzero(~fast & ~blank | (np.abs(np.abs(c - r) - 0.5) < 1e-9)):
+        s = "%.16e" % abs(float(x[i]))
+        N[i], X[i] = int(s[0] + s[2:18]), int(s[19:])
     return N, X
 
 
@@ -392,6 +392,27 @@ SOLUTION_HEADER = ("t", "w", "p", "r", "rp", "f", "fp", "res_rr", "res_tt")
 # commands
 
 
+def _abscissae(stop: float, samples: int):
+    """The abscissae of numpy's linspace(0, stop, samples), CHUNK_ROWS at a
+    time, each chunk made by linspace's own rule, so byte for byte:
+    i * (stop / (samples - 1)) + 0.0, or i / (samples - 1) * stop + 0.0
+    where that step underflows to 0, the last set to stop."""
+    step = stop / (samples - 1)
+    for start in range(0, samples, CHUNK_ROWS):
+        i = np.arange(start, min(start + CHUNK_ROWS, samples), dtype=float)
+        xs = (i * step if step else i / (samples - 1) * stop) + 0.0
+        if start + CHUNK_ROWS >= samples:
+            xs[-1] = stop
+        yield xs
+
+
+def _started(blocks):
+    """The blocks of a table with its first computed now, so a table of one
+    chunk fails before its output is made."""
+    first = next(blocks)
+    return chain([first], blocks)
+
+
 def _tensor_from(cfg: ProblemConfig, command: str) -> RotSymTensor:
     """The target of a config that holds what `command` needs and passes the
     common checks."""
@@ -437,22 +458,22 @@ def _cmd_solve(cfg: ProblemConfig) -> int:
 def _cmd_analyze(cfg: ProblemConfig) -> int:
     T = _fold_target(cfg, "analyze")
     report = branch_record(*branch(T, cfg.step, cfg.delta))
-    fold = _fold_points(T, cfg)[:3]
+    fold = _started(points[:3] for points in _fold_points(T, cfg))
     _write_all_or_none({
         _output(cfg, "_analysis.txt"): lambda tmp: tmp.write_text(report),
-        _output(cfg, "_fold.csv"): lambda tmp: write_csv(tmp, ("t", "w_lower", "w_upper"), [fold]),
+        _output(cfg, "_fold.csv"): lambda tmp: write_csv(tmp, ("t", "w_lower", "w_upper"), fold),
     })
     return 0
 
 
 def _fold_points(T: RotSymTensor, cfg: ProblemConfig, *exprs):
-    """(t, w_lower, w_upper) arrays where the fold is real, over `samples`
-    abscissae, then the values there of each of exprs and of psi, from one
-    sample."""
-    ts = np.linspace(0.0, cfg.t_max, cfg.samples)
-    values = sample(ts, *(e.first_order for e in exprs), T.psi.first_order)[:, 0]
-    real, lower, upper = potential.fold_branches(T.n, ts, values[-1])
-    return ts[real], lower[real], upper[real], *values[:, real]
+    """Per chunk of the `samples` abscissae of [0, t_max]: the (t, w_lower,
+    w_upper) arrays where the fold is real, then the values there of each of
+    exprs and of psi, from one sample."""
+    for ts in _abscissae(cfg.t_max, cfg.samples):
+        values = sample(ts, *(e.first_order for e in exprs), T.psi.first_order)[:, 0]
+        real, lower, upper = potential.fold_branches(T.n, ts, values[-1])
+        yield ts[real], lower[real], upper[real], *values[:, real]
 
 
 def _cmd_portrait(cfg: ProblemConfig) -> int:
@@ -464,15 +485,19 @@ def _cmd_portrait(cfg: ProblemConfig) -> int:
     F_sep = potential.surface_terms(
         T.n, curve.t, curve.w, curve.p, curve.phi, nan, curve.psi, nan
     )[0]
-    t_fold, lower, upper, phi, psi = _fold_points(T, cfg, T.phi)
-    ws = np.stack((lower, upper))
-    F_fold = potential.surface_terms(T.n, t_fold, ws, 0.0, phi, nan, psi, nan)[0]
+
+    def fold_rows(t_fold, lower, upper, phi, psi):
+        ws = np.stack((lower, upper))
+        F_fold = potential.surface_terms(T.n, t_fold, ws, 0.0, phi, nan, psi, nan)[0]
+        return (np.tile(np.array([b"fold_lower", b"fold_upper"]), t_fold.size),
+                np.repeat(t_fold, 2), ws.T.ravel(), np.zeros(2 * t_fold.size), F_fold.T.ravel())
+
     # the separatrix rows, then a fold_lower and a fold_upper row at each fold t
     separatrix = (np.broadcast_to(np.array(b"separatrix"), curve.t.shape), curve.t, curve.w,
                   curve.p, F_sep)
-    fold = (np.tile(np.array([b"fold_lower", b"fold_upper"]), t_fold.size), np.repeat(t_fold, 2),
-            ws.T.ravel(), np.zeros(2 * t_fold.size), F_fold.T.ravel())
-    write_csv(_output(cfg, "_portrait.csv"), ("branch", "t", "w", "p", "F"), (separatrix, fold))
+    fold = _started(fold_rows(*points) for points in _fold_points(T, cfg, T.phi))
+    write_csv(_output(cfg, "_portrait.csv"), ("branch", "t", "w", "p", "F"),
+              chain([separatrix], fold))
     return 0
 
 
@@ -481,32 +506,26 @@ def _cmd_hypersurface(cfg: ProblemConfig) -> int:
     check_dimension(cfg.n)
     _require_samples(cfg)
     E = hs.GraphEmbedding(cfg.n, cfg.h, cfg.r_max)
-    blocks = _curvature_blocks(E, cfg.samples)
-    first = next(blocks)  # a table of one chunk fails here, before the output is made
-    write_csv(_output(cfg, "_hypersurface.csv"), HYPERSURFACE_HEADER, chain([first], blocks))
+    blocks = _started(_curvature_blocks(E, cfg.samples))
+    write_csv(_output(cfg, "_hypersurface.csv"), HYPERSURFACE_HEADER, blocks)
     return 0
 
 
 def _curvature_blocks(E: hs.GraphEmbedding, samples: int):
-    """The columns of one curvature_table per CHUNK_ROWS of the abscissae
-    np.linspace(0, r_max, samples), made a chunk at a time by linspace's own
-    rule, so byte for byte; the first non-finite cell, row by row, raises
+    """The columns of one curvature_table per chunk of the `samples`
+    abscissae of [0, r_max]; the first non-finite cell, row by row, raises
     ReconstructionError once the last block is computed, so an evaluation
     error in any block wins."""
-    step = E.r_max / (samples - 1)
     bad = None
-    for start in range(0, samples, CHUNK_ROWS):
-        i = np.arange(start, min(start + CHUNK_ROWS, samples), dtype=float)
-        rs = (i * step if step else i / (samples - 1) * E.r_max) + 0.0
-        last = start + CHUNK_ROWS >= samples
-        if last:
-            rs[-1] = E.r_max
+    done = 0
+    for rs in _abscissae(E.r_max, samples):
         table = hs.curvature_table(E, rs)
         cells = np.argwhere(~np.isfinite(table))
         if bad is None and cells.size:
             row, column = cells[0]
             bad = f"{HYPERSURFACE_HEADER[column]} not finite at grid point r = {table[row, 0]:.6g}"
-        if bad is not None and last:
+        done += rs.size
+        if bad is not None and done == samples:
             raise reconstruct.ReconstructionError(bad)
         yield table.T
 

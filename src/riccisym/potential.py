@@ -841,7 +841,8 @@ class GlobalReport:
 
     fold_gap is the least relative gap |w - w_fold| / |w| from the curve to
     the nearer fold branch, at the sample t = fold_gap_t; both are NaN when
-    the fold is never real over the curve.
+    the fold is never real over the curve.  notes holds what no other field
+    states: that the fold margin vanishes identically.
     """
 
     fold_margin: float
@@ -869,7 +870,7 @@ def check_global(T: RotSymTensor, curve: PotentialCurve) -> GlobalReport:
     n = T.n
     if n == 2:
         raise ValueError("continuation check is defined for n > 2")
-    notes = []
+    notes = ()
 
     def fold_margin_at(t, phi, psi, dpsi):
         return phi * (2.0 * t * psi + t * t * dpsi)
@@ -885,17 +886,12 @@ def check_global(T: RotSymTensor, curve: PotentialCurve) -> GlobalReport:
     scale = float(np.max(np.abs(mvals))) or 1.0
     if np.all(np.abs(mvals) < 1e-12 * scale) or scale < 1e-300:
         fold_margin = 0.0
-        notes.append("fold regularity margin vanishes identically")
+        notes = ("fold regularity margin vanishes identically",)
     else:
         neg = mvals < 0
         for i in np.flatnonzero((neg[:-1] != neg[1:]) | (mvals[1:] == 0.0)) + 1:
             roots.append(float(bisect_root(fold_fn, ts_pos[i - 1], ts_pos[i])))
         fold_margin = 0.0 if roots else float(np.min(np.abs(mvals)))
-        if roots:
-            notes.append(
-                "fold regularity fails at t = "
-                + ", ".join(f"{r:.6g}" for r in roots)
-            )
 
     _, lower, upper = fold_branches(n, curve.t, curve.psi)
     gap = np.minimum(np.abs(lower - curve.w), np.abs(upper - curve.w)) / np.abs(curve.w)
@@ -906,14 +902,12 @@ def check_global(T: RotSymTensor, curve: PotentialCurve) -> GlobalReport:
         fold_gap, fold_gap_t = float(gap[i]), float(curve.t[i])
 
     ok = fold_margin > 0 and curve.halt_reason == "t_end"
-    if curve.halt_reason != "t_end":
-        notes.append(f"integration halted early: {curve.halt_reason}")
     return GlobalReport(
         fold_margin=fold_margin,
         fold_roots=tuple(roots),
         fold_gap=fold_gap,
         fold_gap_t=fold_gap_t,
         verdict="global_continuation_expected" if ok else "hypothesis_failed",
-        notes=tuple(notes),
+        notes=notes,
     )
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from riccisym import cli, pipeline, potential, reconstruct, rotsym
+from riccisym import hypersurface as hs
 from riccisym.cli import main, parse_config, run_single
 from riccisym.exprfn import parse
 
@@ -618,7 +619,9 @@ def test_dimension_1_is_one_code_1_line_before_any_other_fault(tmp_path, capsys,
 # and report the least relative fold gap along the curve in place of the
 # fold distance at the seed, and again when both came from one writer of
 # the branch's lines, the analysis being the report less its residual
-# lines, which moved to the end; hypersurface reads h and r_max only
+# lines, which moved to the end, and again when the fold-contact notes that
+# restated its fold root and its halt were dropped; hypersurface reads h
+# and r_max only
 PINNED_OUTPUTS = {
     'n = 4\nphi = "12"\npsi = "12 - 8*t^2"\nt_max = 0.5\n': (
         {"solve": 0, "analyze": 0, "verify": 0, "hypersurface": 0, "portrait": 0},
@@ -636,11 +639,11 @@ PINNED_OUTPUTS = {
     'n = 3\nphi = "1"\npsi = "1 - 4*t^2"\nt_max = 0.46\n': (
         {"solve": 0, "analyze": 0, "verify": 3, "hypersurface": 0, "portrait": 0},
         {
-            "p_analysis.txt": "c86ddf339a219139187f3659da5a2217eb6c16bb07326d0233e4ca3c31e0ba85",
+            "p_analysis.txt": "75b912d24e9e77d72555f9ac23b33e1e76e2e27479478708dded145d900db8a1",
             "p_fold.csv": "372d01574a6a4eee185c7f48b1dcd9d4f7a001ec102ade2d84463b07b8d31949",
             "p_hypersurface.csv": "46cb35b2b544957bfc13faf04c39cc40b20c378de548106569b710dd9e0d462b",
             "p_portrait.csv": "ab4396cb4de81b66506d8bab5d16d4c2b8b77e57627ddde8d2b45f0ba1ddb8e1",
-            "p_report.txt": "9d7a7c79858344c66a98628f48b4f61bee2c0c5b09bb72caa926947a1393c0f5",
+            "p_report.txt": "9193bd3d997c63f7558571ff85f2b5abaa24ae6db654470837389551b3bba15e",
             "p_solution.csv": "9ab39c51138a32fdaaf0d53894409023e8585d7cb7c5febb5a2e2287ff37689b",
             "p_verify.txt": "70d474ec98a7eb231902d63830105014fe1ea24a0d72a041e97f4fc81f6f4d64",
         },
@@ -883,6 +886,87 @@ def test_portrait_samples_the_target_once_at_the_fold_abscissae(tmp_path, monkey
     path = _write(tmp_path, "p.cfg", GOLD4_CFG + f'out = "{tmp_path}/p"\n')
     assert main(["portrait", "--config", str(path)]) == 0
     assert calls == [(101, 2)]
+
+
+# three full chunks and one row; the fold is real for t <= 1 only, so the
+# third and fourth chunks of [0, 2] hold no fold row
+STREAMED_CFG = 'n = 3\nphi = "1"\npsi = "1"\nt_max = 2\nh = "t - 0.3*t^2"\nr_max = 2\n'
+STREAMED_SAMPLES = 3 * cli.CHUNK_ROWS + 1
+
+
+def _whole_grid_csv(path, command, T, samples):
+    """The fold or portrait CSV of T as one np.linspace grid of `samples`
+    abscissae, one sample and one fold_branches gave it."""
+    nan = math.nan
+    ts = np.linspace(0.0, T.t_max, samples)
+    phi, psi = cli.sample(ts, T.phi.first_order, T.psi.first_order)[:, 0]
+    real, lower, upper = potential.fold_branches(T.n, ts, psi)
+    t, lower, upper, phi, psi = ts[real], lower[real], upper[real], phi[real], psi[real]
+    if command == "analyze":
+        cli.write_csv(path, ("t", "w_lower", "w_upper"), [(t, lower, upper)])
+        return
+    curve = potential.solve_branch(T, step=1e-3)[1]
+    F_sep = potential.surface_terms(T.n, curve.t, curve.w, curve.p, curve.phi, nan, curve.psi,
+                                    nan)[0]
+    ws = np.stack((lower, upper))
+    F_fold = potential.surface_terms(T.n, t, ws, 0.0, phi, nan, psi, nan)[0]
+    cli.write_csv(path, ("branch", "t", "w", "p", "F"), [
+        (np.broadcast_to(np.array(b"separatrix"), curve.t.shape), curve.t, curve.w, curve.p,
+         F_sep),
+        (np.tile(np.array([b"fold_lower", b"fold_upper"]), t.size), np.repeat(t, 2),
+         ws.T.ravel(), np.zeros(2 * t.size), F_fold.T.ravel()),
+    ])
+
+
+@pytest.mark.parametrize("command, module, suffix", [
+    ("analyze", cli, "_fold.csv"), ("portrait", cli, "_portrait.csv"),
+    ("hypersurface", hs, "_hypersurface.csv"),
+])
+def test_a_streamed_table_samples_a_chunk_at_a_time(tmp_path, monkeypatch, command, module,
+                                                    suffix):
+    # every sample the command makes of its table takes at most one chunk,
+    # and the fold rows are those of the whole np.linspace grid, byte for byte
+    sizes = []
+
+    def counting(ts, *exprs, real=module.sample):
+        sizes.append(len(ts))
+        return real(ts, *exprs)
+
+    monkeypatch.setattr(module, "sample", counting)
+    cfg = STREAMED_CFG + f'samples = {STREAMED_SAMPLES}\nout = "{tmp_path}/s"\n'
+    assert main([command, "--config", str(_write(tmp_path, "s.cfg", cfg))]) == 0
+    monkeypatch.undo()
+    assert sizes == [cli.CHUNK_ROWS] * 3 + [1]
+    if command != "hypersurface":
+        T = rotsym.RotSymTensor(3, parse("1"), parse("1"), 2.0)
+        _whole_grid_csv(tmp_path / "whole.csv", command, T, STREAMED_SAMPLES)
+        assert (tmp_path / f"s{suffix}").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["analyze", "portrait"])
+def test_an_evaluation_error_in_a_later_chunk_leaves_no_file(tmp_path, capsys, command):
+    # 0.9765625 is abscissa 3000 of 3073 over [0, 1], in the third chunk
+    cfg = ('n = 3\nphi = "1"\npsi = "1 + 0/(t - 0.9765625)"\nt_max = 1\nsamples = 3073\n'
+           f'out = "{tmp_path}/z"\n')
+    assert main([command, "--config", str(_write(tmp_path, "z.cfg", cfg))]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        'riccisym: code=1 reason="division by zero in \'0/(t - 0.9765625)\' at t=0.9765625"'
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["z.cfg"]
+
+
+def test_analyze_memory_does_not_grow_with_the_samples(tmp_path):
+    # the whole grid, its jets and fold branches took about 53 traced bytes
+    # a row, 3.2 MB over the 61,440 rows between the two runs
+    def peak(samples):
+        cfg = STREAMED_CFG + f'samples = {samples}\nout = "{tmp_path}/m"\n'
+        path = _write(tmp_path, "m.cfg", cfg)
+        return traced_peak(lambda: main(["analyze", "--config", str(path)]))
+
+    assert peak(4 * cli.CHUNK_ROWS + 1)[0] == 0  # warms the CSV writer's tables
+    (code_few, few), (code_many, many) = (peak(k * cli.CHUNK_ROWS + 1) for k in (4, 64))
+    assert code_few == code_many == 0
+    assert many <= few + 64 * 1024, (few, many)
 
 
 # ---------------------------------------------------------------------------

@@ -301,25 +301,20 @@ def test_a_table_of_one_chunk_fails_before_its_output_is_made(tmp_path, capsys, 
 
 @pytest.mark.parametrize("r_max", [1.0, 2.0, 0.1, 3.7, 1e160, 1e-320, 5e-324])
 @pytest.mark.parametrize("chunks, extra", [(0, 2), (0, 3), (1, -1), (1, 0), (1, 1), (2, 1), (3, 5)])
-def test_the_chunk_abscissae_are_linspace_byte_for_byte(monkeypatch, r_max, chunks, extra):
+def test_the_chunk_abscissae_are_linspace_byte_for_byte(r_max, chunks, extra):
     # each chunk makes its own abscissae; joined across the CHUNK_ROWS
     # boundaries they are np.linspace's, also where the step r_max /
     # (samples - 1) underflows to 0 (r_max 5e-324)
     samples = chunks * cli.CHUNK_ROWS + extra
-    seen = []
-    monkeypatch.setattr(hs, "curvature_table", lambda E, rs: seen.append(rs) or np.zeros((rs.size, 7)))
-    list(cli._curvature_blocks(GraphEmbedding(3, parse("t"), r_max), samples))
+    seen = list(cli._abscissae(r_max, samples))
     assert [rs.size for rs in seen[:-1]] == [cli.CHUNK_ROWS] * (len(seen) - 1)
     assert np.concatenate(seen).tobytes() == np.linspace(0.0, r_max, samples).tobytes()
 
 
-def test_the_chunk_abscissae_match_linspace_on_random_grids(monkeypatch):
+def test_the_chunk_abscissae_match_linspace_on_random_grids():
     rng = np.random.default_rng(7)
-    seen = []
-    monkeypatch.setattr(hs, "curvature_table", lambda E, rs: seen.append(rs) or np.zeros((rs.size, 7)))
     for _ in range(60):
         samples = int(rng.integers(2, 50_000))
         r_max = float(rng.uniform(1, 10) * 10.0 ** rng.integers(-300, 300))
-        seen.clear()
-        list(cli._curvature_blocks(GraphEmbedding(3, parse("t"), r_max), samples))
+        seen = list(cli._abscissae(r_max, samples))
         assert np.concatenate(seen).tobytes() == np.linspace(0.0, r_max, samples).tobytes()

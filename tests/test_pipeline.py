@@ -238,7 +238,7 @@ def test_solve_refuses_exactly_the_steps_that_leave_too_few_samples(n):
 # Manufactured solutions: metrics with a closed-form r and f, whose
 # potential w is closed-form too, have these phi and psi (derived with
 # sympy), so the solve's error is measured against the exact profile.  Each
-# entry is (target, r, f, w, the continuation check's notes).
+# entry is (target, r, f, w, the fold regularity roots to 4 decimals).
 _MANUFACTURED = {
     # n = 3: r = t exp(t^2/8), f = -t^2/2, w = 4t^2/(4 + t^2)
     "n3": (
@@ -263,7 +263,7 @@ _MANUFACTURED = {
         lambda t: t * np.exp(t * t / 5),
         lambda t: t**4 / 10 - t * t,
         lambda t: 2 * t * t * (5 - t * t) / (5 + 2 * t * t),
-        ("fold regularity fails at t = 0.8322",),
+        (0.8322,),
     ),
     # n = 3: r = t(1 + t^2/6), f = -t^2/2, w = t^2(6 + t^2)/(3(2 + t^2))
     "n3_cubic_r": (
@@ -295,6 +295,14 @@ _MANUFACTURED = {
         lambda t: 4 * t * t / (4 + t * t),
         (),
     ),
+    # n = 6: the n3 profile again
+    "n6": (
+        RotSymTensor(6, parse("40/(t^2 + 4)"), parse("32*(20 - t^4)/(t^2 + 4)^3"), 1.0),
+        lambda t: t * np.exp(t * t / 8),
+        lambda t: -t * t / 2,
+        lambda t: 4 * t * t / (4 + t * t),
+        (),
+    ),
 }
 
 
@@ -319,20 +327,26 @@ _MANUFACTURED = {
         # then 5.782e-9 (0.00025), 3.753e-14 (1), 1.087e-9 (0.00125)
         ("n5", 1e-3, 2.8e-8, 1e-11, 2.2e-8),
         ("n5", 2.5e-4, 7.5e-9, 5e-14, 1.5e-9),
+        # measured (at t): 3.45e-8 (1), 1.091e-11 (1), 2.573e-8 (0.005);
+        # then 5.753e-9 (0.00025), 5.407e-14 (0.9825), 1.64e-9 (0.00125)
+        ("n6", 1e-3, 4.5e-8, 1.4e-11, 3.3e-8),
+        ("n6", 2.5e-4, 7.5e-9, 7e-14, 2.1e-9),
     ],
     # the first target keeps the ids it had as the only one
     ids=["0.001-3e-08-4e-12-6e-09", "0.00025-8e-09-3e-14-2e-09",
          "n4-0.001", "n4-0.00025", "n3_cubic_r-0.001", "n3_cubic_r-0.00025",
-         "n3_negative-0.001", "n3_negative-0.00025", "n5-0.001", "n5-0.00025"],
+         "n3_negative-0.001", "n3_negative-0.00025", "n5-0.001", "n5-0.00025",
+         "n6-0.001", "n6-0.00025"],
 )
 def test_a_manufactured_solution_is_recovered(target, step, r_rel, f_abs, w_rel):
-    T, r, f, w, notes = _MANUFACTURED[target]
+    T, r, f, w, roots = _MANUFACTURED[target]
     sol = solve(T, step=step)
     profile = sol.recon.profile
     assert sol.curve.halt_reason == "t_end" and profile.grid[[0, -1]].tolist() == [0.0, 1.0]
-    assert sol.global_report.notes == notes
+    assert tuple(round(root, 4) for root in sol.global_report.fold_roots) == roots
+    assert sol.global_report.notes == ()
     assert sol.global_report.verdict == (
-        "hypothesis_failed" if notes else "global_continuation_expected"
+        "hypothesis_failed" if roots else "global_continuation_expected"
     )
     assert profile.r[0] == 0.0 and sol.recon.w[0] == 0.0
     t = profile.grid[1:]  # r and w vanish at 0: relative errors from the next sample
@@ -342,7 +356,7 @@ def test_a_manufactured_solution_is_recovered(target, step, r_rel, f_abs, w_rel)
 
 
 def test_a_manufactured_solution_converges_in_the_step():
-    # f's error falls 179-, 194-, 174-, 221- and 197-fold as the step
+    # f's error falls 179-, 194-, 174-, 221-, 197- and 202-fold as the step
     # shrinks 4-fold, from 1e-3 to 2.5e-4
     for T, _, f, _, _ in _MANUFACTURED.values():
         def f_error(step):

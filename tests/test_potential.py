@@ -672,8 +672,6 @@ def _scalar_check_global(S, curve, grid=129):
             if (mvals[i - 1] < 0) != (mvals[i] < 0) or mvals[i] == 0.0:
                 roots.append(float(potential.bisect_root(fold_fn, ts_pos[i - 1], ts_pos[i])))
         fold_margin = 0.0 if roots else float(np.min(np.abs(mvals)))
-        if roots:
-            notes.append("fold regularity fails at t = " + ", ".join(f"{r:.6g}" for r in roots))
 
     fold_gap, fold_gap_t = math.inf, math.nan
     for t, w in zip(curve.t, curve.w):
@@ -686,8 +684,6 @@ def _scalar_check_global(S, curve, grid=129):
         fold_gap = math.nan
 
     ok = fold_margin > 0 and curve.halt_reason == "t_end"
-    if curve.halt_reason != "t_end":
-        notes.append(f"integration halted early: {curve.halt_reason}")
     return GlobalReport(
         fold_margin=fold_margin,
         fold_roots=tuple(roots),
