@@ -34,6 +34,18 @@ raises) runs it one sub-step at a time over one row memo per block, keyed
 by abscissa: the block's rows, whose one sample also covers the capped
 sub-steps, or, where that sample raises, the row the block before it
 carries; then point-by-point rows for what is still missing.
+
+Where a C compiler is at hand, the uniform steps run in _rk4.c, a compiled
+mirror of that kernel's step: the same statements in the same order, with
+no fused multiply-adds, so the same bits.  It hands back to the Python
+kernel each step where a stage meets the fold test or F_p == 0, where Q is
+not positive, the trial needs a Newton iteration, p changes sign or the
+residual is infinite, so the halts and their texts, the projection, the
+work counts and the error order stay in Python.  _native builds it on a
+solve's first call, never at import, and caches it (see there); without it
+the Python kernel takes every step, with the same output.  No setting
+picks the kernel.
+
 The target is evaluated to first order only, as no row reads a second
 derivative.  The curve records the work done, and phi and psi at its
 samples from those same rows, so the continuation check and the
@@ -46,9 +58,12 @@ scipy's order of operations, bit for bit, so the solve imports numpy only.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from array import array
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -399,14 +414,15 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, 
     """The _coeffs rows that the steps through targets read, and where
     uniform steps run.
 
-    Returns (P, values, rows, runs).  P holds the abscissae as floats: P[0] = prev,
+    Returns (P, values, grid, runs).  P holds the abscissae as floats: P[0] = prev,
     then target k's midpoint prev_k + (target_k - prev_k)/2 at 2k+1 and
-    target_k at 2k+2, prev_k being the target before it; rows[j] is the
-    (A, B, C, D) row at P[j].  A step is uniform when integrate_separatrix
-    takes it as the one sub-step h = target_k - prev_k (not capped near the
-    origin, no underflow) and t + h lands exactly on target_k; runs[k] is
+    target_k at 2k+2, prev_k being the target before it; grid, a
+    C-contiguous float64 array of shape (5, len(P)), holds P as grid[0] and
+    the (A, B, C, D) row at P[j] as grid[1:, j].  A step is uniform when integrate_separatrix takes it as the
+    one sub-step h = target_k - prev_k (not capped near the origin, no
+    underflow) and t + h lands exactly on target_k; runs[k] is
     the first target at or after k whose step is not uniform (len(targets)
-    if none).  Past P[2 len(targets)], P and rows go on with the other
+    if none).  Past P[2 len(targets)], P and grid go on with the other
     abscissae the general path reads on its way to the targets it takes,
     if it halves no sub-step (those of the capped sub-steps).
 
@@ -414,9 +430,9 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, 
     phi and psi values, shape (2, len(P)); start, the (row, phi, psi) of
     the block before it at its last target, gives those at P[0] without
     sampling it again.  The block looks ahead, so it must not raise at a t
-    the solve may never reach: where sample raises, values is None, rows is
-    empty and no step is uniform (runs[k] == k), so the general path takes
-    every target of the block.
+    the solve may never reach: where sample raises, values and grid are None
+    and no step is uniform (runs[k] == k), so the general path takes every
+    target of the block.
     """
     m = len(targets)
     P = np.empty(2 * m + 1)
@@ -452,15 +468,77 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, 
     try:
         phi, psi = jets = sample(xs, T.phi.first_order, T.psi.first_order)
     except EvalError:
-        return pts, None, [], list(range(m))
+        return pts, None, None, list(range(m))
+    grid = np.empty((5, len(P)))
+    grid[0] = P
     with np.errstate(over="ignore", invalid="ignore"):  # like Python floats
-        columns = _coeffs(T.n, xs, phi[0], phi[1], psi[0], psi[1])
-    rows = list(zip(*(c.tolist() for c in columns)))
+        grid[1:, len(P) - len(xs) :] = _coeffs(T.n, xs, phi[0], phi[1], psi[0], psi[1])
     values = jets[:, 0]
     if start is not None:
-        rows.insert(0, start[0])
+        grid[1:, 0] = start[0]
         values = np.column_stack((start[1:], values))
-    return pts, values, rows, runs
+    return pts, values, grid, runs
+
+
+# no -march=native and no -ffast-math: either can change the mirror's bits
+_KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+@functools.cache
+def _native():
+    """rk4_run of _rk4.c, the compiled mirror of rk4's uniform step, or None.
+
+    The first call in a process loads the library from $XDG_CACHE_HOME/riccisym
+    (default ~/.cache/riccisym), under a name that checksums the source,
+    _KERNEL_FLAGS, sysconfig's CC (or cc) and the platform, and builds it
+    there first if it is missing, renaming the compiler's output into place
+    whole.  With no compiler, a failed build or no writable directory it
+    returns None, and rk4 takes every step, with the same output.  The
+    checksums are zlib's, as hashlib would load OpenSSL (3.5 MiB of RSS).
+    """
+    import ctypes
+    import shlex
+    import sysconfig
+    import zlib
+
+    source = Path(__file__).with_name("_rk4.c")
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    try:
+        key = repr((source.read_bytes(), _KERNEL_FLAGS, compiler, sysconfig.get_platform()))
+        key = key.encode()
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache", "riccisym")
+        lib = cache / f"rk4-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
+        if not (lib.exists() or _build(compiler, source, lib)):
+            return None
+        fn = ctypes.CDLL(str(lib)).rk4_run
+    except (OSError, RuntimeError):  # RuntimeError: Path.home() found no home
+        return None
+    fn.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_void_p)
+    fn.restype = ctypes.c_long
+    return fn
+
+
+def _build(compiler: list, source: Path, lib: Path) -> bool:
+    """Compile source into lib; False if the compiler fails or times out.
+    An OSError (no compiler, no writable directory) propagates."""
+    import subprocess
+    import tempfile
+
+    lib.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [*compiler, *_KERNEL_FLAGS, "-o", tmp, str(source)],
+            check=True, capture_output=True, timeout=120,
+        )
+        os.replace(tmp, lib)
+        return True
+    except subprocess.SubprocessError:
+        return False
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def integrate_separatrix(
@@ -494,12 +572,13 @@ def integrate_separatrix(
     # The surface enters a step only through the _coeffs rows at t, t + h/2
     # and t + h (k1; k2 and k3; k4 and Q).  Once the step is uniform,
     # h = target - t is exact (Sterbenz), so every stage lands on a target
-    # or a midpoint of the block (see _grid_block), and rk4 runs a block's
-    # consecutive uniform steps in one loop.  Every other step (capped near
-    # the origin, halved, halting, or in a block whose sample raised) runs
-    # rk4 over its three rows, read lazily from the block's memo, which
-    # evaluates a row it lacks by scalar_row: a fold halt at an earlier
-    # stage wins over an EvalError at a later row.
+    # or a midpoint of the block (see _grid_block), and the compiled mirror
+    # (see _native) or rk4 runs a block's consecutive uniform steps in one
+    # loop.  Every other step (capped near the origin, halved, halting, or
+    # in a block whose sample raised) runs rk4 over its three rows, read
+    # lazily from the block's memo, which evaluates a row it lacks by
+    # scalar_row: a fold halt at an earlier stage wins over an EvalError at
+    # a later row.
     work = dict.fromkeys(
         ("uniform_steps", "other_steps", "halvings", "newton_projections", "scalar_rows"), 0
     )
@@ -594,6 +673,23 @@ def integrate_separatrix(
                 return i, t, w, p, drift, None
             h = P[i + 2] - t
 
+    kernel = _native()
+    if kernel is not None:  # rk4_run's s: (t, w, p, drift), its constants, its steps
+        buf = np.empty(8 + 3 * _GRID_BLOCK)
+        buf[4:8] = n1, fold_tol, PROJECTION_TOL, _EPS
+        state, steps, buf_at = buf[:4], buf[8:].reshape(_GRID_BLOCK, 3), buf.ctypes.data
+
+    def mirror(grid, i, stop, t, w, p, drift):
+        """The compiled mirror's steps from row i towards row stop over a
+        block's grid, recorded: (i, t, w, p, drift) after the last step it
+        accepts."""
+        state[:] = t, w, p, drift
+        j = kernel(grid.ctypes.data, grid.shape[1], i, stop, buf_at)
+        if j > i:
+            for curve, column in zip((ts, ws, ps), steps[: (j - i) // 2].T):
+                curve.frombytes(column.tobytes())
+        return j, *state.tolist()
+
     def record_values(values, base, strays):
         """Append phi and psi at the samples recorded since the last call:
         ts[base] lies at P[0], so ts[base + j] is P[2j] and takes the block's
@@ -656,21 +752,38 @@ def integrate_separatrix(
             work["halvings"] += 1
 
     drift = 0.0
+    # Without the mirror rk4 owes every step.  With it, rk4 takes each step
+    # the mirror hands back and then owes it burst steps in all, doubled
+    # each time the mirror takes no step in between, so that a run where
+    # every step needs a Newton iteration stays in Python.
+    burst, owed = 1, math.inf if kernel is None else 0
     halt_reason, halt_detail = "t_end", ""
     t, w, p = t0, w0, p0
     try:
         start = None
         for b in range(0, len(targets), _GRID_BLOCK):
-            P, values, rows, runs = _grid_block(
+            P, values, grid, runs = _grid_block(
                 T, targets[b - 1] if b else t0, targets[b : b + _GRID_BLOCK], step, start
             )
-            base, strays, memo = len(ts) - 1, {}, None
+            base, strays, memo, table = len(ts) - 1, {}, None, None
             k = 0
             while k < len(runs):
                 if runs[k] > k and t == P[2 * k]:
-                    i, t, w, p, drift, _ = rk4(
-                        P, rows, 2 * k, 2 * runs[k], t, w, p, P[2 * k + 2] - t, drift, True
-                    )
+                    # rk4 takes the next `owed` steps, the mirror the rest
+                    i, stop, trial = 2 * k, 2 * runs[k], None
+                    while trial is None and i < stop:
+                        if not owed:
+                            j = i
+                            i, t, w, p, drift = mirror(grid, i, stop, t, w, p, drift)
+                            burst = owed = 1 if i > j else 2 * burst
+                        if i < stop:
+                            table = table or list(zip(*grid[1:].tolist()))  # rk4's rows
+                            j = i
+                            i, t, w, p, drift, trial = rk4(
+                                P, table, i, min(stop, i + 2 * owed), t, w, p, P[i + 2] - t,
+                                drift, True,
+                            )
+                            owed -= (i - j) // 2
                     if i > 2 * k:
                         work["uniform_steps"] += i // 2 - k
                         k = i // 2
@@ -679,8 +792,9 @@ def integrate_separatrix(
                 target = P[2 * k + 2]
                 if memo is None:  # (row, phi, psi) by abscissa: the block's, or its start
                     memo = _Memo(scalar_row)
-                    if rows:
-                        memo.update(zip(P, zip(rows, *values.tolist())))
+                    if grid is not None:
+                        table = table or list(zip(*grid[1:].tolist()))
+                        memo.update(zip(P, zip(table, *values.tolist())))
                     elif start:
                         memo[P[0]] = start
                 if values is None and not (phis or k):  # the seed, whose row is read first
@@ -698,7 +812,10 @@ def integrate_separatrix(
             record_values(values, base, strays)
             # the next block starts at this block's last target
             last = 2 * len(runs)
-            start = (rows[last], *values[:, last].tolist()) if rows else memo.get(P[last])
+            if grid is not None:
+                start = (grid[1:, last].tolist(), *values[:, last].tolist())
+            else:
+                start = memo.get(P[last])
     except _Halt as halt:
         halt_reason, halt_detail = halt.args
         record_values(values, base, strays)

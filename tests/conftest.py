@@ -1,4 +1,6 @@
+import contextlib
 import tracemalloc
+from unittest import mock
 
 from hypothesis import settings
 
@@ -17,3 +19,16 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+# The integrator's two kernels: the compiled mirror of rk4's plain step
+# where it builds (the default), and the Python rk4 alone, as on a machine
+# with no C compiler.  Their outputs must be the same bytes.
+KERNELS = ("native", "python")
+
+
+def kernel(name):
+    """A context in which integrate_separatrix runs the kernel name."""
+    if name == "native":
+        return contextlib.nullcontext()
+    return mock.patch("riccisym.potential._native", lambda: None)

@@ -205,8 +205,11 @@ def test_no_module_starts_a_process_pool():
 
 
 IMPORT_SET_PROBE = """
-import json, pathlib, sys, tempfile
+import json, pathlib, subprocess, sys, tempfile
 import numpy as np
+compiles = []
+run = subprocess.run
+subprocess.run = lambda *args, **kwargs: compiles.append(args) or run(*args, **kwargs)
 import riccisym, riccisym.cli
 
 cold = sorted(name for name in sys.modules
@@ -217,14 +220,17 @@ with tempfile.TemporaryDirectory() as tmp:
     riccisym.cli.write_csv(pathlib.Path(tmp, "x.csv"), ("x",), [(np.ones(1),)])
 tables_after_write = riccisym.cli._tables.cache_info().currsize
 riccisym.tensorlab.invert_spd(np.eye(3))
-print(json.dumps([cold, tables_at_import, tables_after_write, "scipy.linalg" in sys.modules]))
+native = riccisym.potential._native.cache_info().currsize
+print(json.dumps([cold, tables_at_import, tables_after_write, "scipy.linalg" in sys.modules,
+                  native, len(compiles)]))
 """
 
 
 def test_a_cold_import_loads_numpy_and_nothing_heavier():
     # the solve, verify and CLI path reads no scipy, loads no process pool
     # and no exact-arithmetic module, and builds the CSV writer's tables on
-    # its first write; the numeric oracle loads scipy.linalg on first use
+    # its first write; the numeric oracle loads scipy.linalg on first use;
+    # the compiled RK4 mirror is neither built nor loaded before a solve
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -232,8 +238,11 @@ def test_a_cold_import_loads_numpy_and_nothing_heavier():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    cold, tables_at_import, tables_after_write, oracle_loads_linalg = json.loads(proc.stdout)
+    cold, tables_at_import, tables_after_write, oracle_loads_linalg, native, compiles = (
+        json.loads(proc.stdout)
+    )
     assert cold == []
+    assert (native, compiles) == (0, 0)
     assert not tables_at_import
     assert tables_after_write
     assert oracle_loads_linalg

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
-from conftest import traced_peak
+from conftest import KERNELS, kernel, traced_peak
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 
 from riccisym import pipeline, potential, reconstruct, rotsym
@@ -342,9 +342,13 @@ def test_integrate_gold_family():
 )
 def test_integrate_output_bytes_are_pinned(n, phi, psi, t_max, step, reason, detail, drift,
                                            digest):
-    _, c = solve_branch(_surface(n, phi, psi, t_max), step)
-    assert (c.halt_reason, c.halt_detail, c.constraint_max) == (reason, detail, drift)
-    assert hashlib.sha256(c.t.tobytes() + c.w.tobytes() + c.p.tobytes()).hexdigest() == digest
+    for name in KERNELS:
+        with kernel(name):
+            _, c = solve_branch(_surface(n, phi, psi, t_max), step)
+        got = hashlib.sha256(c.t.tobytes() + c.w.tobytes() + c.p.tobytes()).hexdigest()
+        assert (name, c.halt_reason, c.halt_detail, c.constraint_max, got) == (
+            name, reason, detail, drift, digest
+        )
 
 
 def test_integrate_quadratic_coefficient_fit():
@@ -412,9 +416,11 @@ def test_integrate_step_halving_fourth_order():
          "overflow", "overflow_trial"],
 )
 def test_integrate_halt_branches(phi, psi, t_max, step, size, reason, detail):
-    _, curve = solve_branch(_surface(3, phi, psi, t_max=t_max), step=step)
-    assert (curve.halt_reason, curve.halt_detail) == (reason, detail)
-    assert curve.t.size == size
+    for name in KERNELS:
+        with kernel(name):
+            _, curve = solve_branch(_surface(3, phi, psi, t_max=t_max), step=step)
+        assert (name, curve.halt_reason, curve.halt_detail) == (name, reason, detail)
+        assert curve.t.size == size
 
 
 @pytest.mark.parametrize("a", ["1e6", "1e8", "1e12"])
@@ -1296,13 +1302,15 @@ def test_kernel_matches_the_table_integrator_bit_for_bit(
         # each way; the halving ladder it would test is met within budget
         # by the lighter examples too (see the "halvings" event).
         reject()
-    got = _outcome(integrate_separatrix, T, seed, step)
-    if isinstance(got, PotentialCurve):
-        event("halvings" if got.work["halvings"] else "no halvings")
-        got = (got.t, got.w, got.p, got.halt_reason, got.halt_detail, got.constraint_max)
     event(ref[0].__name__ if len(ref) == 2 else ref[3])
-    if len(ref) == 2:  # the reference raised
-        assert got == ref
-        return
-    assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in ref[:3]]
-    assert got[3:] == ref[3:]
+    for name in KERNELS:
+        with kernel(name):
+            got = _outcome(integrate_separatrix, T, seed, step)
+        if isinstance(got, PotentialCurve):
+            event("halvings" if got.work["halvings"] else "no halvings")
+            got = (got.t, got.w, got.p, got.halt_reason, got.halt_detail, got.constraint_max)
+        if len(ref) == 2:  # the reference raised
+            assert (name, got) == (name, ref)
+            continue
+        assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in ref[:3]], name
+        assert (name, got[3:]) == (name, ref[3:])
