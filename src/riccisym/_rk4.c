@@ -3,15 +3,15 @@
    rk4_run mirrors a step of potential.py's rk4 statement for statement, in
    the same order of operations, so that a step it takes has the bits rk4's
    would; it must be built without fused multiply-adds (-ffp-contract=off)
-   and without -ffast-math.  grid holds a block's len abscissae P, then
-   their (A, B, C, D) _coeffs rows as four columns of len values each.
-   From row i (t = P[i]) it steps towards row stop and returns the row it
-   stopped at: stop, or the start of the first step it leaves to rk4, one
-   where a stage fails the fold test or has F_p == 0, Q is not positive,
-   the trial needs a Newton iteration, p changes sign or the residual is
-   infinite.  s holds (t, w, p, drift), read on entry and written on
-   return, then n - 1, fold_tol, PROJECTION_TOL and the float64 epsilon,
-   then the (t, w, p) of each step it takes. */
+   and without -ffast-math.  grid holds the addresses of a block's
+   abscissae P and of their A, B, C and D _coeffs values.  From row i
+   (t = P[i]) it steps towards row stop and returns the row it stopped at:
+   stop, or the start of the first step it leaves to rk4, one where a stage
+   fails the fold test or has F_p == 0, Q is not positive, the trial needs
+   a Newton iteration, p changes sign or the residual is infinite.  It
+   writes each step's t, w and p to the curve at out[0], out[1], out[2]
+   and after.  s holds (t, w, p, drift), read on entry and written on
+   return, then n - 1, fold_tol, PROJECTION_TOL and the float64 epsilon. */
 #include <math.h>
 
 #define STAGE(k, j, W, PP)                                                   \
@@ -23,12 +23,12 @@
             / F_p_;                                                          \
     } while (0)
 
-long rk4_run(const double *grid, long len, long i, long stop, double *s)
+long rk4_run(const double *const *grid, double *const *out, long i, long stop, double *s)
 {
-    const double *P = grid, *a = P + len, *b = a + len, *c = b + len, *d = c + len;
+    const double *P = grid[0], *a = grid[1], *b = grid[2], *c = grid[3], *d = grid[4];
+    double *ts = out[0], *ws = out[1], *ps = out[2];
     double t = s[0], w = s[1], p = s[2], drift = s[3];
     const double n1 = s[4], fold_tol = s[5], tol = s[6], eps = s[7];
-    double *out = s + 8;
     while (i < stop) {
         double h = P[i + 2] - t, hh = h / 2, k1, k2, k3, k4;
         STAGE(k1, i, w, p);
@@ -58,9 +58,9 @@ long rk4_run(const double *grid, long len, long i, long stop, double *s)
         w = w_try;
         p = p_try;
         i += 2;
-        *out++ = t;
-        *out++ = w;
-        *out++ = p;
+        *ts++ = t;
+        *ws++ = w;
+        *ps++ = p;
     }
 done:
     s[0] = t;

@@ -22,7 +22,8 @@ Exit codes: 0 success, 1 usage error (a missing or unknown command, an
 unknown option), config or parse error, or an output that cannot be
 written, 2 tensor validation failure (sign change, non-finite target,
 origin mismatch or degenerate saddle), 3 numerical failure (projection,
-monotonicity, sign, a non-finite hypersurface cell).  Every failure prints
+monotonicity, sign, a non-finite hypersurface cell, Ricci residuals above
+residual_tol in solve or verify).  Every failure prints
 one machine-readable line ``riccisym: code=<N> reason="..."`` on stderr; a
 failing solve, analyze, portrait or hypersurface leaves no output file.
 Outputs are deterministic: CSV with a header row, 17 significant digits,
@@ -447,6 +448,13 @@ def _output(cfg: ProblemConfig, suffix: str) -> Path:
 
 def _cmd_solve(cfg: ProblemConfig) -> int:
     sol = solve(_tensor_from(cfg, "solve"), step=cfg.step, delta=cfg.delta, t_lo=cfg.t_lo)
+    # verify's gate on the report's figure: the worse Ricci residual, NaN first
+    worst = int(np.argmax(sol.recon.ricci_residuals))
+    value, t = sol.recon.ricci_residuals[worst], sol.recon.ricci_residual_t[worst]
+    if not value <= cfg.residual_tol:
+        _diag(3, f"ricci residuals exceed tolerance: {('radial', 'tangential')[worst]} "
+                 f"{value:.3e} at t = {t:.6g} > residual_tol {cfg.residual_tol:.3e}")
+        return 3
     _write_all_or_none({
         _output(cfg, "_solution.csv"): lambda tmp: write_csv(tmp, SOLUTION_HEADER,
                                                              [_solution_columns(sol)]),

@@ -28,16 +28,18 @@ quadratic in p, so the projection is a Babylonian iteration.  The target
 enters a step only through the t-only coefficients of F (_coeffs), one row
 per abscissa.  One RK4 kernel holds the stage formula and reads rows by
 index: it runs the uniform steps of a block of targets in one loop over the
-block's rows, sampled as arrays, and the general path (the capped steps
-near the origin, halvings, halts, and every step of a block whose sample
-raises) runs it one sub-step at a time over one row memo per block, keyed
-by abscissa: the block's rows, whose one sample also covers the capped
-sub-steps, or, where that sample raises, the row the block before it
-carries; then point-by-point rows for what is still missing.
+block's rows, sampled as arrays and made floats only for the steps it
+takes, and the general path (the capped steps near the origin, halvings,
+halts, and every step of a block whose sample raises) runs it one sub-step
+at a time over rows it reads by abscissa, each once per block, on first
+use: the block's, whose one sample also covers the capped sub-steps, or,
+where that sample raises, the row the block before it carries; then
+point by point for what is still missing.
 
 Where a C compiler is at hand, the uniform steps run in _rk4.c, a compiled
 mirror of that kernel's step: the same statements in the same order, with
-no fused multiply-adds, so the same bits.  It hands back to the Python
+no fused multiply-adds, so the same bits; it reads the block's rows and
+writes each step into the curve's own arrays.  It hands back to the Python
 kernel each step where a stage meets the fold test or F_p == 0, where Q is
 not positive, the trial needs a Newton iteration, p changes sign or the
 residual is infinite, so the halts and their texts, the projection, the
@@ -74,8 +76,9 @@ FOLD_TOL = 1e-8
 EXIT_TOL = 1e-12
 PROJECTION_TOL = 1e-13
 GLOBAL_GRID = 129  # check_global's fold-margin grid
-_GRID_BLOCK = 256  # integration targets per sample of the target
+_GRID_BLOCK = 1024  # integration targets per sample of the target
 MAX_SAMPLES = 10**7  # largest t_max / step a solve accepts
+_RK4_ROWS = 64  # uniform steps per list of grid rows rk4 reads
 _EPS = float(np.finfo(float).eps)
 
 
@@ -374,9 +377,11 @@ def curve_samples(T: RotSymTensor, step: float, delta: float | None = None) -> i
 
 
 class _Memo(dict):
-    """key -> fn(key), computed on first read and kept (lazy rows for rk4)."""
+    """key -> fn(key), computed on first read and kept (lazy rows for rk4),
+    from the given items on."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, items=()):
+        super().__init__(items)
         self.fn = fn
 
     def __missing__(self, key):
@@ -411,28 +416,29 @@ def _substep_abscissae(t: float, target: float, step: float) -> list:
 
 
 def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, start=None):
-    """The _coeffs rows that the steps through targets read, and where
-    uniform steps run.
+    """The rows that the steps through targets read, and where uniform
+    steps run.
 
-    Returns (P, values, grid, runs).  P holds the abscissae as floats: P[0] = prev,
-    then target k's midpoint prev_k + (target_k - prev_k)/2 at 2k+1 and
-    target_k at 2k+2, prev_k being the target before it; grid, a
-    C-contiguous float64 array of shape (5, len(P)), holds P as grid[0] and
-    the (A, B, C, D) row at P[j] as grid[1:, j].  A step is uniform when integrate_separatrix takes it as the
-    one sub-step h = target_k - prev_k (not capped near the origin, no
-    underflow) and t + h lands exactly on target_k; runs[k] is
-    the first target at or after k whose step is not uniform (len(targets)
-    if none).  Past P[2 len(targets)], P and grid go on with the other
-    abscissae the general path reads on its way to the targets it takes,
-    if it halves no sub-step (those of the capped sub-steps).
+    Returns (P, grid, runs, others).  P holds the abscissae, in increasing
+    order: P[0] = prev, then target k's midpoint
+    prev_k + (target_k - prev_k)/2 at 2k+1 and target_k at 2k+2, prev_k
+    being the target before it.  grid, a float64 array of shape (7, len(P))
+    whose rows are C-contiguous, holds the row of P[j] in column j: P[j],
+    its _coeffs (A, B, C, D), phi and psi.  A step is uniform when
+    integrate_separatrix takes it as the one sub-step h = target_k - prev_k
+    (not capped near the origin, no underflow) and t + h lands exactly on
+    target_k; runs, an int array, holds at k the first target at or after k
+    whose step is not uniform (len(targets) if none).  others maps the
+    other abscissae the general path reads on its way to the targets it
+    takes, if it halves no sub-step (those of the capped sub-steps), to
+    their rows as lists.
 
-    The rows come from one first-order sample over P, and values holds its
-    phi and psi values, shape (2, len(P)); start, the (row, phi, psi) of
-    the block before it at its last target, gives those at P[0] without
-    sampling it again.  The block looks ahead, so it must not raise at a t
-    the solve may never reach: where sample raises, values and grid are None
-    and no step is uniform (runs[k] == k), so the general path takes every
-    target of the block.
+    The rows come from one first-order sample over P and those abscissae;
+    start, the row of the block before it at its last target, is column 0
+    without sampling P[0] again.  The block looks ahead, so it must not
+    raise at a t the solve may never reach: where sample raises, grid is
+    None, others holds start alone (if given) and no step is uniform
+    (runs[k] == k), so the general path takes every target of the block.
     """
     m = len(targets)
     P = np.empty(2 * m + 1)
@@ -441,7 +447,6 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, 
     t = P[:-1:2]  # prev_k
     h = targets - t
     P[1::2] = t + h / 2
-    pts = P.tolist()
     # _capped_step's rule, over the whole block
     uniform = (
         (h <= np.maximum(0.25 * t, 1e-3 * step))
@@ -449,35 +454,34 @@ def _grid_block(T: RotSymTensor, prev: float, targets: np.ndarray, step: float, 
         & (t < targets - 1e-12 * step)
         & (t + h == targets)
     )
-    runs = np.minimum.accumulate(np.where(uniform, m, np.arange(m))[::-1])[::-1].tolist()
-    # integrate_separatrix's walk through the block, without halvings
+    runs = np.minimum.accumulate(np.where(uniform, m, np.arange(m))[::-1])[::-1]
+    # integrate_separatrix's walk through the block, without halvings: it
+    # jumps over each run of uniform steps that starts on its target
     x, k, other = prev, 0, []
     while k < m:
-        if runs[k] > k and x == pts[2 * k]:
-            k = runs[k]
-            x = pts[2 * k]
+        if runs[k] > k and x == P[2 * k]:
+            k = int(runs[k])
+            x = P.item(2 * k)
             continue
-        other += _substep_abscissae(x, pts[2 * k + 2], step)
+        other += _substep_abscissae(x, P.item(2 * k + 2), step)
         x = other[-1]
         k += 1
-    if other:
-        held = set(pts)
-        pts += [x for x in dict.fromkeys(other) if x not in held]
-        P = np.array(pts)
-    xs = P if start is None else P[1:]
+    other = np.array(list(dict.fromkeys(other)))  # increasing, as the walk is
+    other = other[P[np.minimum(P.searchsorted(other), 2 * m)] != other]  # those not in P
+    grid = np.empty((7, len(P) + len(other)))
+    grid[0] = np.concatenate((P, other))
+    first = int(start is not None)  # start holds the row at P[0]
+    xs = grid[0, first:]
     try:
         phi, psi = jets = sample(xs, T.phi.first_order, T.psi.first_order)
     except EvalError:
-        return pts, None, None, list(range(m))
-    grid = np.empty((5, len(P)))
-    grid[0] = P
+        return P, None, np.arange(m), {prev: start} if start else {}
     with np.errstate(over="ignore", invalid="ignore"):  # like Python floats
-        grid[1:, len(P) - len(xs) :] = _coeffs(T.n, xs, phi[0], phi[1], psi[0], psi[1])
-    values = jets[:, 0]
+        grid[1:5, first:] = _coeffs(T.n, xs, phi[0], phi[1], psi[0], psi[1])
+    grid[5:, first:] = jets[:, 0]
     if start is not None:
-        grid[1:, 0] = start[0]
-        values = np.column_stack((start[1:], values))
-    return pts, values, grid, runs
+        grid[:, 0] = start
+    return P, grid[:, : len(P)], runs, dict(zip(other.tolist(), grid[:, len(P) :].T.tolist()))
 
 
 # no -march=native and no -ffast-math: either can change the mirror's bits
@@ -513,7 +517,7 @@ def _native():
         fn = ctypes.CDLL(str(lib)).rk4_run
     except (OSError, RuntimeError):  # RuntimeError: Path.home() found no home
         return None
-    fn.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_void_p)
+    fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_void_p)
     fn.restype = ctypes.c_long
     return fn
 
@@ -577,22 +581,25 @@ def integrate_separatrix(
     # loop.  Every other step (capped near the origin, halved, halting, or
     # in a block whose sample raised) runs rk4 over its three rows, read
     # lazily from the block's memo, which evaluates a row it lacks by
-    # scalar_row: a fold halt at an earlier stage wins over an EvalError at
-    # a later row.
+    # row_at: a fold halt at an earlier stage wins over an EvalError at a
+    # later row.
     work = dict.fromkeys(
         ("uniform_steps", "other_steps", "halvings", "newton_projections", "scalar_rows"), 0
     )
 
     targets = _targets(t0, t_end, step)
     min_h = 1e-6 * step
+    # the curve: its first `size` entries are the samples taken; a block
+    # extends ts, ws and ps by its targets before its first step
     ts, ws, ps = array("d", [t0]), array("d", [w0]), array("d", [p0])
     phis, psis = array("d"), array("d")
+    size = 1
 
     def overflow(t):
         return _Halt(
             "overflow",
-            f"w or p left the float range past t = {t:.6g}; "
-            f"last sample t = {ts[-1]:.6g}, w = {ws[-1]:.6g}, p = {ps[-1]:.6g}",
+            f"w or p left the float range past t = {t:.6g}; last sample "
+            f"t = {ts[size - 1]:.6g}, w = {ws[size - 1]:.6g}, p = {ps[size - 1]:.6g}",
         )
 
     def fold(F_p, t):
@@ -602,7 +609,7 @@ def integrate_separatrix(
         """Projected RK4 steps from row i (t = P[i]) up to row stop: a step
         reads rows i, i+1 and i+2 (t, t + h/2, t + h) and ends on row i+2.
         The first step takes h as given, the next ones h = P[i+2] - t;
-        record appends each step's end to the curve.
+        record puts each step's end in the curve.
 
         Stops before the first step whose trial is not plain (Q > 0, and a
         projected p of unchanged sign and finite |F|) and returns
@@ -610,6 +617,7 @@ def integrate_separatrix(
         projected if Q > 0 and not both are infinite, or None at stop.  A
         stage at the fold raises _Halt before the next row is read.
         """
+        nonlocal size
         while True:
             a, _, c, d = rows[i]
             hh = h / 2
@@ -666,47 +674,39 @@ def integrate_separatrix(
             p = p_try
             i += 2
             if record:
-                ts.append(t)
-                ws.append(w)
-                ps.append(p)
+                ts[size], ws[size], ps[size] = t, w, p
+                size += 1
             if i == stop:
                 return i, t, w, p, drift, None
             h = P[i + 2] - t
 
     kernel = _native()
-    if kernel is not None:  # rk4_run's s: (t, w, p, drift), its constants, its steps
-        buf = np.empty(8 + 3 * _GRID_BLOCK)
-        buf[4:8] = n1, fold_tol, PROJECTION_TOL, _EPS
-        state, steps, buf_at = buf[:4], buf[8:].reshape(_GRID_BLOCK, 3), buf.ctypes.data
+    if kernel is not None:  # rk4_run's s: (t, w, p, drift), then its constants
+        s = array("d", (0.0, 0.0, 0.0, 0.0, n1, fold_tol, PROJECTION_TOL, _EPS))
+        out = np.zeros(3, np.uintp)  # its out: where the next samples go
+        s_at, out_at = s.buffer_info()[0], out.ctypes.data
 
-    def mirror(grid, i, stop, t, w, p, drift):
-        """The compiled mirror's steps from row i towards row stop over a
-        block's grid, recorded: (i, t, w, p, drift) after the last step it
-        accepts."""
-        state[:] = t, w, p, drift
-        j = kernel(grid.ctypes.data, grid.shape[1], i, stop, buf_at)
-        if j > i:
-            for curve, column in zip((ts, ws, ps), steps[: (j - i) // 2].T):
-                curve.frombytes(column.tobytes())
-        return j, *state.tolist()
-
-    def record_values(values, base, strays):
-        """Append phi and psi at the samples recorded since the last call:
+    def record_values(grid, base, strays):
+        """Append phi and psi at the samples taken since the last call:
         ts[base] lies at P[0], so ts[base + j] is P[2j] and takes the block's
-        values there, unless the general path ended it off its target or
-        the block's sample raised; then strays[j] holds them."""
-        lo, hi = len(phis) - base, len(ts) - base
-        new = np.empty((2, hi - lo)) if values is None else values[:, 2 * lo : 2 * hi - 1 : 2]
+        row there, unless the general path ended it off its target or the
+        block's sample raised; then strays[j] holds them."""
+        lo, hi = len(phis) - base, size - base
+        new = np.empty((2, hi - lo)) if grid is None else grid[5:, 2 * lo : 2 * hi - 1 : 2].copy()
         for j, x in strays.items():
             new[:, j - lo] = x
         phis.frombytes(new[0].tobytes())
         psis.frombytes(new[1].tobytes())
 
-    def scalar_row(x):
-        """(row, phi, psi) at x, sampled point by point."""
+    def row_at(P, grid, x):
+        """The row [x, A, B, C, D, phi, psi] at x: the block's grid's, found
+        by one search of P, or else sampled point by point."""
+        j = int(P.searchsorted(x))
+        if grid is not None and j < len(P) and P.item(j) == x:
+            return grid[:, j].tolist()
         work["scalar_rows"] += 1
         phi, dphi, psi, dpsi = _target_row(T, x)
-        return _coeffs(n, x, phi, dphi, psi, dpsi), phi, psi
+        return [x, *_coeffs(n, x, phi, dphi, psi, dpsi), phi, psi]
 
     def substep(t, w, p, h, drift):
         """One projected RK4 sub-step of at most h from t, halved near the
@@ -715,7 +715,7 @@ def integrate_separatrix(
         while True:
             P3 = (t, t + h / 2, t + h)
             i, t1, w1, p1, drift, trial = rk4(
-                P3, _Memo(lambda j: memo[P3[j]][0]), 0, 2, t, w, p, h, drift, False
+                P3, _Memo(lambda j: memo[P3[j]][1:5]), 0, 2, t, w, p, h, drift, False
             )
             if i:
                 return t1, w1, p1, drift
@@ -738,7 +738,7 @@ def integrate_separatrix(
                     raise overflow(t)
                 # a halt, from t's row, which the first stage read; F_t and
                 # F_w do not depend on p
-                Q_here, F_t, F_w, _ = _row_terms(n, w, 0.0, *memo[t][0])
+                Q_here, F_t, F_w, _ = _row_terms(n, w, 0.0, *memo[t][1:5])
                 if Q_here <= FOLD_TOL * (1.0 + abs(Q_here) + p * p):
                     raise _Halt(
                         "fold_contact",
@@ -762,63 +762,66 @@ def integrate_separatrix(
     try:
         start = None
         for b in range(0, len(targets), _GRID_BLOCK):
-            P, values, grid, runs = _grid_block(
-                T, targets[b - 1] if b else t0, targets[b : b + _GRID_BLOCK], step, start
-            )
-            base, strays, memo, table = len(ts) - 1, {}, None, None
+            block = targets[b : b + _GRID_BLOCK]
+            P, grid, runs, others = _grid_block(T, targets[b - 1] if b else t0, block, step, start)
+            # the general path's rows by abscissa, each read once, on first use
+            memo = _Memo(functools.partial(row_at, P, grid), others)
+            m, base, strays = len(block), size - 1, {}
+            for curve in (ts, ws, ps):  # room for the block's samples
+                curve.frombytes(bytes(8 * m))
+            if kernel is not None and grid is not None:  # the mirror's addresses for the block
+                curve_at = np.array([curve.buffer_info()[0] for curve in (ts, ws, ps)], np.uintp)
+                rows_at = grid.ctypes.data + grid.strides[0] * np.arange(5, dtype=np.uintp)
+                grid_at = rows_at.ctypes.data  # of P, A, B, C and D
             k = 0
-            while k < len(runs):
+            while k < m:
                 if runs[k] > k and t == P[2 * k]:
                     # rk4 takes the next `owed` steps, the mirror the rest
-                    i, stop, trial = 2 * k, 2 * runs[k], None
+                    i, stop, trial = 2 * k, 2 * int(runs[k]), None
                     while trial is None and i < stop:
-                        if not owed:
+                        if not owed:  # the mirror's steps, recorded
                             j = i
-                            i, t, w, p, drift = mirror(grid, i, stop, t, w, p, drift)
-                            burst = owed = 1 if i > j else 2 * burst
+                            s[0], s[1], s[2], s[3] = t, w, p, drift
+                            out[:] = curve_at + 8 * size
+                            i = kernel(grid_at, out_at, i, stop, s_at)
+                            t, w, p, drift = s[:4]
+                            size += (i - j) // 2
+                            burst = 1 if i > j else 2 * burst
+                            owed = burst if i < stop else 0
                         if i < stop:
-                            table = table or list(zip(*grid[1:].tolist()))  # rk4's rows
                             j = i
+                            end = min(stop, i + 2 * owed, i + 2 * _RK4_ROWS)
                             i, t, w, p, drift, trial = rk4(
-                                P, table, i, min(stop, i + 2 * owed), t, w, p, P[i + 2] - t,
-                                drift, True,
+                                grid[0, i : end + 1].tolist(), grid[1:5, i : end + 1].T.tolist(),
+                                0, end - i, t, w, p, P.item(i + 2) - t, drift, True,
                             )
+                            i += j
                             owed -= (i - j) // 2
                     if i > 2 * k:
                         work["uniform_steps"] += i // 2 - k
                         k = i // 2
-                        if k == len(runs):
+                        if k == m:
                             break
-                target = P[2 * k + 2]
-                if memo is None:  # (row, phi, psi) by abscissa: the block's, or its start
-                    memo = _Memo(scalar_row)
-                    if grid is not None:
-                        table = table or list(zip(*grid[1:].tolist()))
-                        memo.update(zip(P, zip(table, *values.tolist())))
-                    elif start:
-                        memo[P[0]] = start
-                if values is None and not (phis or k):  # the seed, whose row is read first
-                    strays[0] = memo[t][1:]
+                target = P.item(2 * k + 2)
+                if grid is None and not (phis or k):  # the seed, whose row is read first
+                    strays[0] = memo[t][5:]
                 # only the targets are recorded
                 while (h := _capped_step(t, target, step)) is not None:
                     t, w, p, drift = substep(t, w, p, h, drift)
                     work["other_steps"] += 1
-                ts.append(t)
-                ws.append(w)
-                ps.append(p)
-                if t != target or values is None:  # from the last sub-step's row
-                    strays[k + 1] = memo[t][1:]
+                ts[size], ws[size], ps[size] = t, w, p
+                size += 1
+                if t != target or grid is None:  # from the last sub-step's row
+                    strays[k + 1] = memo[t][5:]
                 k += 1
-            record_values(values, base, strays)
+            record_values(grid, base, strays)
             # the next block starts at this block's last target
-            last = 2 * len(runs)
-            if grid is not None:
-                start = (grid[1:, last].tolist(), *values[:, last].tolist())
-            else:
-                start = memo.get(P[last])
+            start = memo.get(P.item(2 * m)) if grid is None else grid[:, 2 * m].tolist()
+            grid = memo = None  # freed before the next block is built
     except _Halt as halt:
         halt_reason, halt_detail = halt.args
-        record_values(values, base, strays)
+        record_values(grid, base, strays)
+    del ts[size:], ws[size:], ps[size:]
 
     # the arrays share the buffers: no copy of the curve at its largest
     return PotentialCurve(

@@ -198,11 +198,13 @@ def ricci_defects(profile: MetricProfile, mask, phis, psis):
     """Per-point (|alpha (r')^2 - phi|, |r^2 beta - t^2 psi|) on profile.grid[mask].
 
     phis and psis are the target values at those points; mask is a boolean
-    array or a slice.
+    array or a slice.  An overflow gives an inf or NaN defect, and no
+    warning: the residual gates fail it.
     """
-    phi_hat, t2_psi_hat = ricci_pullback(profile)
-    ts = profile.grid[mask]
-    return np.abs(phi_hat[mask] - phis), np.abs(t2_psi_hat[mask] - ts**2 * psis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_hat, t2_psi_hat = ricci_pullback(profile)
+        ts = profile.grid[mask]
+        return np.abs(phi_hat[mask] - phis), np.abs(t2_psi_hat[mask] - ts**2 * psis)
 
 
 def verify_ricci(profile: MetricProfile, T: RotSymTensor, t_lo: float, t_hi: float):
@@ -230,6 +232,7 @@ class ReconstructionResult:
     residual_r: float
     residual_f: float
     ricci_residuals: tuple[float, float]  # maxima of res_rr, res_tt over [t_lo, grid[-1]]
+    ricci_residual_t: tuple[float, float]  # the t of each (the first NaN if any)
     w: np.ndarray  # potential samples aligned with profile.grid
     p: np.ndarray
     res_rr: np.ndarray  # per-point Ricci defects on profile.grid (see ricci_defects)
@@ -267,11 +270,13 @@ def reconstruct_profile(
     psi0 = eval_jet2(T.psi.first_order, 0.0).v
     psi = np.concatenate([[psi0], curve.psi[q.cols]])
     res_rr, res_tt = ricci_defects(profile, slice(None), q.phi, psi)
+    at = [int(np.argmax(res[window])) for res in (res_rr, res_tt)]  # argmax finds NaN first
     return ReconstructionResult(
         profile=profile,
         residual_r=residual_r,
         residual_f=residual_f,
-        ricci_residuals=(float(np.max(res_rr[window])), float(np.max(res_tt[window]))),
+        ricci_residuals=(float(res_rr[window][at[0]]), float(res_tt[window][at[1]])),
+        ricci_residual_t=(float(grid[window][at[0]]), float(grid[window][at[1]])),
         w=q.w,
         p=p,
         res_rr=res_rr,

@@ -483,7 +483,10 @@ def test_overflow_before_t_lo_is_one_code_3_line(tmp_path, capsys):
 
 
 def test_overflow_is_not_reported_as_a_fold(tmp_path, capsys):
-    path = _write(tmp_path, "o.cfg", OVERFLOW_CFG.format(a="1e6", out=f"{tmp_path}/o"))
+    # its Ricci residuals reach 2.3e297, so only a residual_tol above them
+    # lets solve write the report
+    cfg = OVERFLOW_CFG.format(a="1e6", out=f"{tmp_path}/o") + "residual_tol = 1e300\n"
+    path = _write(tmp_path, "o.cfg", cfg)
     assert main(["solve", "--config", str(path)]) == 0
     report = (tmp_path / "o_report.txt").read_text()
     assert "halt: overflow" in report
@@ -495,6 +498,63 @@ def test_t_lo_beyond_t_max_stays_a_config_error_after_an_early_halt(tmp_path, ca
     assert main(["solve", "--config", str(_write(tmp_path, "o.cfg", cfg))]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("riccisym: code=1 ")
+
+
+# the targets where solve once exited 0 on a profile that verify of its own
+# file rejects, at the default residual_tol of 1e-5 (-1e6 at t_max 0.1, not
+# 1, where its 7e5 halvings take seconds; the fold contact of
+# PINNED_OUTPUTS), and one that both pass
+AGREEMENT_CFGS = {
+    f"const_{a}": f'n = 3\nphi = "{a}"\npsi = "{a}"\nt_max = {t_max}\n'
+    for a, t_max in (("-1e3", 1), ("-1e4", 1), ("-1e5", 1), ("-1e6", 0.1), ("1", 10))
+} | {
+    "transc_n4_t10": 'n = 4\nphi = "3*exp(-t^2)"\npsi = "3*cos(t)^2 + t^4/(1+t^2)"\nt_max = 10\n',
+    "fold_contact_n3": 'n = 3\nphi = "1"\npsi = "1 - 4*t^2"\nt_max = 0.46\n',
+}
+
+
+@pytest.mark.parametrize("cfg", AGREEMENT_CFGS.values(), ids=AGREEMENT_CFGS)
+def test_solve_fails_where_verify_of_its_profile_fails(tmp_path, capsys, cfg):
+    # verify reads the profile solve writes once residual_tol is raised past
+    # its residuals; at the default both exit with one code, and a failure
+    # writes one stderr line and, for solve, no file
+    run = cfg + f'out = "{tmp_path}/a"\n'
+    solved = main(["solve", "--config", str(_write(tmp_path, "s.cfg", run))])
+    solve_err = capsys.readouterr().err.splitlines()
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["a_report.txt", "a_solution.csv", "s.cfg"] if solved == 0 else ["s.cfg"]
+    )
+    loose = cfg + f'residual_tol = 1e300\nout = "{tmp_path}/b"\n'
+    assert main(["solve", "--config", str(_write(tmp_path, "l.cfg", loose))]) == 0
+    assert capsys.readouterr().err == ""
+    check = run + f'profile = "{tmp_path}/b_solution.csv"\n'
+    verified = main(["verify", "--config", str(_write(tmp_path, "v.cfg", check))])
+    verify_err = capsys.readouterr().err.splitlines()
+    assert solved == verified
+    assert len(solve_err) == len(verify_err) == (solved != 0)
+    if solved:
+        assert re.fullmatch(
+            r'riccisym: code=3 reason="ricci residuals exceed tolerance: (radial|tangential) '
+            r'\S+ at t = \S+ > residual_tol 1\.000e-05"', solve_err[0]
+        ), solve_err[0]
+
+
+def test_a_nan_residual_fails_solve(tmp_path, capsys, monkeypatch):
+    # NaN compares false with the bound, so `not worst <= tol` fails it, and
+    # the line names it, wherever the other residual lies
+    def nan_tangential(profile, mask, phis, psis):
+        res_rr, res_tt = ricci_defects(profile, mask, phis, psis)
+        return res_rr, np.where(profile.grid[mask] > 0.25, math.nan, res_tt)
+
+    ricci_defects = reconstruct.ricci_defects
+    monkeypatch.setattr(reconstruct, "ricci_defects", nan_tangential)
+    path = _write(tmp_path, "g.cfg", GOLD_CFG + f'out = "{tmp_path}/g"\n')
+    assert main(["solve", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        'riccisym: code=3 reason="ricci residuals exceed tolerance: tangential nan at t = 0.251'
+        ' > residual_tol 1.000e-05"'
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["g.cfg"]
 
 
 LOG_CFG = 'n = 3\nphi = "1"\npsi = "1 + log(1 - t)"\nt_max = 2\n'
@@ -620,8 +680,9 @@ def test_dimension_1_is_one_code_1_line_before_any_other_fault(tmp_path, capsys,
 # fold distance at the seed, and again when both came from one writer of
 # the branch's lines, the analysis being the report less its residual
 # lines, which moved to the end, and again when the fold-contact notes that
-# restated its fold root and its halt were dropped; hypersurface reads h
-# and r_max only
+# restated its fold root and its halt were dropped, and the fold-contact
+# p_verify.txt, whose tolerance line reads the residual_tol its config sets
+# since solve applies that gate too; hypersurface reads h and r_max only
 PINNED_OUTPUTS = {
     'n = 4\nphi = "12"\npsi = "12 - 8*t^2"\nt_max = 0.5\n': (
         {"solve": 0, "analyze": 0, "verify": 0, "hypersurface": 0, "portrait": 0},
@@ -635,9 +696,10 @@ PINNED_OUTPUTS = {
             "p_verify.txt": "835a64b13110df6ff6856abb6224e926cb0bea4f1d9214a6f89ba94c84262be3",
         },
     ),
-    # fold contact: the residuals reach 8.7e-3 near the fold, so verify exits 3
-    'n = 3\nphi = "1"\npsi = "1 - 4*t^2"\nt_max = 0.46\n': (
-        {"solve": 0, "analyze": 0, "verify": 3, "hypersurface": 0, "portrait": 0},
+    # fold contact: the residuals reach 8.7e-3 near the fold, so solve and
+    # verify pass a residual_tol of 1e-2 and exit 3 at the default 1e-5
+    'n = 3\nphi = "1"\npsi = "1 - 4*t^2"\nt_max = 0.46\nresidual_tol = 1e-2\n': (
+        {"solve": 0, "analyze": 0, "verify": 0, "hypersurface": 0, "portrait": 0},
         {
             "p_analysis.txt": "75b912d24e9e77d72555f9ac23b33e1e76e2e27479478708dded145d900db8a1",
             "p_fold.csv": "372d01574a6a4eee185c7f48b1dcd9d4f7a001ec102ade2d84463b07b8d31949",
@@ -645,7 +707,7 @@ PINNED_OUTPUTS = {
             "p_portrait.csv": "ab4396cb4de81b66506d8bab5d16d4c2b8b77e57627ddde8d2b45f0ba1ddb8e1",
             "p_report.txt": "9193bd3d997c63f7558571ff85f2b5abaa24ae6db654470837389551b3bba15e",
             "p_solution.csv": "9ab39c51138a32fdaaf0d53894409023e8585d7cb7c5febb5a2e2287ff37689b",
-            "p_verify.txt": "70d474ec98a7eb231902d63830105014fe1ea24a0d72a041e97f4fc81f6f4d64",
+            "p_verify.txt": "8f927a04542faf2b66900b26036ee07ee32d065a61f922ebae0c96dec470c342",
         },
     ),
 }

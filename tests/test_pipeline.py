@@ -191,13 +191,14 @@ def test_a_solve_samples_each_abscissa_once(monkeypatch):
     T = RotSymTensor(4, parse("3*exp(-t^2)"), parse("3*cos(t)^2 + t^4/(1+t^2)"), 2.0)
     sol = solve(T, step=1e-3)
     assert sol.curve.t.size == 2001
-    # 2000 targets: blocks of 256 targets and their midpoints, the first
-    # after the seed at 2e-4, each later one after the last target of the
-    # block before it, whose row it takes from that block; the first four
-    # targets are reached by capped sub-steps, and the first block's sample
-    # also holds the 15, 7, 2 and 3 abscissae they read that it does not
-    later = [("potential", 2 * 256)] * 6 + [("potential", 2 * 208)]
-    blocks = [("potential", 2 * 256 + 1 + 15 + 7 + 2 + 3)] + later
+    # 2000 targets: blocks of _GRID_BLOCK targets and their midpoints, the
+    # first after the seed at 2e-4, each later one after the last target of
+    # the block before it, whose row it takes from that block; the first
+    # four targets are reached by capped sub-steps, and the first block's
+    # sample also holds the 15, 7, 2 and 3 abscissae they read that it does not
+    sizes = [min(potential._GRID_BLOCK, 2000 - b) for b in range(0, 2000, potential._GRID_BLOCK)]
+    blocks = [("potential", 2 * m) for m in sizes]
+    blocks[0] = ("potential", 2 * sizes[0] + 1 + 15 + 7 + 2 + 3)
     grid = [("potential", potential.GLOBAL_GRID)]
     assert calls == [("rotsym", rotsym.DEFINITENESS_GRID)] * 2 + blocks + grid
     assert sol.curve.work["scalar_rows"] == 0

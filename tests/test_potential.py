@@ -948,7 +948,7 @@ def _block_steps(draw):
 def test_the_block_marks_a_step_uniform_exactly_when_the_general_path_takes_it_whole(case):
     # _grid_block's array mask and _capped_step state one rule twice
     prev, targets, step = case
-    runs = potential._grid_block(UNIT, prev, np.array(targets), step)[3]
+    runs = potential._grid_block(UNIT, prev, np.array(targets), step)[2]
     for k, target in enumerate(targets):
         before = targets[k - 1] if k else prev
         uniform = _takes_one_exact_sub_step(before, target, step)
@@ -978,12 +978,20 @@ def test_a_subnormal_product_stays_in_the_uniform_kernel():
     assert digest.hexdigest() == "0347fdc4f6e65044c75e42c9d23280fca9fdb3cc7a11267a57292df2ab8a56ea"
 
 
+def _declined_block():
+    """(first, size): the index of the first of the targets 1e-3, 2e-3, ...,
+    10 of the block that holds t = 3, the 3,000th target, and their count."""
+    first = 2_999 // potential._GRID_BLOCK * potential._GRID_BLOCK
+    return first, min(potential._GRID_BLOCK, 10_000 - first)
+
+
 def test_a_block_whose_sample_raises_is_read_lazily(monkeypatch):
-    # sample raises for the one block that holds t = 3: none of its 256
-    # steps is uniform, and the general path reads the rows of its 256
-    # targets and their midpoints point by point, as the kernel reads them
-    # (its first row, the last target of the block before, comes with it);
-    # the next block is sampled as arrays again
+    # sample raises for the one block that holds t = 3: none of its steps
+    # is uniform, and the general path reads the rows of its targets and
+    # their midpoints point by point, as the kernel reads them (its first
+    # row, the last target of the block before, comes with it); the next
+    # block is sampled as arrays again
+    _, size = _declined_block()
     S = _surface(3, "1", "1", 10.0)
     _, ref = solve_branch(S, 1e-3)
     real = potential.sample
@@ -1001,9 +1009,10 @@ def test_a_block_whose_sample_raises_is_read_lazily(monkeypatch):
     assert curve.constraint_max == ref.constraint_max
     assert ref.work["uniform_steps"] == 9_996 and ref.work["other_steps"] == 12
     assert ref.work["scalar_rows"] == 0
-    # the block's 256 steps move from the uniform loop to the general path
-    assert (curve.work["uniform_steps"], curve.work["other_steps"]) == (9_740, 268)
-    assert curve.work["scalar_rows"] == 2 * 256
+    # the block's steps move from the uniform loop to the general path
+    assert curve.work["uniform_steps"] == 9_996 - size
+    assert curve.work["other_steps"] == 12 + size
+    assert curve.work["scalar_rows"] == 2 * size
 
 
 def test_a_declined_block_evaluates_no_sample_again(monkeypatch):
@@ -1011,6 +1020,7 @@ def test_a_declined_block_evaluates_no_sample_again(monkeypatch):
     # point by point, each once: its first row comes from the block before
     # it, the block after it starts from its last row, and the samples of
     # the block take phi and psi from the rows their sub-steps read
+    first, size = _declined_block()
     S = _surface(3, "1", "1", 10.0)
     step = 1e-3
     seed = seed_separatrix(S, saddle_report(S), seed_offset(10.0, step))
@@ -1029,9 +1039,10 @@ def test_a_declined_block_evaluates_no_sample_again(monkeypatch):
     monkeypatch.setattr(potential, "sample", raising)
     monkeypatch.setattr(potential, "_target_row", counting)
     curve = integrate_separatrix(S, seed, step, 10.0)
-    assert curve.halt_reason == "t_end" and curve.work["other_steps"] == 268
-    assert len(calls) == curve.work["scalar_rows"] == 2 * 256
-    assert min(calls) > 2.816 and max(calls) == curve.t[3072]  # the block's targets 2.817 to 3.072
+    assert curve.halt_reason == "t_end" and curve.work["other_steps"] == 12 + size
+    assert len(calls) == curve.work["scalar_rows"] == 2 * size
+    # past the last target of the block before, up to the block's last target
+    assert min(calls) > curve.t[first] and max(calls) == curve.t[first + size]
     evaluated = sampled + calls
     assert len(set(evaluated)) == len(evaluated)
     assert_carries_target_values(S, curve)
@@ -1067,6 +1078,44 @@ def test_the_integrator_evaluates_each_abscissa_once(monkeypatch, n, phi, psi, t
     else:
         assert curve.halt_detail.startswith("fold reached near t = 0.41197 ")
         assert curve.work["scalar_rows"] == 93
+
+
+TRANSC_PHI, TRANSC_PSI = "3*exp(-t^2)", "3*cos(t)^2 + t^4/(1+t^2)"
+
+# the benchmark's instances that integrate (n = 2 runs no RK4), fold contact
+# among them, then a stiff branch and transc_n4 out to where p is frozen
+BLOCK_INSTANCES = {
+    "gold_n3": (3, "8", "8 - 4*t^2", 0.5),
+    "gold_n4": (4, "12", "12 - 8*t^2", 0.5),
+    "gold_n5": (5, "16", "16 - 12*t^2", 0.5),
+    "fold_contact_n3": (3, "1", "1 - 4*t^2", 0.46),
+    "const_pos_n3_t10": (3, "1", "1", 10.0),
+    "const_neg_n3_t10": (3, "-1", "-1", 10.0),
+    "transc_n4": (4, TRANSC_PHI, TRANSC_PSI, 2.0),
+    "trig_log_n5": (5, "2 + sin(t)^2", "2 + t*log(1+t^2)", 2.0),
+    "stiff_neg_1e4": (3, "-1e4", "-1e4", 1.0),
+    "transc_n4_t10": (4, TRANSC_PHI, TRANSC_PSI, 10.0),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_INSTANCES)
+def test_the_outputs_do_not_depend_on_the_block_size(monkeypatch, name):
+    # a block is a unit of sampling only: every work count but scalar_rows
+    # (the rows of a block whose sample raised, which moves with the block)
+    S = _surface(*BLOCK_INSTANCES[name])
+
+    def outcome():
+        _, c = solve_branch(S, 1e-3)
+        work = {k: v for k, v in c.work.items() if k != "scalar_rows"}
+        curve = [a.tobytes() for a in (c.t, c.w, c.p, c.phi, c.psi)]
+        return curve, c.halt_reason, c.halt_detail, c.constraint_max, work
+
+    want = outcome()
+    for block in (1, 2, 7, potential._GRID_BLOCK):
+        monkeypatch.setattr(potential, "_GRID_BLOCK", block)
+        for name in KERNELS:
+            with kernel(name):
+                assert outcome() == want, (block, name)
 
 
 def test_integration_memory_is_bounded_per_sample():

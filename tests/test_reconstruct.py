@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,18 @@ def test_verify_ricci_detects_perturbation():
     profile = MetricProfile.from_exprs(3, parse("-t^2 + 0.01*t^3"), parse("t"), 0.5)
     res_rr, _ = verify_ricci(profile, _gold_tensor(), 0.05, 0.5)
     assert res_rr > 1e-3
+
+
+def test_an_overflowing_forward_map_gives_nan_defects_and_no_warning():
+    # r' = 1e200 squares past the float range against alpha = 0, and r^2
+    # against beta = 0: the defects are NaN, which the residual gates fail,
+    # and numpy writes nothing to stderr
+    grid = np.linspace(0.0, 1.0, 11)
+    profile = MetricProfile(3, grid, np.zeros(11), 1e200 * grid, np.full(11, 1e200), np.zeros(11))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        defects = reconstruct.ricci_defects(profile, slice(1, None), np.ones(10), np.ones(10))
+    assert all(np.isnan(d).all() for d in defects)
 
 
 def test_ricci_potential_from_profile_gold():
