@@ -37,16 +37,18 @@ where that sample raises, the row the block before it carries; then
 point by point for what is still missing.
 
 Where a C compiler is at hand, the uniform steps run in _rk4.c, a compiled
-mirror of that kernel's step: the same statements in the same order, with
-no fused multiply-adds, so the same bits; it reads the block's rows and
-writes each step into the curve's own arrays.  It hands back to the Python
-kernel each step where a stage meets the fold test or F_p == 0, where Q is
-not positive, the trial needs a Newton iteration, p changes sign or the
-residual is infinite, so the halts and their texts, the projection, the
-work counts and the error order stay in Python.  _native builds it on a
-solve's first call, never at import, and caches it (see there); without it
-the Python kernel takes every step, with the same output.  No setting
-picks the kernel.
+mirror of that kernel's whole step, the projection's Newton iteration
+included: the same statements in the same order, with no fused
+multiply-adds, so the same bits; it reads the block's rows and writes each
+sample, t, w, p, phi and psi, into the curve's own arrays.  It hands the
+general path each step that path halves, halts on or raises on: where a
+stage meets the fold test or F_p == 0, Q is not positive, the Newton
+iteration does not converge, p changes sign or the residual is NaN or
+infinite, so the halts and their texts, the projection errors and the
+error order stay in Python, and Python takes no uniform step.  _native
+builds it on a solve's first call, never at import, and caches it (see
+there); without it the Python kernel takes every step, with the same
+output.  No setting picks the kernel.
 
 The target is evaluated to first order only, as no row reads a second
 derivative.  The curve records the work done, and phi and psi at its
@@ -353,16 +355,16 @@ def _target_span(t0: float, t_end: float, step: float):
     return k0, k1, k1 < k0 or k1 * step < t_end - 1e-9 * step
 
 
-def _targets(t0: float, t_end: float, step: float) -> np.ndarray:
-    """The abscissae a curve records past t0: the multiples of step, then
-    exactly t_end (a last multiple within 1e-9 step of it is t_end)."""
+def _targets(t0: float, t_end: float, step: float, size: int = MAX_SAMPLES):
+    """The abscissae a curve records past t0, in arrays of at most size, each
+    made when it is read: the multiples of step, then exactly t_end (a last
+    multiple within 1e-9 step of it is t_end)."""
     k0, k1, end = _target_span(t0, t_end, step)
-    targets = np.arange(k0, k1 + 1) * step
-    if end:
-        targets = np.append(targets, t_end)
-    if abs(targets[-1] - t_end) <= 1e-9 * step:
-        targets[-1] = t_end
-    return targets
+    for k in range(k0, k1 + 1 + end, size):
+        targets = np.arange(k, min(k + size, k1 + 1 + end)) * step
+        if k + size > k1 + end and (end or abs(targets[-1] - t_end) <= 1e-9 * step):
+            targets[-1] = t_end
+        yield targets
 
 
 def curve_samples(T: RotSymTensor, step: float, delta: float | None = None) -> int:
@@ -577,22 +579,22 @@ def integrate_separatrix(
     # and t + h (k1; k2 and k3; k4 and Q).  Once the step is uniform,
     # h = target - t is exact (Sterbenz), so every stage lands on a target
     # or a midpoint of the block (see _grid_block), and the compiled mirror
-    # (see _native) or rk4 runs a block's consecutive uniform steps in one
-    # loop.  Every other step (capped near the origin, halved, halting, or
-    # in a block whose sample raised) runs rk4 over its three rows, read
-    # lazily from the block's memo, which evaluates a row it lacks by
-    # row_at: a fold halt at an earlier stage wins over an EvalError at a
-    # later row.
+    # (see _native), or rk4 without it, runs a block's consecutive uniform
+    # steps in one loop.  The loop hands the general path each step that it
+    # halves, halts on or raises on.  Every other step (capped near the
+    # origin, halved, halting, or in a block whose sample raised) runs rk4
+    # over its three rows, read lazily from the block's memo, which
+    # evaluates a row it lacks by row_at: a fold halt at an earlier stage
+    # wins over an EvalError at a later row.
     work = dict.fromkeys(
         ("uniform_steps", "other_steps", "halvings", "newton_projections", "scalar_rows"), 0
     )
 
-    targets = _targets(t0, t_end, step)
     min_h = 1e-6 * step
-    # the curve: its first `size` entries are the samples taken; a block
-    # extends ts, ws and ps by its targets before its first step
-    ts, ws, ps = array("d", [t0]), array("d", [w0]), array("d", [p0])
-    phis, psis = array("d"), array("d")
+    # the curve: its first `size` entries are the samples taken, each
+    # recorded whole where its t is written; a block extends the five
+    # arrays by its targets before its first step
+    curves = ts, ws, ps, phis, psis = [array("d", [x]) for x in (t0, w0, p0, 0.0, 0.0)]
     size = 1
 
     def overflow(t):
@@ -612,10 +614,11 @@ def integrate_separatrix(
         record puts each step's end in the curve.
 
         Stops before the first step whose trial is not plain (Q > 0, and a
-        projected p of unchanged sign and finite |F|) and returns
-        (i, t, w, p, drift, trial), trial being that step's (p_try, Q), p_try
-        projected if Q > 0 and not both are infinite, or None at stop.  A
-        stage at the fold raises _Halt before the next row is read.
+        projected p of unchanged sign and finite |F|) or one of whose stages
+        meets the fold test, and returns (i, t, w, p, drift, trial), trial
+        being that step's (p_try, Q), p_try projected if Q > 0 and not both
+        are infinite, or the fold's _Halt, or None at stop.  A stage at the
+        fold reads no later row.
         """
         nonlocal size
         while True:
@@ -624,7 +627,7 @@ def integrate_separatrix(
             ww = w * w - 2.0 * w
             F_p = -2.0 * p
             if neg_fold_tol < F_p < fold_tol:
-                raise fold(F_p, P[i])
+                return i, t, w, p, drift, fold(F_p, P[i])
             k1 = -((c * ww + d) / n1 + p * (a * (2.0 * w - 2.0) / n1)) / F_p
             a, _, c, d = rows[i + 1]
             w2 = w + hh * p
@@ -632,14 +635,14 @@ def integrate_separatrix(
             ww = w2 * w2 - 2.0 * w2
             F_p = -2.0 * p2
             if neg_fold_tol < F_p < fold_tol:
-                raise fold(F_p, P[i + 1])
+                return i, t, w, p, drift, fold(F_p, P[i + 1])
             k2 = -((c * ww + d) / n1 + p2 * (a * (2.0 * w2 - 2.0) / n1)) / F_p
             w3 = w + hh * p2
             p3 = p + hh * k2
             ww = w3 * w3 - 2.0 * w3
             F_p = -2.0 * p3
             if neg_fold_tol < F_p < fold_tol:
-                raise fold(F_p, P[i + 1])
+                return i, t, w, p, drift, fold(F_p, P[i + 1])
             k3 = -((c * ww + d) / n1 + p3 * (a * (2.0 * w3 - 2.0) / n1)) / F_p
             a, b, c, d = rows[i + 2]
             w4 = w + h * p3
@@ -647,7 +650,7 @@ def integrate_separatrix(
             ww = w4 * w4 - 2.0 * w4
             F_p = -2.0 * p4
             if neg_fold_tol < F_p < fold_tol:
-                raise fold(F_p, P[i + 2])
+                return i, t, w, p, drift, fold(F_p, P[i + 2])
             k4 = -((c * ww + d) / n1 + p4 * (a * (2.0 * w4 - 2.0) / n1)) / F_p
             h6 = h / 6
             w_try = w + h6 * (p + 2.0 * p2 + 2.0 * p3 + p4)
@@ -681,22 +684,10 @@ def integrate_separatrix(
             h = P[i + 2] - t
 
     kernel = _native()
-    if kernel is not None:  # rk4_run's s: (t, w, p, drift), then its constants
-        s = array("d", (0.0, 0.0, 0.0, 0.0, n1, fold_tol, PROJECTION_TOL, _EPS))
-        out = np.zeros(3, np.uintp)  # its out: where the next samples go
+    if kernel is not None:  # rk4_run's s: (t, w, p, drift, newtons), then its constants
+        s = array("d", (0.0, 0.0, 0.0, 0.0, 0.0, n1, fold_tol, PROJECTION_TOL, _EPS))
+        out = np.zeros(5, np.uintp)  # its out: where the next samples go
         s_at, out_at = s.buffer_info()[0], out.ctypes.data
-
-    def record_values(grid, base, strays):
-        """Append phi and psi at the samples taken since the last call:
-        ts[base] lies at P[0], so ts[base + j] is P[2j] and takes the block's
-        row there, unless the general path ended it off its target or the
-        block's sample raised; then strays[j] holds them."""
-        lo, hi = len(phis) - base, size - base
-        new = np.empty((2, hi - lo)) if grid is None else grid[5:, 2 * lo : 2 * hi - 1 : 2].copy()
-        for j, x in strays.items():
-            new[:, j - lo] = x
-        phis.frombytes(new[0].tobytes())
-        psis.frombytes(new[1].tobytes())
 
     def row_at(P, grid, x):
         """The row [x, A, B, C, D, phi, psi] at x: the block's grid's, found
@@ -719,6 +710,8 @@ def integrate_separatrix(
             )
             if i:
                 return t1, w1, p1, drift
+            if isinstance(trial, _Halt):
+                raise trial
             p_try, Q = trial
             if Q > 0.0:
                 if p_try * p > 0.0:  # an infinite Q or p_try
@@ -752,76 +745,68 @@ def integrate_separatrix(
             work["halvings"] += 1
 
     drift = 0.0
-    # Without the mirror rk4 owes every step.  With it, rk4 takes each step
-    # the mirror hands back and then owes it burst steps in all, doubled
-    # each time the mirror takes no step in between, so that a run where
-    # every step needs a Newton iteration stays in Python.
-    burst, owed = 1, math.inf if kernel is None else 0
     halt_reason, halt_detail = "t_end", ""
-    t, w, p = t0, w0, p0
+    t, w, p = seed
+    prev = t0  # the target before the block
     try:
         start = None
-        for b in range(0, len(targets), _GRID_BLOCK):
-            block = targets[b : b + _GRID_BLOCK]
-            P, grid, runs, others = _grid_block(T, targets[b - 1] if b else t0, block, step, start)
+        for b, block in enumerate(_targets(t0, t_end, step, _GRID_BLOCK)):
+            P, grid, runs, others = _grid_block(T, prev, block, step, start)
             # the general path's rows by abscissa, each read once, on first use
             memo = _Memo(functools.partial(row_at, P, grid), others)
-            m, base, strays = len(block), size - 1, {}
-            for curve in (ts, ws, ps):  # room for the block's samples
+            m = len(block)
+            for curve in curves:  # room for the block's samples
                 curve.frombytes(bytes(8 * m))
+            if not b:  # the seed's row, which its first step reads
+                phis[0], psis[0] = memo[t0][5:]
             if kernel is not None and grid is not None:  # the mirror's addresses for the block
-                curve_at = np.array([curve.buffer_info()[0] for curve in (ts, ws, ps)], np.uintp)
-                rows_at = grid.ctypes.data + grid.strides[0] * np.arange(5, dtype=np.uintp)
-                grid_at = rows_at.ctypes.data  # of P, A, B, C and D
+                curve_at = np.array([curve.buffer_info()[0] for curve in curves], np.uintp)
+                rows_at = grid.ctypes.data + grid.strides[0] * np.arange(7, dtype=np.uintp)
+                grid_at = rows_at.ctypes.data  # of P, A, B, C, D, phi and psi
             k = 0
             while k < m:
                 if runs[k] > k and t == P[2 * k]:
-                    # rk4 takes the next `owed` steps, the mirror the rest
-                    i, stop, trial = 2 * k, 2 * int(runs[k]), None
-                    while trial is None and i < stop:
-                        if not owed:  # the mirror's steps, recorded
+                    # the run's uniform steps, up to one the general path takes
+                    i, stop = 2 * k, 2 * int(runs[k])
+                    if kernel is not None:  # the mirror takes and records them
+                        s[0], s[1], s[2], s[3], s[4] = t, w, p, drift, work["newton_projections"]
+                        out[:] = curve_at + 8 * size
+                        i = kernel(grid_at, out_at, i, stop, s_at)
+                        t, w, p, drift, newtons = s[:5]
+                        work["newton_projections"] = int(newtons)
+                        size += i // 2 - k
+                    else:  # rk4 records t, w and p, and phi and psi go in one slice
+                        trial, first = None, size
+                        while trial is None and i < stop:
                             j = i
-                            s[0], s[1], s[2], s[3] = t, w, p, drift
-                            out[:] = curve_at + 8 * size
-                            i = kernel(grid_at, out_at, i, stop, s_at)
-                            t, w, p, drift = s[:4]
-                            size += (i - j) // 2
-                            burst = 1 if i > j else 2 * burst
-                            owed = burst if i < stop else 0
-                        if i < stop:
-                            j = i
-                            end = min(stop, i + 2 * owed, i + 2 * _RK4_ROWS)
+                            last = min(stop, i + 2 * _RK4_ROWS)
                             i, t, w, p, drift, trial = rk4(
-                                grid[0, i : end + 1].tolist(), grid[1:5, i : end + 1].T.tolist(),
-                                0, end - i, t, w, p, P.item(i + 2) - t, drift, True,
+                                grid[0, i : last + 1].tolist(), grid[1:5, i : last + 1].T.tolist(),
+                                0, last - i, t, w, p, P.item(i + 2) - t, drift, True,
                             )
                             i += j
-                            owed -= (i - j) // 2
-                    if i > 2 * k:
-                        work["uniform_steps"] += i // 2 - k
-                        k = i // 2
-                        if k == m:
-                            break
+                        memoryview(phis)[first:size] = grid[5, 2 * k + 2 : i + 1 : 2]
+                        memoryview(psis)[first:size] = grid[6, 2 * k + 2 : i + 1 : 2]
+                    work["uniform_steps"] += i // 2 - k
+                    k = i // 2
+                    if k == m:
+                        break
                 target = P.item(2 * k + 2)
-                if grid is None and not (phis or k):  # the seed, whose row is read first
-                    strays[0] = memo[t][5:]
                 # only the targets are recorded
                 while (h := _capped_step(t, target, step)) is not None:
                     t, w, p, drift = substep(t, w, p, h, drift)
                     work["other_steps"] += 1
-                ts[size], ws[size], ps[size] = t, w, p
+                # phi and psi from the last sub-step's row
+                ts[size], ws[size], ps[size], phis[size], psis[size] = t, w, p, *memo[t][5:]
                 size += 1
-                if t != target or grid is None:  # from the last sub-step's row
-                    strays[k + 1] = memo[t][5:]
                 k += 1
-            record_values(grid, base, strays)
             # the next block starts at this block's last target
-            start = memo.get(P.item(2 * m)) if grid is None else grid[:, 2 * m].tolist()
+            prev = P.item(2 * m)
+            start = memo.get(prev) if grid is None else grid[:, 2 * m].tolist()
             grid = memo = None  # freed before the next block is built
     except _Halt as halt:
         halt_reason, halt_detail = halt.args
-        record_values(grid, base, strays)
-    del ts[size:], ws[size:], ps[size:]
+    del ts[size:], ws[size:], ps[size:], phis[size:], psis[size:]
 
     # the arrays share the buffers: no copy of the curve at its largest
     return PotentialCurve(
@@ -919,7 +904,7 @@ def solve_n2(T: RotSymTensor, step: float) -> PotentialCurve:
     refuses raises ValueError.
     """
     check_sample_count(T.t_max, step)
-    ts = np.concatenate(([0.0], _targets(0.0, T.t_max, step)))
+    ts = np.concatenate(([0.0], *_targets(0.0, T.t_max, step)))
     phis, psis = sample(ts, T.phi.first_order, T.psi.first_order)[:, 0]
     with np.errstate(all="ignore"):  # like Python float products, without warnings
         prod = phis * psis

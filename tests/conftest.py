@@ -21,9 +21,10 @@ def traced_peak(fn):
     return result, peak
 
 
-# The integrator's two kernels: the compiled mirror of rk4's plain step
-# where it builds (the default), and the Python rk4 alone, as on a machine
-# with no C compiler.  Their outputs must be the same bytes.
+# The integrator's two kernels: the compiled mirror of rk4's whole uniform
+# step, projection included, where it builds (the default), and the Python
+# rk4 alone, as on a machine with no C compiler.  Their outputs must be the
+# same bytes.
 KERNELS = ("native", "python")
 
 

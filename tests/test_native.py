@@ -1,10 +1,11 @@
-"""The compiled mirror of the integrator's plain RK4 step (_rk4.c) and its
-loader, potential._native: the same bytes as the Python rk4 on every
-instance, and a Python fallback with the same output wherever it cannot
-be built."""
+"""The compiled mirror of the integrator's uniform RK4 step, projection
+included (_rk4.c), and its loader, potential._native: the same bytes as the
+Python rk4 on every instance, and a Python fallback with the same output
+wherever it cannot be built."""
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import sysconfig
@@ -74,10 +75,43 @@ def test_the_mirror_gives_rk4s_bytes(native, monkeypatch, name):
     assert (c.halt_reason, c.halt_detail, c.work, c.constraint_max) == (
         ref.halt_reason, ref.halt_detail, ref.work, ref.constraint_max
     )
-    # the mirror takes 88-99.8% of the uniform steps, bar the stiff branch,
-    # where nearly every step needs a Newton iteration and rk4 takes it
-    if name != "stiff_neg_1e4":
-        assert sum(taken) >= 0.85 * c.work["uniform_steps"]
+    # the mirror takes every uniform step, those needing a Newton iteration
+    # included; rk4 takes none
+    assert sum(taken) == c.work["uniform_steps"]
+
+
+def test_the_mirror_hands_back_a_newton_iteration_that_does_not_converge(native, monkeypatch):
+    # with no tolerance the projection needs |F| == 0, which the first step
+    # of the exact gold n = 4 branch w = 2t^2 never reaches: the mirror hands
+    # that step back untaken and rk4 raises, with rk4's own text
+    monkeypatch.setattr(potential, "PROJECTION_TOL", 0.0)
+    monkeypatch.setattr(potential, "_EPS", 0.0)
+    n, phi, psi, t_max = INSTANCES["gold_n4"]
+    T = RotSymTensor(n, parse(phi), parse(psi), t_max)
+    calls = []
+
+    def counting(grid, out, i, stop, s):
+        j = native(grid, out, i, stop, s)
+        calls.append((i, j))
+        return j
+
+    want = "surface projection did not converge at t = 0.101 (|F| = 2.776e-17)"
+    for fn in (counting, None):
+        monkeypatch.setattr(potential, "_native", lambda: fn)
+        with pytest.raises(potential.ProjectionError) as err:
+            potential.integrate_separatrix(T, (0.1, 0.02, 0.4), 1e-3, t_max)
+        assert str(err.value) == want
+    assert calls == [(0, 0)]
+
+
+def test_the_mirror_compiles_without_warnings(native):
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    source = Path(potential.__file__).with_name("_rk4.c")
+    flags = [*potential._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror", "-fsyntax-only"]
+    proc = subprocess.run(
+        [*compiler, *flags, str(source)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _solve_with(monkeypatch, cache, cc=None):

@@ -1080,6 +1080,24 @@ def test_the_integrator_evaluates_each_abscissa_once(monkeypatch, n, phi, psi, t
         assert curve.work["scalar_rows"] == 93
 
 
+@pytest.mark.parametrize("name", KERNELS)
+def test_a_fold_halt_inside_a_uniform_run_keeps_the_run(monkeypatch, name):
+    # from t = 0.3 on the fold-contact branch every step is uniform; with
+    # FOLD_TOL raised, a stage of the 112th meets the fold test, so the
+    # uniform loop hands that step to the general path, which halts: the
+    # 111 steps before it count, and their samples carry the target
+    S = _surface(3, "1", "1 - 4*t^2", 0.46)
+    _, ref = solve_branch(S, 1e-3)
+    seed = (ref.t[300].item(), ref.w[300].item(), ref.p[300].item())
+    monkeypatch.setattr(potential, "FOLD_TOL", 0.02)
+    with kernel(name):
+        curve = integrate_separatrix(S, seed, 1e-3, 0.46)
+    assert curve.halt_detail == "|F_p| = 1.803e-02 < 0.02 at t = 0.4115"
+    assert curve.work["uniform_steps"] == curve.t.size - 1 == 111
+    assert curve.work["other_steps"] == 0
+    assert_carries_target_values(S, curve)
+
+
 TRANSC_PHI, TRANSC_PSI = "3*exp(-t^2)", "3*cos(t)^2 + t^4/(1+t^2)"
 
 # the benchmark's instances that integrate (n = 2 runs no RK4), fold contact
