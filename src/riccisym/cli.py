@@ -446,14 +446,21 @@ def _output(cfg: ProblemConfig, suffix: str) -> Path:
     return path
 
 
+def _residual_gate(peaks, peak_t, tol: float) -> int:
+    """solve's and verify's gate on the Ricci residual peaks (radial,
+    tangential) at peak_t: 0, or 3 and a line naming the worse one, NaN
+    first, its t and the bound."""
+    worst = int(np.argmax(peaks))
+    if peaks[worst] <= tol:
+        return 0
+    _diag(3, f"ricci residuals exceed tolerance: {('radial', 'tangential')[worst]} "
+             f"{peaks[worst]:.3e} at t = {peak_t[worst]:.6g} > residual_tol {tol:.3e}")
+    return 3
+
+
 def _cmd_solve(cfg: ProblemConfig) -> int:
     sol = solve(_tensor_from(cfg, "solve"), step=cfg.step, delta=cfg.delta, t_lo=cfg.t_lo)
-    # verify's gate on the report's figure: the worse Ricci residual, NaN first
-    worst = int(np.argmax(sol.recon.ricci_residuals))
-    value, t = sol.recon.ricci_residuals[worst], sol.recon.ricci_residual_t[worst]
-    if not value <= cfg.residual_tol:
-        _diag(3, f"ricci residuals exceed tolerance: {('radial', 'tangential')[worst]} "
-                 f"{value:.3e} at t = {t:.6g} > residual_tol {cfg.residual_tol:.3e}")
+    if _residual_gate(sol.recon.ricci_residuals, sol.recon.ricci_residual_t, cfg.residual_tol):
         return 3
     _write_all_or_none({
         _output(cfg, "_solution.csv"): lambda tmp: write_csv(tmp, SOLUTION_HEADER,
@@ -551,19 +558,15 @@ def _cmd_verify(cfg: ProblemConfig) -> int:
     # a finite profile can still divide by zero (r = 0 at t > 0); the gate
     # below fails the resulting inf or NaN residual
     with np.errstate(all="ignore"):
-        res_rr, res_tt = reconstruct.verify_ricci(profile, T, t_lo, t_hi)
-    worst = float(np.maximum(res_rr, res_tt))  # NaN if either is NaN
+        peaks, peak_t = reconstruct.verify_ricci(profile, T, t_lo, t_hi)
     _output(cfg, "_verify.txt").write_text(
         f"profile: {cfg.profile}\n"
         f"interval: [{t_lo:.6g}, {t_hi:.6g}]\n"
-        f"residual radial: {res_rr:.6e}\n"
-        f"residual tangential: {res_tt:.6e}\n"
+        f"residual radial: {peaks[0]:.6e}\n"
+        f"residual tangential: {peaks[1]:.6e}\n"
         f"tolerance: {cfg.residual_tol:.6e}\n"
     )
-    if not worst <= cfg.residual_tol:
-        _diag(3, f"ricci residuals exceed tolerance: {worst:.3e}")
-        return 3
-    return 0
+    return _residual_gate(peaks, peak_t, cfg.residual_tol)
 
 
 # the columns verify reads, in the order of MetricProfile's fields after n

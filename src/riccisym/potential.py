@@ -58,6 +58,9 @@ reconstruction need not evaluate the target there again.
 The n = 2 quadrature and both quadratures of the reconstruction run
 cumulative_simpson, which follows scipy's cumulative Simpson formula in
 scipy's order of operations, bit for bit, so the solve imports numpy only.
+It works along y's last axis, so the reconstruction's two integrals are
+one call, and evaluates each interval's piece once, where scipy evaluates
+every parabola from both sides and keeps half.
 """
 
 from __future__ import annotations
@@ -847,22 +850,16 @@ def solve_branch(
 # n = 2: direct quadrature
 
 
-def _simpson_first_halves(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Integral over [x_i, x_i+1] of the parabola through samples i, i+1, i+2.
+def _simpson_piece(x21, x32, f1, f2, f3):
+    """Integral over an interval of width x21 of the parabola through f1, f2, f3.
 
     Eqn (8) of K. V. Cartwright, "Simpson's Rule Cumulative Integration
     with MS Excel and Irregularly-spaced Data", J. Math. Sci. Math. Educ.
-    12(2), 1-9.  Reversed inputs give the integrals over [x_i+1, x_i+2].
+    12(2), 1-9: f1 and f2 sit at the interval's ends, f3 a further x32 past
+    f2, on either side.  The widths broadcast over the samples' rows.
     """
-    x21 = dx[:-1]
-    x32 = dx[1:]
-    f1 = y[:-2]
-    f2 = y[1:-1]
-    f3 = y[2:]
-    x31 = x21 + x32
-    x21_x31 = x21 / x31
-    x21_x32 = x21 / x32
-    x21x21_x31x32 = x21_x31 * x21_x32
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
     coeff1 = 3 - x21_x31
     coeff2 = 3 + x21x21_x31x32 + x21_x31
     coeff3 = -x21x21_x31x32
@@ -872,27 +869,34 @@ def _simpson_first_halves(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
 def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Cumulative integral of the samples y over x from x[0], by composite Simpson.
 
-    The 1-d form of scipy.integrate.cumulative_simpson(y, x=x, initial=0.0),
-    bit for bit: each interval but the last takes the parabola through its
-    own samples and the next one (even intervals) or the previous one (odd
-    intervals), the last takes the previous one, and the pieces are summed
-    in order.  Like scipy, it takes the trapezoid rule below three samples.
-    x must be strictly increasing (ValueError otherwise).
+    scipy.integrate.cumulative_simpson(y, x=x, initial=0.0) along y's last
+    axis, x being 1-d, bit for bit: even intervals but the last take the
+    parabola through their own samples and the next one, odd intervals and
+    the last the previous one, and the pieces are summed in order.  Each
+    interval's piece is evaluated once, by _simpson_piece over strided
+    views: intervals 2k and 2k+1 share the parabola through samples 2k,
+    2k+1, 2k+2.  Like scipy, it takes the trapezoid rule below three
+    samples.  x must be strictly increasing (ValueError otherwise).
     """
     dx = np.diff(x)
-    if y.size < 3:
-        pieces = dx * (y[1:] + y[:-1]) / 2.0
+    out = np.zeros(y.shape)
+    pieces = out[..., 1:]
+    if y.shape[-1] < 3:
+        pieces[...] = dx * (y[..., 1:] + y[..., :-1]) / 2.0
     elif np.any(dx <= 0):
         raise ValueError("Input x must be strictly increasing.")
     else:
-        h1 = _simpson_first_halves(y, dx)
-        h2 = _simpson_first_halves(y[::-1], dx[::-1])[::-1]
-        pieces = np.empty(dx.size)
-        pieces[:-1:2] = h1[::2]
-        pieces[1::2] = h2[::2]
-        pieces[-1] = h2[-1]
-    # scipy adds its initial value 0.0 to every sum, which turns -0.0 into 0.0
-    return np.concatenate([[0.0], np.cumsum(pieces) + 0.0])
+        a, b = dx[:-1:2], dx[1::2]
+        f0, f1, f2 = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2]
+        pieces[..., :-1:2] = _simpson_piece(a, b, f0, f1, f2)
+        pieces[..., 1::2] = _simpson_piece(b, a, f2, f1, f0)
+        if dx.size % 2:  # an even last interval, with no odd one after it
+            pieces[..., -1:] = _simpson_piece(
+                dx[-1:], dx[-2:-1], y[..., -1:], y[..., -2:-1], y[..., -3:-2]
+            )
+    np.cumsum(pieces, axis=-1, out=pieces)
+    pieces += 0.0  # scipy adds its initial value 0.0 to every sum, which turns -0.0 into 0.0
+    return out
 
 
 def solve_n2(T: RotSymTensor, step: float) -> PotentialCurve:

@@ -8,8 +8,9 @@ profile follows from explicit quadratures:
 
 Both integrands have removable singularities at s = 0; their limit values
 come from the series coefficients w2, w3 carried by the curve.  solve_rf
-runs both quadratures in one pass over the phi values the curve carries
-(the solve sampled them on its way), and lays them out on the profile grid
+runs both quadratures in one cumulative_simpson call over the two stacked
+integrands, built from the phi values the curve carries (the solve
+sampled them on its way), and lays them out on the profile grid
 together with phi, w and w' there; reconstruct_profile takes psi from the
 curve too, so a reconstruction evaluates the target only at t = 0.  The
 singular ODE forms
@@ -101,19 +102,6 @@ def _profile_layout(curve: PotentialCurve):
     return stop, slice(start, end)
 
 
-def _cumulative_potential_integral(t: np.ndarray, integrand: np.ndarray, limit0: float):
-    """Cumulative integral from 0, aligned with t.
-
-    integrand is aligned with t; when t starts at 0 its first entry must
-    already hold the removable-singularity limit.  The short [0, t[0]]
-    piece is bridged with a trapezoid against the series limit, orders of
-    magnitude below the target tolerances since the seed offset is tiny
-    (and zero when t starts at 0).
-    """
-    vals = cumulative_simpson(integrand, t)
-    return vals + 0.5 * (limit0 + integrand[0]) * t[0]
-
-
 class Quadrature(NamedTuple):
     """Samples on the profile grid from one quadrature pass (see solve_rf)."""
 
@@ -134,14 +122,16 @@ def solve_rf(curve: PotentialCurve, phi: Expr, n: int) -> Quadrature:
     J is the cumulative integral of phi/((n-1) w') - 1/s, whose singularity
     at 0 is removable because w' ~ w2 s there.  _profile_layout decides the
     samples both quadratures run over and the profile grid, before any
-    quadrature.  r' is taken from the defining ODE (n-1) w' r' = phi r that
-    the quadrature integrates; the stencil derivative of r is used only for
-    residual_r in reconstruct_profile.  f' = -(phi/(n-1)) (w/w') is exact on
-    the samples, so the second defining ODE holds to rounding by
-    construction.  Every profile-grid point is 0 or a curve sample, so phi
-    is read from curve.phi and evaluated only at 0, to first order.  An
-    r' <= 0 or a non-finite r or f raises ReconstructionError, so the
-    samples meet the MetricProfile invariants.
+    quadrature; J and F (f = -F) are one cumulative_simpson call over the
+    stacked integrands, each bridged over [0, t[0]] by a trapezoid.  r' is
+    taken from the defining ODE (n-1) w' r' = phi r that the quadrature
+    integrates; the stencil derivative of r is used only for residual_r in
+    reconstruct_profile.  f' = -(phi/(n-1)) (w/w') is exact on the samples,
+    so the second defining ODE holds to rounding by construction.  Every
+    profile-grid point is 0 or a curve sample, so phi is read from curve.phi
+    and evaluated only at 0, to first order.  An r' <= 0 or a non-finite r
+    or f raises ReconstructionError, so the samples meet the MetricProfile
+    invariants.
     """
     stop, cols = _profile_layout(curve)
     t, w, p, phis = curve.t[:stop], curve.w[:stop], curve.p[:stop], curve.phi[:stop]
@@ -150,13 +140,13 @@ def solve_rf(curve: PotentialCurve, phi: Expr, n: int) -> Quadrature:
     # limit at s = 0 from w ~ (w2/2) s^2 + (w3/6) s^3
     limit0 = phi0j.d1 / phi0j.v - curve.w3 / (2.0 * curve.w2) if curve.w2 else 0.0
     with np.errstate(all="ignore"):  # a non-finite r or f is reported below
-        integrand_r = phis / ((n - 1) * p) - 1.0 / t
-        integrand_f = (phis / (n - 1)) * (w / p)
+        integrands = np.stack([phis / ((n - 1) * p) - 1.0 / t, (phis / (n - 1)) * (w / p)])
+    limits = np.array([[limit0], [0.0]])  # both integrands at s = 0, where w/w' -> 0
     if t[0] == 0.0:
-        integrand_r[0] = limit0
-        integrand_f[0] = 0.0  # w/w' -> 0 at s = 0
-    J = _cumulative_potential_integral(t, integrand_r, limit0)
-    F = _cumulative_potential_integral(t, integrand_f, 0.0)
+        integrands[:, :1] = limits
+    # the short [0, t[0]] piece: a trapezoid against the series limits, far
+    # below the target tolerances as the seed offset is tiny (0 from t = 0)
+    J, F = cumulative_simpson(integrands, t) + 0.5 * (limits + integrands[:, :1]) * t[0]
 
     def on_grid(values, zero_value=0.0):  # curve-aligned values on the profile grid
         return np.concatenate([[zero_value], values[cols]])
@@ -164,7 +154,6 @@ def solve_rf(curve: PotentialCurve, phi: Expr, n: int) -> Quadrature:
     grid = on_grid(t)
     with np.errstate(over="ignore"):  # an overflow is reported below
         r = grid * np.exp(on_grid(J))
-    r[0] = 0.0
     phi_g, p_g = on_grid(phis, phi0j.v), on_grid(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         rp = phi_g * r / ((n - 1) * p_g)
@@ -172,10 +161,7 @@ def solve_rf(curve: PotentialCurve, phi: Expr, n: int) -> Quadrature:
     if np.any(rp <= 0):
         bad = grid[np.argmax(rp <= 0)]
         raise ReconstructionError(f"monotonicity lost: r'({bad:.6g}) <= 0")
-    f = -on_grid(F)
-    f[0] = 0.0
-    fp = -on_grid(integrand_f)
-    fp[0] = 0.0
+    f, fp = on_grid(-F), on_grid(-integrands[1])
     for name, x in (("r", r), ("f", f)):
         if not np.all(np.isfinite(x)):
             bad = grid[np.argmax(~np.isfinite(x))]
@@ -186,7 +172,19 @@ def solve_rf(curve: PotentialCurve, phi: Expr, n: int) -> Quadrature:
 def _residual_window(grid: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
     if not 0 < t_lo < t_hi <= grid[-1] + 1e-12:
         raise ValueError(f"need 0 < t_lo < t_hi <= {grid[-1]}")
-    return (grid >= t_lo) & (grid <= t_hi)
+    window = (grid >= t_lo) & (grid <= t_hi)
+    if not window.any():
+        raise ValueError(f"no grid point in the residual window [{t_lo:.6g}, {t_hi:.6g}]")
+    return window
+
+
+def _residual_peaks(ts: np.ndarray, *defects: np.ndarray):
+    """((max, ...), (t of each, ...)) of per-point defects at the abscissae ts.
+
+    A defect with a NaN peaks at its first NaN (argmax finds NaN first).
+    """
+    at = [int(np.argmax(res)) for res in defects]
+    return tuple(float(res[i]) for res, i in zip(defects, at)), tuple(float(ts[i]) for i in at)
 
 
 def window_start(t_lo: float | None, t_max: float) -> float:
@@ -210,15 +208,15 @@ def ricci_defects(profile: MetricProfile, mask, phis, psis):
 def verify_ricci(profile: MetricProfile, T: RotSymTensor, t_lo: float, t_hi: float):
     """Componentwise defect of the forward map against the target tensor.
 
-    Returns (res_rr, res_tt) = (max |alpha (r')^2 - phi|, max |r^2 beta - t^2 psi|)
-    over grid points in [t_lo, t_hi]; t_lo > 0 keeps the removable coordinate
-    singularity at the origin out of the scan.
+    Returns _residual_peaks of (|alpha (r')^2 - phi|, |r^2 beta - t^2 psi|)
+    over the grid points in [t_lo, t_hi], ((res_rr, res_tt), (t_rr, t_tt));
+    t_lo > 0 keeps the removable coordinate singularity at the origin out of
+    the scan.  A window with no grid point raises ValueError.
     """
     mask = _residual_window(profile.grid, t_lo, t_hi)
     ts = profile.grid[mask]
     phis, psis = sample(ts, T.phi.first_order, T.psi.first_order)[:, 0]
-    res_rr, res_tt = ricci_defects(profile, mask, phis, psis)
-    return float(np.max(res_rr)), float(np.max(res_tt))
+    return _residual_peaks(ts, *ricci_defects(profile, mask, phis, psis))
 
 
 def ricci_potential_from_profile(profile: MetricProfile) -> np.ndarray:
@@ -270,13 +268,13 @@ def reconstruct_profile(
     psi0 = eval_jet2(T.psi.first_order, 0.0).v
     psi = np.concatenate([[psi0], curve.psi[q.cols]])
     res_rr, res_tt = ricci_defects(profile, slice(None), q.phi, psi)
-    at = [int(np.argmax(res[window])) for res in (res_rr, res_tt)]  # argmax finds NaN first
+    peaks, peak_t = _residual_peaks(grid[window], res_rr[window], res_tt[window])
     return ReconstructionResult(
         profile=profile,
         residual_r=residual_r,
         residual_f=residual_f,
-        ricci_residuals=(float(res_rr[window][at[0]]), float(res_tt[window][at[1]])),
-        ricci_residual_t=(float(grid[window][at[0]]), float(grid[window][at[1]])),
+        ricci_residuals=peaks,
+        ricci_residual_t=peak_t,
         w=q.w,
         p=p,
         res_rr=res_rr,

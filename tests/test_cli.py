@@ -532,11 +532,12 @@ def test_solve_fails_where_verify_of_its_profile_fails(tmp_path, capsys, cfg):
     verify_err = capsys.readouterr().err.splitlines()
     assert solved == verified
     assert len(solve_err) == len(verify_err) == (solved != 0)
-    if solved:
-        assert re.fullmatch(
-            r'riccisym: code=3 reason="ricci residuals exceed tolerance: (radial|tangential) '
-            r'\S+ at t = \S+ > residual_tol 1\.000e-05"', solve_err[0]
-        ), solve_err[0]
+    if solved:  # one failure line, naming the component, its t and the bound
+        for err in (solve_err[0], verify_err[0]):
+            assert re.fullmatch(
+                r'riccisym: code=3 reason="ricci residuals exceed tolerance: (radial|tangential) '
+                r'\S+ at t = \S+ > residual_tol 1\.000e-05"', err
+            ), err
 
 
 def test_a_nan_residual_fails_solve(tmp_path, capsys, monkeypatch):
@@ -1057,6 +1058,17 @@ def _verify(tmp_path, lines):
     return main(["verify", "--config", str(_write(tmp_path, "v.cfg", cfg))])
 
 
+def test_verify_names_a_residual_window_with_no_grid_point(tmp_path, capsys):
+    # 0.1001 and 0.1002 lie between two samples of the 1e-3 grid
+    cfg = f'n = 3\nphi = "-1"\npsi = "-1"\nt_max = 10\nout = "{tmp_path}/a"\n'
+    assert main(["solve", "--config", str(_write(tmp_path, "s.cfg", cfg))]) == 0
+    check = cfg + f't_lo = 0.1001\nt_hi = 0.1002\nprofile = "{tmp_path}/a_solution.csv"\n'
+    assert main(["verify", "--config", str(_write(tmp_path, "v.cfg", check))]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        'riccisym: code=1 reason="no grid point in the residual window [0.1001, 0.1002]"'
+    ]
+
+
 UNREADABLE_PROFILES = {
     "header only": (lambda lines: lines[:1], "has no data rows"),
     "header and blank lines": (lambda lines: lines[:1] + ["", ""], "has no data rows"),
@@ -1152,16 +1164,22 @@ def test_verify_finds_the_profile_columns_by_name(tmp_path, capsys, gold4_profil
 
 @pytest.mark.parametrize("residuals", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
 def test_verify_fails_a_nan_residual(tmp_path, capsys, monkeypatch, gold4_profile, residuals):
-    monkeypatch.setattr(reconstruct, "verify_ricci", lambda *args: residuals)
+    # solve's gate and line: the worse residual, NaN first, its t and the bound
+    monkeypatch.setattr(reconstruct, "verify_ricci", lambda *args: (residuals, (0.1, 0.2)))
+    named = "radial nan at t = 0.1" if math.isnan(residuals[0]) else "tangential nan at t = 0.2"
     assert _verify(tmp_path, gold4_profile) == 3
     assert capsys.readouterr().err.splitlines() == [
-        'riccisym: code=3 reason="ricci residuals exceed tolerance: nan"'
+        f'riccisym: code=3 reason="ricci residuals exceed tolerance: {named}'
+        ' > residual_tol 1.000e-05"'
     ]
 
 
 @pytest.mark.parametrize(
     "column, code, reason",
-    [("r", 3, "ricci residuals exceed tolerance: nan"), ("rp", 1, "r'(t) <= 0 at t = 0.199")],
+    [
+        ("r", 3, "ricci residuals exceed tolerance: tangential nan at t = 0.199 > residual_tol 1.000e-05"),
+        ("rp", 1, "r'(t) <= 0 at t = 0.199"),
+    ],
 )
 def test_verify_fails_a_zero_radius_or_slope_without_warnings(
     tmp_path, capsys, gold4_profile, column, code, reason

@@ -495,12 +495,23 @@ _SIMPSON_SPECIALS = st.sampled_from([0.0, -0.0, 1e300, -1e300, math.inf, -math.i
 
 
 @st.composite
-def _simpson_inputs(draw):
-    """(y, x): 3 to 300 samples over uniform, jittered or geometric increasing x.
+def _simpson_row(draw, m):
+    """m samples, finite at one of three scales, with up to three special
+    values (signed zeros, +-1e300, +-inf, nan) put in, or signed zeros
+    throughout."""
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=m, max_size=m)))
+    y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m)))
+    y *= draw(st.sampled_from([1.0, 1e297, 1e-300]))
+    for i, v in draw(st.lists(st.tuples(st.integers(0, m - 1), _SIMPSON_SPECIALS), max_size=3)):
+        y[i] = v
+    return y
 
-    y is finite at one of three scales, with up to three special values
-    (signed zeros, +-1e300, +-inf, nan) put in, or signed zeros throughout.
-    """
+
+@st.composite
+def _simpson_inputs(draw):
+    """(y, x): 3 to 300 samples over uniform, jittered or geometric increasing
+    x, y one _simpson_row or two stacked."""
     m = draw(st.integers(3, 300))
     k = np.arange(m, dtype=float)
     x0, h = draw(st.floats(-10.0, 10.0)), draw(st.floats(1e-4, 1.0))
@@ -512,14 +523,8 @@ def _simpson_inputs(draw):
         x = x0 + (k + jitter) * h
     else:
         x = x0 + h * draw(st.floats(1.001, 1.1)) ** k
-    if draw(st.booleans()):
-        y = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=m, max_size=m)))
-    else:
-        y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m)))
-        y *= draw(st.sampled_from([1.0, 1e297, 1e-300]))
-        for i, v in draw(st.lists(st.tuples(st.integers(0, m - 1), _SIMPSON_SPECIALS), max_size=3)):
-            y[i] = v
-    return y, x
+    rows = [draw(_simpson_row(m)) for _ in range(draw(st.integers(1, 2)))]
+    return (rows[0] if len(rows) == 1 else np.stack(rows)), x
 
 
 def _scipy_simpson(y, x):
@@ -531,35 +536,41 @@ def _scipy_simpson(y, x):
 def test_cumulative_simpson_is_scipys_bit_for_bit(inputs):
     y, x = inputs
     assert np.all(np.diff(x) > 0)
-    event(f"{'odd' if y.size % 2 else 'even'} length")
+    event(f"{'odd' if x.size % 2 else 'even'} length")
+    event(f"{y.ndim}-d y")
     event("finite y" if np.all(np.isfinite(y)) else "inf or nan in y")
     with np.errstate(all="ignore"):  # inf and nan samples, as scipy sees them
         ours, ref = cumulative_simpson(y, x), _scipy_simpson(y, x)
-    assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+        rows = [(cumulative_simpson(row, x), _scipy_simpson(row, x)) for row in np.atleast_2d(y)]
+    assert ours.dtype == ref.dtype and ours.shape == y.shape and ours.tobytes() == ref.tobytes()
+    # each row of a stack as on its own
+    assert all(a.tobytes() == b.tobytes() for a, b in rows)
+    assert np.atleast_2d(ours).tobytes() == b"".join(a.tobytes() for a, _ in rows)
 
 
 def test_cumulative_simpson_turns_negative_zeros_positive():
     # the first interval's piece is -0.0 (every term of eqn (8) is -0.0 there)
-    out = cumulative_simpson(np.array([-0.0, -0.0, 0.0, -0.0]), np.arange(4.0))
-    assert out.tobytes() == np.zeros(4).tobytes()
+    y = np.array([-0.0, -0.0, 0.0, -0.0])
+    assert cumulative_simpson(y, np.arange(4.0)).tobytes() == np.zeros(4).tobytes()
+    assert cumulative_simpson(np.stack([y, y]), np.arange(4.0)).tobytes() == np.zeros(8).tobytes()
 
 
 @pytest.mark.parametrize(
     "y, x", [([2.0, -0.0], [1.0, 1.5]), ([3.0], [0.5]), ([1.0, 5.0], [1.0, 0.5])]
 )
 def test_cumulative_simpson_takes_scipys_trapezoid_below_three_samples(y, x):
-    y, x = np.array(y), np.array(x)
-    assert cumulative_simpson(y, x).tobytes() == _scipy_simpson(y, x).tobytes()
+    for y in (np.array(y), np.array([y, y[::-1]])):
+        assert cumulative_simpson(y, np.array(x)).tobytes() == _scipy_simpson(y, x).tobytes()
 
 
 @pytest.mark.parametrize("x", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]])
 def test_cumulative_simpson_refuses_x_that_does_not_increase(x):
-    x, y = np.array(x), np.ones(4)
-    with pytest.raises(ValueError, match=r"^Input x must be strictly increasing\.$") as ours:
-        cumulative_simpson(y, x)
-    with pytest.raises(ValueError) as ref:
-        _scipy_simpson(y, x)
-    assert str(ours.value) == str(ref.value)
+    for y in (np.ones(4), np.ones((2, 4))):
+        with pytest.raises(ValueError, match=r"^Input x must be strictly increasing\.$") as ours:
+            cumulative_simpson(y, np.array(x))
+        with pytest.raises(ValueError) as ref:
+            _scipy_simpson(y, np.array(x))
+        assert str(ours.value) == str(ref.value)
 
 
 @pytest.mark.parametrize(
@@ -577,9 +588,32 @@ def test_solve_quadratures_are_scipys_bit_for_bit(monkeypatch, n, phi, psi, t_ma
     monkeypatch.setattr(potential, "cumulative_simpson", spy)
     monkeypatch.setattr(reconstruct, "cumulative_simpson", spy)
     pipeline.solve(_surface(n, phi, psi, t_max), step=1e-3)
-    assert len(calls) == (3 if n == 2 else 2)  # w for n = 2, then J and F
+    # w for n = 2, then J and F in one call
+    assert [y.shape[:-1] for y, _, _ in calls] == [()] * (n == 2) + [(2,)]
     for y, x, ours in calls:
         assert ours.tobytes() == _scipy_simpson(y, x).tobytes()
+        for row, out in zip(np.atleast_2d(y), np.atleast_2d(ours)):
+            assert out.tobytes() == _scipy_simpson(row, x).tobytes()
+
+
+def test_cumulative_simpson_evaluates_each_interval_once(monkeypatch):
+    # the quadratures of a long solve: one parabola piece per interval and row
+    piece, seen, intervals = potential._simpson_piece, [], []
+    port = potential.cumulative_simpson
+
+    def count_pieces(x21, x32, f1, f2, f3):
+        seen.append(f1.size)
+        return piece(x21, x32, f1, f2, f3)
+
+    def count_intervals(y, x):
+        intervals.append(y.size - y.size // y.shape[-1])
+        return port(y, x)
+
+    monkeypatch.setattr(potential, "_simpson_piece", count_pieces)
+    monkeypatch.setattr(reconstruct, "cumulative_simpson", count_intervals)
+    pipeline.solve(_surface(3, "1", "1", 10.0), step=1e-3)
+    assert intervals == [2 * 10_000]
+    assert sum(seen) == sum(intervals)
 
 
 # ---------------------------------------------------------------------------

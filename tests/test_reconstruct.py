@@ -186,13 +186,13 @@ def test_verify_ricci_gold_pipeline():
 def test_verify_ricci_flat_zero():
     profile = MetricProfile.from_exprs(3, parse("0"), parse("t"), 0.5)
     T = RotSymTensor(3, parse("0"), parse("0"), 0.5)
-    res_rr, res_tt = verify_ricci(profile, T, 0.05, 0.5)
+    (res_rr, res_tt), _ = verify_ricci(profile, T, 0.05, 0.5)
     assert res_rr < 1e-14 and res_tt < 1e-14
 
 
 def test_verify_ricci_detects_perturbation():
     profile = MetricProfile.from_exprs(3, parse("-t^2 + 0.01*t^3"), parse("t"), 0.5)
-    res_rr, _ = verify_ricci(profile, _gold_tensor(), 0.05, 0.5)
+    (res_rr, _), _ = verify_ricci(profile, _gold_tensor(), 0.05, 0.5)
     assert res_rr > 1e-3
 
 
